@@ -30,16 +30,23 @@
 //! exact sweep over the *critical γ values* where the queue order changes —
 //! the ablation benchmark compares them.
 //!
-//! **Probe cost.** A recompute evaluates Eq. 11 at up to `2 + iterations`
-//! γ values against one queue snapshot. Everything γ-independent — static
-//! priorities, laxities at `now`, observed execution times, absolute
-//! deadlines — is gathered once into a scratch buffer owned by the
-//! scheduler, the queue is ranked once with a full sort, and each further
-//! probe only *re-ranks* the previous order with a single insertion pass
-//! (adjacent probes reorder few jobs, so the pass is `O(n + inversions)`
-//! rather than a fresh `O(n log n)` sort). The pre-optimization
-//! sort-per-probe search is retained in [`reference`] as the benchmark
-//! baseline and as an independent oracle in tests.
+//! **Probe cost.** An exact probe ranks the queue at one γ and walks
+//! Eq. 11 over that ranking. A bisection recompute makes up to
+//! `2 + iterations` of them against one queue snapshot. Everything
+//! γ-independent — static priorities, laxities at `now`, observed
+//! execution times, absolute deadlines — is gathered once into a scratch
+//! buffer owned by the scheduler, the queue is ranked once with a full
+//! sort, and each further probe only *re-ranks* the previous order with a
+//! single insertion pass (adjacent probes reorder few jobs, so the pass is
+//! `O(n + inversions)` rather than a fresh `O(n log n)` sort). The
+//! critical-point sweep visits up to `O(n²)` intervals but probes only a
+//! few of them: between probes it moves the ranking one crossing at a
+//! time in `O(1)` and skips every interval it can prove infeasible (see
+//! [`GammaSearch::CriticalPoints`]);
+//! [`DynamicPriorityScheduler::search_counters`] counts probes and skips.
+//! The pre-optimization sort-per-probe search is retained in
+//! [`reference`] as the benchmark baseline and as an independent oracle
+//! in tests.
 
 use std::cmp::Ordering;
 
@@ -57,6 +64,19 @@ pub enum GammaSearch {
     },
     /// Exact sweep over the `O(n²)` pairwise crossover points of
     /// `P_i(γ) = P_j(γ)`; finds the true supremum of the feasible set.
+    ///
+    /// The ranking is constant between consecutive crossings, so the sweep
+    /// walks those intervals downward from the ceiling and stops at the
+    /// first feasible one. It is *kinetic*: passing a crossing swaps the
+    /// two jobs that meet there, which changes only their own Eq. 11
+    /// constraints, so a count of violated constraints is kept up to date
+    /// in `O(1)` per crossing. An interval whose count proves it
+    /// infeasible is skipped; every other interval gets the same exact
+    /// float probe as [`reference::gamma_max`], so the result is
+    /// bit-identical to it. Cost: `O(n²)` to generate the crossings and
+    /// probe the top interval; if that is infeasible, `O(n² log n)` to sort
+    /// them, `O(1)` per crossing passed, and one `rank` plus an `O(n)`
+    /// Eq. 11 walk for each of the few intervals that still need a probe.
     CriticalPoints,
 }
 
@@ -122,7 +142,77 @@ pub struct DynamicPriorityScheduler {
     last_compute: Option<SimTime>,
     dirty: bool,
     scratch: GammaScratch,
+    counters: GammaCounters,
 }
+
+/// Deterministic work counts of the γ search, summed over a scheduler's
+/// lifetime (see [`DynamicPriorityScheduler::search_counters`]). They are
+/// integers and feed no output, so reading them never changes a run.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct GammaCounters {
+    /// `γ_max` recomputations.
+    pub recomputes: u64,
+    /// Crossover points the critical-point sweep generated in
+    /// `(0, gamma_ceiling)`.
+    pub crossings: u64,
+    /// Exact Eq. 11 probes (a ranking plus a feasibility walk): the γ = 0
+    /// check, bisection steps and the sweep intervals not skipped.
+    pub probes: u64,
+    /// Sweep intervals proved infeasible without a probe.
+    pub skipped: u64,
+    /// Sweep probes that found the interval infeasible and rebuilt the
+    /// kinetic state from it.
+    pub resyncs: u64,
+}
+
+/// The γ-independent terms of Eq. 11 for one recompute.
+#[derive(Debug, Clone, Copy)]
+struct Horizon {
+    /// `now`, in seconds.
+    now: f64,
+    /// `ΣT_p / n_p`, in seconds.
+    base: f64,
+    /// Processor count `n_p`.
+    n_p: f64,
+}
+
+impl Horizon {
+    /// Finish time of a job with execution time `c` and `work` seconds of
+    /// execution ranked ahead of it, rounded as the reference's Eq. 11
+    /// check rounds it.
+    fn finish(self, work: f64, c: f64) -> f64 {
+        self.now + (self.base + work / self.n_p) + c
+    }
+
+    /// [`finish`](Self::finish) rounded as the reference's doomed-job
+    /// check rounds it: left to right.
+    fn finish_doomed(self, work: f64, c: f64) -> f64 {
+        self.now + self.base + work / self.n_p + c
+    }
+}
+
+/// Per-job state of the kinetic critical-point sweep.
+#[derive(Debug, Clone, Copy)]
+struct Kinetic {
+    /// Position in the ranking.
+    pos: usize,
+    /// Execution time ranked ahead of the job (`W_j`), in seconds.
+    work: f64,
+    /// `W_j` above which the job's Eq. 11 constraint is violated by more
+    /// than the band (infinite outside the constraint set).
+    limit: f64,
+    /// `work > limit`.
+    violated: bool,
+}
+
+/// A sweep interval must be wider than this many `ε · Σ(|ceiling·p_i| +
+/// |d_i|)` on each side of its midpoint before the sweep trusts the float
+/// ranking there to follow the crossings.
+const NARROW_ULPS: f64 = 1024.0;
+
+/// Fixed part of the margin, in seconds, by which a constraint must be
+/// violated for the sweep to count it (1 ns).
+const BAND_FLOOR: f64 = 1e-9;
 
 /// Per-job constraint data cached for one γ recomputation, plus the ranking
 /// maintained incrementally across probes. Owned by the scheduler so
@@ -145,8 +235,14 @@ struct GammaScratch {
     order: Vec<usize>,
     /// Jobs excluded from the Eq. 11 constraint set (relaxed mode).
     skip: Vec<bool>,
-    /// Candidate γ values for the critical-point sweep.
-    points: Vec<f64>,
+    /// Crossover points of the critical-point sweep, `(γ*, mover, front)`:
+    /// as γ falls past `γ*`, queue entry `mover` (the larger `p_i`) passes
+    /// `front`.
+    points: Vec<(f64, u32, u32)>,
+    /// Kinetic sweep state per queue entry.
+    kin: Vec<Kinetic>,
+    /// Number of `kin` entries flagged `violated`.
+    violations: usize,
 }
 
 impl GammaScratch {
@@ -183,28 +279,24 @@ impl GammaScratch {
         for ((k, &p), &l) in self.key.iter_mut().zip(&self.prio).zip(&self.laxity) {
             *k = gamma * p + l;
         }
-        let key = &self.key;
-        let id = &self.id;
-        let ahead = |a: usize, b: usize| -> bool {
-            match key[a].total_cmp(&key[b]) {
-                Ordering::Less => true,
-                Ordering::Greater => false,
-                Ordering::Equal => id[a] < id[b],
-            }
-        };
+        let (key, id) = (&self.key, &self.id);
         if full {
-            self.order.sort_unstable_by(|&a, &b| {
-                key[a].total_cmp(&key[b]).then_with(|| id[a].cmp(&id[b]))
-            });
+            self.order.sort_unstable_by(|&a, &b| by_key(key, id, a, b));
         } else {
-            for i in 1..self.order.len() {
-                let moving = self.order[i];
-                let mut j = i;
-                while j > 0 && ahead(moving, self.order[j - 1]) {
-                    self.order[j] = self.order[j - 1];
+            // Insertion pass: each entry swaps ahead past the entries
+            // directly before it that it now outranks.
+            for last in 1..self.order.len() {
+                let mut j = last;
+                while j > 0 {
+                    let Some([prev, cur]) = self.order.get_mut(j - 1..=j) else {
+                        break;
+                    };
+                    if by_key(key, id, *cur, *prev) != Ordering::Less {
+                        break;
+                    }
+                    std::mem::swap(prev, cur);
                     j -= 1;
                 }
-                self.order[j] = moving;
             }
         }
     }
@@ -212,7 +304,7 @@ impl GammaScratch {
     /// The Eq. 11 feasibility walk over the current ranking: every
     /// non-skipped job must be able to start early enough.
     // hcperf-lint: hot-path-root
-    fn feasible(&self, now: f64, base: f64, n_p: f64) -> bool {
+    fn feasible(&self, h: Horizon) -> bool {
         let mut higher_work = 0.0;
         for &i in &self.order {
             // `order` is rebuilt alongside the parallel vectors, so the
@@ -223,11 +315,8 @@ impl GammaScratch {
             else {
                 continue;
             };
-            if !skip {
-                let finish = now + base + higher_work / n_p + c;
-                if finish > deadline {
-                    return false;
-                }
+            if !skip && h.finish(higher_work, c) > deadline {
+                return false;
             }
             higher_work += c;
         }
@@ -237,7 +326,7 @@ impl GammaScratch {
     /// Marks jobs that miss their deadline even under the current (γ = 0)
     /// ranking — no γ can save them, so relaxed mode drops them from the
     /// constraint set.
-    fn mark_doomed(&mut self, now: f64, base: f64, n_p: f64) {
+    fn mark_doomed(&mut self, h: Horizon) {
         let mut higher_work = 0.0;
         for &i in &self.order {
             let (Some(&c), Some(&deadline), Some(skip)) =
@@ -245,10 +334,269 @@ impl GammaScratch {
             else {
                 continue;
             };
-            let finish = now + base + higher_work / n_p + c;
-            *skip = *skip || finish > deadline;
+            *skip = *skip || h.finish_doomed(higher_work, c) > deadline;
             higher_work += c;
         }
+    }
+
+    /// Fills `points`, unsorted, with the crossover points `γ* = (d_b −
+    /// d_a)/(p_a − p_b)` in `(0, ceiling)` and returns the half-width an
+    /// interval must exceed for the sweep to skip it (see
+    /// [`sweep`](Self::sweep)).
+    fn crossings(&mut self, ceiling: f64) -> f64 {
+        let GammaScratch {
+            prio,
+            laxity,
+            points,
+            ..
+        } = self;
+        let scale: f64 = prio
+            .iter()
+            .zip(laxity.iter())
+            .map(|(&p, &l)| (ceiling * p).abs() + l.abs())
+            .sum();
+        let narrow = NARROW_ULPS * f64::EPSILON * scale;
+        // Branch-free pair walk: every pair is written to the next free
+        // slot, and the slot is kept only if the crossing lies in range.
+        // Equal priorities divide by zero and fail that test; they never
+        // cross, and their float keys keep the laxity order unless the
+        // laxities are close enough for rounding to tie them, in which
+        // case no interval is trusted.
+        points.clear();
+        points.resize(prio.len() * prio.len().saturating_sub(1) / 2, (0.0, 0, 0));
+        let mut kept = 0;
+        let mut tied = false;
+        for (a, (&pa, &la)) in (0u32..).zip(prio.iter().zip(laxity.iter())) {
+            let rest = prio.iter().zip(laxity.iter()).skip(a as usize + 1);
+            for (b, (&pb, &lb)) in (a + 1..).zip(rest) {
+                tied |= (pa == pb) & (la != lb) & ((la - lb).abs() <= narrow);
+                let crossing = (lb - la) / (pa - pb);
+                let (mover, front) = if pa > pb { (a, b) } else { (b, a) };
+                if let Some(slot) = points.get_mut(kept) {
+                    *slot = (crossing, mover, front);
+                }
+                kept += usize::from((crossing > 0.0) & (crossing < ceiling));
+            }
+        }
+        points.truncate(kept);
+        if tied {
+            f64::INFINITY
+        } else {
+            narrow
+        }
+    }
+
+    /// The kinetic critical-point sweep. Expects the γ = 0 ranking and
+    /// the constraint set in place; returns the supremum of the feasible
+    /// set.
+    ///
+    /// The crossings split `[0, ceiling]` into intervals, walked from the
+    /// top; each is decided at its midpoint, like [`reference::gamma_max`]
+    /// does. The top interval is probed before anything is sorted: its
+    /// lower bound is just the largest crossing, and when it is feasible
+    /// the search ends there. Below it the sweep keeps a kinetic state:
+    /// the ranking, each job's prefix work `W_j` and a flag for "Eq. 11
+    /// violated by more than `band`", plus a count of flagged jobs.
+    /// Passing a crossing moves the larger-`p` job of each pair directly
+    /// ahead of the other; only those two jobs' `W` and flags change, so
+    /// the update is `O(1)`. An interval is skipped, never probed, only
+    /// when
+    ///
+    /// 1. the state was rebuilt from an exact probe on a wide interval and
+    ///    every swap since was between adjacent jobs (`synced`);
+    /// 2. the interval itself is wide: its half-width exceeds `narrow`,
+    ///    `1024·ε·Σ(|ceiling·p_i| + |d_i|)`; and
+    /// 3. some constraint job is flagged.
+    ///
+    /// Why that reproduces the reference's verdict:
+    ///
+    /// * On a wide interval every float crossing lies at least `narrow`
+    ///   from the midpoint, and (priorities being integers, so distinct
+    ///   ones differ by at least 1) the exact key gap of every pair with
+    ///   distinct priorities exceeds the rounding error of the float keys
+    ///   and of `γ*` by orders of magnitude. The float ranking at the
+    ///   midpoint therefore orders each such pair by which side of its
+    ///   float `γ*` the midpoint lies. Equal-priority pairs keep their
+    ///   laxity (then id) order at every γ, because `crossings` refuses to
+    ///   trust any interval when two of their laxities are within
+    ///   `narrow` of each other.
+    /// * Every float `γ*` of a group is the same value, so between two
+    ///   groups no pair changes side. The swaps of a group flip exactly the
+    ///   pairs in it; when each is adjacent at its turn, the result is the
+    ///   ranking the float keys give on the next wide interval. A pair that
+    ///   is not adjacent (three jobs meeting at one point, or rounding that
+    ///   breaks transitivity) drops the state to unsynced instead.
+    /// * A job is flagged when `W_j` exceeds `(deadline + band − now −
+    ///   base − c_j)·n_p`: Eq. 11 with the band added, solved for `W`. The
+    ///   kinetic `W` differ from the reference's freshly summed prefix
+    ///   work only by the rounding of at most `n + swaps` additions, and
+    ///   `band` is 1 ns plus `4(n+3)²·ε·(|now| + |base| + Σ|c_i|)`, which
+    ///   bounds that drift together with the rounding of the limit and of
+    ///   the reference's own comparison. So a flagged job also misses its
+    ///   deadline in the reference walk. (A deadline far from those terms
+    ///   cannot break this: far above, nothing is flagged; far below,
+    ///   both walks see the miss.)
+    ///
+    /// So a skipped interval is one the reference finds infeasible too.
+    /// Every other interval — no flagged job (a candidate), a narrow one,
+    /// or an unsynced state — runs the exact `rank` + Eq. 11 walk and
+    /// then rebuilds the state from that ranking in `O(n)`; a probe on a
+    /// narrow interval leaves it unsynced.
+    fn sweep(&mut self, ceiling: f64, h: Horizon, counters: &mut GammaCounters) -> f64 {
+        let narrow = self.crossings(ceiling);
+        counters.crossings += self.points.len() as u64;
+        // The top interval needs only the largest crossing; when it is
+        // feasible, nothing is sorted and no kinetic state is built.
+        let top = self.points.iter().fold(0.0, |m: f64, p| m.max(p.0));
+        counters.probes += 1;
+        self.rank(0.5 * (top + ceiling), false);
+        if self.feasible(h) {
+            return ceiling;
+        }
+        let n = self.order.len() as f64;
+        let exec: f64 = self.exec.iter().map(|c| c.abs()).sum();
+        let drift = 4.0 * (n + 3.0) * (n + 3.0) * f64::EPSILON;
+        let band = BAND_FLOOR + drift * (h.now.abs() + h.base.abs() + exec);
+        self.kin.clear();
+        for ((&c, &deadline), &skip) in self.exec.iter().zip(&self.deadline).zip(&self.skip) {
+            // `finish(W, c) > deadline + band`, solved for W.
+            let limit = if skip {
+                f64::INFINITY
+            } else {
+                (deadline + band - h.now - h.base - c) * h.n_p
+            };
+            self.kin.push(Kinetic {
+                pos: 0,
+                work: 0.0,
+                limit,
+                violated: false,
+            });
+        }
+        self.sync(h);
+        counters.resyncs += 1;
+        let mut synced = 0.5 * (ceiling - top) > narrow;
+        // Every crossing is positive and finite, so its bits order like
+        // its value. Within a group of equal crossings any deterministic
+        // order does: it only decides whether the swaps stay adjacent.
+        self.points
+            .sort_unstable_by_key(|&(g, _, _)| std::cmp::Reverse(g.to_bits()));
+        // `points` is taken out for the walk (the kinetic updates borrow
+        // the rest of the scratch) and restored after, so its capacity is
+        // reused by the next recompute.
+        let points = std::mem::take(&mut self.points);
+        let same = |x: &(f64, u32, u32), y: &(f64, u32, u32)| x.0 == y.0;
+        let below = points.chunk_by(same).skip(1).map(Some);
+        let mut supremum = 0.0;
+        // Each step passes one group of equal crossings, then decides the
+        // interval below it.
+        for (group, next) in points.chunk_by(same).zip(below.chain([None])) {
+            let Some(&(upper, _, _)) = group.first() else {
+                continue;
+            };
+            let lower = next.and_then(<[_]>::first).map_or(0.0, |p| p.0);
+            if synced {
+                for &(_, mover, front) in group {
+                    if !self.overtake(mover as usize, front as usize) {
+                        synced = false;
+                        break;
+                    }
+                }
+            }
+            let wide = 0.5 * (upper - lower) > narrow;
+            if synced && wide && self.violations > 0 {
+                counters.skipped += 1;
+                continue;
+            }
+            counters.probes += 1;
+            self.rank(0.5 * (lower + upper), false);
+            if self.sync(h) {
+                supremum = upper;
+                break;
+            }
+            counters.resyncs += 1;
+            synced = wide;
+        }
+        self.points = points;
+        supremum
+    }
+
+    /// Exact Eq. 11 check of the current ranking — the arithmetic of
+    /// [`feasible`](Self::feasible), without its early exit — that also
+    /// rebuilds the kinetic state from the ranking.
+    fn sync(&mut self, h: Horizon) -> bool {
+        let mut feasible = true;
+        let mut higher_work = 0.0;
+        self.violations = 0;
+        for (pos, &i) in self.order.iter().enumerate() {
+            let (Some(&c), Some(&skip), Some(&deadline), Some(kin)) = (
+                self.exec.get(i),
+                self.skip.get(i),
+                self.deadline.get(i),
+                self.kin.get_mut(i),
+            ) else {
+                continue;
+            };
+            if !skip && h.finish(higher_work, c) > deadline {
+                feasible = false;
+            }
+            kin.pos = pos;
+            kin.work = higher_work;
+            kin.violated = higher_work > kin.limit;
+            self.violations += usize::from(kin.violated);
+            higher_work += c;
+        }
+        feasible
+    }
+
+    /// Kinetic update for one crossing: `mover` passes `front`, the job
+    /// ranked directly ahead of it. Returns `false`, changing nothing,
+    /// when the two are not adjacent in that order.
+    fn overtake(&mut self, mover: usize, front: usize) -> bool {
+        let (Some(&m), Some(&f), Some(&c)) = (
+            self.kin.get(mover),
+            self.kin.get(front),
+            self.exec.get(mover),
+        ) else {
+            return false;
+        };
+        if m.pos != f.pos + 1 {
+            return false;
+        }
+        let Some([ahead, behind]) = self.order.get_mut(f.pos..=m.pos) else {
+            return false;
+        };
+        *ahead = mover;
+        *behind = front;
+        self.place(mover, f.pos, f.work);
+        self.place(front, m.pos, f.work + c);
+        true
+    }
+
+    /// Moves `job` to `pos` with `work` ranked ahead of it and re-flags
+    /// its constraint.
+    fn place(&mut self, job: usize, pos: usize, work: f64) {
+        let Some(kin) = self.kin.get_mut(job) else {
+            return;
+        };
+        let violated = work > kin.limit;
+        self.violations = self.violations + usize::from(violated) - usize::from(kin.violated);
+        *kin = Kinetic {
+            pos,
+            work,
+            violated,
+            ..*kin
+        };
+    }
+}
+
+/// The ranking order of queue entries `a` and `b`: ascending key, ties
+/// broken by job id. The indices come from `order`, which always matches
+/// the parallel vectors; a missing entry would rank last rather than
+/// panic.
+fn by_key(key: &[f64], id: &[JobId], a: usize, b: usize) -> Ordering {
+    match (key.get(a).zip(id.get(a)), key.get(b).zip(id.get(b))) {
+        (Some((ka, ia)), Some((kb, ib))) => ka.total_cmp(kb).then_with(|| ia.cmp(ib)),
+        (x, y) => x.is_none().cmp(&y.is_none()),
     }
 }
 
@@ -265,6 +613,7 @@ impl DynamicPriorityScheduler {
             last_compute: None,
             dirty: true,
             scratch: GammaScratch::default(),
+            counters: GammaCounters::default(),
         }
     }
 
@@ -298,6 +647,12 @@ impl DynamicPriorityScheduler {
     #[must_use]
     pub fn nominal_u(&self) -> f64 {
         self.nominal_u
+    }
+
+    /// Work counts of every γ search this scheduler has run.
+    #[must_use]
+    pub fn search_counters(&self) -> GammaCounters {
+        self.counters
     }
 
     /// Dynamic scheduling priority `P_i` of queue entry `i` under the
@@ -343,33 +698,41 @@ impl DynamicPriorityScheduler {
     // hcperf-lint: hot-path-root
     fn gamma_max_cached(&mut self, ctx: &SchedContext<'_>) -> Option<f64> {
         let config = self.config;
+        let counters = &mut self.counters;
+        counters.recomputes += 1;
         if ctx.queue.is_empty() {
             return Some(config.gamma_ceiling);
         }
-        let now = ctx.now.as_secs();
         let n_p = ctx.processor_count() as f64;
-        let base = ctx.total_remaining().as_secs() / n_p;
+        let h = Horizon {
+            now: ctx.now.as_secs(),
+            base: ctx.total_remaining().as_secs() / n_p,
+            n_p,
+        };
         let s = &mut self.scratch;
         s.load(ctx);
         s.rank(0.0, true);
         if !config.strict_eq11 {
-            s.mark_doomed(now, base, n_p);
+            s.mark_doomed(h);
         }
-        if !s.feasible(now, base, n_p) {
+        counters.probes += 1;
+        if !s.feasible(h) {
             return None;
         }
         match config.search {
             GammaSearch::Bisection { iterations } => {
+                counters.probes += 1;
                 s.rank(config.gamma_ceiling, false);
-                if s.feasible(now, base, n_p) {
+                if s.feasible(h) {
                     return Some(config.gamma_ceiling);
                 }
                 let mut lo = 0.0;
                 let mut hi = config.gamma_ceiling;
                 for _ in 0..iterations {
                     let mid = 0.5 * (lo + hi);
+                    counters.probes += 1;
                     s.rank(mid, false);
-                    if s.feasible(now, base, n_p) {
+                    if s.feasible(h) {
                         lo = mid;
                     } else {
                         hi = mid;
@@ -377,58 +740,7 @@ impl DynamicPriorityScheduler {
                 }
                 Some(lo)
             }
-            GammaSearch::CriticalPoints => {
-                // γ values where two jobs swap order:
-                // γ* = (d_b − d_a)/(p_a − p_b). Disjoint field borrows let
-                // the pair walk read prio/laxity while pushing to points.
-                let GammaScratch {
-                    prio,
-                    laxity,
-                    points,
-                    ..
-                } = s;
-                points.clear();
-                for (a, (&pa, &la)) in prio.iter().zip(laxity.iter()).enumerate() {
-                    for (&pb, &lb) in prio.iter().zip(laxity.iter()).skip(a + 1) {
-                        if pa == pb {
-                            continue;
-                        }
-                        let crossing = (lb - la) / (pa - pb);
-                        if crossing > 0.0 && crossing < config.gamma_ceiling {
-                            points.push(crossing);
-                        }
-                    }
-                }
-                points.push(config.gamma_ceiling);
-                points.sort_by(f64::total_cmp);
-                points.dedup();
-                // The queue order is constant between consecutive crossover
-                // points, so feasibility is constant on each interval. Walk
-                // intervals from the top; the first feasible interval's
-                // upper bound is the supremum of the feasible set. The
-                // points vector is taken out for the walk (rank/feasible
-                // borrow the rest of the scratch) and restored after so
-                // its capacity is reused by the next recompute.
-                let points = std::mem::take(&mut s.points);
-                let mut supremum = 0.0;
-                let uppers = points.iter().copied().rev();
-                let lowers = points
-                    .iter()
-                    .copied()
-                    .rev()
-                    .skip(1)
-                    .chain(std::iter::once(0.0));
-                for (upper, lower) in uppers.zip(lowers) {
-                    let probe = 0.5 * (lower + upper);
-                    s.rank(probe, false);
-                    if s.feasible(now, base, n_p) {
-                        supremum = upper;
-                        break;
-                    }
-                }
-                s.points = points;
-                Some(supremum)
-            }
+            GammaSearch::CriticalPoints => Some(s.sweep(config.gamma_ceiling, h, counters)),
         }
     }
 }
@@ -641,10 +953,10 @@ mod tests {
     use hcperf_rtsim::{Job, JobId};
     use hcperf_taskgraph::{Priority, SimSpan, SimTime, TaskGraph, TaskId, TaskSpec};
 
-    /// Graph with 4 independent tasks of priorities 0..=3.
-    fn graph() -> TaskGraph {
+    /// Graph with one independent task per entry of `priorities`.
+    fn graph_with(priorities: &[u32]) -> TaskGraph {
         let mut b = TaskGraph::builder();
-        for (i, p) in (0..4).enumerate() {
+        for (i, &p) in priorities.iter().enumerate() {
             b.add_task(
                 TaskSpec::builder(format!("t{i}"))
                     .priority(Priority::new(p))
@@ -654,6 +966,11 @@ mod tests {
             );
         }
         b.build().unwrap()
+    }
+
+    /// Graph with 4 independent tasks of priorities 0..=3.
+    fn graph() -> TaskGraph {
+        graph_with(&[0, 1, 2, 3])
     }
 
     fn job(id: u64, task: usize, release: f64, deadline_ms: f64) -> Job {
@@ -673,6 +990,7 @@ mod tests {
         observed: Vec<SimSpan>,
         remaining: Vec<SimSpan>,
         candidates: Vec<usize>,
+        now: SimTime,
     }
 
     impl Fixture {
@@ -684,12 +1002,48 @@ mod tests {
                 remaining: vec![SimSpan::ZERO; processors],
                 candidates: (0..n).collect(),
                 queue,
+                now: SimTime::ZERO,
+            }
+        }
+
+        /// Jobs `(task, release s, relative deadline s)` over tasks with
+        /// the given priorities and execution times (s), every processor
+        /// busy for `busy` more seconds.
+        fn custom(
+            priorities: &[u32],
+            exec: &[f64],
+            jobs: &[(usize, f64, f64)],
+            processors: usize,
+            busy: f64,
+            now: f64,
+        ) -> Self {
+            let queue: Vec<Job> = jobs
+                .iter()
+                .enumerate()
+                .map(|(k, &(task, release, deadline))| {
+                    Job::new(
+                        JobId::new(k as u64),
+                        TaskId::new(task),
+                        0,
+                        SimTime::from_secs(release),
+                        SimSpan::from_secs(deadline),
+                        SimTime::from_secs(release),
+                    )
+                })
+                .collect();
+            Fixture {
+                graph: graph_with(priorities),
+                observed: exec.iter().map(|&c| SimSpan::from_secs(c)).collect(),
+                remaining: vec![SimSpan::from_secs(busy); processors],
+                candidates: (0..queue.len()).collect(),
+                queue,
+                now: SimTime::from_secs(now),
             }
         }
 
         fn ctx(&self) -> SchedContext<'_> {
             SchedContext {
-                now: SimTime::ZERO,
+                now: self.now,
                 graph: &self.graph,
                 queue: &self.queue,
                 candidates: &self.candidates,
@@ -698,6 +1052,41 @@ mod tests {
                 processor_remaining: &self.remaining,
             }
         }
+    }
+
+    /// Asserts that the cached search returns bit for bit what the
+    /// sort-per-probe reference returns, strict and relaxed, under both
+    /// strategies. Returns the critical-point sweep's counters for the
+    /// relaxed and the strict run.
+    fn check_against_reference(fx: &Fixture, gamma_ceiling: f64) -> [GammaCounters; 2] {
+        let mut sweeps = [GammaCounters::default(); 2];
+        for (strict_eq11, sweep) in [false, true].into_iter().zip(&mut sweeps) {
+            for search in [
+                GammaSearch::Bisection { iterations: 24 },
+                GammaSearch::CriticalPoints,
+            ] {
+                let config = DpsConfig {
+                    gamma_ceiling,
+                    search,
+                    strict_eq11,
+                    ..Default::default()
+                };
+                let mut dps = DynamicPriorityScheduler::new(config);
+                let expected = reference::gamma_max(&fx.ctx(), &config);
+                let got = dps.gamma_max_cached(&fx.ctx());
+                assert_eq!(
+                    got.map(f64::to_bits),
+                    expected.map(f64::to_bits),
+                    "{config:?} on {} processors: cached {got:?}, reference {expected:?}, queue {:?}",
+                    fx.remaining.len(),
+                    fx.queue,
+                );
+                if search == GammaSearch::CriticalPoints {
+                    *sweep = dps.search_counters();
+                }
+            }
+        }
+        sweeps
     }
 
     #[test]
@@ -851,51 +1240,208 @@ mod tests {
         assert!(p_low < p_mid && p_mid < p_high);
     }
 
-    #[test]
-    fn incremental_search_matches_sort_per_probe_reference() {
-        // The cached/incremental γ_max must be bit-equal to the retained
-        // sort-per-probe implementation: both evaluate the same comparisons
-        // at the same probe values. Sweep queue shapes, processor counts,
-        // strictness, and both strategies.
-        let shapes: [&[(u64, usize, f64, f64)]; 4] = [
-            &[(0, 0, 0.0, 40.0), (1, 1, 0.0, 35.0), (2, 2, 0.0, 60.0)],
-            &[
-                (0, 3, 0.0, 22.0),
-                (1, 0, 0.0, 25.0),
-                (2, 1, 0.0, 25.0),
-                (3, 2, 0.0, 30.0),
-            ],
-            &[(5, 1, 0.0, 50.0), (3, 1, 0.0, 50.0)], // equal-priority tie
-            &[(0, 0, 0.0, 10.0), (1, 1, 0.0, 500.0)], // one doomed job
-        ];
-        for jobs in shapes {
-            let queue: Vec<Job> = jobs
-                .iter()
-                .map(|&(id, task, rel, dl)| job(id, task, rel, dl))
+    proptest::proptest! {
+        #![proptest_config(proptest::prelude::ProptestConfig::with_cases(160))]
+
+        /// Randomized queues: up to 64 jobs on 1–8 processors, few
+        /// priority levels and coarse release/deadline grids (so
+        /// duplicate priorities, equal deadlines, shared crossings and
+        /// doomed jobs are common), three time origins and three γ
+        /// ceilings.
+        #[test]
+        fn incremental_search_matches_sort_per_probe_reference(
+            priorities in proptest::collection::vec(0u32..6, 1..10),
+            exec_ms in proptest::collection::vec(1u32..16, 1..10),
+            jobs in proptest::collection::vec((0usize..16, 0u32..6, 2u32..24), 0..65),
+            processors in 1usize..9,
+            busy_ms in 0u32..12,
+            origin in (0usize..3, 0usize..3),
+        ) {
+            let now = [0.5, 10.0, 1000.25][origin.0];
+            let gamma_ceiling = [0.2, 0.05, 1.0][origin.1];
+            let exec: Vec<f64> = (0..priorities.len())
+                .map(|t| f64::from(exec_ms[t % exec_ms.len()]) * 1e-3)
                 .collect();
-            for processors in [1usize, 2, 4] {
-                for strict in [false, true] {
-                    for search in [
-                        GammaSearch::Bisection { iterations: 24 },
-                        GammaSearch::CriticalPoints,
-                    ] {
-                        let fx = Fixture::new(queue.clone(), 10.0, processors);
-                        let config = DpsConfig {
-                            search,
-                            strict_eq11: strict,
-                            ..Default::default()
-                        };
-                        let mut dps = DynamicPriorityScheduler::new(config);
-                        let expected = reference::gamma_max(&fx.ctx(), &config);
-                        let got = dps.gamma_max_cached(&fx.ctx());
-                        assert_eq!(
-                            got, expected,
-                            "jobs {jobs:?} processors {processors} strict {strict} {search:?}"
-                        );
-                    }
+            let jobs: Vec<(usize, f64, f64)> = jobs
+                .iter()
+                .map(|&(task, released, deadline)| {
+                    (
+                        task % priorities.len(),
+                        now - f64::from(released) * 2e-3,
+                        f64::from(deadline) * 5e-3,
+                    )
+                })
+                .collect();
+            let fx = Fixture::custom(
+                &priorities,
+                &exec,
+                &jobs,
+                processors,
+                f64::from(busy_ms) * 1e-3,
+                now,
+            );
+            check_against_reference(&fx, gamma_ceiling);
+        }
+    }
+
+    #[test]
+    fn sweep_reverses_a_block_of_three_collinear_jobs() {
+        // P_i(γ) = γ·p_i + d_i meet in one point for all three jobs:
+        // d = 0.25, 0.1875, 0.125 with p = 0, 1, 2 give γ* = 0.0625 for
+        // every pair, so one group of three swaps reverses the block.
+        // Above γ* the loosest job runs first and the tightest misses;
+        // below it the reversed order is feasible. Every queue order is
+        // tried, so the three swaps come in different orders; one that
+        // meets a non-adjacent pair must fall back to a probe.
+        let c = 0.125;
+        let jobs = [
+            (0, 0.0, 0.25 + c),
+            (1, 0.0, 0.1875 + c),
+            (2, 0.0, 0.125 + c),
+        ];
+        for perm in [
+            [0, 1, 2],
+            [0, 2, 1],
+            [1, 0, 2],
+            [1, 2, 0],
+            [2, 0, 1],
+            [2, 1, 0],
+        ] {
+            let queue = perm.map(|k| jobs[k]);
+            let fx = Fixture::custom(&[0, 1, 2], &[c; 3], &queue, 1, 0.0, 0.0);
+            check_against_reference(&fx, 0.2);
+            let mut dps = DynamicPriorityScheduler::new(DpsConfig {
+                search: GammaSearch::CriticalPoints,
+                ..Default::default()
+            });
+            assert_eq!(dps.gamma_max_cached(&fx.ctx()), Some(0.0625), "{perm:?}");
+        }
+    }
+
+    #[test]
+    fn sweep_matches_reference_on_crossings_one_ulp_apart() {
+        // Pair (t0, t1) crosses at d_1 − d_0 = x, pair (t2, t3) at
+        // (d_3 − d_2)/2, which is set to the next float above x: the
+        // interval between them is one ulp wide and must be probed.
+        let c = 1.0 / 64.0;
+        let x: f64 = 3.0 / 64.0;
+        let next = f64::from_bits(x.to_bits() + 1);
+        let jobs = [
+            (0, 0.0, c),
+            (1, 0.0, x + c),
+            (2, 0.0, c),
+            (3, 0.0, 2.0 * next + c),
+        ];
+        let fx = Fixture::custom(&[1, 0, 2, 0], &[c; 4], &jobs, 1, 0.0, 0.0);
+        let ctx = fx.ctx();
+        let laxity: Vec<f64> = (0..4).map(|i| priority_key(&ctx, i, 0.0)).collect();
+        assert_eq!((laxity[1] - laxity[0]) / (1.0 - 0.0), x);
+        assert_eq!((laxity[3] - laxity[2]) / (2.0 - 0.0), next);
+        for processors in 1..=8 {
+            for busy in [0.0, 0.01, 0.05] {
+                let fx = Fixture::custom(&[1, 0, 2, 0], &[c; 4], &jobs, processors, busy, 0.0);
+                check_against_reference(&fx, 0.2);
+            }
+        }
+    }
+
+    #[test]
+    fn sweep_matches_reference_with_a_crossing_at_the_ceiling() {
+        // d_1 − d_0 = 0.125 = gamma_ceiling exactly: the crossing is
+        // outside the open search range and creates no interval.
+        let c = 1.0 / 64.0;
+        let jobs = [(0, 0.0, c), (1, 0.0, 0.125 + c), (2, 0.0, 0.0625 + c)];
+        for processors in 1..=4 {
+            for busy in [0.0, 0.02, 0.1] {
+                let fx = Fixture::custom(&[1, 0, 3], &[c; 3], &jobs, processors, busy, 0.0);
+                for sweep in check_against_reference(&fx, 0.125) {
+                    assert!(sweep.crossings <= 1, "{sweep:?}");
                 }
             }
         }
+    }
+
+    #[test]
+    fn sweep_probes_an_interval_whose_only_violation_is_below_the_band() {
+        // One processor, c = 1/64 each. Top interval: the tight job t2
+        // runs last and misses by ~c. Below γ = d_1 − d_2 it runs second
+        // and misses by 0.5 ns only, under the 1 ns band: the sweep must
+        // probe that interval rather than skip it or accept it, and finds
+        // it infeasible like the reference. Below (d_0 − d_2)/2 t2 runs
+        // first and the queue is feasible.
+        let c = 1.0 / 64.0;
+        let jobs = [
+            (0, 0.0, 0.3 + c),
+            (1, 0.0, 0.2 + c),
+            (2, 0.0, 2.0 * c - 5e-10),
+        ];
+        let fx = Fixture::custom(&[0, 1, 2], &[c; 3], &jobs, 1, 0.0, 0.0);
+        let [relaxed, strict] = check_against_reference(&fx, 0.2);
+        for sweep in [relaxed, strict] {
+            // γ = 0 check, then the top interval, the sub-band one and
+            // the feasible one: nothing is skipped.
+            assert_eq!(
+                (sweep.probes, sweep.skipped, sweep.resyncs),
+                (4, 0, 2),
+                "{sweep:?}"
+            );
+        }
+        let ctx = fx.ctx();
+        let expected = (priority_key(&ctx, 0, 0.0) - priority_key(&ctx, 2, 0.0)) / 2.0;
+        let mut dps = DynamicPriorityScheduler::new(DpsConfig {
+            search: GammaSearch::CriticalPoints,
+            ..Default::default()
+        });
+        assert_eq!(dps.gamma_max_cached(&ctx), Some(expected));
+    }
+
+    /// A deep overloaded queue: 64 jobs over 19 tasks of mixed
+    /// priorities on 4 busy processors. Times are drawn from a seeded
+    /// RNG, off any grid, so crossings rarely coincide (the randomized
+    /// test covers grids).
+    fn overloaded_queue() -> Fixture {
+        use rand::{Rng, SeedableRng};
+        let mut rng = rand::rngs::StdRng::seed_from_u64(0x5eed);
+        let priorities: Vec<u32> = (0..19).map(|t| t * 7 % 11).collect();
+        let exec: Vec<f64> = (0..19).map(|_| rng.gen_range(1e-3..10e-3)).collect();
+        let jobs: Vec<(usize, f64, f64)> = (0..64)
+            .map(|k| {
+                let release = 10.0 - rng.gen_range(0.0..5e-3);
+                (k % 19, release, rng.gen_range(35e-3..0.2))
+            })
+            .collect();
+        Fixture::custom(&priorities, &exec, &jobs, 4, 4e-3, 10.0)
+    }
+
+    #[test]
+    fn sweep_skips_most_intervals_of_an_overloaded_queue() {
+        let fx = overloaded_queue();
+        let [relaxed, _] = check_against_reference(&fx, 0.2);
+        assert!(relaxed.skipped > 0, "{relaxed:?}");
+        assert!(
+            relaxed.probes < relaxed.skipped,
+            "the sweep should skip more intervals than it probes: {relaxed:?}"
+        );
+    }
+
+    #[test]
+    fn search_counters_repeat_exactly() {
+        let run = || {
+            let fx = overloaded_queue();
+            let mut dps = DynamicPriorityScheduler::new(DpsConfig {
+                search: GammaSearch::CriticalPoints,
+                ..Default::default()
+            });
+            dps.set_nominal_u(0.1);
+            for _ in 0..3 {
+                dps.recompute_gamma(&fx.ctx());
+            }
+            dps.search_counters()
+        };
+        let first = run();
+        assert_eq!(first, run());
+        assert_eq!(first.recomputes, 3);
+        assert!(first.skipped > 0, "{first:?}");
     }
 
     #[test]

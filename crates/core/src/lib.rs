@@ -67,7 +67,7 @@ pub mod scheme;
 
 pub use analysis::{analyze, SchedulabilityReport};
 pub use coordinator::{CoordinatorConfig, HcPerf, HcPerfBuilder, PeriodDecision, PeriodInput};
-pub use dps::{DpsConfig, DynamicPriorityScheduler, GammaSearch};
+pub use dps::{DpsConfig, DynamicPriorityScheduler, GammaCounters, GammaSearch};
 pub use pdc::{PdcConfig, PerformanceDirectedController};
 pub use rate_adapter::{RateAdapterConfig, SourceSlot, TaskRateAdapter};
 pub use rta::{all_schedulable, rta_fixed_priority, RtaResult};

@@ -643,6 +643,15 @@ mod tests {
             x: u64,
             y: f64,
         }
+        let pinned = Payload { x: 3, y: 1.0 / 7.0 };
+        assert_eq!(
+            serde_json::to_string(&pinned).unwrap(),
+            r#"{"x":3,"y":0.14285714285714285}"#
+        );
+        assert_eq!(
+            serde_json::to_string_pretty(&pinned).unwrap(),
+            "{\n  \"x\": 3,\n  \"y\": 0.14285714285714285\n}"
+        );
         let run = |&i: &u64| -> Result<Payload, ScenarioError> {
             Ok(Payload {
                 x: i * 3,

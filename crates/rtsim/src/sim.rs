@@ -208,7 +208,9 @@ pub struct Sim<S> {
     /// carries `cycles[task] - 1`.
     cycles: Vec<u64>,
     last_success: Vec<Option<SimTime>>,
-    join_counts: BTreeMap<(usize, u64), usize>,
+    /// Open SameCycle joins as `(cycle, task index, predecessors
+    /// arrived)`, sorted by `(cycle, task index)`.
+    join_counts: Vec<(u64, usize, usize)>,
     pending_outputs: BTreeMap<JobId, Job>,
     pipeline_cycle: u64,
     next_job: u64,
@@ -292,7 +294,7 @@ impl<S: Scheduler> Sim<S> {
             scratch_remaining: Vec::with_capacity(config.processors),
             cycles: vec![0; n],
             last_success: vec![None; n],
-            join_counts: BTreeMap::new(),
+            join_counts: Vec::new(),
             pending_outputs: BTreeMap::new(),
             pipeline_cycle: 0,
             next_job: 0,
@@ -759,18 +761,34 @@ impl<S: Scheduler> Sim<S> {
                 let cycle = job.cycle();
                 for k in 0..self.graph.isucc(task).len() {
                     let succ = self.graph.isucc(task)[k];
-                    let key = (succ.index(), cycle);
-                    let count = self.join_counts.entry(key).or_insert(0);
-                    *count += 1;
-                    if *count == self.graph.ipred(succ).len() {
-                        self.join_counts.remove(&key);
+                    let needed = self.graph.ipred(succ).len();
+                    let at = self
+                        .join_counts
+                        .partition_point(|&(c, t, _)| (c, t) < (cycle, succ.index()));
+                    let arrived = match self.join_counts.get_mut(at) {
+                        Some((c, t, n)) if (*c, *t) == (cycle, succ.index()) => {
+                            *n += 1;
+                            *n
+                        }
+                        _ => {
+                            if needed > 1 {
+                                self.join_counts.insert(at, (cycle, succ.index(), 1));
+                            }
+                            1
+                        }
+                    };
+                    if arrived == needed {
+                        if needed > 1 {
+                            self.join_counts.remove(at);
+                        }
                         self.release_job(succ, cycle, job.chain_release());
                     }
                 }
                 // Prune joins from long-dead cycles so memory stays bounded.
                 if self.pipeline_cycle.is_multiple_of(256) {
                     let horizon = self.pipeline_cycle.saturating_sub(128);
-                    self.join_counts.retain(|&(_, c), _| c >= horizon);
+                    let cut = self.join_counts.partition_point(|&(c, _, _)| c < horizon);
+                    self.join_counts.drain(..cut);
                 }
             }
         }
@@ -1399,6 +1417,41 @@ mod tests {
         assert_eq!(s.stats().task(mid.index()).released, 0);
         assert_eq!(s.stats().commands_emitted(), 0);
         assert!(s.stats().totals().missed_late > 0);
+    }
+
+    #[test]
+    fn same_cycle_dead_joins_are_pruned() {
+        // Every cycle's join on `mid` dies (src_b always misses), leaving
+        // one open entry per cycle; the 256-cycle prune keeps at most the
+        // 128 cycles before the latest prune point plus the 256 since.
+        let g = join_graph(30.0, 20.0);
+        let mut s = Sim::new(
+            g,
+            SimConfig {
+                processors: 2,
+                join_policy: JoinPolicy::SameCycle,
+                ..Default::default()
+            },
+            FifoScheduler::new(),
+        )
+        .unwrap();
+        let mut most = 0;
+        for step in 1..=100 {
+            s.run_until(SimTime::from_secs(f64::from(step)));
+            most = most.max(s.join_counts.len());
+            assert!(s.join_counts.len() <= 128 + 256, "{}", s.join_counts.len());
+            assert!(s
+                .join_counts
+                .windows(2)
+                .all(|w| (w[0].0, w[0].1) < (w[1].0, w[1].1)));
+        }
+        assert!(
+            s.pipeline_cycle >= 3 * 256,
+            "the run crosses several prunes"
+        );
+        assert!(most > 256, "dead joins did accumulate between prunes");
+        let oldest = s.join_counts.first().map_or(u64::MAX, |&(c, _, _)| c);
+        assert!(oldest >= (s.pipeline_cycle / 256 * 256).saturating_sub(128));
     }
 
     #[test]

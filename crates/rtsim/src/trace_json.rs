@@ -96,19 +96,7 @@ mod tests {
 
     #[test]
     fn exports_valid_json_with_expected_fields() {
-        let graph = apollo_graph(&GraphOptions::default()).unwrap();
-        let mut sim = Sim::new(
-            graph,
-            SimConfig {
-                trace_capacity: 100_000,
-                ..Default::default()
-            },
-            FifoScheduler::new(),
-        )
-        .unwrap();
-        sim.run_until(SimTime::from_millis(300.0));
-        let graph = sim.graph().clone();
-        let json = to_chrome_trace(sim.trace(), &graph).unwrap();
+        let json = fifo_trace_json();
         let parsed: serde_json::Value = serde_json::from_str(&json).unwrap();
         let events = parsed.as_array().unwrap();
         assert!(events.len() > 10);
@@ -124,5 +112,105 @@ mod tests {
         let trace = Trace::with_capacity(10);
         let graph = apollo_graph(&GraphOptions::default()).unwrap();
         assert_eq!(to_chrome_trace(&trace, &graph).unwrap(), "[]");
+    }
+
+    fn fnv1a(bytes: &[u8]) -> u64 {
+        bytes.iter().fold(0xcbf2_9ce4_8422_2325, |h, &b| {
+            (h ^ u64::from(b)).wrapping_mul(0x100_0000_01b3)
+        })
+    }
+
+    fn pinned_events() -> Vec<CompleteEvent<'static>> {
+        vec![
+            CompleteEvent {
+                name: "fusion \"lidar\"\u{1}",
+                cat: "task",
+                ph: "X",
+                ts: 1500.0,
+                dur: 0.1 + 0.2,
+                pid: 0,
+                tid: 3,
+                args: EventArgs {
+                    job: 42,
+                    met_deadline: Some(false),
+                },
+            },
+            CompleteEvent {
+                name: "",
+                cat: "task",
+                ph: "X",
+                ts: -0.0,
+                dur: f64::NAN,
+                pid: u32::MAX,
+                tid: 0,
+                args: EventArgs {
+                    job: u64::MAX,
+                    met_deadline: None,
+                },
+            },
+        ]
+    }
+
+    fn fifo_trace_json() -> String {
+        let graph = apollo_graph(&GraphOptions::default()).unwrap();
+        let mut sim = Sim::new(
+            graph,
+            SimConfig {
+                trace_capacity: 100_000,
+                ..Default::default()
+            },
+            FifoScheduler::new(),
+        )
+        .unwrap();
+        sim.run_until(SimTime::from_millis(300.0));
+        let graph = sim.graph().clone();
+        to_chrome_trace(sim.trace(), &graph).unwrap()
+    }
+
+    /// The private event types render the bytes the `Value`-tree
+    /// serializer produced, compact, pretty and on a real trace.
+    #[test]
+    fn event_bytes_are_pinned() {
+        let events = pinned_events();
+        assert_eq!(
+            serde_json::to_string(&events).unwrap(),
+            r#"[{"name":"fusion \"lidar\"\u0001","cat":"task","ph":"X","ts":1500,"dur":0.30000000000000004,"pid":0,"tid":3,"args":{"job":42,"met_deadline":false}},{"name":"","cat":"task","ph":"X","ts":0,"dur":null,"pid":4294967295,"tid":0,"args":{"job":18446744073709552000,"met_deadline":null}}]"#
+        );
+        assert_eq!(
+            serde_json::to_string_pretty(&events).unwrap(),
+            r#"[
+  {
+    "name": "fusion \"lidar\"\u0001",
+    "cat": "task",
+    "ph": "X",
+    "ts": 1500,
+    "dur": 0.30000000000000004,
+    "pid": 0,
+    "tid": 3,
+    "args": {
+      "job": 42,
+      "met_deadline": false
+    }
+  },
+  {
+    "name": "",
+    "cat": "task",
+    "ph": "X",
+    "ts": 0,
+    "dur": null,
+    "pid": 4294967295,
+    "tid": 0,
+    "args": {
+      "job": 18446744073709552000,
+      "met_deadline": null
+    }
+  }
+]"#
+        );
+        let json = fifo_trace_json();
+        assert_eq!(
+            (json.len(), fnv1a(json.as_bytes())),
+            (8633, 0xcbebbedba4a49ee1)
+        );
     }
 }

@@ -24,8 +24,10 @@ use crate::store::{CellState, RunSummary, Store, StoreError};
 /// then simply not cached); `decode` parses it back. Both must satisfy
 /// `decode(encode(x)) == x` for caching to be sound; byte-identical
 /// replay additionally relies on `encode(decode(s)) == s`, which holds
-/// for this workspace's serde derives (fixed field order,
-/// shortest-round-trip float formatting).
+/// for this workspace's serde derives: they write text directly through
+/// `serde::Writer` in fixed field order, print integral numbers as
+/// integers and other floats in shortest round-trip form, and every
+/// derived type's bytes are pinned in `tests/serialize_golden.rs`.
 pub struct CellCache<'s, O, E, D>
 where
     E: Fn(&O) -> Option<String>,

@@ -21,6 +21,17 @@
 //! serialized, embedded as an escaped JSON string — so replaying a cell
 //! re-emits the producer's bytes, never a re-rendering of them.
 //!
+//! # Replay
+//!
+//! [`Store::open`] reads each line with `serde_json::for_each_member`,
+//! which validates the whole object without building a `Value` tree. The
+//! first occurrence of a key wins, keys compare after unescaping, and
+//! unknown members are validated and skipped. A string is copied out of
+//! the line only where a cell keeps it (its id, key, payload or error),
+//! at exactly its length. A line that is not one valid JSON object, or
+//! whose op lacks a member it needs, is corrupt. `"attempts"` that is
+//! missing or not a non-negative integer means one attempt.
+//!
 //! # Crash safety
 //!
 //! A crash mid-append leaves at most one torn final line (the file is
@@ -31,16 +42,20 @@
 //! interrupted run resumes from exactly the prefix it managed to
 //! persist.
 
+use std::borrow::Cow;
 use std::collections::BTreeMap;
 use std::fmt;
 use std::fs::{File, OpenOptions};
-use std::io::{self, BufWriter, Read, Write};
+use std::io::{self, BufWriter, Write};
 use std::path::{Path, PathBuf};
 
 use hcperf_harness::json_escape;
-use serde_json::Value;
+use serde_json::RawValue;
 
 use crate::hash::CellId;
+
+#[cfg(test)]
+mod reference;
 
 /// Default number of slowest cells reported by [`Store::bottlenecks`].
 pub const SLOW_CELLS_DEFAULT: usize = 10;
@@ -225,31 +240,17 @@ impl Store {
             source,
         };
 
-        let mut bytes = Vec::new();
-        match File::open(&path) {
-            Ok(mut f) => {
-                f.read_to_end(&mut bytes).map_err(io_err)?;
-            }
-            Err(e) if e.kind() == io::ErrorKind::NotFound => {}
+        let bytes = match std::fs::read(&path) {
+            Ok(bytes) => bytes,
+            Err(e) if e.kind() == io::ErrorKind::NotFound => Vec::new(),
             Err(e) => return Err(io_err(e)),
-        }
+        };
 
-        let mut cells = BTreeMap::new();
-        let mut runs = Vec::new();
-        // Offset of the first byte NOT covered by a valid record.
-        let mut clean_end = 0usize;
-        let mut cursor = 0usize;
-        while cursor < bytes.len() {
-            let Some(nl) = bytes[cursor..].iter().position(|&b| b == b'\n') else {
-                break; // unterminated final line: torn tail
-            };
-            let line = &bytes[cursor..cursor + nl];
-            if !Store::replay_line(line, &mut cells, &mut runs) {
-                break; // corrupt line: quarantine it and everything after
-            }
-            cursor += nl + 1;
-            clean_end = cursor;
-        }
+        let Replayed {
+            cells,
+            runs,
+            clean_end,
+        } = replay(&bytes);
 
         let mut quarantined_bytes = 0;
         if clean_end < bytes.len() {
@@ -286,98 +287,6 @@ impl Store {
             runs,
             quarantined_bytes,
         })
-    }
-
-    /// Applies one complete log line; `false` marks it corrupt.
-    fn replay_line(
-        line: &[u8],
-        cells: &mut BTreeMap<CellId, Cell>,
-        runs: &mut Vec<RunSummary>,
-    ) -> bool {
-        let Ok(text) = std::str::from_utf8(line) else {
-            return false;
-        };
-        let Ok(v) = serde_json::from_str::<Value>(text) else {
-            return false;
-        };
-        let Some(op) = v["op"].as_str() else {
-            return false;
-        };
-        if op == "run" {
-            let (Some(hits), Some(misses)) = (v["hits"].as_u64(), v["misses"].as_u64()) else {
-                return false;
-            };
-            runs.push(RunSummary {
-                hits: hits as usize,
-                misses: misses as usize,
-            });
-            return true;
-        }
-        let Some(cell) = v["cell"].as_str() else {
-            return false;
-        };
-        match op {
-            "pending" => {
-                let Some(key) = v["key"].as_str() else {
-                    return false;
-                };
-                // Re-registering is a retry: done cells stay done.
-                let entry = cells.entry(cell.to_owned()).or_insert_with(|| Cell {
-                    key: key.to_owned(),
-                    state: CellState::Pending,
-                });
-                if !matches!(entry.state, CellState::Done { .. }) {
-                    entry.state = CellState::Pending;
-                }
-                true
-            }
-            "running" => match cells.get_mut(cell) {
-                Some(c) => {
-                    if !matches!(c.state, CellState::Done { .. }) {
-                        c.state = CellState::Running;
-                    }
-                    true
-                }
-                None => false,
-            },
-            "done" => {
-                let (Some(wall_ms), Some(payload)) = (v["wall_ms"].as_f64(), v["payload"].as_str())
-                else {
-                    return false;
-                };
-                let attempts = v["attempts"].as_u64().unwrap_or(1) as u32;
-                match cells.get_mut(cell) {
-                    Some(c) => {
-                        c.state = CellState::Done {
-                            wall_ms,
-                            payload: payload.to_owned(),
-                            attempts,
-                        };
-                        true
-                    }
-                    None => false,
-                }
-            }
-            "failed" => {
-                let Some(error) = v["error"].as_str() else {
-                    return false;
-                };
-                let attempts = v["attempts"].as_u64().unwrap_or(1) as u32;
-                match cells.get_mut(cell) {
-                    Some(c) => {
-                        if !matches!(c.state, CellState::Done { .. }) {
-                            c.state = CellState::Failed {
-                                error: error.to_owned(),
-                                attempts,
-                            };
-                        }
-                        true
-                    }
-                    None => false,
-                }
-            }
-            _ => false,
-        }
     }
 
     // hcperf-lint: det-sink(store-append): every log line is replayed on resume; bytes must be stable
@@ -676,6 +585,178 @@ impl Store {
     }
 }
 
+/// The state a log replays to.
+#[derive(Debug, PartialEq)]
+struct Replayed {
+    cells: BTreeMap<CellId, Cell>,
+    runs: Vec<RunSummary>,
+    /// Offset of the first byte not covered by a valid record.
+    clean_end: usize,
+}
+
+/// Replays complete, valid lines up to the first unterminated or corrupt
+/// one.
+fn replay(bytes: &[u8]) -> Replayed {
+    let mut cells = BTreeMap::new();
+    let mut runs = Vec::new();
+    let mut clean_end = 0usize;
+    let mut cursor = 0usize;
+    while cursor < bytes.len() {
+        let Some(nl) = bytes[cursor..].iter().position(|&b| b == b'\n') else {
+            break; // unterminated final line: torn tail
+        };
+        let line = &bytes[cursor..cursor + nl];
+        if !replay_line(line, &mut cells, &mut runs) {
+            break; // corrupt line: quarantine it and everything after
+        }
+        cursor += nl + 1;
+        clean_end = cursor;
+    }
+    Replayed {
+        cells,
+        runs,
+        clean_end,
+    }
+}
+
+/// The members a log op reads, each at its first occurrence in the line.
+#[derive(Default)]
+struct OpMembers<'a> {
+    op: Option<RawValue<'a>>,
+    cell: Option<RawValue<'a>>,
+    key: Option<RawValue<'a>>,
+    wall_ms: Option<RawValue<'a>>,
+    payload: Option<RawValue<'a>>,
+    error: Option<RawValue<'a>>,
+    hits: Option<RawValue<'a>>,
+    misses: Option<RawValue<'a>>,
+    attempts: Option<RawValue<'a>>,
+}
+
+impl<'a> OpMembers<'a> {
+    /// Collects the members of one line; `None` if it is not a valid
+    /// JSON object.
+    fn read(text: &'a str) -> Option<Self> {
+        let mut m = OpMembers::default();
+        serde_json::for_each_member(text, |key, value| {
+            let slot = match key {
+                "op" => &mut m.op,
+                "cell" => &mut m.cell,
+                "key" => &mut m.key,
+                "wall_ms" => &mut m.wall_ms,
+                "payload" => &mut m.payload,
+                "error" => &mut m.error,
+                "hits" => &mut m.hits,
+                "misses" => &mut m.misses,
+                "attempts" => &mut m.attempts,
+                _ => return,
+            };
+            slot.get_or_insert(value);
+        })
+        .ok()?;
+        Some(m)
+    }
+}
+
+fn as_str<'a>(v: Option<RawValue<'a>>) -> Option<Cow<'a, str>> {
+    v?.as_str()
+}
+
+/// Applies one complete log line; `false` marks it corrupt. Strings are
+/// copied out of the line only where a cell keeps them.
+fn replay_line(
+    line: &[u8],
+    cells: &mut BTreeMap<CellId, Cell>,
+    runs: &mut Vec<RunSummary>,
+) -> bool {
+    let Some(m) = std::str::from_utf8(line).ok().and_then(OpMembers::read) else {
+        return false;
+    };
+    let Some(op) = as_str(m.op) else {
+        return false;
+    };
+    if op == "run" {
+        let (Some(hits), Some(misses)) = (
+            m.hits.and_then(|v| v.as_u64()),
+            m.misses.and_then(|v| v.as_u64()),
+        ) else {
+            return false;
+        };
+        runs.push(RunSummary {
+            hits: hits as usize,
+            misses: misses as usize,
+        });
+        return true;
+    }
+    let Some(cell) = as_str(m.cell) else {
+        return false;
+    };
+    // A missing count, or one that is not a non-negative integer, means
+    // one attempt.
+    let attempts = m.attempts.and_then(|v| v.as_u64()).unwrap_or(1) as u32;
+    match &*op {
+        "pending" => {
+            let Some(key) = as_str(m.key) else {
+                return false;
+            };
+            // Re-registering is a retry: done cells stay done.
+            let entry = cells.entry(cell.into_owned()).or_insert_with(|| Cell {
+                key: key.into_owned(),
+                state: CellState::Pending,
+            });
+            if !matches!(entry.state, CellState::Done { .. }) {
+                entry.state = CellState::Pending;
+            }
+            true
+        }
+        "running" => match cells.get_mut(&*cell) {
+            Some(c) => {
+                if !matches!(c.state, CellState::Done { .. }) {
+                    c.state = CellState::Running;
+                }
+                true
+            }
+            None => false,
+        },
+        "done" => {
+            let (Some(wall_ms), Some(payload)) =
+                (m.wall_ms.and_then(|v| v.as_f64()), as_str(m.payload))
+            else {
+                return false;
+            };
+            match cells.get_mut(&*cell) {
+                Some(c) => {
+                    c.state = CellState::Done {
+                        wall_ms,
+                        payload: payload.into_owned(),
+                        attempts,
+                    };
+                    true
+                }
+                None => false,
+            }
+        }
+        "failed" => {
+            let Some(error) = as_str(m.error) else {
+                return false;
+            };
+            match cells.get_mut(&*cell) {
+                Some(c) => {
+                    if !matches!(c.state, CellState::Done { .. }) {
+                        c.state = CellState::Failed {
+                            error: error.into_owned(),
+                            attempts,
+                        };
+                    }
+                    true
+                }
+                None => false,
+            }
+        }
+        _ => false,
+    }
+}
+
 impl Drop for Store {
     /// Best-effort flush so an abandoned store (early error return)
     /// still leaves every appended record on disk.
@@ -858,5 +939,181 @@ mod tests {
         );
         assert_eq!(b.stuck, vec!["cell/stuck".to_string()]);
         let _ = std::fs::remove_file(&path);
+    }
+
+    /// A real store log: three `hcperf fleet --faults chaos` runs (failed
+    /// cells, a retry run re-registering them, done cells with
+    /// `"attempts":2`, three `run` summaries).
+    const FLEET_LOG: &[u8] = include_bytes!("../tests/data/fleet-chaos.jsonl");
+
+    fn assert_replays_like_oracle(bytes: &[u8], what: &dyn Fn() -> String) -> Replayed {
+        let got = replay(bytes);
+        assert_eq!(got, reference::replay(bytes), "{}", what());
+        for cell in got.cells.values() {
+            assert_eq!(cell.key.capacity(), cell.key.len(), "{}", what());
+            if let CellState::Done { payload, .. } = &cell.state {
+                assert_eq!(payload.capacity(), payload.len(), "{}", what());
+            }
+        }
+        got
+    }
+
+    #[test]
+    fn replay_matches_the_value_tree_oracle_at_every_truncation() {
+        for end in 0..=FLEET_LOG.len() {
+            let bytes = &FLEET_LOG[..end];
+            let got = assert_replays_like_oracle(bytes, &|| format!("cut at {end}"));
+            let last_newline = bytes.iter().rposition(|&b| b == b'\n');
+            assert_eq!(got.clean_end, last_newline.map_or(0, |i| i + 1));
+        }
+        let whole = replay(FLEET_LOG);
+        assert_eq!((whole.cells.len(), whole.runs.len()), (7, 3));
+    }
+
+    #[test]
+    fn replay_matches_the_value_tree_oracle_under_byte_flips() {
+        // The first run's records: pending, running, failed, done, run.
+        let first_run = FLEET_LOG.split_inclusive(|&b| b == b'\n').take(13);
+        let mut bytes: Vec<u8> = first_run.flatten().copied().collect();
+        for i in 0..bytes.len() {
+            let original = bytes[i];
+            let line_start = bytes[..i]
+                .iter()
+                .rposition(|&b| b == b'\n')
+                .map_or(0, |j| j + 1);
+            for flipped in [
+                original ^ 0x01,
+                original ^ 0x20,
+                original ^ 0x80,
+                b'"',
+                b'\\',
+                b'\n',
+            ] {
+                if flipped == original {
+                    continue;
+                }
+                bytes[i] = flipped;
+                let got = assert_replays_like_oracle(&bytes, &|| {
+                    format!("byte {i} {original:#04x} -> {flipped:#04x}")
+                });
+                assert!(got.clean_end >= line_start, "earlier records survive");
+            }
+            bytes[i] = original;
+        }
+    }
+
+    #[test]
+    fn adversarial_lines_replay_like_the_oracle() {
+        const C: &str = "00000000000000000000000000000001";
+        let pending = format!("{{\"op\":\"pending\",\"cell\":\"{C}\",\"key\":\"k\"}}\n");
+        // (line, whether it replays)
+        let cases: &[(String, bool)] = &[
+            (
+                format!(
+                    r#"{{"op":"done","op":"failed","cell":"{C}","wall_ms":1,"payload":"p","payload":7}}"#
+                ),
+                true,
+            ),
+            (
+                format!(r#"{{"op":7,"op":"done","cell":"{C}","wall_ms":1,"payload":"p"}}"#),
+                false,
+            ),
+            (
+                format!(r#"{{"op":"done","cell":"{C}","wall_ms":1,"payload":"p"}}"#),
+                true,
+            ),
+            (format!(r#"{{"\u006fp":"running","cell":"{C}"}}"#), true),
+            (
+                format!(r#"{{"op":"d\u006fne","cell":"{C}","wall_ms":1,"payload":"p"}}"#),
+                true,
+            ),
+            (
+                format!(r#"{{"\u006fp":"bogus","op":"running","cell":"{C}"}}"#),
+                false,
+            ),
+            (
+                format!(r#"{{"op":"done","cell":"{C}","wall_ms":1,"payload":"p","attempts":"x"}}"#),
+                true,
+            ),
+            (
+                format!(r#"{{"op":"done","cell":"{C}","wall_ms":1,"payload":"p","attempts":3.5}}"#),
+                true,
+            ),
+            (
+                format!(
+                    r#"{{"op":"done","cell":"{C}","wall_ms":1,"payload":"p","attempts":4294967298}}"#
+                ),
+                true,
+            ),
+            (
+                format!(r#"{{"op":"failed","cell":"{C}","error":"\u+041\ud800","attempts":-1}}"#),
+                true,
+            ),
+            (
+                format!(r#"{{"op":"done","cell":"{C}","wall_ms":"1","payload":"p"}}"#),
+                false,
+            ),
+            (
+                format!(r#"{{"op":"running","cell":"{C}","x":[1,{{"y":tru}}]}}"#),
+                false,
+            ),
+            (
+                format!(r#"{{"op":"running","cell":"{C}","x":{{"y":[1e]}}}}"#),
+                false,
+            ),
+            (format!(r#"{{"op":"running","cell":"{C}"}} x"#), false),
+            (format!(r#"["op","running","cell","{C}"]"#), false),
+            (r#"{"op":"run","hits":2,"misses":1e0}"#.to_owned(), true),
+            (r#"{"op":"run","hits":2,"misses":-1}"#.to_owned(), false),
+            (format!(r#"{{"op":"running","cell":"{C}x"}}"#), false),
+            (
+                " \t{\"op\":\"run\",\"hits\":0,\"misses\":0}\r".to_owned(),
+                true,
+            ),
+            (String::new(), false),
+        ];
+        for (line, replays) in cases {
+            let log = format!("{pending}{line}\n");
+            let got = assert_replays_like_oracle(log.as_bytes(), &|| line.clone());
+            assert_eq!(got.clean_end == log.len(), *replays, "{line}");
+        }
+        let state_after = |needle: &str| {
+            let (line, _) = cases.iter().find(|(l, _)| l.contains(needle)).unwrap();
+            replay(format!("{pending}{line}\n").as_bytes()).cells[C]
+                .state
+                .clone()
+        };
+        // The first `op` and the first `payload` win.
+        let done = CellState::Done {
+            wall_ms: 1.0,
+            payload: "p".into(),
+            attempts: 1,
+        };
+        assert_eq!(state_after(r#""op":"failed""#), done);
+        let failed = CellState::Failed {
+            error: "A\u{FFFD}".into(),
+            attempts: 1,
+        };
+        assert_eq!(state_after("u+041"), failed);
+    }
+
+    /// `Store::open` on the log cut at every offset: never panics, keeps
+    /// the clean prefix on disk and quarantines the rest.
+    #[test]
+    fn open_recovers_every_truncation_of_a_fleet_log() {
+        let path = tmp("every-cut");
+        for end in 0..=FLEET_LOG.len() {
+            std::fs::write(&path, &FLEET_LOG[..end]).unwrap();
+            let _ = std::fs::remove_file(quarantine_path(&path));
+            let want = reference::replay(&FLEET_LOG[..end]);
+            let store = Store::open(&path).unwrap();
+            assert_eq!(store.cells, want.cells, "cut at {end}");
+            assert_eq!(store.runs, want.runs, "cut at {end}");
+            assert_eq!(store.quarantined_bytes(), end - want.clean_end);
+            drop(store);
+            assert_eq!(std::fs::read(&path).unwrap(), &FLEET_LOG[..want.clean_end]);
+        }
+        let _ = std::fs::remove_file(&path);
+        let _ = std::fs::remove_file(quarantine_path(&path));
     }
 }

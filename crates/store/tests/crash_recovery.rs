@@ -146,3 +146,33 @@ fn corrupt_middle_line_quarantines_everything_after_it() {
     let _ = fs::remove_file(&path);
     let _ = fs::remove_file(quarantine(&path));
 }
+
+/// A crash can tear the log anywhere: cut it at the start, the middle and
+/// the last byte of every record, and the resumed run is still
+/// byte-identical to the straight-through one.
+#[test]
+fn resume_from_a_cut_anywhere_is_byte_identical() {
+    let path = tmp("cut-anywhere");
+    let fp = fingerprint(&["crash-test", "seed-default", "v1"]);
+    let (reference, _) = {
+        let mut store = Store::open(&path).expect("open");
+        run_with_store(&mut store, &fp)
+    };
+    let log = fs::read(&path).expect("read log");
+    let mut start = 0;
+    for line in log.split_inclusive(|&b| b == b'\n') {
+        for cut in [start, start + line.len() / 2, start + line.len() - 1] {
+            fs::write(&path, &log[..cut]).expect("truncate");
+            let _ = fs::remove_file(quarantine(&path));
+            let mut store = Store::open(&path).expect("recover");
+            assert_eq!(store.quarantined_bytes(), cut - start, "cut at {cut}");
+            let done = store.status().done;
+            let (resumed, recomputed) = run_with_store(&mut store, &fp);
+            assert_eq!(resumed, reference, "cut at {cut}");
+            assert_eq!(recomputed, CELLS - done, "cut at {cut}");
+        }
+        start += line.len();
+    }
+    let _ = fs::remove_file(&path);
+    let _ = fs::remove_file(quarantine(&path));
+}

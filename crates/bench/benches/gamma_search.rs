@@ -8,6 +8,14 @@
 //!   [`hcperf::dps::reference`] search that rebuilds and re-sorts the
 //!   ranking on every feasibility probe.
 //!
+//! Two fixtures. In the `late` one (ids `<search>/<n>`) every job is
+//! already past its deadline, so relaxed Eq. 11 has no constraint left and
+//! both searches stop at their first probe above γ = 0. In the `feasible` one (ids
+//! `<search>_feasible/<n>`) every job meets its deadline in laxity order
+//! but not in static-priority order, so `γ_max` lies strictly inside the
+//! search range: the bisection runs every step and the sweep walks below
+//! its top interval.
+//!
 //! Bisection vs critical-points crossover as the ready queue grows
 //! motivates the bisection default; cached vs sort-per-probe is the hot
 //! path optimization headline.
@@ -17,31 +25,23 @@ use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use hcperf::dps::{reference, DpsConfig, DynamicPriorityScheduler, GammaSearch};
 use hcperf_rtsim::{Job, JobId, SchedContext};
 use hcperf_taskgraph::graphs::{apollo_graph, GraphOptions};
-use hcperf_taskgraph::{SimSpan, SimTime, TaskId};
+use hcperf_taskgraph::{SimSpan, SimTime, TaskGraph, TaskId};
 use std::hint::black_box;
 
 fn bench_search(c: &mut Criterion) {
     let graph = apollo_graph(&GraphOptions::default()).unwrap();
-    let n = graph.len();
-    let observed: Vec<SimSpan> = (0..n)
+    let observed: Vec<SimSpan> = (0..graph.len())
         .map(|i| SimSpan::from_millis(2.0 + (i % 9) as f64 * 3.0))
         .collect();
     let remaining = vec![SimSpan::from_millis(4.0); 4];
 
     let mut group = c.benchmark_group("gamma_search");
-    for queue_len in [4usize, 16, 64] {
-        let queue: Vec<Job> = (0..queue_len)
-            .map(|k| {
-                Job::new(
-                    JobId::new(k as u64),
-                    TaskId::new(k % n),
-                    0,
-                    SimTime::from_secs(9.9),
-                    SimSpan::from_millis(35.0 + (k % 7) as f64 * 8.0),
-                    SimTime::from_secs(9.9),
-                )
-            })
-            .collect();
+    let fixtures = [4usize, 16, 64]
+        .map(|n| ("", late_queue(n, graph.len())))
+        .into_iter()
+        .chain([16usize, 64].map(|n| ("_feasible", feasible_queue(n, &graph, &observed))));
+    for (fixture, queue) in fixtures {
+        let queue_len = queue.len();
         let candidates: Vec<usize> = (0..queue.len()).collect();
         let ctx = || SchedContext {
             now: SimTime::from_secs(10.0),
@@ -52,16 +52,24 @@ fn bench_search(c: &mut Criterion) {
             observed_exec: &observed,
             processor_remaining: &remaining,
         };
-        for (label, search) in [
+        for (search_label, search) in [
             ("bisection", GammaSearch::Bisection { iterations: 24 }),
             ("critical_points", GammaSearch::CriticalPoints),
         ] {
+            let label = format!("{search_label}{fixture}");
             let config = DpsConfig {
                 search,
                 ..Default::default()
             };
+            if !fixture.is_empty() {
+                let gamma_max = reference::gamma_max(&ctx(), &config);
+                assert!(
+                    gamma_max.is_some_and(|g| g > 0.0 && g < config.gamma_ceiling),
+                    "{label}/{queue_len}: γ_max {gamma_max:?} should lie inside the range"
+                );
+            }
             // After: one full recompute per iteration, warm scratch.
-            group.bench_with_input(BenchmarkId::new(label, queue_len), &queue_len, |b, _| {
+            group.bench_with_input(BenchmarkId::new(&label, queue_len), &queue_len, |b, _| {
                 let mut dps = DynamicPriorityScheduler::new(config);
                 dps.set_nominal_u(0.1);
                 b.iter(|| {
@@ -81,6 +89,49 @@ fn bench_search(c: &mut Criterion) {
         }
     }
     group.finish();
+}
+
+/// `n` jobs released at 9.9 s with 35–83 ms deadlines: at `now` = 10 s
+/// every one is late.
+fn late_queue(n: usize, tasks: usize) -> Vec<Job> {
+    (0..n)
+        .map(|k| {
+            Job::new(
+                JobId::new(k as u64),
+                TaskId::new(k % tasks),
+                0,
+                SimTime::from_secs(9.9),
+                SimSpan::from_millis(35.0 + (k % 7) as f64 * 8.0),
+                SimTime::from_secs(9.9),
+            )
+        })
+        .collect()
+}
+
+/// `n` jobs released at `now` = 10 s whose deadlines grow with the work
+/// queued ahead of them in job order: job `k` is due 1 ms after it could
+/// finish with jobs `0..k` ahead of it on the 4 processors (busy 4 ms
+/// each). Its laxity therefore grows with `k` too, so the γ = 0 order is
+/// job order and meets every deadline. Static priorities follow the task,
+/// not `k`, so ranking by priority puts late-due jobs first and misses.
+fn feasible_queue(n: usize, graph: &TaskGraph, observed: &[SimSpan]) -> Vec<Job> {
+    let mut ahead = 0.0;
+    (0..n)
+        .map(|k| {
+            let task = TaskId::new(k * 5 % graph.len());
+            let c = observed[task.index()].as_secs();
+            let deadline = 4e-3 + ahead / 4.0 + c + 1e-3;
+            ahead += c;
+            Job::new(
+                JobId::new(k as u64),
+                task,
+                0,
+                SimTime::from_secs(10.0),
+                SimSpan::from_secs(deadline),
+                SimTime::from_secs(10.0),
+            )
+        })
+        .collect()
 }
 
 criterion_group!(benches, bench_search);

@@ -32,18 +32,24 @@
 //!
 //! **Probe cost.** An exact probe ranks the queue at one γ and walks
 //! Eq. 11 over that ranking. A bisection recompute makes up to
-//! `2 + iterations` of them against one queue snapshot. Everything
-//! γ-independent — static priorities, laxities at `now`, observed
-//! execution times, absolute deadlines — is gathered once into a scratch
-//! buffer owned by the scheduler, the queue is ranked once with a full
-//! sort, and each further probe only *re-ranks* the previous order with a
-//! single insertion pass (adjacent probes reorder few jobs, so the pass is
-//! `O(n + inversions)` rather than a fresh `O(n log n)` sort). The
-//! critical-point sweep visits up to `O(n²)` intervals but probes only a
-//! few of them: between probes it moves the ranking one crossing at a
+//! `2 + iterations` of them against one queue snapshot. Each recompute
+//! loads every queued job once into a contiguous record (packed sort key,
+//! `p_i`, laxity at `now`, observed `c_i`, absolute deadline, skip flag)
+//! in scratch owned by the scheduler, and ranks the records in place: one
+//! full sort at γ = 0, then per probe a re-key and a single insertion pass
+//! that compares one integer per step (adjacent probes reorder few jobs,
+//! so the pass is `O(n + inversions)` rather than a fresh `O(n log n)`
+//! sort). Two exact shortcuts ride on top. A probe whose insertion pass
+//! moves nothing has the ranking, hence the verdict, of the probe before
+//! it, so its walk is skipped. And before the first probe high in the γ
+//! range the γ = 0 ranking is regrouped by static priority in one stable
+//! counting pass, which leaves that probe's insertion pass little to move.
+//! The critical-point sweep visits up to `O(n²)` intervals but probes only
+//! a few of them: between probes it moves the ranking one crossing at a
 //! time in `O(1)` and skips every interval it can prove infeasible (see
-//! [`GammaSearch::CriticalPoints`]);
-//! [`DynamicPriorityScheduler::search_counters`] counts probes and skips.
+//! [`GammaSearch::CriticalPoints`]). Both strategies run on the same
+//! records; [`DynamicPriorityScheduler::search_counters`] counts probes,
+//! reused verdicts and skips.
 //! The pre-optimization sort-per-probe search is retained in
 //! [`reference`] as the benchmark baseline and as an independent oracle
 //! in tests.
@@ -57,7 +63,10 @@ use hcperf_taskgraph::{SimSpan, SimTime};
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum GammaSearch {
     /// Bisection over `[0, ceiling]` assuming interval-shaped feasibility
-    /// (the paper's assumption). Cost `O(iter · n log n)`.
+    /// (the paper's assumption). Cost: one `O(n log n)` sort at γ = 0, an
+    /// `O(n + span)` priority regroup, then per step an insertion pass,
+    /// `O(n + inversions)` (`O(n²)` at worst), and an `O(n)` Eq. 11 walk
+    /// unless the pass moved nothing.
     Bisection {
         /// Number of bisection iterations (each halves the bracket).
         iterations: u32,
@@ -148,6 +157,7 @@ pub struct DynamicPriorityScheduler {
 /// Deterministic work counts of the γ search, summed over a scheduler's
 /// lifetime (see [`DynamicPriorityScheduler::search_counters`]). They are
 /// integers and feed no output, so reading them never changes a run.
+/// `probes` counts rankings; `probes − reused` of them walked Eq. 11.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct GammaCounters {
     /// `γ_max` recomputations.
@@ -155,14 +165,19 @@ pub struct GammaCounters {
     /// Crossover points the critical-point sweep generated in
     /// `(0, gamma_ceiling)`.
     pub crossings: u64,
-    /// Exact Eq. 11 probes (a ranking plus a feasibility walk): the γ = 0
-    /// check, bisection steps and the sweep intervals not skipped.
+    /// Exact Eq. 11 probes (a ranking plus its verdict): the γ = 0 check,
+    /// the ceiling or top-interval probe, bisection steps and the sweep
+    /// intervals not skipped.
     pub probes: u64,
     /// Sweep intervals proved infeasible without a probe.
     pub skipped: u64,
     /// Sweep probes that found the interval infeasible and rebuilt the
     /// kinetic state from it.
     pub resyncs: u64,
+    /// Probes whose ranking was the one the previous walk saw, so the
+    /// Eq. 11 walk was skipped and its verdict reused (counted in
+    /// `probes` too).
+    pub reused: u64,
 }
 
 /// The γ-independent terms of Eq. 11 for one recompute.
@@ -214,91 +229,138 @@ const NARROW_ULPS: f64 = 1024.0;
 /// violated for the sweep to count it (1 ns).
 const BAND_FLOOR: f64 = 1e-9;
 
-/// Per-job constraint data cached for one γ recomputation, plus the ranking
-/// maintained incrementally across probes. Owned by the scheduler so
-/// steady-state recomputes allocate nothing.
+/// One queued job's Eq. 11 data for a recompute. The records are ranked in
+/// place: their order in [`GammaScratch::recs`] *is* the ranking.
+#[derive(Debug, Clone, Copy)]
+struct Rec {
+    /// Ranking key at the current probe ([`packed_key`] of `γ·p_i + d_i`
+    /// and the job id). Before the first ranking, just the job id.
+    key: u128,
+    /// Static priority `p_i`, as the float the keys use.
+    p: f64,
+    /// Laxity `d_i` at `now`, in seconds.
+    laxity: f64,
+    /// Observed execution time `c_i`, in seconds.
+    exec: f64,
+    /// Absolute deadline, in seconds.
+    deadline: f64,
+    /// Position in the ready queue: the label the sweep's crossings and
+    /// kinetic state use.
+    idx: u32,
+    /// `p_i` as the graph stores it, for [`GammaScratch::seed`].
+    prio: u32,
+    /// Excluded from the Eq. 11 constraint set (relaxed mode).
+    skip: bool,
+}
+
+/// The ranking key of a job with dynamic priority `key` and id `id`: one
+/// integer whose order is `key.total_cmp`, ties broken by id.
+fn packed_key(key: f64, id: u64) -> u128 {
+    let bits = key.to_bits();
+    // Negative floats flip every bit, the others only the sign bit; the
+    // unsigned order of the result is then the `total_cmp` order.
+    let image = bits ^ ((((bits as i64) >> 63) as u64) | (1 << 63));
+    (u128::from(image) << 64) | u128::from(id)
+}
+
+/// Per-job constraint data cached for one γ recomputation, ranked in place
+/// across probes. Owned by the scheduler so steady-state recomputes
+/// allocate nothing.
+///
+/// Soundness of the shortcuts, all exact:
+///
+/// * Every probe re-keys every record with the reference's expression
+///   `γ·p_i + d_i` (so `0·p + (−0.0)` is `+0.0`, as there) and repairs the
+///   previous order with an insertion pass. Insertion sort ends in the
+///   sorted order from any start, and the order is total (`total_cmp`,
+///   then the job id, unique in a run), so where a pass starts never
+///   changes where it ends. That is why [`seed`](Self::seed) may regroup
+///   the ranking freely.
+/// * Within one recompute every Eq. 11 term but the ranking is fixed, so
+///   a ranking that has not changed since its last walk has that walk's
+///   verdict (`held`). Anything that reorders the records or changes the
+///   constraint set drops it.
 #[derive(Debug, Clone, Default)]
 struct GammaScratch {
-    /// Static priority `p_i` per queue entry.
-    prio: Vec<f64>,
-    /// Laxity `d_i` at `now` (seconds) per queue entry.
-    laxity: Vec<f64>,
-    /// Observed execution time `c_i` (seconds) per queue entry.
-    exec: Vec<f64>,
-    /// Absolute deadline (seconds) per queue entry.
-    deadline: Vec<f64>,
-    /// Tie-break token per queue entry.
-    id: Vec<JobId>,
-    /// `γ·p_i + d_i` at the current probe.
-    key: Vec<f64>,
-    /// Queue indices ranked by `key` (ascending = higher priority).
-    order: Vec<usize>,
-    /// Jobs excluded from the Eq. 11 constraint set (relaxed mode).
-    skip: Vec<bool>,
+    /// The queued jobs, in ranking order (ascending key = higher
+    /// priority).
+    recs: Vec<Rec>,
+    /// Eq. 11 verdict of the current ranking, kept until the ranking or
+    /// the constraint set changes.
+    held: Option<bool>,
+    /// Bucket offsets of the priority seed.
+    buckets: Vec<usize>,
+    /// Copy of `recs` the priority seed scatters from.
+    spare: Vec<Rec>,
     /// Crossover points of the critical-point sweep, `(γ*, mover, front)`:
-    /// as γ falls past `γ*`, queue entry `mover` (the larger `p_i`) passes
-    /// `front`.
+    /// as γ falls past `γ*`, the job at queue position `mover` (the larger
+    /// `p_i`) passes the one at `front`.
     points: Vec<(f64, u32, u32)>,
-    /// Kinetic sweep state per queue entry.
+    /// Kinetic sweep state per queue position.
     kin: Vec<Kinetic>,
     /// Number of `kin` entries flagged `violated`.
     violations: usize,
 }
 
 impl GammaScratch {
-    /// Gathers the γ-independent job data; the ranking starts unordered.
+    /// Gathers the γ-independent job data; the ranking starts in queue
+    /// order.
     fn load(&mut self, ctx: &SchedContext<'_>) {
-        let n = ctx.queue.len();
-        self.prio.clear();
-        self.laxity.clear();
-        self.exec.clear();
-        self.deadline.clear();
-        self.id.clear();
-        self.order.clear();
-        for job in ctx.queue {
+        self.recs.clear();
+        self.held = None;
+        for (idx, job) in (0u32..).zip(ctx.queue) {
             let c = ctx.exec_of(job);
-            self.prio
-                .push(ctx.graph.spec(job.task()).priority().value() as f64);
-            self.laxity.push(job.laxity(ctx.now, c).as_secs());
-            self.exec.push(c.as_secs());
-            self.deadline.push(job.absolute_deadline().as_secs());
-            self.id.push(job.id());
+            let prio = ctx.graph.spec(job.task()).priority().value();
+            self.recs.push(Rec {
+                key: u128::from(job.id().raw()),
+                p: f64::from(prio),
+                laxity: job.laxity(ctx.now, c).as_secs(),
+                exec: c.as_secs(),
+                deadline: job.absolute_deadline().as_secs(),
+                idx,
+                prio,
+                skip: false,
+            });
         }
-        self.key.clear();
-        self.key.resize(n, 0.0);
-        self.order.extend(0..n);
-        self.skip.clear();
-        self.skip.resize(n, false);
     }
 
-    /// Ranks the queue for a probe at `gamma`. The first ranking of a
-    /// recompute does a full sort; later probes repair the previous order
-    /// with one insertion pass, `O(n + inversions)`.
+    /// Ranks the queue for a probe at `gamma` and returns whether any
+    /// record moved. The first ranking of a recompute does a full sort;
+    /// later probes repair the previous order with one insertion pass,
+    /// `O(n + inversions)`.
     // hcperf-lint: hot-path-root
-    fn rank(&mut self, gamma: f64, full: bool) {
-        for ((k, &p), &l) in self.key.iter_mut().zip(&self.prio).zip(&self.laxity) {
-            *k = gamma * p + l;
+    fn rank(&mut self, gamma: f64, full: bool) -> bool {
+        for r in &mut self.recs {
+            // The low half of the key is the job id.
+            r.key = packed_key(gamma * r.p + r.laxity, r.key as u64);
         }
-        let (key, id) = (&self.key, &self.id);
-        if full {
-            self.order.sort_unstable_by(|&a, &b| by_key(key, id, a, b));
+        let moved = if full {
+            self.recs.sort_unstable_by_key(|r| r.key);
+            true
         } else {
-            // Insertion pass: each entry swaps ahead past the entries
+            // Insertion pass: each record moves ahead of the run of records
             // directly before it that it now outranks.
-            for last in 1..self.order.len() {
+            let mut moved = false;
+            for last in 1..self.recs.len() {
                 let mut j = last;
                 while j > 0 {
-                    let Some([prev, cur]) = self.order.get_mut(j - 1..=j) else {
+                    let Some([prev, cur]) = self.recs.get_mut(j - 1..=j) else {
                         break;
                     };
-                    if by_key(key, id, *cur, *prev) != Ordering::Less {
+                    if cur.key >= prev.key {
                         break;
                     }
                     std::mem::swap(prev, cur);
+                    moved = true;
                     j -= 1;
                 }
             }
+            moved
+        };
+        if moved {
+            self.held = None;
         }
+        moved
     }
 
     /// The Eq. 11 feasibility walk over the current ranking: every
@@ -306,21 +368,33 @@ impl GammaScratch {
     // hcperf-lint: hot-path-root
     fn feasible(&self, h: Horizon) -> bool {
         let mut higher_work = 0.0;
-        for &i in &self.order {
-            // `order` is rebuilt alongside the parallel vectors, so the
-            // lookups cannot miss; checked access keeps the hot path
-            // panic-free regardless.
-            let (Some(&c), Some(&skip), Some(&deadline)) =
-                (self.exec.get(i), self.skip.get(i), self.deadline.get(i))
-            else {
-                continue;
-            };
-            if !skip && h.finish(higher_work, c) > deadline {
+        for r in &self.recs {
+            if !r.skip && h.finish(higher_work, r.exec) > r.deadline {
                 return false;
             }
-            higher_work += c;
+            higher_work += r.exec;
         }
         true
+    }
+
+    /// The Eq. 11 verdict of the current ranking: the held one if the
+    /// ranking is unchanged since its walk (counted in `reused`), else a
+    /// fresh walk.
+    fn verdict(&mut self, h: Horizon, counters: &mut GammaCounters) -> bool {
+        if let Some(held) = self.held {
+            counters.reused += 1;
+            return held;
+        }
+        let verdict = self.feasible(h);
+        self.held = Some(verdict);
+        verdict
+    }
+
+    /// One exact probe at `gamma`: a ranking plus its Eq. 11 verdict.
+    fn probe(&mut self, gamma: f64, h: Horizon, counters: &mut GammaCounters) -> bool {
+        counters.probes += 1;
+        self.rank(gamma, false);
+        self.verdict(h, counters)
     }
 
     /// Marks jobs that miss their deadline even under the current (γ = 0)
@@ -328,15 +402,60 @@ impl GammaScratch {
     /// constraint set.
     fn mark_doomed(&mut self, h: Horizon) {
         let mut higher_work = 0.0;
-        for &i in &self.order {
-            let (Some(&c), Some(&deadline), Some(skip)) =
-                (self.exec.get(i), self.deadline.get(i), self.skip.get_mut(i))
-            else {
+        for r in &mut self.recs {
+            r.skip = r.skip || h.finish_doomed(higher_work, r.exec) > r.deadline;
+            higher_work += r.exec;
+        }
+        self.held = None;
+    }
+
+    /// Regroups the ranking by static priority, keeping the order within
+    /// each priority, before the first probe high in the γ range. There
+    /// `γ·p_i` outweighs most laxity gaps, so the grouped γ = 0 order is
+    /// close to the ranking and the probe's insertion pass has little left
+    /// to move; that pass still decides the order. A stable counting pass,
+    /// `O(n + span)`, allocation-free once warm; a priority span of `n` or
+    /// more leaves the ranking as it is.
+    fn seed(&mut self) {
+        let GammaScratch {
+            recs,
+            held,
+            buckets,
+            spare,
+            ..
+        } = self;
+        let (lo, hi) = recs.iter().fold((u32::MAX, 0), |(lo, hi), r| {
+            (lo.min(r.prio), hi.max(r.prio))
+        });
+        let span = hi.saturating_sub(lo) as usize;
+        if span >= recs.len() || recs.is_sorted_by_key(|r| r.prio) {
+            return;
+        }
+        buckets.clear();
+        buckets.resize(span + 1, 0);
+        for r in recs.iter() {
+            if let Some(count) = buckets.get_mut((r.prio - lo) as usize) {
+                *count += 1;
+            }
+        }
+        let mut start = 0;
+        for b in buckets.iter_mut() {
+            let count = *b;
+            *b = start;
+            start += count;
+        }
+        spare.clear();
+        spare.extend_from_slice(recs);
+        for r in spare.iter() {
+            let Some(next) = buckets.get_mut((r.prio - lo) as usize) else {
                 continue;
             };
-            *skip = *skip || h.finish_doomed(higher_work, c) > deadline;
-            higher_work += c;
+            if let Some(slot) = recs.get_mut(*next) {
+                *slot = *r;
+            }
+            *next += 1;
         }
+        *held = None;
     }
 
     /// Fills `points`, unsorted, with the crossover points `γ* = (d_b −
@@ -344,16 +463,10 @@ impl GammaScratch {
     /// interval must exceed for the sweep to skip it (see
     /// [`sweep`](Self::sweep)).
     fn crossings(&mut self, ceiling: f64) -> f64 {
-        let GammaScratch {
-            prio,
-            laxity,
-            points,
-            ..
-        } = self;
-        let scale: f64 = prio
+        let GammaScratch { recs, points, .. } = self;
+        let scale: f64 = recs
             .iter()
-            .zip(laxity.iter())
-            .map(|(&p, &l)| (ceiling * p).abs() + l.abs())
+            .map(|r| (ceiling * r.p).abs() + r.laxity.abs())
             .sum();
         let narrow = NARROW_ULPS * f64::EPSILON * scale;
         // Branch-free pair walk: every pair is written to the next free
@@ -361,17 +474,22 @@ impl GammaScratch {
         // Equal priorities divide by zero and fail that test; they never
         // cross, and their float keys keep the laxity order unless the
         // laxities are close enough for rounding to tie them, in which
-        // case no interval is trusted.
+        // case no interval is trusted. (`b − a` is exactly `−(a − b)`, so
+        // the crossing does not depend on which job comes first.)
         points.clear();
-        points.resize(prio.len() * prio.len().saturating_sub(1) / 2, (0.0, 0, 0));
+        points.resize(recs.len() * recs.len().saturating_sub(1) / 2, (0.0, 0, 0));
         let mut kept = 0;
         let mut tied = false;
-        for (a, (&pa, &la)) in (0u32..).zip(prio.iter().zip(laxity.iter())) {
-            let rest = prio.iter().zip(laxity.iter()).skip(a as usize + 1);
-            for (b, (&pb, &lb)) in (a + 1..).zip(rest) {
-                tied |= (pa == pb) & (la != lb) & ((la - lb).abs() <= narrow);
-                let crossing = (lb - la) / (pa - pb);
-                let (mover, front) = if pa > pb { (a, b) } else { (b, a) };
+        for (k, a) in recs.iter().enumerate() {
+            for b in recs.iter().skip(k + 1) {
+                tied |=
+                    (a.p == b.p) & (a.laxity != b.laxity) & ((a.laxity - b.laxity).abs() <= narrow);
+                let crossing = (b.laxity - a.laxity) / (a.p - b.p);
+                let (mover, front) = if a.p > b.p {
+                    (a.idx, b.idx)
+                } else {
+                    (b.idx, a.idx)
+                };
                 if let Some(slot) = points.get_mut(kept) {
                     *slot = (crossing, mover, front);
                 }
@@ -448,29 +566,29 @@ impl GammaScratch {
         // The top interval needs only the largest crossing; when it is
         // feasible, nothing is sorted and no kinetic state is built.
         let top = self.points.iter().fold(0.0, |m: f64, p| m.max(p.0));
-        counters.probes += 1;
-        self.rank(0.5 * (top + ceiling), false);
-        if self.feasible(h) {
+        self.seed();
+        if self.probe(0.5 * (top + ceiling), h, counters) {
             return ceiling;
         }
-        let n = self.order.len() as f64;
-        let exec: f64 = self.exec.iter().map(|c| c.abs()).sum();
+        let n = self.recs.len() as f64;
+        let exec: f64 = self.recs.iter().map(|r| r.exec.abs()).sum();
         let drift = 4.0 * (n + 3.0) * (n + 3.0) * f64::EPSILON;
         let band = BAND_FLOOR + drift * (h.now.abs() + h.base.abs() + exec);
         self.kin.clear();
-        for ((&c, &deadline), &skip) in self.exec.iter().zip(&self.deadline).zip(&self.skip) {
-            // `finish(W, c) > deadline + band`, solved for W.
-            let limit = if skip {
-                f64::INFINITY
-            } else {
-                (deadline + band - h.now - h.base - c) * h.n_p
-            };
-            self.kin.push(Kinetic {
+        self.kin.resize(
+            self.recs.len(),
+            Kinetic {
                 pos: 0,
                 work: 0.0,
-                limit,
+                limit: f64::INFINITY,
                 violated: false,
-            });
+            },
+        );
+        for r in &self.recs {
+            if let (false, Some(kin)) = (r.skip, self.kin.get_mut(r.idx as usize)) {
+                // `finish(W, c) > deadline + band`, solved for W.
+                kin.limit = (r.deadline + band - h.now - h.base - r.exec) * h.n_p;
+            }
         }
         self.sync(h);
         counters.resyncs += 1;
@@ -508,8 +626,16 @@ impl GammaScratch {
                 continue;
             }
             counters.probes += 1;
-            self.rank(0.5 * (lower + upper), false);
-            if self.sync(h) {
+            // A ranking the last sync walked (unsynced, nothing passed
+            // since, nothing moved) keeps its verdict and its state.
+            let feasible = match (self.rank(0.5 * (lower + upper), false), self.held) {
+                (false, Some(held)) => {
+                    counters.reused += 1;
+                    held
+                }
+                _ => self.sync(h),
+            };
+            if feasible {
                 supremum = upper;
                 break;
             }
@@ -527,24 +653,19 @@ impl GammaScratch {
         let mut feasible = true;
         let mut higher_work = 0.0;
         self.violations = 0;
-        for (pos, &i) in self.order.iter().enumerate() {
-            let (Some(&c), Some(&skip), Some(&deadline), Some(kin)) = (
-                self.exec.get(i),
-                self.skip.get(i),
-                self.deadline.get(i),
-                self.kin.get_mut(i),
-            ) else {
-                continue;
-            };
-            if !skip && h.finish(higher_work, c) > deadline {
+        for (pos, r) in self.recs.iter().enumerate() {
+            if !r.skip && h.finish(higher_work, r.exec) > r.deadline {
                 feasible = false;
             }
-            kin.pos = pos;
-            kin.work = higher_work;
-            kin.violated = higher_work > kin.limit;
-            self.violations += usize::from(kin.violated);
-            higher_work += c;
+            if let Some(kin) = self.kin.get_mut(r.idx as usize) {
+                kin.pos = pos;
+                kin.work = higher_work;
+                kin.violated = higher_work > kin.limit;
+                self.violations += usize::from(kin.violated);
+            }
+            higher_work += r.exec;
         }
+        self.held = Some(feasible);
         feasible
     }
 
@@ -552,21 +673,18 @@ impl GammaScratch {
     /// ranked directly ahead of it. Returns `false`, changing nothing,
     /// when the two are not adjacent in that order.
     fn overtake(&mut self, mover: usize, front: usize) -> bool {
-        let (Some(&m), Some(&f), Some(&c)) = (
-            self.kin.get(mover),
-            self.kin.get(front),
-            self.exec.get(mover),
-        ) else {
+        let (Some(&m), Some(&f)) = (self.kin.get(mover), self.kin.get(front)) else {
             return false;
         };
         if m.pos != f.pos + 1 {
             return false;
         }
-        let Some([ahead, behind]) = self.order.get_mut(f.pos..=m.pos) else {
+        let Some([ahead, behind]) = self.recs.get_mut(f.pos..=m.pos) else {
             return false;
         };
-        *ahead = mover;
-        *behind = front;
+        let c = behind.exec;
+        std::mem::swap(ahead, behind);
+        self.held = None;
         self.place(mover, f.pos, f.work);
         self.place(front, m.pos, f.work + c);
         true
@@ -586,17 +704,6 @@ impl GammaScratch {
             violated,
             ..*kin
         };
-    }
-}
-
-/// The ranking order of queue entries `a` and `b`: ascending key, ties
-/// broken by job id. The indices come from `order`, which always matches
-/// the parallel vectors; a missing entry would rank last rather than
-/// panic.
-fn by_key(key: &[f64], id: &[JobId], a: usize, b: usize) -> Ordering {
-    match (key.get(a).zip(id.get(a)), key.get(b).zip(id.get(b))) {
-        (Some((ka, ia)), Some((kb, ib))) => ka.total_cmp(kb).then_with(|| ia.cmp(ib)),
-        (x, y) => x.is_none().cmp(&y.is_none()),
     }
 }
 
@@ -716,23 +823,20 @@ impl DynamicPriorityScheduler {
             s.mark_doomed(h);
         }
         counters.probes += 1;
-        if !s.feasible(h) {
+        if !s.verdict(h, counters) {
             return None;
         }
         match config.search {
             GammaSearch::Bisection { iterations } => {
-                counters.probes += 1;
-                s.rank(config.gamma_ceiling, false);
-                if s.feasible(h) {
+                s.seed();
+                if s.probe(config.gamma_ceiling, h, counters) {
                     return Some(config.gamma_ceiling);
                 }
                 let mut lo = 0.0;
                 let mut hi = config.gamma_ceiling;
                 for _ in 0..iterations {
                     let mid = 0.5 * (lo + hi);
-                    counters.probes += 1;
-                    s.rank(mid, false);
-                    if s.feasible(h) {
+                    if s.probe(mid, h, counters) {
                         lo = mid;
                     } else {
                         hi = mid;
@@ -1284,6 +1388,149 @@ mod tests {
         }
     }
 
+    /// The search counters of one recompute under each strategy, relaxed
+    /// and strict.
+    fn counters_of(fx: &Fixture, gamma_ceiling: f64) -> Vec<GammaCounters> {
+        let mut all = Vec::new();
+        for strict_eq11 in [false, true] {
+            for search in [
+                GammaSearch::Bisection { iterations: 24 },
+                GammaSearch::CriticalPoints,
+            ] {
+                let mut dps = DynamicPriorityScheduler::new(DpsConfig {
+                    gamma_ceiling,
+                    search,
+                    strict_eq11,
+                    ..Default::default()
+                });
+                dps.recompute_gamma(&fx.ctx());
+                all.push(dps.search_counters());
+            }
+        }
+        all
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::prelude::ProptestConfig::with_cases(160))]
+
+        /// The edges of the flat kernel: static priorities over the whole
+        /// `u32` range (too wide for the priority seed, and large enough
+        /// that `γ·p_i` rounds laxity gaps away) or in a narrow band (the
+        /// seed runs); duplicated jobs, whose keys tie exactly at every γ
+        /// so only the job id orders them; `-0.0` laxities, which the
+        /// γ = 0 key turns into `+0.0` (`0·p + (−0.0)`); and late jobs
+        /// whose laxity lies far below `−ceiling`, as when queued jobs are
+        /// not expired. Both strategies, strict and relaxed, must be
+        /// bit-equal to the reference, and every counter must repeat.
+        #[test]
+        fn flat_kernel_matches_reference_on_ties_wide_priorities_and_late_jobs(
+            priorities in proptest::collection::vec(proptest::arbitrary::any::<u32>(), 1..8),
+            jobs in proptest::collection::vec((0usize..8, 0usize..6, 0u32..12, 1usize..3), 0..48),
+            processors in 1usize..5,
+            shape in (
+                0usize..3,
+                0usize..3,
+                proptest::arbitrary::any::<bool>(),
+                proptest::arbitrary::any::<bool>(),
+            ),
+        ) {
+            let (band, ceiling, zero_origin, idle) = shape;
+            // 0: the raw draw; 1: priorities 0..4; 2: 0 or u32::MAX.
+            let priorities: Vec<u32> = priorities
+                .iter()
+                .map(|&p| match band {
+                    0 => p,
+                    1 => p % 4,
+                    _ => if p % 2 == 0 { 0 } else { u32::MAX },
+                })
+                .collect();
+            let gamma_ceiling = [0.2, 0.05, 1.0][ceiling];
+            let now = if zero_origin { 0.0 } else { 10.0 };
+            // Task 0 takes no time, so its jobs' laxity is exactly the
+            // time to their deadline.
+            let exec: Vec<f64> = (0..priorities.len())
+                .map(|t| if t == 0 { 0.0 } else { (1 + t % 3) as f64 * 4e-3 })
+                .collect();
+            let late = [0.0, 2e-3, 4e-3, 0.5, 3.0, 40.0];
+            let mut queue = Vec::new();
+            for &(task, released, deadline, copies) in &jobs {
+                let task = task % priorities.len();
+                let job = if zero_origin && deadline == 0 {
+                    // Released and due at −0.0: laxity −0.0 at now = 0.
+                    // (Task 1 released now and due 8 ms later has laxity
+                    // +0.0, so the two kinds tie at γ = 0.)
+                    (0, -0.0, -0.0)
+                } else {
+                    (task, now - late[released], f64::from(deadline) * 8e-3)
+                };
+                // Identical copies tie on every key; only the id orders them.
+                queue.extend(std::iter::repeat_n(job, copies));
+            }
+            let busy = if idle { 0.0 } else { 2e-3 };
+            let fx = Fixture::custom(&priorities, &exec, &queue, processors, busy, now);
+            check_against_reference(&fx, gamma_ceiling);
+            proptest::prop_assert_eq!(counters_of(&fx, gamma_ceiling), counters_of(&fx, gamma_ceiling));
+        }
+    }
+
+    #[test]
+    fn negative_zero_laxity_ties_positive_zero_at_gamma_zero() {
+        // Job 1 (task 0, no execution time) is released and due at −0.0,
+        // so its laxity at now = 0 is −0.0; job 0 (task 1, c = 8 ms, due
+        // 8 ms after release) has laxity +0.0. The γ = 0 key `0·p + l` is
+        // +0.0 for both, so the id puts job 0 first and job 1 finishes
+        // 8 ms late: strict Eq. 11 is infeasible. Keyed on `l` itself,
+        // −0.0 would sort first and the queue would pass.
+        let jobs = [(1, 0.0, 8e-3), (0, -0.0, -0.0)];
+        let fx = Fixture::custom(&[1, 0], &[0.0, 8e-3], &jobs, 1, 0.0, 0.0);
+        let ctx = fx.ctx();
+        assert_eq!(priority_key(&ctx, 1, 0.0).to_bits(), 0.0f64.to_bits());
+        assert_eq!(
+            ctx.queue[1]
+                .laxity(ctx.now, ctx.exec_of(&ctx.queue[1]))
+                .as_secs()
+                .to_bits(),
+            (-0.0f64).to_bits()
+        );
+        check_against_reference(&fx, 0.2);
+        let mut strict = DynamicPriorityScheduler::new(DpsConfig {
+            strict_eq11: true,
+            ..Default::default()
+        });
+        assert_eq!(strict.gamma_max_cached(&ctx), None);
+    }
+
+    #[test]
+    fn a_probe_that_moves_nothing_reuses_the_verdict() {
+        // One processor, c = 1/64 each. Task 1 (p = 1) is tight and must
+        // run first; task 0 (p = 0) is 0.15 s looser, so it outranks task 1
+        // above γ* = 0.15 and the queue turns infeasible. Every bisection
+        // mid on the same side of γ* as the probe before it ranks the
+        // queue exactly as that probe did, and takes its verdict.
+        let c = 1.0 / 64.0;
+        let jobs = [(0, 0.0, 0.15 + 2.0 * c), (1, 0.0, c)];
+        let fx = Fixture::custom(&[0, 1], &[c, c], &jobs, 1, 0.0, 0.0);
+        check_against_reference(&fx, 0.2);
+        let config = DpsConfig {
+            search: GammaSearch::Bisection { iterations: 24 },
+            ..Default::default()
+        };
+        let mut dps = DynamicPriorityScheduler::new(config);
+        let got = dps.gamma_max_cached(&fx.ctx());
+        assert_eq!(got, reference::gamma_max(&fx.ctx(), &config));
+        let counters = dps.search_counters();
+        // γ = 0, the ceiling and 24 mids are ranked; some walks are reused.
+        assert_eq!(counters.probes, 26, "{counters:?}");
+        assert!(counters.reused > 0, "{counters:?}");
+        // Equal priorities never reorder: the ceiling probe reuses the
+        // γ = 0 walk and the search stops there.
+        let same = Fixture::custom(&[2, 2], &[c, c], &jobs, 1, 0.0, 0.0);
+        let mut dps = DynamicPriorityScheduler::new(config);
+        assert_eq!(dps.gamma_max_cached(&same.ctx()), Some(0.2));
+        let counters = dps.search_counters();
+        assert_eq!((counters.probes, counters.reused), (2, 1), "{counters:?}");
+    }
+
     #[test]
     fn sweep_reverses_a_block_of_three_collinear_jobs() {
         // P_i(γ) = γ·p_i + d_i meet in one point for all three jobs:
@@ -1454,20 +1701,10 @@ mod tests {
         let mut dps = DynamicPriorityScheduler::new(DpsConfig::default());
         dps.set_nominal_u(0.1);
         dps.recompute_gamma(&fx.ctx());
-        let caps = (
-            dps.scratch.prio.capacity(),
-            dps.scratch.order.capacity(),
-            dps.scratch.skip.capacity(),
-        );
+        let caps = |s: &GammaScratch| (s.recs.capacity(), s.spare.capacity(), s.buckets.capacity());
+        let warm = caps(&dps.scratch);
         dps.recompute_gamma(&fx.ctx());
-        assert_eq!(
-            caps,
-            (
-                dps.scratch.prio.capacity(),
-                dps.scratch.order.capacity(),
-                dps.scratch.skip.capacity(),
-            )
-        );
+        assert_eq!(warm, caps(&dps.scratch));
     }
 
     #[test]

@@ -125,9 +125,11 @@ pub enum ExecModel {
 
 /// Smallest execution time any model will ever produce (1 µs); guards the
 /// simulator against zero-length jobs that would stall event-time progress.
-pub const MIN_EXEC_TIME: SimSpan = SimSpan::ZERO;
+pub const MIN_EXEC_TIME: SimSpan = SimSpan::from_secs_const(1e-6);
 
-const FLOOR_SECS: f64 = 1e-6;
+/// [`MIN_EXEC_TIME`] in seconds, the floor every model's raw value is
+/// clamped to.
+const FLOOR_SECS: f64 = MIN_EXEC_TIME.as_secs();
 
 impl ExecModel {
     /// A constant execution time.
@@ -318,6 +320,47 @@ mod tests {
 
     fn rng() -> StdRng {
         StdRng::seed_from_u64(42)
+    }
+
+    #[test]
+    fn no_model_goes_below_min_exec_time() {
+        let ms = SimSpan::from_millis;
+        let at = |t: f64| SimTime::from_secs(t);
+        let models = [
+            ExecModel::constant(SimSpan::ZERO),
+            ExecModel::constant(ms(-5.0)),
+            ExecModel::constant(SimSpan::from_secs(1e-9)),
+            ExecModel::uniform(ms(-2.0), ms(0.0005)),
+            ExecModel::normal(SimSpan::ZERO, ms(3.0)),
+            ExecModel::normal(ms(-1.0), SimSpan::ZERO),
+            ExecModel::load_dependent(ms(-10.0), ms(1.0), 2.0),
+            ExecModel::constant(ms(-1.0)).with_step(
+                ExecModel::constant(ms(-2.0)),
+                at(1.0),
+                at(2.0),
+            ),
+            ExecModel::constant(ms(1.0)).plus(ExecModel::constant(ms(-4.0))),
+        ];
+        let mut r = rng();
+        for m in &models {
+            for ctx in [
+                ExecContext::idle(),
+                ExecContext::new(at(1.5), 3.0),
+                ExecContext::new(at(2.5), -1.0),
+            ] {
+                for _ in 0..50 {
+                    assert!(m.sample(ctx, &mut r) >= MIN_EXEC_TIME, "{m:?}");
+                }
+                assert!(m.nominal(ctx) >= MIN_EXEC_TIME, "{m:?}");
+                assert!(m.worst_case(ctx) >= MIN_EXEC_TIME, "{m:?}");
+            }
+        }
+        // The floor is the 1 µs the constant documents, and it is reached.
+        assert_eq!(MIN_EXEC_TIME, SimSpan::from_secs(1e-6));
+        let zero = ExecModel::constant(SimSpan::ZERO);
+        assert_eq!(zero.nominal(ExecContext::idle()), MIN_EXEC_TIME);
+        assert_eq!(zero.worst_case(ExecContext::idle()), MIN_EXEC_TIME);
+        assert_eq!(zero.sample(ExecContext::idle(), &mut r), MIN_EXEC_TIME);
     }
 
     #[test]

@@ -115,6 +115,13 @@ impl SimSpan {
         SimSpan(secs)
     }
 
+    /// [`from_secs`](Self::from_secs) for constants: a non-finite `secs`
+    /// fails the build instead of panicking at run time.
+    pub(crate) const fn from_secs_const(secs: f64) -> Self {
+        assert!(secs.is_finite(), "SimSpan must be finite");
+        SimSpan(secs)
+    }
+
     /// Creates a span from milliseconds.
     ///
     /// # Panics
@@ -141,7 +148,7 @@ impl SimSpan {
 
     /// Returns the span in seconds.
     #[must_use]
-    pub fn as_secs(self) -> f64 {
+    pub const fn as_secs(self) -> f64 {
         self.0
     }
 

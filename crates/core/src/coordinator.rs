@@ -30,14 +30,21 @@ pub struct CoordinatorConfig {
     pub period: SimSpan,
 }
 
+impl CoordinatorConfig {
+    /// The default configuration as a constant, so scenario presets can be
+    /// constants too: default PDC and TRA, external coordinator on, 100 ms
+    /// control period.
+    pub const DEFAULT: CoordinatorConfig = CoordinatorConfig {
+        pdc: PdcConfig::DEFAULT,
+        rate: RateAdapterConfig::DEFAULT,
+        external_enabled: true,
+        period: SimSpan::from_secs_const(0.1),
+    };
+}
+
 impl Default for CoordinatorConfig {
     fn default() -> Self {
-        CoordinatorConfig {
-            pdc: PdcConfig::default(),
-            rate: RateAdapterConfig::default(),
-            external_enabled: true,
-            period: SimSpan::from_millis(100.0),
-        }
+        Self::DEFAULT
     }
 }
 
@@ -330,6 +337,14 @@ mod tests {
             .map(|&s| (s, Rate::from_hz(10.0)))
             .collect();
         (HcPerf::new(config, &graph).unwrap(), rates)
+    }
+
+    #[test]
+    fn default_constant_is_the_100ms_default() {
+        let config = CoordinatorConfig::DEFAULT;
+        assert_eq!(config.period, SimSpan::from_millis(100.0));
+        assert_eq!(config.period.as_secs().to_bits(), 0.1f64.to_bits());
+        assert!(config.external_enabled);
     }
 
     #[test]

@@ -34,19 +34,24 @@ pub struct PdcConfig {
     pub deadband_decay: f64,
 }
 
+impl PdcConfig {
+    /// The default configuration as a constant.
+    pub const DEFAULT: PdcConfig = PdcConfig {
+        mfc: MfcConfig {
+            alpha: -1.0,
+            feedback_gain: -1.0,
+            sample_period: 0.1,
+            ade_window: 5,
+        },
+        error_scale: 0.02,
+        deadband: 0.05,
+        deadband_decay: 0.8,
+    };
+}
+
 impl Default for PdcConfig {
     fn default() -> Self {
-        PdcConfig {
-            mfc: MfcConfig {
-                alpha: -1.0,
-                feedback_gain: -1.0,
-                sample_period: 0.1,
-                ade_window: 5,
-            },
-            error_scale: 0.02,
-            deadband: 0.05,
-            deadband_decay: 0.8,
-        }
+        Self::DEFAULT
     }
 }
 

@@ -54,19 +54,24 @@ pub struct RateAdapterConfig {
     pub rate_floor_frac: f64,
 }
 
+impl RateAdapterConfig {
+    /// The default configuration as a constant.
+    pub const DEFAULT: RateAdapterConfig = RateAdapterConfig {
+        target_miss_ratio: 0.005,
+        zero_miss_bonus: 0.02,
+        initial_gain: 1.0,
+        gain_decay: 0.97,
+        min_gain: 1e-3,
+        reset_threshold: 0.25,
+        watchdog_window: 10,
+        degraded_miss_threshold: f64::INFINITY,
+        rate_floor_frac: 0.0,
+    };
+}
+
 impl Default for RateAdapterConfig {
     fn default() -> Self {
-        RateAdapterConfig {
-            target_miss_ratio: 0.005,
-            zero_miss_bonus: 0.02,
-            initial_gain: 1.0,
-            gain_decay: 0.97,
-            min_gain: 1e-3,
-            reset_threshold: 0.25,
-            watchdog_window: 10,
-            degraded_miss_threshold: f64::INFINITY,
-            rate_floor_frac: 0.0,
-        }
+        Self::DEFAULT
     }
 }
 

@@ -38,7 +38,7 @@ use hcperf_rtsim::{Job, JobId, SchedContext};
 use hcperf_scenarios::{
     traffic_jam_config, CarFollowingConfig, LaneKeepingConfig, MotivationConfig,
 };
-use hcperf_taskgraph::graphs::{apollo_graph, motivation_graph, with_fusion_step, GraphOptions};
+use hcperf_taskgraph::graphs::{apollo_graph, motivation_graph, GraphOptions};
 use hcperf_taskgraph::{ExecContext, LoadProfile, SimSpan, SimTime, TaskGraph};
 
 use crate::report::{exit, json_escape, json_opt_f64, tagged_finding_json};
@@ -115,29 +115,10 @@ impl AuditResult {
     }
 }
 
-fn graph_options(scheme: Scheme, jitter_frac: f64, processors: usize) -> GraphOptions {
-    GraphOptions {
-        jitter_frac,
-        with_affinity: scheme.uses_affinity(),
-        processors,
-    }
-}
-
 fn car_following_target(name: &str, config: &CarFollowingConfig) -> AuditTarget {
-    let opts = graph_options(config.scheme, config.jitter_frac, config.processors);
-    let mut graph = apollo_graph(&opts).expect("apollo graph is statically valid");
-    if let Some((extra_ms, from, until)) = config.fusion_step {
-        graph = with_fusion_step(
-            &graph,
-            "sensor_fusion",
-            extra_ms,
-            SimTime::from_secs(from),
-            SimTime::from_secs(until),
-        );
-    }
     AuditTarget {
         name: format!("scenario::{name}"),
-        graph,
+        graph: config.graph().expect("apollo graph is statically valid"),
         processors: config.processors,
         load: config.load.clone(),
         duration: config.duration,
@@ -182,10 +163,9 @@ pub fn builtin_targets() -> Vec<AuditTarget> {
     ));
 
     let lk = LaneKeepingConfig::paper_loop(Scheme::HcPerf);
-    let opts = graph_options(lk.scheme, lk.jitter_frac, lk.processors);
     targets.push(AuditTarget {
         name: "scenario::lane_keeping/paper_loop".to_owned(),
-        graph: apollo_graph(&opts).expect("apollo graph is statically valid"),
+        graph: lk.graph().expect("apollo graph is statically valid"),
         processors: lk.processors,
         load: lk.load.clone(),
         duration: lk.duration,
@@ -195,13 +175,7 @@ pub fn builtin_targets() -> Vec<AuditTarget> {
     let mv = MotivationConfig::default();
     targets.push(AuditTarget {
         name: "scenario::motivation".to_owned(),
-        // run_motivation always builds with 10% jitter and no affinity.
-        graph: motivation_graph(&GraphOptions {
-            jitter_frac: 0.1,
-            with_affinity: false,
-            processors: mv.processors,
-        })
-        .expect("static graph"),
+        graph: mv.graph().expect("static graph"),
         processors: mv.processors,
         load: mv.load.clone(),
         duration: mv.duration,

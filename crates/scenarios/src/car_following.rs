@@ -13,17 +13,18 @@
 //!    control period: tracking error → `u(t)` → γ, and miss ratio →
 //!    adapted source rates.
 
-use hcperf::{CoordinatorConfig, DpsConfig, HcPerf, PeriodInput, Scheme};
+use hcperf::{CoordinatorConfig, DpsConfig, Scheme};
 use hcperf_faults::VehicleFaults;
-use hcperf_rtsim::{Sim, SimConfig};
+use hcperf_rtsim::ControlCommand;
 use hcperf_taskgraph::graphs::{apollo_graph, with_fusion_step, GraphOptions};
-use hcperf_taskgraph::{GraphError, LoadProfile, Rate, SimTime, TaskId};
+use hcperf_taskgraph::{GraphError, LoadProfile, SimTime, TaskGraph};
 use hcperf_vehicle::{
     CarFollowController, FollowConfig, LeadProfile, LongitudinalCar, LongitudinalConfig,
     NoisySensor,
 };
 
-use crate::metrics::TimeSeries;
+use crate::closed_loop::{ClosedLoop, History, InitialRates, Period, Plant, Setup};
+use crate::metrics::{rms_of_sum, TimeSeries};
 
 /// Configuration of a car-following run.
 #[derive(Debug, Clone)]
@@ -214,6 +215,30 @@ impl CarFollowingConfig {
             faults: VehicleFaults::default(),
         }
     }
+
+    /// The Fig. 11 task graph this run schedules, with the configured
+    /// sensor-fusion regime step applied.
+    ///
+    /// # Errors
+    ///
+    /// Propagates a [`GraphError`] from graph construction.
+    pub fn graph(&self) -> Result<TaskGraph, GraphError> {
+        let graph = apollo_graph(&GraphOptions {
+            jitter_frac: self.jitter_frac,
+            with_affinity: self.scheme.uses_affinity(),
+            processors: self.processors,
+        })?;
+        Ok(match self.fusion_step {
+            Some((extra_ms, from, until)) => with_fusion_step(
+                &graph,
+                "sensor_fusion",
+                extra_ms,
+                SimTime::from_secs(from),
+                SimTime::from_secs(until),
+            ),
+            None => graph,
+        })
+    }
 }
 
 /// Aggregates and time series of one car-following run.
@@ -301,6 +326,9 @@ pub enum ScenarioError {
     Sim(hcperf_rtsim::SimError),
     /// Coordinator construction failed.
     Coordinator(hcperf_control::MfcConfigError),
+    /// The task graph lacks a task the closed loop reads (the coordinator's
+    /// execution-time signal comes from `sensor_fusion`).
+    MissingTask(&'static str),
     /// A parallel experiment job crashed; the harness converted the
     /// panic into this structured failure instead of killing the batch.
     Job(String),
@@ -314,6 +342,7 @@ impl std::fmt::Display for ScenarioError {
             ScenarioError::Graph(e) => write!(f, "task graph: {e}"),
             ScenarioError::Sim(e) => write!(f, "simulator: {e}"),
             ScenarioError::Coordinator(e) => write!(f, "coordinator: {e}"),
+            ScenarioError::MissingTask(name) => write!(f, "task graph has no `{name}` task"),
             ScenarioError::Job(msg) => write!(f, "experiment job: {msg}"),
             ScenarioError::Sink(msg) => write!(f, "result sink: {msg}"),
         }
@@ -338,14 +367,163 @@ impl From<hcperf_control::MfcConfigError> for ScenarioError {
     }
 }
 
-/// One row of the sensing history buffer (what the pipeline "saw" at a
-/// given instant).
+/// One row of the sensing history (what the pipeline "saw" at an instant).
 #[derive(Debug, Clone, Copy)]
-struct Sensed {
-    t: f64,
+pub(crate) struct Sensed {
     lead_speed: f64,
     own_speed: f64,
     gap: f64,
+}
+
+/// The longitudinal pair both car-following studies drive: a lead on a
+/// speed profile and the follower under [`CarFollowController`], sensed
+/// through (optionally noisy) speed sensors.
+#[derive(Debug)]
+pub(crate) struct Following<'a> {
+    lead: &'a LeadProfile,
+    lead_position: f64,
+    follower: LongitudinalCar,
+    controller: CarFollowController,
+    lead_sensor: NoisySensor,
+    own_sensor: NoisySensor,
+    held_accel: f64,
+    dt: f64,
+}
+
+impl<'a> Following<'a> {
+    /// The lead starts at position 0; `noise_std` is the speed sensors'
+    /// noise (0 = exact readings), seeded from `seed`.
+    pub(crate) fn new(
+        lead: &'a LeadProfile,
+        follower: LongitudinalCar,
+        follow: FollowConfig,
+        noise_std: f64,
+        seed: u64,
+        dt: f64,
+    ) -> Self {
+        Following {
+            lead,
+            lead_position: 0.0,
+            follower,
+            controller: CarFollowController::new(follow),
+            lead_sensor: NoisySensor::new(noise_std, seed ^ 0x1ead),
+            own_sensor: NoisySensor::new(noise_std, seed ^ 0x0e1f),
+            held_accel: 0.0,
+            dt,
+        }
+    }
+
+    pub(crate) fn follower(&self) -> &LongitudinalCar {
+        &self.follower
+    }
+
+    pub(crate) fn sense(&mut self, t: f64) -> Sensed {
+        Sensed {
+            lead_speed: self.lead_sensor.measure(self.lead.speed_at(t)),
+            own_speed: self.own_sensor.measure(self.follower.speed()),
+            gap: self.lead_position - self.follower.position(),
+        }
+    }
+
+    pub(crate) fn command(&mut self, cmd: &ControlCommand, history: &History<Sensed>, dt_cmd: f64) {
+        let sensed_t = cmd.chain_released_at.as_secs();
+        let (t, sensed) = history.lookup(sensed_t);
+        // Lead acceleration estimated by finite difference over the sensed
+        // history (what the prediction module would output).
+        let (t_earlier, earlier) = history.lookup(sensed_t - 0.1);
+        let dt_est = (t - t_earlier).max(self.dt);
+        let lead_accel = (sensed.lead_speed - earlier.lead_speed) / dt_est;
+        self.held_accel = self.controller.command(
+            sensed.lead_speed,
+            lead_accel,
+            sensed.own_speed,
+            sensed.gap,
+            dt_cmd,
+        );
+    }
+
+    /// Integrates one step; a stale command times out to coasting (the
+    /// chassis watchdog). Returns the true lead speed and gap at `t`,
+    /// before the step.
+    pub(crate) fn step(&mut self, t: f64, overdue: Option<f64>) -> (f64, f64) {
+        let lead_speed = self.lead.speed_at(t);
+        let gap = self.lead_position - self.follower.position();
+        let accel = if overdue.is_none() {
+            self.held_accel
+        } else {
+            0.0
+        };
+        self.follower.step(accel, self.dt);
+        self.lead_position += 0.5 * (lead_speed + self.lead.speed_at(t + self.dt)) * self.dt;
+        (lead_speed, gap)
+    }
+}
+
+/// The car-following [`Plant`]: [`Following`] plus the Table II/III
+/// metrics and the Fig. 13/15 series.
+struct CarFollowing<'a> {
+    config: &'a CarFollowingConfig,
+    pair: Following<'a>,
+    result: CarFollowingResult,
+    sq_speed: f64,
+    sq_dist: f64,
+    rms_count: u64,
+    /// `(lead speed, gap, speed error, distance error)` of the last step.
+    last: (f64, f64, f64, f64),
+}
+
+impl Plant for CarFollowing<'_> {
+    type Row = Sensed;
+
+    fn sense(&mut self, t: f64) -> Sensed {
+        self.pair.sense(t)
+    }
+
+    fn command(&mut self, cmd: &ControlCommand, history: &History<Sensed>, dt_cmd: f64) {
+        self.pair.command(cmd, history, dt_cmd);
+        if self.config.record_series {
+            self.result
+                .response_times
+                .push(cmd.emitted_at.as_secs(), cmd.response_time().as_millis());
+        }
+    }
+
+    fn step(&mut self, t: f64, overdue: Option<f64>) -> f64 {
+        let (lead_speed, gap) = self.pair.step(t, overdue);
+        let follower = self.pair.follower();
+        let speed_err = lead_speed - follower.speed();
+        let follow = &self.config.follow;
+        let dist_err = gap - (follow.headway * follower.speed() + follow.standstill_gap);
+        if t >= self.config.warmup {
+            self.sq_speed += speed_err * speed_err;
+            self.sq_dist += dist_err * dist_err;
+            self.rms_count += 1;
+        }
+        if gap <= 0.0 && self.result.collision_time.is_none() {
+            self.result.collision_time = Some(t);
+        }
+        if self.config.record_series {
+            self.result.acceleration.push(t, follower.acceleration());
+        }
+        self.last = (lead_speed, gap, speed_err, dist_err);
+        speed_err
+    }
+
+    fn record(&mut self, t: f64, period: Option<&Period<'_>>) {
+        let Some(period) = period.filter(|_| self.config.record_series) else {
+            return;
+        };
+        let (lead_speed, gap, speed_err, dist_err) = self.last;
+        let r = &mut self.result;
+        r.lead_speed.push(t, lead_speed);
+        r.follow_speed.push(t, self.pair.follower().speed());
+        r.speed_error.push(t, speed_err);
+        r.gap.push(t, gap);
+        r.distance_error.push(t, dist_err);
+        r.miss_ratio.push(t, period.miss_ratio);
+        r.gamma.push(t, period.gamma());
+        r.mean_source_rate.push(t, period.mean_source_rate());
+    }
 }
 
 /// Runs a car-following scenario to completion.
@@ -383,308 +561,81 @@ pub fn run_car_following(config: &CarFollowingConfig) -> Result<CarFollowingResu
 pub fn run_car_following_with_telemetry(
     config: &CarFollowingConfig,
 ) -> Result<(CarFollowingResult, Option<DegradedTelemetry>), ScenarioError> {
-    let graph_opts = GraphOptions {
-        jitter_frac: config.jitter_frac,
-        with_affinity: config.scheme.uses_affinity(),
-        processors: config.processors,
-    };
-    let mut graph = apollo_graph(&graph_opts)?;
-    if let Some((extra_ms, from, until)) = config.fusion_step {
-        graph = with_fusion_step(
-            &graph,
-            "sensor_fusion",
-            extra_ms,
-            SimTime::from_secs(from),
-            SimTime::from_secs(until),
-        );
-    }
-    let fusion = graph.find("sensor_fusion").expect("fusion exists");
-
-    let scheduler = config.scheme.build(config.dps);
-    let sim_config = SimConfig {
+    let setup = Setup {
+        scheme: config.scheme,
+        graph: config.graph()?,
+        dps: config.dps,
+        coordinator: config.coordinator,
         processors: config.processors,
         seed: config.seed,
         load: config.load.clone(),
-        staleness_bound: Some(hcperf_taskgraph::SimSpan::from_millis(config.staleness_ms)),
+        staleness_ms: config.staleness_ms,
         release_jitter_frac: config.release_jitter_frac,
-        join_policy: hcperf_rtsim::JoinPolicy::SameCycle,
         expire_queued_jobs: config.expire_queued_jobs,
-        ..Default::default()
+        rates: InitialRates::PerScheme {
+            baseline_hz: config.baseline_rate_hz,
+            hcperf_fraction: config.hcperf_initial_rate_fraction,
+        },
+        duration: config.duration,
+        physics_dt: config.physics_dt,
+        control_period: config.control_period,
+        command_timeout: config.command_timeout,
+        record_series: config.record_series,
+        faults: &config.faults,
     };
-    let mut coordinator = if config.scheme.uses_coordinators() {
-        let mut cc = config.coordinator;
-        cc.period = hcperf_taskgraph::SimSpan::from_secs(config.control_period);
-        Some(HcPerf::new(cc, &graph)?)
-    } else {
-        None
+    let plant = CarFollowing {
+        config,
+        pair: Following::new(
+            &config.lead,
+            LongitudinalCar::with_state(config.vehicle, -config.initial_gap, config.initial_speed),
+            config.follow,
+            config.speed_noise_std,
+            config.seed,
+            config.physics_dt,
+        ),
+        result: CarFollowingResult {
+            scheme: config.scheme,
+            rms_speed_error: 0.0,
+            rms_distance_error: 0.0,
+            commands: 0,
+            mean_response_time_ms: 0.0,
+            mean_e2e_ms: 0.0,
+            response_p99_ms: 0.0,
+            e2e_p99_ms: 0.0,
+            overall_miss_ratio: 0.0,
+            final_miss_ratio: 0.0,
+            collision_time: None,
+            lead_speed: TimeSeries::new("lead_speed"),
+            follow_speed: TimeSeries::new("follow_speed"),
+            speed_error: TimeSeries::new("speed_error"),
+            gap: TimeSeries::new("gap"),
+            distance_error: TimeSeries::new("distance_error"),
+            miss_ratio: TimeSeries::new("miss_ratio"),
+            gamma: TimeSeries::new("gamma"),
+            acceleration: TimeSeries::new("acceleration"),
+            response_times: TimeSeries::new("response_ms"),
+            mean_source_rate: TimeSeries::new("mean_rate_hz"),
+        },
+        sq_speed: 0.0,
+        sq_dist: 0.0,
+        rms_count: 0,
+        last: (0.0, 0.0, 0.0, 0.0),
     };
-    let mut sim = Sim::new(graph, sim_config, scheduler)?;
-    for window in &config.faults.sim {
-        sim.inject_fault(*window)?;
-    }
-
-    // Initial source rates: fixed for baselines, fraction-of-range for
-    // HCPerf (then adapted by the TRA).
-    let initial: Vec<(TaskId, Rate)> = sim
-        .source_rates()
-        .iter()
-        .map(|&(task, rate)| {
-            let spec = sim.graph().spec(task);
-            let applied = match (config.scheme.uses_coordinators(), spec.rate_range()) {
-                (true, Some(range)) => range.lerp(config.hcperf_initial_rate_fraction),
-                (false, Some(range)) => range.clamp(Rate::from_hz(config.baseline_rate_hz)),
-                _ => rate,
-            };
-            (task, applied)
-        })
-        .collect();
-    for (task, rate) in initial {
-        sim.set_source_rate(task, rate)?;
-    }
-
-    let mut follower =
-        LongitudinalCar::with_state(config.vehicle, -config.initial_gap, config.initial_speed);
-    let mut lead_position = 0.0f64;
-    let mut controller = CarFollowController::new(config.follow);
-    let mut lead_sensor = NoisySensor::new(config.speed_noise_std, config.seed ^ 0x1ead);
-    let mut own_sensor = NoisySensor::new(config.speed_noise_std, config.seed ^ 0x0e1f);
-
-    let mut result = CarFollowingResult {
-        scheme: config.scheme,
-        rms_speed_error: 0.0,
-        rms_distance_error: 0.0,
-        commands: 0,
-        mean_response_time_ms: 0.0,
-        mean_e2e_ms: 0.0,
-        response_p99_ms: 0.0,
-        e2e_p99_ms: 0.0,
-        overall_miss_ratio: 0.0,
-        final_miss_ratio: 0.0,
-        collision_time: None,
-        lead_speed: TimeSeries::new("lead_speed"),
-        follow_speed: TimeSeries::new("follow_speed"),
-        speed_error: TimeSeries::new("speed_error"),
-        gap: TimeSeries::new("gap"),
-        distance_error: TimeSeries::new("distance_error"),
-        miss_ratio: TimeSeries::new("miss_ratio"),
-        gamma: TimeSeries::new("gamma"),
-        acceleration: TimeSeries::new("acceleration"),
-        response_times: TimeSeries::new("response_ms"),
-        mean_source_rate: TimeSeries::new("mean_rate_hz"),
+    let done = ClosedLoop::new(setup, plant)?.run()?;
+    let p = done.plant;
+    let result = CarFollowingResult {
+        rms_speed_error: rms_of_sum(p.sq_speed, p.rms_count),
+        rms_distance_error: rms_of_sum(p.sq_dist, p.rms_count),
+        commands: done.commands,
+        mean_response_time_ms: done.mean_response_time_ms,
+        mean_e2e_ms: done.mean_e2e_ms,
+        response_p99_ms: done.response_p99_ms,
+        e2e_p99_ms: done.e2e_p99_ms,
+        overall_miss_ratio: done.overall_miss_ratio,
+        final_miss_ratio: done.final_miss_ratio,
+        ..p.result
     };
-
-    let mut history: Vec<Sensed> =
-        Vec::with_capacity((config.duration / config.physics_dt) as usize + 2);
-    let mut held_accel = 0.0f64;
-    let mut last_cmd_t = 0.0f64;
-    let mut sq_speed = 0.0f64;
-    let mut sq_dist = 0.0f64;
-    let mut rms_count = 0u64;
-    let mut final_window = (0u64, 0u64); // (missed, total) in the last 10 %
-    let mut pdc_hold_ticks = 0u64;
-    let mut tra_floor_ticks = 0u64;
-    let mut corrupted_feedback_ticks = 0u64;
-    let mut degraded_mode = TimeSeries::new("degraded_mode");
-
-    let steps = (config.duration / config.physics_dt).round() as usize;
-    let control_every = (config.control_period / config.physics_dt).round().max(1.0) as usize;
-    let final_from = config.duration * 0.9;
-
-    for step in 0..steps {
-        let t = step as f64 * config.physics_dt;
-
-        // --- injected whole-vehicle crash: a deterministic panic the
-        // harness isolates and (with retries) re-runs under a new seed ---
-        if config.faults.crash_at.is_some_and(|tc| t >= tc) {
-            panic!("injected vehicle crash at t={t:.3}s");
-        }
-
-        // --- sensing: record what the pipeline sees at this instant.
-        // Under an injected sensor dropout the PDC is fed last-known-good
-        // input (a bounded-staleness hold): the history row is re-stamped
-        // rather than re-measured, so every command computed from this
-        // window actuates on stale data. ---
-        let lead_speed_true = config.lead.speed_at(t);
-        let gap_true = lead_position - follower.position();
-        let held = if config.faults.sensor_dropped_at(t) {
-            history.last().copied()
-        } else {
-            None
-        };
-        let pdc_hold = held.is_some();
-        let sensed_now = if let Some(held) = held {
-            pdc_hold_ticks += 1;
-            Sensed { t, ..held }
-        } else {
-            Sensed {
-                t,
-                lead_speed: lead_sensor.measure(lead_speed_true),
-                own_speed: own_sensor.measure(follower.speed()),
-                gap: gap_true,
-            }
-        };
-        history.push(sensed_now);
-
-        // --- scheduler: advance the task pipeline to `t` ---
-        sim.run_until(SimTime::from_secs(t));
-        for cmd in sim.drain_commands() {
-            // The command actuates now but was computed from data sensed at
-            // the chain's source release.
-            let sensed_t = cmd.chain_released_at.as_secs();
-            let sensed = lookup(&history, sensed_t);
-            // Lead acceleration estimated by finite difference over the
-            // sensed history (what the prediction module would output).
-            let earlier = lookup(&history, sensed_t - 0.1);
-            let dt_est = (sensed.t - earlier.t).max(config.physics_dt);
-            let lead_accel = (sensed.lead_speed - earlier.lead_speed) / dt_est;
-            let dt_cmd = (cmd.emitted_at.as_secs() - last_cmd_t).max(config.physics_dt);
-            held_accel = controller.command(
-                sensed.lead_speed,
-                lead_accel,
-                sensed.own_speed,
-                sensed.gap,
-                dt_cmd,
-            );
-            last_cmd_t = cmd.emitted_at.as_secs();
-            result.commands += 1;
-            if config.record_series {
-                result
-                    .response_times
-                    .push(cmd.emitted_at.as_secs(), cmd.response_time().as_millis());
-            }
-        }
-
-        // --- vehicle: integrate physics under the held command; stale
-        // commands time out to coasting (the chassis watchdog) ---
-        let effective_accel = if t - last_cmd_t <= config.command_timeout {
-            held_accel
-        } else {
-            0.0
-        };
-        follower.step(effective_accel, config.physics_dt);
-        lead_position += 0.5
-            * (lead_speed_true + config.lead.speed_at(t + config.physics_dt))
-            * config.physics_dt;
-
-        // --- metrics ---
-        let speed_err = lead_speed_true - follower.speed();
-        let target_gap = config.follow.headway * follower.speed() + config.follow.standstill_gap;
-        let dist_err = gap_true - target_gap;
-        if t >= config.warmup {
-            sq_speed += speed_err * speed_err;
-            sq_dist += dist_err * dist_err;
-            rms_count += 1;
-        }
-        if gap_true <= 0.0 && result.collision_time.is_none() {
-            result.collision_time = Some(t);
-        }
-        if config.record_series {
-            result.acceleration.push(t, follower.acceleration());
-        }
-
-        // --- coordinators: once per control period ---
-        if step % control_every == 0 {
-            let window = sim.stats_mut().take_window();
-            let mut m_k = window.miss_ratio();
-            if t >= final_from {
-                final_window.0 += window.missed_late + window.expired;
-                final_window.1 += window.total();
-            }
-            // Injected telemetry corruption: the TRA sees the forced miss
-            // ratio instead of the measured one for this period.
-            if let Some(forced) = config.faults.corrupted_feedback_at(t) {
-                m_k = forced;
-                corrupted_feedback_ticks += 1;
-            }
-            let mut tra_floor = false;
-            if let Some(coord) = coordinator.as_mut() {
-                let rates = sim.source_rates();
-                let decision = coord.on_period(PeriodInput {
-                    tracking_error: speed_err,
-                    miss_ratio: m_k,
-                    exec_signal: sim.observed_exec(fusion).as_secs(),
-                    current_rates: &rates,
-                });
-                sim.scheduler_mut().set_nominal_u(decision.nominal_u);
-                for (task, rate) in decision.new_rates {
-                    sim.set_source_rate(task, rate)?;
-                }
-                tra_floor = decision.tra_degraded;
-                if tra_floor {
-                    tra_floor_ticks += 1;
-                }
-            }
-            if config.record_series && !config.faults.is_empty() {
-                let mode = f64::from(u8::from(pdc_hold) | (u8::from(tra_floor) << 1));
-                degraded_mode.push(t, mode);
-            }
-            if config.record_series {
-                result.lead_speed.push(t, lead_speed_true);
-                result.follow_speed.push(t, follower.speed());
-                result.speed_error.push(t, speed_err);
-                result.gap.push(t, gap_true);
-                result.distance_error.push(t, dist_err);
-                result.miss_ratio.push(t, m_k);
-                result.gamma.push(t, sim.scheduler().gamma().unwrap_or(0.0));
-                let rates = sim.source_rates();
-                let mean_rate =
-                    rates.iter().map(|(_, r)| r.as_hz()).sum::<f64>() / rates.len().max(1) as f64;
-                result.mean_source_rate.push(t, mean_rate);
-            }
-        }
-    }
-
-    result.rms_speed_error = if rms_count > 0 {
-        (sq_speed / rms_count as f64).sqrt()
-    } else {
-        0.0
-    };
-    result.rms_distance_error = if rms_count > 0 {
-        (sq_dist / rms_count as f64).sqrt()
-    } else {
-        0.0
-    };
-    result.overall_miss_ratio = sim.stats().totals().miss_ratio();
-    result.final_miss_ratio = if final_window.1 > 0 {
-        final_window.0 as f64 / final_window.1 as f64
-    } else {
-        0.0
-    };
-    result.mean_response_time_ms = sim
-        .stats()
-        .mean_response_time()
-        .map_or(0.0, |d| d.as_millis());
-    result.mean_e2e_ms = sim.stats().mean_end_to_end().map_or(0.0, |d| d.as_millis());
-    result.response_p99_ms = sim
-        .stats()
-        .response_time_percentile(0.99)
-        .map_or(0.0, |d| d.as_millis());
-    result.e2e_p99_ms = sim
-        .stats()
-        .end_to_end_percentile(0.99)
-        .map_or(0.0, |d| d.as_millis());
-    let telemetry = if config.faults.is_empty() {
-        None
-    } else {
-        Some(DegradedTelemetry {
-            pdc_hold_ticks,
-            tra_floor_ticks,
-            corrupted_feedback_ticks,
-            fault: sim.fault_counters(),
-            mode: degraded_mode,
-        })
-    };
-    Ok((result, telemetry))
-}
-
-/// Most recent history row at or before `t` (first row if `t` precedes the
-/// history).
-fn lookup(history: &[Sensed], t: f64) -> Sensed {
-    match history.binary_search_by(|s| s.t.total_cmp(&t)) {
-        Ok(i) => history[i],
-        Err(0) => history[0],
-        Err(i) => history[i - 1],
-    }
+    Ok((result, done.telemetry))
 }
 
 #[cfg(test)]
@@ -829,33 +780,5 @@ mod tests {
             .cloned()
             .unwrap_or_default();
         assert!(msg.contains("injected vehicle crash at t=1.000s"), "{msg}");
-    }
-
-    #[test]
-    fn lookup_finds_latest_at_or_before() {
-        let hist = vec![
-            Sensed {
-                t: 0.0,
-                lead_speed: 1.0,
-                own_speed: 0.0,
-                gap: 0.0,
-            },
-            Sensed {
-                t: 1.0,
-                lead_speed: 2.0,
-                own_speed: 0.0,
-                gap: 0.0,
-            },
-            Sensed {
-                t: 2.0,
-                lead_speed: 3.0,
-                own_speed: 0.0,
-                gap: 0.0,
-            },
-        ];
-        assert_eq!(lookup(&hist, 1.5).lead_speed, 2.0);
-        assert_eq!(lookup(&hist, 2.5).lead_speed, 3.0);
-        assert_eq!(lookup(&hist, -1.0).lead_speed, 1.0);
-        assert_eq!(lookup(&hist, 1.0).lead_speed, 2.0);
     }
 }

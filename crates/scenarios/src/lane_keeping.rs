@@ -5,14 +5,16 @@
 //! scheduler decides when fresh steering reaches the wheels. Performance
 //! metric: lateral offset from the lane centerline.
 
-use hcperf::{CoordinatorConfig, DpsConfig, HcPerf, PeriodInput, Scheme};
-use hcperf_rtsim::{Sim, SimConfig};
+use hcperf::{CoordinatorConfig, DpsConfig, Scheme};
+use hcperf_faults::VehicleFaults;
+use hcperf_rtsim::ControlCommand;
 use hcperf_taskgraph::graphs::{apollo_graph, GraphOptions};
-use hcperf_taskgraph::{LoadProfile, Rate, SimSpan, SimTime, TaskId};
+use hcperf_taskgraph::{GraphError, LoadProfile, SimTime, TaskGraph};
 use hcperf_vehicle::{BicycleCar, BicycleConfig, LaneKeepController, OvalTrack, Track};
 
 use crate::car_following::ScenarioError;
-use crate::metrics::TimeSeries;
+use crate::closed_loop::{ClosedLoop, History, InitialRates, Period, Plant, Setup};
+use crate::metrics::{rms_of_sum, TimeSeries};
 
 /// Configuration of a lane-keeping run.
 #[derive(Debug, Clone)]
@@ -78,6 +80,11 @@ impl LaneKeepingConfig {
             segments.push((SimTime::from_secs(base + 2.0 * straight + 2.0 * turn), 3.0));
         }
         let mut coordinator = CoordinatorConfig::default();
+        // Lane-keeping errors are tens of centimeters, not m/s: rescale the
+        // PDC so a 0.1 m offset drives u as strongly as ~1 m/s did, and
+        // shrink the deadband accordingly.
+        coordinator.pdc.error_scale *= 10.0;
+        coordinator.pdc.deadband = 0.01;
         coordinator.rate.zero_miss_bonus = 0.01;
         coordinator.rate.target_miss_ratio = 0.0;
         coordinator.rate.reset_threshold = 0.6;
@@ -102,6 +109,19 @@ impl LaneKeepingConfig {
             command_timeout: 0.5,
             warmup: 5.0,
         }
+    }
+
+    /// The Fig. 11 task graph this run schedules.
+    ///
+    /// # Errors
+    ///
+    /// Propagates a [`GraphError`] from graph construction.
+    pub fn graph(&self) -> Result<TaskGraph, GraphError> {
+        apollo_graph(&GraphOptions {
+            jitter_frac: self.jitter_frac,
+            with_affinity: self.scheme.uses_affinity(),
+            processors: self.processors,
+        })
     }
 }
 
@@ -133,12 +153,72 @@ pub struct LaneKeepingResult {
     pub gamma: TimeSeries,
 }
 
+/// One row of the sensing history: the Frenet state the pipeline saw.
 #[derive(Debug, Clone, Copy)]
 struct SensedFrenet {
-    t: f64,
     lateral_offset: f64,
     heading_error: f64,
     curvature: f64,
+}
+
+/// The lane-keeping [`Plant`]: the bicycle model on the oval at a fixed
+/// speed, and the Table IV / Fig. 14 metrics.
+struct LaneKeeping<'a> {
+    config: &'a LaneKeepingConfig,
+    car: BicycleCar,
+    held_steer: f64,
+    sq: f64,
+    count: u64,
+    result: LaneKeepingResult,
+}
+
+impl Plant for LaneKeeping<'_> {
+    type Row = SensedFrenet;
+
+    fn sense(&mut self, _t: f64) -> SensedFrenet {
+        SensedFrenet {
+            lateral_offset: self.car.lateral_offset(),
+            heading_error: self.car.heading_error(),
+            curvature: self.config.track.curvature(self.car.arc_position()),
+        }
+    }
+
+    fn command(&mut self, cmd: &ControlCommand, history: &History<SensedFrenet>, _dt_cmd: f64) {
+        let (_, sensed) = history.lookup(cmd.chain_released_at.as_secs());
+        self.held_steer = self.config.steer.steer(
+            sensed.lateral_offset,
+            sensed.heading_error,
+            sensed.curvature,
+        );
+    }
+
+    fn step(&mut self, t: f64, overdue: Option<f64>) -> f64 {
+        // Stale steering eases back toward center (chassis watchdog).
+        let steer = match overdue {
+            None => self.held_steer,
+            Some(overdue) => self.held_steer * (0.2f64).powf(overdue.min(5.0)),
+        };
+        let c = self.config;
+        self.car.step(c.speed, steer, c.physics_dt, &c.track);
+        let offset = self.car.lateral_offset();
+        if t >= c.warmup {
+            self.sq += offset.powi(2);
+            self.count += 1;
+            self.result.max_lateral_offset = self.result.max_lateral_offset.max(offset.abs());
+        }
+        offset
+    }
+
+    fn record(&mut self, t: f64, period: Option<&Period<'_>>) {
+        let Some(period) = period else {
+            return;
+        };
+        let r = &mut self.result;
+        r.lateral_offset.push(t, self.car.lateral_offset());
+        r.arc_position.push(t, self.car.arc_position());
+        r.miss_ratio.push(t, period.miss_ratio);
+        r.gamma.push(t, period.gamma());
+    }
 }
 
 /// Runs a lane-keeping scenario to completion.
@@ -161,164 +241,58 @@ struct SensedFrenet {
 /// # Ok::<(), Box<dyn std::error::Error>>(())
 /// ```
 pub fn run_lane_keeping(config: &LaneKeepingConfig) -> Result<LaneKeepingResult, ScenarioError> {
-    let graph_opts = GraphOptions {
-        jitter_frac: config.jitter_frac,
-        with_affinity: config.scheme.uses_affinity(),
-        processors: config.processors,
-    };
-    let graph = apollo_graph(&graph_opts)?;
-    let fusion = graph.find("sensor_fusion").expect("fusion exists");
-
-    let scheduler = config.scheme.build(config.dps);
-    let sim_config = SimConfig {
+    let setup = Setup {
+        scheme: config.scheme,
+        graph: config.graph()?,
+        dps: config.dps,
+        coordinator: config.coordinator,
         processors: config.processors,
         seed: config.seed,
         load: config.load.clone(),
-        staleness_bound: Some(hcperf_taskgraph::SimSpan::from_millis(60.0)),
-        join_policy: hcperf_rtsim::JoinPolicy::SameCycle,
-        expire_queued_jobs: false,
+        staleness_ms: 60.0,
         release_jitter_frac: 0.15,
-        ..Default::default()
+        expire_queued_jobs: false,
+        rates: InitialRates::PerScheme {
+            baseline_hz: config.baseline_rate_hz,
+            hcperf_fraction: config.hcperf_initial_rate_fraction,
+        },
+        duration: config.duration,
+        physics_dt: config.physics_dt,
+        control_period: config.control_period,
+        command_timeout: config.command_timeout,
+        record_series: true,
+        faults: &VehicleFaults::default(),
     };
-    let mut coordinator = if config.scheme.uses_coordinators() {
-        let mut cc = config.coordinator;
-        cc.period = SimSpan::from_secs(config.control_period);
-        // Lane-keeping errors are tens of centimeters, not m/s: rescale the
-        // PDC so a 0.1 m offset drives u as strongly as ~1 m/s did, and
-        // shrink the deadband accordingly.
-        cc.pdc.error_scale *= 10.0;
-        cc.pdc.deadband = 0.01;
-        Some(HcPerf::new(cc, &graph)?)
-    } else {
-        None
+    let plant = LaneKeeping {
+        config,
+        car: BicycleCar::new(config.bicycle),
+        held_steer: 0.0,
+        sq: 0.0,
+        count: 0,
+        result: LaneKeepingResult {
+            scheme: config.scheme,
+            rms_lateral_offset: 0.0,
+            max_lateral_offset: 0.0,
+            commands: 0,
+            overall_miss_ratio: 0.0,
+            mean_e2e_ms: 0.0,
+            e2e_p99_ms: 0.0,
+            lateral_offset: TimeSeries::new("lateral_offset"),
+            arc_position: TimeSeries::new("arc_position"),
+            miss_ratio: TimeSeries::new("miss_ratio"),
+            gamma: TimeSeries::new("gamma"),
+        },
     };
-    let mut sim = Sim::new(graph, sim_config, scheduler)?;
-
-    let initial: Vec<(TaskId, Rate)> = sim
-        .source_rates()
-        .iter()
-        .map(|&(task, rate)| {
-            let spec = sim.graph().spec(task);
-            let applied = match (config.scheme.uses_coordinators(), spec.rate_range()) {
-                (true, Some(range)) => range.lerp(config.hcperf_initial_rate_fraction),
-                (false, Some(range)) => range.clamp(Rate::from_hz(config.baseline_rate_hz)),
-                _ => rate,
-            };
-            (task, applied)
-        })
-        .collect();
-    for (task, rate) in initial {
-        sim.set_source_rate(task, rate)?;
-    }
-
-    let mut car = BicycleCar::new(config.bicycle);
-    let mut held_steer = 0.0f64;
-    let mut last_cmd_t = 0.0f64;
-    let mut history: Vec<SensedFrenet> =
-        Vec::with_capacity((config.duration / config.physics_dt) as usize + 2);
-
-    let mut result = LaneKeepingResult {
-        scheme: config.scheme,
-        rms_lateral_offset: 0.0,
-        max_lateral_offset: 0.0,
-        commands: 0,
-        overall_miss_ratio: 0.0,
-        mean_e2e_ms: 0.0,
-        e2e_p99_ms: 0.0,
-        lateral_offset: TimeSeries::new("lateral_offset"),
-        arc_position: TimeSeries::new("arc_position"),
-        miss_ratio: TimeSeries::new("miss_ratio"),
-        gamma: TimeSeries::new("gamma"),
-    };
-
-    let mut sq = 0.0f64;
-    let mut count = 0u64;
-    let steps = (config.duration / config.physics_dt).round() as usize;
-    let control_every = (config.control_period / config.physics_dt).round().max(1.0) as usize;
-
-    for step in 0..steps {
-        let t = step as f64 * config.physics_dt;
-        history.push(SensedFrenet {
-            t,
-            lateral_offset: car.lateral_offset(),
-            heading_error: car.heading_error(),
-            curvature: config.track.curvature(car.arc_position()),
-        });
-
-        sim.run_until(SimTime::from_secs(t));
-        for cmd in sim.drain_commands() {
-            let sensed = lookup(&history, cmd.chain_released_at.as_secs());
-            held_steer = config.steer.steer(
-                sensed.lateral_offset,
-                sensed.heading_error,
-                sensed.curvature,
-            );
-            last_cmd_t = cmd.emitted_at.as_secs();
-            result.commands += 1;
-        }
-
-        // Stale steering eases back toward center (chassis watchdog).
-        let effective_steer = if t - last_cmd_t <= config.command_timeout {
-            held_steer
-        } else {
-            held_steer * (0.2f64).powf((t - last_cmd_t - config.command_timeout).min(5.0))
-        };
-        car.step(
-            config.speed,
-            effective_steer,
-            config.physics_dt,
-            &config.track,
-        );
-
-        if t >= config.warmup {
-            sq += car.lateral_offset().powi(2);
-            count += 1;
-            result.max_lateral_offset = result.max_lateral_offset.max(car.lateral_offset().abs());
-        }
-
-        if step % control_every == 0 {
-            let window = sim.stats_mut().take_window();
-            let m_k = window.miss_ratio();
-            if let Some(coord) = coordinator.as_mut() {
-                let rates = sim.source_rates();
-                let decision = coord.on_period(PeriodInput {
-                    tracking_error: car.lateral_offset(),
-                    miss_ratio: m_k,
-                    exec_signal: sim.observed_exec(fusion).as_secs(),
-                    current_rates: &rates,
-                });
-                sim.scheduler_mut().set_nominal_u(decision.nominal_u);
-                for (task, rate) in decision.new_rates {
-                    sim.set_source_rate(task, rate)?;
-                }
-            }
-            result.lateral_offset.push(t, car.lateral_offset());
-            result.arc_position.push(t, car.arc_position());
-            result.miss_ratio.push(t, m_k);
-            result.gamma.push(t, sim.scheduler().gamma().unwrap_or(0.0));
-        }
-    }
-
-    result.rms_lateral_offset = if count > 0 {
-        (sq / count as f64).sqrt()
-    } else {
-        0.0
-    };
-    result.overall_miss_ratio = sim.stats().totals().miss_ratio();
-    result.mean_e2e_ms = sim.stats().mean_end_to_end().map_or(0.0, |d| d.as_millis());
-    result.e2e_p99_ms = sim
-        .stats()
-        .end_to_end_percentile(0.99)
-        .map_or(0.0, |d| d.as_millis());
-    Ok(result)
-}
-
-fn lookup(history: &[SensedFrenet], t: f64) -> SensedFrenet {
-    match history.binary_search_by(|s| s.t.total_cmp(&t)) {
-        Ok(i) => history[i],
-        Err(0) => history[0],
-        Err(i) => history[i - 1],
-    }
+    let done = ClosedLoop::new(setup, plant)?.run()?;
+    let p = done.plant;
+    Ok(LaneKeepingResult {
+        rms_lateral_offset: rms_of_sum(p.sq, p.count),
+        commands: done.commands,
+        overall_miss_ratio: done.overall_miss_ratio,
+        mean_e2e_ms: done.mean_e2e_ms,
+        e2e_p99_ms: done.e2e_p99_ms,
+        ..p.result
+    })
 }
 
 #[cfg(test)]

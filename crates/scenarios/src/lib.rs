@@ -36,6 +36,7 @@
 //! ```
 
 pub mod car_following;
+mod closed_loop;
 pub mod fleet;
 pub mod lane_keeping;
 pub mod metrics;

@@ -9,16 +9,31 @@
 //! become sluggish and the gap collapses to a collision (Fig. 4b, at
 //! `t ≈ 23.4 s` in the paper).
 
-use hcperf::{CoordinatorConfig, DpsConfig, HcPerf, PeriodInput, Scheme};
-use hcperf_rtsim::{Sim, SimConfig};
+use hcperf::{CoordinatorConfig, DpsConfig, PdcConfig, Scheme};
+use hcperf_faults::VehicleFaults;
+use hcperf_rtsim::ControlCommand;
 use hcperf_taskgraph::graphs::{motivation_graph, GraphOptions};
-use hcperf_taskgraph::{LoadProfile, Rate, SimTime, TaskId};
-use hcperf_vehicle::{
-    CarFollowController, FollowConfig, LeadProfile, LongitudinalCar, LongitudinalConfig,
+use hcperf_taskgraph::{GraphError, LoadProfile, SimTime, TaskGraph};
+use hcperf_vehicle::{FollowConfig, LeadProfile, LongitudinalCar, LongitudinalConfig};
+
+use crate::car_following::{Following, ScenarioError, Sensed};
+use crate::closed_loop::{ratio, ClosedLoop, History, InitialRates, Period, Plant, Setup};
+use crate::metrics::TimeSeries;
+
+/// Coordinator tuning of the study (HCPerf runs only): the car-following
+/// PDC sensitivity, since speed errors here are a few tenths of m/s.
+const COORDINATOR: CoordinatorConfig = CoordinatorConfig {
+    pdc: PdcConfig {
+        error_scale: 0.1,
+        deadband: 0.02,
+        ..PdcConfig::DEFAULT
+    },
+    ..CoordinatorConfig::DEFAULT
 };
 
-use crate::car_following::ScenarioError;
-use crate::metrics::TimeSeries;
+/// Coordinator control period (s): the miss-ratio window and the
+/// speed-difference sampling interval.
+const CONTROL_PERIOD: f64 = 0.1;
 
 /// Configuration of the motivation study.
 #[derive(Debug, Clone)]
@@ -69,6 +84,22 @@ impl Default for MotivationConfig {
     }
 }
 
+impl MotivationConfig {
+    /// The § II task graph this study schedules: 10 % execution jitter, no
+    /// core affinity.
+    ///
+    /// # Errors
+    ///
+    /// Propagates a [`GraphError`] from graph construction.
+    pub fn graph(&self) -> Result<TaskGraph, GraphError> {
+        motivation_graph(&GraphOptions {
+            jitter_frac: 0.1,
+            with_affinity: false,
+            processors: self.processors,
+        })
+    }
+}
+
 /// Outcome of the motivation study.
 #[derive(Debug, Clone, serde::Serialize, serde::Deserialize)]
 pub struct MotivationResult {
@@ -90,6 +121,68 @@ pub struct MotivationResult {
     pub miss_ratio_after_event: f64,
 }
 
+/// The motivation [`Plant`]: the car-following pair with exact sensing,
+/// and the Fig. 4 series.
+struct Motivation<'a> {
+    pair: Following<'a>,
+    result: MotivationResult,
+    /// `(speed difference, gap)` after the last step.
+    last: (f64, f64),
+    /// `(missed, total)` jobs: since the last per-second sample, before the
+    /// braking event and after it.
+    window: (u64, u64),
+    before: (u64, u64),
+    after: (u64, u64),
+    next_second: f64,
+}
+
+impl Plant for Motivation<'_> {
+    type Row = Sensed;
+
+    fn sense(&mut self, t: f64) -> Sensed {
+        self.pair.sense(t)
+    }
+
+    fn command(&mut self, cmd: &ControlCommand, history: &History<Sensed>, dt_cmd: f64) {
+        self.pair.command(cmd, history, dt_cmd);
+    }
+
+    fn step(&mut self, t: f64, overdue: Option<f64>) -> f64 {
+        let (lead_speed, gap) = self.pair.step(t, overdue);
+        if gap <= 0.0 && self.result.collision_time.is_none() {
+            self.result.collision_time = Some(t);
+        }
+        let speed_difference = lead_speed - self.pair.follower().speed();
+        self.last = (speed_difference, gap);
+        speed_difference
+    }
+
+    fn record(&mut self, t: f64, period: Option<&Period<'_>>) {
+        if let Some(period) = period {
+            let (speed_difference, gap) = self.last;
+            self.result.speed_difference.push(t, speed_difference);
+            self.result.gap.push(t, gap.max(0.0));
+            let missed = period.window.missed_late + period.window.expired;
+            let total = period.window.total();
+            let bucket = if t < 5.0 {
+                &mut self.before
+            } else {
+                &mut self.after
+            };
+            bucket.0 += missed;
+            bucket.1 += total;
+            self.window.0 += missed;
+            self.window.1 += total;
+        }
+        if t >= self.next_second {
+            let sample = (self.next_second, ratio(self.window));
+            self.result.miss_ratio_per_sec.push(sample);
+            self.window = (0, 0);
+            self.next_second += 1.0;
+        }
+    }
+}
+
 /// Runs the motivation scenario.
 ///
 /// # Errors
@@ -108,144 +201,59 @@ pub struct MotivationResult {
 /// # Ok::<(), Box<dyn std::error::Error>>(())
 /// ```
 pub fn run_motivation(config: &MotivationConfig) -> Result<MotivationResult, ScenarioError> {
-    let graph = motivation_graph(&GraphOptions {
-        jitter_frac: 0.1,
-        with_affinity: false,
-        processors: config.processors,
-    })?;
-    let scheduler = config.scheme.build(DpsConfig::default());
-    let mut coordinator = if config.scheme.uses_coordinators() {
-        let mut cc = CoordinatorConfig::default();
-        cc.pdc.error_scale = 0.1;
-        cc.pdc.deadband = 0.02;
-        Some(HcPerf::new(cc, &graph).map_err(ScenarioError::from)?)
-    } else {
-        None
-    };
-    let mut sim = Sim::new(
-        graph,
-        SimConfig {
-            processors: config.processors,
-            seed: config.seed,
-            load: config.load.clone(),
-            staleness_bound: Some(hcperf_taskgraph::SimSpan::from_millis(60.0)),
-            join_policy: hcperf_rtsim::JoinPolicy::SameCycle,
-            expire_queued_jobs: false,
-            release_jitter_frac: 0.15,
-            ..Default::default()
-        },
-        scheduler,
-    )?;
-    let fusion = sim.graph().find("sensor_fusion").expect("fusion exists");
-    let sources: Vec<TaskId> = sim.source_rates().iter().map(|&(t, _)| t).collect();
-    for task in sources {
-        sim.set_source_rate(task, Rate::from_hz(config.source_rate_hz))?;
-    }
-
-    let lead = LeadProfile::motivation_red_light();
-    let mut follower =
-        LongitudinalCar::with_state(LongitudinalConfig::default(), -config.initial_gap, 10.0);
-    let mut controller = CarFollowController::new(FollowConfig::default());
-    let mut lead_position = 0.0f64;
-    let mut held_accel = 0.0f64;
-    let mut last_cmd_t = 0.0f64;
-    // Sensing history for delayed command computation.
-    let mut history: Vec<(f64, f64, f64, f64)> = Vec::new();
-
-    let mut result = MotivationResult {
+    let setup = Setup {
         scheme: config.scheme,
-        miss_ratio_per_sec: Vec::new(),
-        speed_difference: TimeSeries::new("speed_difference"),
-        gap: TimeSeries::new("gap"),
-        collision_time: None,
-        overall_miss_ratio: 0.0,
-        miss_ratio_before_event: 0.0,
-        miss_ratio_after_event: 0.0,
+        graph: config.graph()?,
+        dps: DpsConfig::default(),
+        coordinator: COORDINATOR,
+        processors: config.processors,
+        seed: config.seed,
+        load: config.load.clone(),
+        staleness_ms: 60.0,
+        release_jitter_frac: 0.15,
+        expire_queued_jobs: false,
+        rates: InitialRates::Fixed(config.source_rate_hz),
+        duration: config.duration,
+        physics_dt: config.physics_dt,
+        control_period: CONTROL_PERIOD,
+        command_timeout: config.command_timeout,
+        record_series: true,
+        faults: &VehicleFaults::default(),
     };
-    let mut window = (0u64, 0u64);
-    let mut before = (0u64, 0u64);
-    let mut after = (0u64, 0u64);
-    let mut next_second = 1.0f64;
-
-    let steps = (config.duration / config.physics_dt).round() as usize;
-    for step in 0..steps {
-        let t = step as f64 * config.physics_dt;
-        let lead_speed = lead.speed_at(t);
-        let gap = lead_position - follower.position();
-        history.push((t, lead_speed, follower.speed(), gap));
-
-        sim.run_until(SimTime::from_secs(t));
-        for cmd in sim.drain_commands() {
-            let sensed_t = cmd.chain_released_at.as_secs();
-            let idx = history.partition_point(|(ht, ..)| *ht <= sensed_t);
-            let (st, ls, os, g) = history[idx.saturating_sub(1)];
-            let eidx = history.partition_point(|(ht, ..)| *ht <= sensed_t - 0.1);
-            let (et, els, ..) = history[eidx.saturating_sub(1)];
-            let lead_accel = (ls - els) / (st - et).max(config.physics_dt);
-            let dt_cmd = (cmd.emitted_at.as_secs() - last_cmd_t).max(config.physics_dt);
-            held_accel = controller.command(ls, lead_accel, os, g, dt_cmd);
-            last_cmd_t = cmd.emitted_at.as_secs();
-        }
-        let effective_accel = if t - last_cmd_t <= config.command_timeout {
-            held_accel
-        } else {
-            0.0
-        };
-        follower.step(effective_accel, config.physics_dt);
-        lead_position +=
-            0.5 * (lead_speed + lead.speed_at(t + config.physics_dt)) * config.physics_dt;
-
-        if gap <= 0.0 && result.collision_time.is_none() {
-            result.collision_time = Some(t);
-        }
-        if step % 20 == 0 {
-            result
-                .speed_difference
-                .push(t, lead_speed - follower.speed());
-            result.gap.push(t, gap.max(0.0));
-            let w = sim.stats_mut().take_window();
-            window.0 += w.missed_late + w.expired;
-            window.1 += w.total();
-            let bucket = if t < 5.0 { &mut before } else { &mut after };
-            bucket.0 += w.missed_late + w.expired;
-            bucket.1 += w.total();
-            if let Some(coord) = coordinator.as_mut() {
-                let rates = sim.source_rates();
-                let decision = coord.on_period(PeriodInput {
-                    tracking_error: lead_speed - follower.speed(),
-                    miss_ratio: w.miss_ratio(),
-                    exec_signal: sim.observed_exec(fusion).as_secs(),
-                    current_rates: &rates,
-                });
-                sim.scheduler_mut().set_nominal_u(decision.nominal_u);
-                for (task, rate) in decision.new_rates {
-                    sim.set_source_rate(task, rate)?;
-                }
-            }
-        }
-        if t >= next_second {
-            let ratio = if window.1 > 0 {
-                window.0 as f64 / window.1 as f64
-            } else {
-                0.0
-            };
-            result.miss_ratio_per_sec.push((next_second, ratio));
-            window = (0, 0);
-            next_second += 1.0;
-        }
-    }
-    result.overall_miss_ratio = sim.stats().totals().miss_ratio();
-    result.miss_ratio_before_event = ratio_of(before);
-    result.miss_ratio_after_event = ratio_of(after);
-    Ok(result)
-}
-
-fn ratio_of((missed, total): (u64, u64)) -> f64 {
-    if total == 0 {
-        0.0
-    } else {
-        missed as f64 / total as f64
-    }
+    let lead = LeadProfile::motivation_red_light();
+    let plant = Motivation {
+        pair: Following::new(
+            &lead,
+            LongitudinalCar::with_state(LongitudinalConfig::default(), -config.initial_gap, 10.0),
+            FollowConfig::default(),
+            0.0,
+            config.seed,
+            config.physics_dt,
+        ),
+        result: MotivationResult {
+            scheme: config.scheme,
+            miss_ratio_per_sec: Vec::new(),
+            speed_difference: TimeSeries::new("speed_difference"),
+            gap: TimeSeries::new("gap"),
+            collision_time: None,
+            overall_miss_ratio: 0.0,
+            miss_ratio_before_event: 0.0,
+            miss_ratio_after_event: 0.0,
+        },
+        last: (0.0, 0.0),
+        window: (0, 0),
+        before: (0, 0),
+        after: (0, 0),
+        next_second: 1.0,
+    };
+    let done = ClosedLoop::new(setup, plant)?.run()?;
+    let p = done.plant;
+    Ok(MotivationResult {
+        overall_miss_ratio: done.overall_miss_ratio,
+        miss_ratio_before_event: ratio(p.before),
+        miss_ratio_after_event: ratio(p.after),
+        ..p.result
+    })
 }
 
 #[cfg(test)]
@@ -277,6 +285,22 @@ mod tests {
         let during = r.speed_difference.nearest(10.0).unwrap();
         assert!(early.abs() < 1.0, "steady state before event: {early}");
         assert!(during < early, "follower should lag braking: {during}");
+    }
+
+    #[test]
+    fn control_cadence_follows_the_control_period_at_any_step() {
+        let r = run_motivation(&MotivationConfig {
+            physics_dt: 0.01,
+            duration: 3.0,
+            ..MotivationConfig::default()
+        })
+        .unwrap();
+        let times: Vec<f64> = r.speed_difference.iter().map(|(t, _)| t).collect();
+        assert_eq!(times.len(), 30);
+        for pair in times.windows(2) {
+            let dt = pair[1] - pair[0];
+            assert!((dt - CONTROL_PERIOD).abs() < 1e-9, "samples {dt} s apart");
+        }
     }
 
     #[test]

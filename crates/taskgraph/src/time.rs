@@ -117,7 +117,8 @@ impl SimSpan {
 
     /// [`from_secs`](Self::from_secs) for constants: a non-finite `secs`
     /// fails the build instead of panicking at run time.
-    pub(crate) const fn from_secs_const(secs: f64) -> Self {
+    #[must_use]
+    pub const fn from_secs_const(secs: f64) -> Self {
         assert!(secs.is_finite(), "SimSpan must be finite");
         SimSpan(secs)
     }

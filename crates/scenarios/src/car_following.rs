@@ -23,8 +23,8 @@ use hcperf_vehicle::{
     NoisySensor,
 };
 
-use crate::closed_loop::{ClosedLoop, History, InitialRates, Period, Plant, Setup};
-use crate::metrics::{rms_of_sum, TimeSeries};
+use crate::closed_loop::{lookup, ClosedLoop, Finished, Plant};
+use crate::metrics::TimeSeries;
 
 /// Configuration of a car-following run.
 #[derive(Debug, Clone)]
@@ -158,7 +158,7 @@ impl CarFollowingConfig {
 
     /// The § VII-B3 hardware setup: 1:10 scaled cars, trapezoid lead
     /// (accelerate 5 s, hold 10 s, decelerate 5 s), measurement noise and
-    /// throttle lag, 20 s horizon.
+    /// throttle lag, 20 s horizon; the rest as in [`Self::paper_simulation`].
     #[must_use]
     pub fn hardware(scheme: Scheme) -> Self {
         let mut coordinator = CoordinatorConfig::default();
@@ -174,10 +174,7 @@ impl CarFollowingConfig {
         coordinator.rate.reset_threshold = 0.6;
         coordinator.rate.gain_decay = 0.9;
         CarFollowingConfig {
-            scheme,
             duration: 20.0,
-            physics_dt: 0.005,
-            control_period: 0.1,
             lead: LeadProfile::hardware_trapezoid(),
             vehicle: LongitudinalConfig::scaled_car(),
             follow: FollowConfig::scaled_car(),
@@ -191,7 +188,6 @@ impl CarFollowingConfig {
             seed: 11,
             // The Core-i3-3220 exposes four hardware threads.
             processors: 4,
-            baseline_rate_hz: 24.0,
             hcperf_initial_rate_fraction: 0.15,
             fusion_step: None,
             // Lab-scene variability: obstacle bursts every 5 s.
@@ -204,24 +200,15 @@ impl CarFollowingConfig {
                 SimTime::from_secs(19.0),
             ),
             jitter_frac: 0.15,
-            dps: DpsConfig::default(),
             coordinator,
             staleness_ms: 80.0,
-            release_jitter_frac: 0.15,
-            expire_queued_jobs: false,
-            command_timeout: 0.3,
-            record_series: true,
             warmup: 2.0,
-            faults: VehicleFaults::default(),
+            ..Self::paper_simulation(scheme)
         }
     }
 
-    /// The Fig. 11 task graph this run schedules, with the configured
-    /// sensor-fusion regime step applied.
-    ///
-    /// # Errors
-    ///
-    /// Propagates a [`GraphError`] from graph construction.
+    /// The Fig. 11 task graph this run schedules, with the fusion regime
+    /// step applied; errors come from graph construction.
     pub fn graph(&self) -> Result<TaskGraph, GraphError> {
         let graph = apollo_graph(&GraphOptions {
             jitter_frac: self.jitter_frac,
@@ -367,120 +354,46 @@ impl From<hcperf_control::MfcConfigError> for ScenarioError {
     }
 }
 
-/// One row of the sensing history (what the pipeline "saw" at an instant).
-#[derive(Debug, Clone, Copy)]
-pub(crate) struct Sensed {
-    lead_speed: f64,
-    own_speed: f64,
-    gap: f64,
-}
-
-/// The longitudinal pair both car-following studies drive: a lead on a
-/// speed profile and the follower under [`CarFollowController`], sensed
-/// through (optionally noisy) speed sensors.
-#[derive(Debug)]
-pub(crate) struct Following<'a> {
-    lead: &'a LeadProfile,
+/// The car-following [`Plant`]: a lead on its speed profile and the
+/// follower under [`CarFollowController`], sensed through (optionally
+/// noisy) speed sensors, recording the Table II/III metrics and the
+/// Fig. 13/15 series.
+pub(crate) struct CarFollowing<'a> {
+    config: &'a CarFollowingConfig,
     lead_position: f64,
     follower: LongitudinalCar,
     controller: CarFollowController,
     lead_sensor: NoisySensor,
     own_sensor: NoisySensor,
     held_accel: f64,
-    dt: f64,
-}
-
-impl<'a> Following<'a> {
-    /// The lead starts at position 0; `noise_std` is the speed sensors'
-    /// noise (0 = exact readings), seeded from `seed`.
-    pub(crate) fn new(
-        lead: &'a LeadProfile,
-        follower: LongitudinalCar,
-        follow: FollowConfig,
-        noise_std: f64,
-        seed: u64,
-        dt: f64,
-    ) -> Self {
-        Following {
-            lead,
-            lead_position: 0.0,
-            follower,
-            controller: CarFollowController::new(follow),
-            lead_sensor: NoisySensor::new(noise_std, seed ^ 0x1ead),
-            own_sensor: NoisySensor::new(noise_std, seed ^ 0x0e1f),
-            held_accel: 0.0,
-            dt,
-        }
-    }
-
-    pub(crate) fn follower(&self) -> &LongitudinalCar {
-        &self.follower
-    }
-
-    pub(crate) fn sense(&mut self, t: f64) -> Sensed {
-        Sensed {
-            lead_speed: self.lead_sensor.measure(self.lead.speed_at(t)),
-            own_speed: self.own_sensor.measure(self.follower.speed()),
-            gap: self.lead_position - self.follower.position(),
-        }
-    }
-
-    pub(crate) fn command(&mut self, cmd: &ControlCommand, history: &History<Sensed>, dt_cmd: f64) {
-        let sensed_t = cmd.chain_released_at.as_secs();
-        let (t, sensed) = history.lookup(sensed_t);
-        // Lead acceleration estimated by finite difference over the sensed
-        // history (what the prediction module would output).
-        let (t_earlier, earlier) = history.lookup(sensed_t - 0.1);
-        let dt_est = (t - t_earlier).max(self.dt);
-        let lead_accel = (sensed.lead_speed - earlier.lead_speed) / dt_est;
-        self.held_accel = self.controller.command(
-            sensed.lead_speed,
-            lead_accel,
-            sensed.own_speed,
-            sensed.gap,
-            dt_cmd,
-        );
-    }
-
-    /// Integrates one step; a stale command times out to coasting (the
-    /// chassis watchdog). Returns the true lead speed and gap at `t`,
-    /// before the step.
-    pub(crate) fn step(&mut self, t: f64, overdue: Option<f64>) -> (f64, f64) {
-        let lead_speed = self.lead.speed_at(t);
-        let gap = self.lead_position - self.follower.position();
-        let accel = if overdue.is_none() {
-            self.held_accel
-        } else {
-            0.0
-        };
-        self.follower.step(accel, self.dt);
-        self.lead_position += 0.5 * (lead_speed + self.lead.speed_at(t + self.dt)) * self.dt;
-        (lead_speed, gap)
-    }
-}
-
-/// The car-following [`Plant`]: [`Following`] plus the Table II/III
-/// metrics and the Fig. 13/15 series.
-struct CarFollowing<'a> {
-    config: &'a CarFollowingConfig,
-    pair: Following<'a>,
-    result: CarFollowingResult,
+    pub(crate) result: CarFollowingResult,
     sq_speed: f64,
     sq_dist: f64,
     rms_count: u64,
-    /// `(lead speed, gap, speed error, distance error)` of the last step.
-    last: (f64, f64, f64, f64),
 }
 
 impl Plant for CarFollowing<'_> {
-    type Row = Sensed;
+    /// Sensed lead speed, own speed and gap.
+    type Row = (f64, f64, f64);
 
-    fn sense(&mut self, t: f64) -> Sensed {
-        self.pair.sense(t)
+    fn sense(&mut self, t: f64) -> Self::Row {
+        let lead_speed = self.lead_sensor.measure(self.config.lead.speed_at(t));
+        let own_speed = self.own_sensor.measure(self.follower.speed());
+        let gap = self.lead_position - self.follower.position();
+        (lead_speed, own_speed, gap)
     }
 
-    fn command(&mut self, cmd: &ControlCommand, history: &History<Sensed>, dt_cmd: f64) {
-        self.pair.command(cmd, history, dt_cmd);
+    fn command(&mut self, cmd: &ControlCommand, history: &[(f64, Self::Row)], dt_cmd: f64) {
+        let sensed_t = cmd.chain_released_at.as_secs();
+        let (t, (lead_speed, own_speed, gap)) = lookup(history, sensed_t);
+        // Lead acceleration estimated by finite difference over the sensed
+        // history (what the prediction module would output).
+        let (t_earlier, (earlier_lead_speed, ..)) = lookup(history, sensed_t - 0.1);
+        let dt_est = (t - t_earlier).max(self.config.physics_dt);
+        let lead_accel = (lead_speed - earlier_lead_speed) / dt_est;
+        self.held_accel = self
+            .controller
+            .command(lead_speed, lead_accel, own_speed, gap, dt_cmd);
         if self.config.record_series {
             self.result
                 .response_times
@@ -488,13 +401,23 @@ impl Plant for CarFollowing<'_> {
         }
     }
 
-    fn step(&mut self, t: f64, overdue: Option<f64>) -> f64 {
-        let (lead_speed, gap) = self.pair.step(t, overdue);
-        let follower = self.pair.follower();
-        let speed_err = lead_speed - follower.speed();
-        let follow = &self.config.follow;
-        let dist_err = gap - (follow.headway * follower.speed() + follow.standstill_gap);
-        if t >= self.config.warmup {
+    fn step(&mut self, t: f64, overdue: Option<f64>, sample: bool) -> f64 {
+        let (c, dt) = (self.config, self.config.physics_dt);
+        let lead_speed = c.lead.speed_at(t);
+        let gap = self.lead_position - self.follower.position();
+        // A stale command times out to coasting (the chassis watchdog).
+        let accel = if overdue.is_none() {
+            self.held_accel
+        } else {
+            0.0
+        };
+        self.follower.step(accel, dt);
+        self.lead_position += 0.5 * (lead_speed + c.lead.speed_at(t + dt)) * dt;
+
+        let speed_err = lead_speed - self.follower.speed();
+        let target_gap = c.follow.headway * self.follower.speed() + c.follow.standstill_gap;
+        let dist_err = gap - target_gap;
+        if t >= c.warmup {
             self.sq_speed += speed_err * speed_err;
             self.sq_dist += dist_err * dist_err;
             self.rms_count += 1;
@@ -502,28 +425,92 @@ impl Plant for CarFollowing<'_> {
         if gap <= 0.0 && self.result.collision_time.is_none() {
             self.result.collision_time = Some(t);
         }
-        if self.config.record_series {
-            self.result.acceleration.push(t, follower.acceleration());
+        if c.record_series {
+            self.result
+                .acceleration
+                .push(t, self.follower.acceleration());
         }
-        self.last = (lead_speed, gap, speed_err, dist_err);
+        if sample {
+            let r = &mut self.result;
+            r.lead_speed.push(t, lead_speed);
+            r.follow_speed.push(t, self.follower.speed());
+            r.speed_error.push(t, speed_err);
+            r.gap.push(t, gap);
+            r.distance_error.push(t, dist_err);
+        }
         speed_err
     }
+}
 
-    fn record(&mut self, t: f64, period: Option<&Period<'_>>) {
-        let Some(period) = period.filter(|_| self.config.record_series) else {
-            return;
-        };
-        let (lead_speed, gap, speed_err, dist_err) = self.last;
-        let r = &mut self.result;
-        r.lead_speed.push(t, lead_speed);
-        r.follow_speed.push(t, self.pair.follower().speed());
-        r.speed_error.push(t, speed_err);
-        r.gap.push(t, gap);
-        r.distance_error.push(t, dist_err);
-        r.miss_ratio.push(t, period.miss_ratio);
-        r.gamma.push(t, period.gamma());
-        r.mean_source_rate.push(t, period.mean_source_rate());
+/// Runs `config`'s vehicle on `graph`. HCPerf starts each source at
+/// `hcperf_initial_rate_fraction` of its range, or at the baseline rate
+/// when `None`.
+pub(crate) fn drive<'a>(
+    config: &'a CarFollowingConfig,
+    graph: TaskGraph,
+    hcperf_initial_rate_fraction: Option<f64>,
+) -> Result<Finished<CarFollowing<'a>>, ScenarioError> {
+    let plant = CarFollowing {
+        config,
+        lead_position: 0.0,
+        follower: LongitudinalCar::with_state(
+            config.vehicle,
+            -config.initial_gap,
+            config.initial_speed,
+        ),
+        controller: CarFollowController::new(config.follow),
+        lead_sensor: NoisySensor::new(config.speed_noise_std, config.seed ^ 0x1ead),
+        own_sensor: NoisySensor::new(config.speed_noise_std, config.seed ^ 0x0e1f),
+        held_accel: 0.0,
+        result: CarFollowingResult {
+            scheme: config.scheme,
+            rms_speed_error: 0.0,
+            rms_distance_error: 0.0,
+            commands: 0,
+            mean_response_time_ms: 0.0,
+            mean_e2e_ms: 0.0,
+            response_p99_ms: 0.0,
+            e2e_p99_ms: 0.0,
+            overall_miss_ratio: 0.0,
+            final_miss_ratio: 0.0,
+            collision_time: None,
+            lead_speed: TimeSeries::new("lead_speed"),
+            follow_speed: TimeSeries::new("follow_speed"),
+            speed_error: TimeSeries::new("speed_error"),
+            gap: TimeSeries::new("gap"),
+            distance_error: TimeSeries::new("distance_error"),
+            miss_ratio: TimeSeries::new("miss_ratio"),
+            gamma: TimeSeries::new("gamma"),
+            acceleration: TimeSeries::new("acceleration"),
+            response_times: TimeSeries::new("response_ms"),
+            mean_source_rate: TimeSeries::new("mean_rate_hz"),
+        },
+        sq_speed: 0.0,
+        sq_dist: 0.0,
+        rms_count: 0,
+    };
+    ClosedLoop {
+        plant,
+        scheme: config.scheme,
+        graph,
+        dps: config.dps,
+        coordinator: config.coordinator,
+        processors: config.processors,
+        seed: config.seed,
+        load: config.load.clone(),
+        staleness_ms: config.staleness_ms,
+        release_jitter_frac: config.release_jitter_frac,
+        expire_queued_jobs: config.expire_queued_jobs,
+        baseline_rate_hz: config.baseline_rate_hz,
+        hcperf_initial_rate_fraction,
+        duration: config.duration,
+        physics_dt: config.physics_dt,
+        control_period: config.control_period,
+        command_timeout: config.command_timeout,
+        record_series: config.record_series,
+        faults: &config.faults,
     }
+    .run()
 }
 
 /// Runs a car-following scenario to completion.
@@ -561,71 +548,12 @@ pub fn run_car_following(config: &CarFollowingConfig) -> Result<CarFollowingResu
 pub fn run_car_following_with_telemetry(
     config: &CarFollowingConfig,
 ) -> Result<(CarFollowingResult, Option<DegradedTelemetry>), ScenarioError> {
-    let setup = Setup {
-        scheme: config.scheme,
-        graph: config.graph()?,
-        dps: config.dps,
-        coordinator: config.coordinator,
-        processors: config.processors,
-        seed: config.seed,
-        load: config.load.clone(),
-        staleness_ms: config.staleness_ms,
-        release_jitter_frac: config.release_jitter_frac,
-        expire_queued_jobs: config.expire_queued_jobs,
-        rates: InitialRates::PerScheme {
-            baseline_hz: config.baseline_rate_hz,
-            hcperf_fraction: config.hcperf_initial_rate_fraction,
-        },
-        duration: config.duration,
-        physics_dt: config.physics_dt,
-        control_period: config.control_period,
-        command_timeout: config.command_timeout,
-        record_series: config.record_series,
-        faults: &config.faults,
-    };
-    let plant = CarFollowing {
-        config,
-        pair: Following::new(
-            &config.lead,
-            LongitudinalCar::with_state(config.vehicle, -config.initial_gap, config.initial_speed),
-            config.follow,
-            config.speed_noise_std,
-            config.seed,
-            config.physics_dt,
-        ),
-        result: CarFollowingResult {
-            scheme: config.scheme,
-            rms_speed_error: 0.0,
-            rms_distance_error: 0.0,
-            commands: 0,
-            mean_response_time_ms: 0.0,
-            mean_e2e_ms: 0.0,
-            response_p99_ms: 0.0,
-            e2e_p99_ms: 0.0,
-            overall_miss_ratio: 0.0,
-            final_miss_ratio: 0.0,
-            collision_time: None,
-            lead_speed: TimeSeries::new("lead_speed"),
-            follow_speed: TimeSeries::new("follow_speed"),
-            speed_error: TimeSeries::new("speed_error"),
-            gap: TimeSeries::new("gap"),
-            distance_error: TimeSeries::new("distance_error"),
-            miss_ratio: TimeSeries::new("miss_ratio"),
-            gamma: TimeSeries::new("gamma"),
-            acceleration: TimeSeries::new("acceleration"),
-            response_times: TimeSeries::new("response_ms"),
-            mean_source_rate: TimeSeries::new("mean_rate_hz"),
-        },
-        sq_speed: 0.0,
-        sq_dist: 0.0,
-        rms_count: 0,
-        last: (0.0, 0.0, 0.0, 0.0),
-    };
-    let done = ClosedLoop::new(setup, plant)?.run()?;
+    let fraction = Some(config.hcperf_initial_rate_fraction);
+    let done = drive(config, config.graph()?, fraction)?;
     let p = done.plant;
     let result = CarFollowingResult {
-        rms_speed_error: rms_of_sum(p.sq_speed, p.rms_count),
-        rms_distance_error: rms_of_sum(p.sq_dist, p.rms_count),
+        rms_speed_error: (p.sq_speed / p.rms_count.max(1) as f64).sqrt(),
+        rms_distance_error: (p.sq_dist / p.rms_count.max(1) as f64).sqrt(),
         commands: done.commands,
         mean_response_time_ms: done.mean_response_time_ms,
         mean_e2e_ms: done.mean_e2e_ms,
@@ -633,6 +561,9 @@ pub fn run_car_following_with_telemetry(
         e2e_p99_ms: done.e2e_p99_ms,
         overall_miss_ratio: done.overall_miss_ratio,
         final_miss_ratio: done.final_miss_ratio,
+        miss_ratio: done.miss_ratio,
+        gamma: done.gamma,
+        mean_source_rate: done.mean_source_rate,
         ..p.result
     };
     Ok((result, done.telemetry))

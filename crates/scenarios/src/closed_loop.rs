@@ -1,108 +1,51 @@
-//! The closed loop every driving scenario runs (§ VII-B, Fig. 9).
-//!
-//! Each physics step:
-//!
-//! 1. **sense** — the [`Plant`] measures the vehicle and the row joins the
-//!    `(t, row)` sensing history;
-//! 2. **compute** — the task simulator runs to `t`, and every command its
-//!    pipeline emitted is turned into a held actuation from the row sensed
-//!    when the command's chain was *released* ([`History::lookup`]);
-//! 3. **actuate** — the plant integrates its physics under the held
-//!    actuation, with the chassis watchdog's timing supplied by the loop;
-//! 4. **coordinate** — once per control period the PDC/TRA coordinators
-//!    (HCPerf only) turn the tracking error and the window's miss ratio into
-//!    `u(t)` and new source rates (Eq. 13).
-//!
-//! [`ClosedLoop`] owns everything that does not depend on the vehicle: the
-//! simulator, scheduler and coordinator, the initial source rates, the
-//! history, the command clock, the control cadence, the injected
-//! [`VehicleFaults`] hooks and the end-of-run [`SimStats`] figures. A
-//! scenario contributes a [`Setup`] (from its config) and a small [`Plant`].
-//!
-//! [`SimStats`]: hcperf_rtsim::SimStats
+//! The closed loop every driving scenario runs (§ VII-B, Fig. 9): sense,
+//! compute commands from the data sensed at each chain's release, actuate
+//! under a chassis watchdog, and once per control period run the PDC/TRA
+//! coordinators (Eq. 2–8, 13). [`ClosedLoop`] owns all of it but the
+//! vehicle, which is its [`Plant`].
 
-use hcperf::{CoordinatorConfig, DpsConfig, HcPerf, PeriodInput, SchedulerKind, Scheme};
+use hcperf::{CoordinatorConfig, DpsConfig, HcPerf, PeriodInput, Scheme};
 use hcperf_faults::VehicleFaults;
-use hcperf_rtsim::{ControlCommand, JoinPolicy, Sim, SimConfig, WindowStats};
+use hcperf_rtsim::{ControlCommand, FaultCounters, JoinPolicy, Sim, SimConfig, WindowStats};
 use hcperf_taskgraph::{LoadProfile, Rate, SimSpan, SimTime, TaskGraph};
 
 use crate::car_following::{DegradedTelemetry, ScenarioError};
 use crate::metrics::TimeSeries;
 
-/// The vehicle side of a scenario: what it senses, how a command becomes
-/// an actuation, its physics and its metrics. Used only through
-/// [`ClosedLoop`]'s generic parameter (static dispatch).
+/// The vehicle: used only as [`ClosedLoop`]'s type parameter.
 pub(crate) trait Plant {
     /// What the pipeline sees of the vehicle at one instant.
     type Row: Copy;
 
-    /// Measures the vehicle at `t` (not called while an injected sensor
-    /// dropout holds the last row).
+    /// Measures the vehicle (not during a sensor dropout).
     fn sense(&mut self, t: f64) -> Self::Row;
 
-    /// Turns one pipeline command into the held actuation, computed from
-    /// the history as of `cmd.chain_released_at`. `dt_cmd` is the time
-    /// since the previous command (at least one physics step).
-    fn command(&mut self, cmd: &ControlCommand, history: &History<Self::Row>, dt_cmd: f64);
+    /// Turns a command into the held actuation, from the `(t, row)`
+    /// history as of its chain's release.
+    fn command(&mut self, cmd: &ControlCommand, history: &[(f64, Self::Row)], dt_cmd: f64);
 
-    /// Integrates one physics step at `t` and returns the tracking error
-    /// `E(k)` the coordinator regulates. `overdue` is `None` while the last
-    /// command is fresh, else how far (s) past the chassis watchdog's
-    /// timeout it is; the plant applies its own stale-command policy.
-    fn step(&mut self, t: f64, overdue: Option<f64>) -> f64;
-
-    /// Records metrics after step `t`; `period` is `Some` on control steps,
-    /// after the coordinators ran.
-    fn record(&mut self, t: f64, period: Option<&Period<'_>>);
+    /// Integrates one step under the held actuation, or its own stale
+    /// policy once `overdue` (s past the watchdog timeout); samples its
+    /// series if asked. Returns the tracking error `E(k)`.
+    fn step(&mut self, t: f64, overdue: Option<f64>, sample: bool) -> f64;
 }
 
-/// The `(t, row)` sensing history, in strictly increasing `t`.
-pub(crate) struct History<R> {
-    rows: Vec<(f64, R)>,
-}
-
-impl<R: Copy> History<R> {
-    fn with_capacity(rows: usize) -> Self {
-        History {
-            rows: Vec::with_capacity(rows),
-        }
-    }
-
-    /// Most recent row at or before `t`, with its time (the first row if
-    /// `t` precedes the history).
-    ///
-    /// # Panics
-    ///
-    /// Panics on an empty history; the loop senses before it drains.
-    pub(crate) fn lookup(&self, t: f64) -> (f64, R) {
-        match self.rows.binary_search_by(|(s, _)| s.total_cmp(&t)) {
-            Ok(i) => self.rows[i],
-            Err(0) => self.rows[0],
-            Err(i) => self.rows[i - 1],
-        }
+/// The latest `(t, row)` at or before `t` (the first if `t` precedes them
+/// all) in a history sorted by time. Panics on an empty history.
+pub(crate) fn lookup<R: Copy>(history: &[(f64, R)], t: f64) -> (f64, R) {
+    match history.binary_search_by(|(s, _)| s.total_cmp(&t)) {
+        Ok(i) => history[i],
+        Err(i) => history[i.saturating_sub(1)],
     }
 }
 
-/// How the sources start.
-#[derive(Debug, Clone, Copy)]
-pub(crate) enum InitialRates {
-    /// Baselines at `baseline_hz` clamped into each source's range; HCPerf
-    /// at `hcperf_fraction` of each range (then adapted by the TRA).
-    PerScheme {
-        baseline_hz: f64,
-        hcperf_fraction: f64,
-    },
-    /// Every source at this rate under every scheme.
-    Fixed(f64),
-}
-
-/// What [`ClosedLoop`] builds from, taken from a scenario config.
-#[derive(Debug)]
-pub(crate) struct Setup<'a> {
+/// One vehicle's closed loop: the plant and everything else.
+pub(crate) struct ClosedLoop<'a, P: Plant> {
+    pub plant: P,
     pub scheme: Scheme,
     pub graph: TaskGraph,
     pub dps: DpsConfig,
-    /// Coordinator tuning; its `period` is replaced by `control_period`.
+    /// Coordinator tuning; `period` is taken from `control_period`.
     pub coordinator: CoordinatorConfig,
     pub processors: usize,
     pub seed: u64,
@@ -110,280 +53,193 @@ pub(crate) struct Setup<'a> {
     pub staleness_ms: f64,
     pub release_jitter_frac: f64,
     pub expire_queued_jobs: bool,
-    pub rates: InitialRates,
+    /// Every source starts here, or under HCPerf at this fraction of its
+    /// range if set.
+    pub baseline_rate_hz: f64,
+    pub hcperf_initial_rate_fraction: Option<f64>,
     pub duration: f64,
     pub physics_dt: f64,
     pub control_period: f64,
-    /// Chassis watchdog: a command older than this is stale.
+    /// The chassis watchdog: a command older than this is stale.
     pub command_timeout: f64,
-    /// Whether the degraded-mode series is recorded (faulted runs only).
     pub record_series: bool,
     pub faults: &'a VehicleFaults,
 }
 
-/// A control step's view for [`Plant::record`].
-pub(crate) struct Period<'s> {
-    /// The window's raw job outcomes.
-    pub window: WindowStats,
-    /// `m(k)` as the TRA saw it (an injected corruption overrides it).
-    pub miss_ratio: f64,
-    sim: &'s Sim<SchedulerKind>,
-}
-
-impl Period<'_> {
-    /// HCPerf's γ after this period's coordination (zero for baselines).
-    pub(crate) fn gamma(&self) -> f64 {
-        self.sim.scheduler().gamma().unwrap_or(0.0)
-    }
-
-    /// Mean source rate (Hz) after this period's coordination.
-    pub(crate) fn mean_source_rate(&self) -> f64 {
-        let rates = self.sim.source_rates();
-        rates.iter().map(|(_, r)| r.as_hz()).sum::<f64>() / rates.len().max(1) as f64
-    }
-}
-
-/// A finished run: the plant (holding its metrics) and the loop's figures.
-#[derive(Debug)]
+/// A finished run: the plant and the loop's figures.
 pub(crate) struct Finished<P> {
     pub plant: P,
-    /// Control commands delivered.
     pub commands: u64,
     pub overall_miss_ratio: f64,
-    /// Miss ratio over the control periods of the final 10 % of the run.
+    /// Over the control periods in the final 10 % of the run.
     pub final_miss_ratio: f64,
     pub mean_response_time_ms: f64,
     pub mean_e2e_ms: f64,
     pub response_p99_ms: f64,
     pub e2e_p99_ms: f64,
-    /// `Some` exactly when the run had injected faults.
+    /// Per control period if recording series: `m(k)` as the TRA saw it,
+    /// γ (zero for baselines), the mean source rate and the job window.
+    pub miss_ratio: TimeSeries,
+    pub gamma: TimeSeries,
+    pub mean_source_rate: TimeSeries,
+    pub windows: Vec<(f64, WindowStats)>,
+    /// `Some` exactly when faults were injected.
     pub telemetry: Option<DegradedTelemetry>,
 }
 
-/// One vehicle's closed loop, generic over its [`Plant`].
-pub(crate) struct ClosedLoop<'a, P: Plant> {
-    plant: P,
-    sim: Sim<SchedulerKind>,
-    coordinator: Option<HcPerf>,
-    /// The coordinator's regime-change watchdog signal.
-    fusion: hcperf_taskgraph::TaskId,
-    history: History<P::Row>,
-    faults: &'a VehicleFaults,
-    steps: usize,
-    physics_dt: f64,
-    control_every: usize,
-    final_from: f64,
-    command_timeout: f64,
-    record_series: bool,
-}
-
-impl<'a, P: Plant> ClosedLoop<'a, P> {
-    /// Builds the simulator, scheduler and coordinator, injects the
-    /// simulator-level faults and sets the initial source rates.
-    ///
-    /// # Errors
-    ///
-    /// [`ScenarioError`] if the graph has no `sensor_fusion` task, or the
-    /// coordinator, simulator, a fault window or a rate is rejected.
-    pub(crate) fn new(setup: Setup<'a>, plant: P) -> Result<Self, ScenarioError> {
-        let fusion = setup
-            .graph
-            .find("sensor_fusion")
-            .ok_or(ScenarioError::MissingTask("sensor_fusion"))?;
-        let coordinator = if setup.scheme.uses_coordinators() {
-            let mut cc = setup.coordinator;
-            cc.period = SimSpan::from_secs(setup.control_period);
-            Some(HcPerf::new(cc, &setup.graph)?)
+impl<P: Plant> ClosedLoop<'_, P> {
+    /// Builds the simulator and coordinator and runs to the horizon.
+    /// Panics at an injected vehicle crash, which the harness isolates.
+    pub(crate) fn run(self) -> Result<Finished<P>, ScenarioError> {
+        let Some(fusion) = self.graph.find("sensor_fusion") else {
+            return Err(ScenarioError::MissingTask("sensor_fusion"));
+        };
+        let mut coordinator = if self.scheme.uses_coordinators() {
+            let mut cc = self.coordinator;
+            cc.period = SimSpan::from_secs(self.control_period);
+            Some(HcPerf::new(cc, &self.graph)?)
         } else {
             None
         };
         let sim_config = SimConfig {
-            processors: setup.processors,
-            seed: setup.seed,
-            load: setup.load,
-            staleness_bound: Some(SimSpan::from_millis(setup.staleness_ms)),
-            release_jitter_frac: setup.release_jitter_frac,
+            processors: self.processors,
+            seed: self.seed,
+            load: self.load,
+            staleness_bound: Some(SimSpan::from_millis(self.staleness_ms)),
+            release_jitter_frac: self.release_jitter_frac,
             join_policy: JoinPolicy::SameCycle,
-            expire_queued_jobs: setup.expire_queued_jobs,
+            expire_queued_jobs: self.expire_queued_jobs,
             ..Default::default()
         };
-        let mut sim = Sim::new(setup.graph, sim_config, setup.scheme.build(setup.dps))?;
-        for window in &setup.faults.sim {
+        let mut sim = Sim::new(self.graph, sim_config, self.scheme.build(self.dps))?;
+        for window in &self.faults.sim {
             sim.inject_fault(*window)?;
         }
-        for (task, rate) in sim.source_rates() {
-            let range = sim.graph().spec(task).rate_range();
-            let applied = match (setup.rates, setup.scheme.uses_coordinators(), range) {
-                (InitialRates::Fixed(hz), ..) => Rate::from_hz(hz),
-                (
-                    InitialRates::PerScheme {
-                        hcperf_fraction, ..
-                    },
-                    true,
-                    Some(range),
-                ) => range.lerp(hcperf_fraction),
-                (InitialRates::PerScheme { baseline_hz, .. }, false, Some(range)) => {
-                    range.clamp(Rate::from_hz(baseline_hz))
-                }
-                (InitialRates::PerScheme { .. }, _, None) => rate,
+        let fraction = self
+            .hcperf_initial_rate_fraction
+            .filter(|_| coordinator.is_some());
+        for (task, _) in sim.source_rates() {
+            let Some(range) = sim.graph().spec(task).rate_range() else {
+                continue;
             };
-            sim.set_source_rate(task, applied)?;
+            let rate = fraction.map_or(Rate::from_hz(self.baseline_rate_hz), |f| range.lerp(f));
+            sim.set_source_rate(task, rate)?;
         }
-        Ok(ClosedLoop {
-            plant,
-            sim,
-            coordinator,
-            fusion,
-            history: History::with_capacity((setup.duration / setup.physics_dt) as usize + 2),
-            faults: setup.faults,
-            steps: (setup.duration / setup.physics_dt).round() as usize,
-            physics_dt: setup.physics_dt,
-            control_every: (setup.control_period / setup.physics_dt).round().max(1.0) as usize,
-            final_from: setup.duration * 0.9,
-            command_timeout: setup.command_timeout,
-            record_series: setup.record_series,
-        })
-    }
 
-    /// Runs the loop to the horizon.
-    ///
-    /// # Errors
-    ///
-    /// [`ScenarioError::Sim`] if the coordinator proposes a rate the
-    /// simulator rejects.
-    ///
-    /// # Panics
-    ///
-    /// Panics at an injected whole-vehicle crash, deterministically (the
-    /// harness isolates it and may retry under a new seed).
-    pub(crate) fn run(mut self) -> Result<Finished<P>, ScenarioError> {
-        let mut last_cmd_t = 0.0f64;
-        let mut commands = 0u64;
+        let dt = self.physics_dt;
+        let steps = (self.duration / dt).round() as usize;
+        let control_every = (self.control_period / dt).round().max(1.0) as usize;
+        let final_from = self.duration * 0.9;
+        let faults = self.faults;
+        let mut plant = self.plant;
+        let mut history = Vec::with_capacity((self.duration / dt) as usize + 2);
+        let (mut last_cmd_t, mut commands) = (0.0f64, 0u64);
         let mut final_window = (0u64, 0u64); // (missed, total)
-        let mut pdc_hold_ticks = 0u64;
-        let mut tra_floor_ticks = 0u64;
-        let mut corrupted_feedback_ticks = 0u64;
-        let mut degraded_mode = TimeSeries::new("degraded_mode");
+        let mut miss_ratios = TimeSeries::new("miss_ratio");
+        let mut gammas = TimeSeries::new("gamma");
+        let mut mean_rates = TimeSeries::new("mean_rate_hz");
+        let mut windows = Vec::new();
+        let mut degraded = DegradedTelemetry {
+            pdc_hold_ticks: 0,
+            tra_floor_ticks: 0,
+            corrupted_feedback_ticks: 0,
+            fault: FaultCounters::default(),
+            mode: TimeSeries::new("degraded_mode"),
+        };
 
-        for step in 0..self.steps {
-            let t = step as f64 * self.physics_dt;
-            if self.faults.crash_at.is_some_and(|tc| t >= tc) {
+        for step in 0..steps {
+            let t = step as f64 * dt;
+            if faults.crash_at.is_some_and(|tc| t >= tc) {
                 panic!("injected vehicle crash at t={t:.3}s");
             }
+            // Under an injected sensor dropout the last row is re-stamped,
+            // not re-measured (a bounded-staleness hold): every command
+            // computed from this window actuates on stale data.
+            let held = faults
+                .sensor_dropped_at(t)
+                .then(|| history.last().map(|&(_, row)| row))
+                .flatten();
+            degraded.pdc_hold_ticks += u64::from(held.is_some());
+            history.push((t, held.unwrap_or_else(|| plant.sense(t))));
 
-            // Sense. Under an injected sensor dropout the last row is
-            // re-stamped rather than re-measured (a bounded-staleness hold),
-            // so every command computed from this window actuates on stale
-            // data.
-            let held = if self.faults.sensor_dropped_at(t) {
-                self.history.rows.last().map(|&(_, row)| row)
-            } else {
-                None
-            };
-            let pdc_hold = held.is_some();
-            let row = if let Some(row) = held {
-                pdc_hold_ticks += 1;
-                row
-            } else {
-                self.plant.sense(t)
-            };
-            self.history.rows.push((t, row));
-
-            // Compute: advance the pipeline; each command actuates now but
-            // was computed from data sensed at its chain's source release.
-            self.sim.run_until(SimTime::from_secs(t));
-            for cmd in self.sim.drain_commands() {
-                let dt_cmd = (cmd.emitted_at.as_secs() - last_cmd_t).max(self.physics_dt);
-                self.plant.command(&cmd, &self.history, dt_cmd);
+            sim.run_until(SimTime::from_secs(t));
+            for cmd in sim.drain_commands() {
+                let dt_cmd = (cmd.emitted_at.as_secs() - last_cmd_t).max(dt);
+                plant.command(&cmd, &history, dt_cmd);
                 last_cmd_t = cmd.emitted_at.as_secs();
                 commands += 1;
             }
-
-            // Actuate under the chassis watchdog.
             let since_cmd = t - last_cmd_t;
-            let overdue = if since_cmd <= self.command_timeout {
-                None
-            } else {
-                Some(since_cmd - self.command_timeout)
-            };
-            let tracking_error = self.plant.step(t, overdue);
-
-            if step % self.control_every != 0 {
-                self.plant.record(t, None);
+            let overdue =
+                (since_cmd > self.command_timeout).then_some(since_cmd - self.command_timeout);
+            let control = step % control_every == 0;
+            let tracking_error = plant.step(t, overdue, control && self.record_series);
+            if !control {
                 continue;
             }
-            // Coordinate, once per control period.
-            let window = self.sim.stats_mut().take_window();
+
+            let window = sim.stats_mut().take_window();
             let mut miss_ratio = window.miss_ratio();
-            if t >= self.final_from {
+            if t >= final_from {
                 final_window.0 += window.missed_late + window.expired;
                 final_window.1 += window.total();
             }
             // Injected telemetry corruption: the TRA sees the forced miss
-            // ratio instead of the measured one for this period.
-            if let Some(forced) = self.faults.corrupted_feedback_at(t) {
+            // ratio instead of the measured one.
+            if let Some(forced) = faults.corrupted_feedback_at(t) {
                 miss_ratio = forced;
-                corrupted_feedback_ticks += 1;
+                degraded.corrupted_feedback_ticks += 1;
             }
             let mut tra_floor = false;
-            if let Some(coord) = self.coordinator.as_mut() {
-                let rates = self.sim.source_rates();
+            if let Some(coord) = coordinator.as_mut() {
+                let rates = sim.source_rates();
                 let decision = coord.on_period(PeriodInput {
                     tracking_error,
                     miss_ratio,
-                    exec_signal: self.sim.observed_exec(self.fusion).as_secs(),
+                    exec_signal: sim.observed_exec(fusion).as_secs(),
                     current_rates: &rates,
                 });
-                self.sim.scheduler_mut().set_nominal_u(decision.nominal_u);
+                sim.scheduler_mut().set_nominal_u(decision.nominal_u);
                 for (task, rate) in decision.new_rates {
-                    self.sim.set_source_rate(task, rate)?;
+                    sim.set_source_rate(task, rate)?;
                 }
                 tra_floor = decision.tra_degraded;
-                if tra_floor {
-                    tra_floor_ticks += 1;
-                }
+                degraded.tra_floor_ticks += u64::from(tra_floor);
             }
-            if self.record_series && !self.faults.is_empty() {
-                let mode = f64::from(u8::from(pdc_hold) | (u8::from(tra_floor) << 1));
-                degraded_mode.push(t, mode);
+            if !self.record_series {
+                continue;
             }
-            let period = Period {
-                window,
-                miss_ratio,
-                sim: &self.sim,
-            };
-            self.plant.record(t, Some(&period));
+            if !faults.is_empty() {
+                let mode = u8::from(held.is_some()) | (u8::from(tra_floor) << 1);
+                degraded.mode.push(t, f64::from(mode));
+            }
+            let rates = sim.source_rates();
+            let mean_rate =
+                rates.iter().map(|(_, r)| r.as_hz()).sum::<f64>() / rates.len().max(1) as f64;
+            miss_ratios.push(t, miss_ratio);
+            gammas.push(t, sim.scheduler().gamma().unwrap_or(0.0));
+            mean_rates.push(t, mean_rate);
+            windows.push((t, window));
         }
 
-        let stats = self.sim.stats();
+        let stats = sim.stats();
         let millis = |span: Option<SimSpan>| span.map_or(0.0, SimSpan::as_millis);
-        let telemetry = (!self.faults.is_empty()).then(|| DegradedTelemetry {
-            pdc_hold_ticks,
-            tra_floor_ticks,
-            corrupted_feedback_ticks,
-            fault: self.sim.fault_counters(),
-            mode: degraded_mode,
-        });
+        degraded.fault = sim.fault_counters();
         Ok(Finished {
+            plant,
             commands,
             overall_miss_ratio: stats.totals().miss_ratio(),
-            final_miss_ratio: ratio(final_window),
+            final_miss_ratio: final_window.0 as f64 / final_window.1.max(1) as f64,
             mean_response_time_ms: millis(stats.mean_response_time()),
             mean_e2e_ms: millis(stats.mean_end_to_end()),
             response_p99_ms: millis(stats.response_time_percentile(0.99)),
             e2e_p99_ms: millis(stats.end_to_end_percentile(0.99)),
-            telemetry,
-            plant: self.plant,
+            miss_ratio: miss_ratios,
+            gamma: gammas,
+            mean_source_rate: mean_rates,
+            windows,
+            telemetry: (!faults.is_empty()).then_some(degraded),
         })
-    }
-}
-
-/// `missed / total`, zero for an empty count.
-pub(crate) fn ratio((missed, total): (u64, u64)) -> f64 {
-    if total == 0 {
-        0.0
-    } else {
-        missed as f64 / total as f64
     }
 }
 
@@ -392,27 +248,19 @@ mod tests {
     use super::*;
     use proptest::prelude::*;
 
-    fn history(times: &[f64]) -> History<usize> {
-        History {
-            rows: times.iter().copied().zip(0..).collect(),
-        }
-    }
-
     /// The motivation study's former lookup, kept as the oracle.
-    fn partition_lookup(history: &History<usize>, q: f64) -> (f64, usize) {
-        let idx = history.rows.partition_point(|&(t, _)| t <= q);
-        history.rows[idx.saturating_sub(1)]
+    fn partition_lookup(history: &[(f64, usize)], q: f64) -> (f64, usize) {
+        let idx = history.partition_point(|&(t, _)| t <= q);
+        history[idx.saturating_sub(1)]
     }
 
     #[test]
     fn lookup_finds_latest_at_or_before() {
-        let hist = History {
-            rows: vec![(0.0, 1.0), (1.0, 2.0), (2.0, 3.0)],
-        };
-        assert_eq!(hist.lookup(1.5).1, 2.0);
-        assert_eq!(hist.lookup(2.5).1, 3.0);
-        assert_eq!(hist.lookup(-1.0).1, 1.0);
-        assert_eq!(hist.lookup(1.0).1, 2.0);
+        let hist = [(0.0, 1.0), (1.0, 2.0), (2.0, 3.0)];
+        assert_eq!(lookup(&hist, 1.5).1, 2.0);
+        assert_eq!(lookup(&hist, 2.5).1, 3.0);
+        assert_eq!(lookup(&hist, -1.0).1, 1.0);
+        assert_eq!(lookup(&hist, 1.0).1, 2.0);
     }
 
     proptest! {
@@ -430,17 +278,18 @@ mod tests {
                     Some(now)
                 })
                 .collect();
-            let hist = history(&times);
-            let first = times[0];
-            let last = times[times.len() - 1];
-            let mut queries = vec![first - 1.0, first - 1e-9, last, last + 1e-9, last + 1.0];
+            let hist: Vec<(f64, usize)> = times.iter().copied().zip(0..).collect();
+            let (first, last) = (times[0], times[times.len() - 1]);
+            // Before the first row, on it, after the last, on every row and
+            // between every pair, then anywhere.
+            let mut queries = vec![first - 1.0, first - 1e-9, first, last, last + 1e-9, last + 1.0];
             for pair in times.windows(2) {
                 queries.push(pair[0]);
                 queries.push(0.5 * (pair[0] + pair[1]));
             }
             queries.extend(probes);
             for q in queries {
-                prop_assert_eq!(hist.lookup(q), partition_lookup(&hist, q));
+                prop_assert_eq!(lookup(&hist, q), partition_lookup(&hist, q));
             }
         }
     }

@@ -13,8 +13,8 @@ use hcperf_taskgraph::{GraphError, LoadProfile, SimTime, TaskGraph};
 use hcperf_vehicle::{BicycleCar, BicycleConfig, LaneKeepController, OvalTrack, Track};
 
 use crate::car_following::ScenarioError;
-use crate::closed_loop::{ClosedLoop, History, InitialRates, Period, Plant, Setup};
-use crate::metrics::{rms_of_sum, TimeSeries};
+use crate::closed_loop::{lookup, ClosedLoop, Plant};
+use crate::metrics::TimeSeries;
 
 /// Configuration of a lane-keeping run.
 #[derive(Debug, Clone)]
@@ -111,11 +111,7 @@ impl LaneKeepingConfig {
         }
     }
 
-    /// The Fig. 11 task graph this run schedules.
-    ///
-    /// # Errors
-    ///
-    /// Propagates a [`GraphError`] from graph construction.
+    /// The Fig. 11 task graph this run schedules; errors come from graph construction.
     pub fn graph(&self) -> Result<TaskGraph, GraphError> {
         apollo_graph(&GraphOptions {
             jitter_frac: self.jitter_frac,
@@ -153,14 +149,6 @@ pub struct LaneKeepingResult {
     pub gamma: TimeSeries,
 }
 
-/// One row of the sensing history: the Frenet state the pipeline saw.
-#[derive(Debug, Clone, Copy)]
-struct SensedFrenet {
-    lateral_offset: f64,
-    heading_error: f64,
-    curvature: f64,
-}
-
 /// The lane-keeping [`Plant`]: the bicycle model on the oval at a fixed
 /// speed, and the Table IV / Fig. 14 metrics.
 struct LaneKeeping<'a> {
@@ -173,26 +161,21 @@ struct LaneKeeping<'a> {
 }
 
 impl Plant for LaneKeeping<'_> {
-    type Row = SensedFrenet;
+    /// Sensed Frenet state: lateral offset, heading error, curvature.
+    type Row = (f64, f64, f64);
 
-    fn sense(&mut self, _t: f64) -> SensedFrenet {
-        SensedFrenet {
-            lateral_offset: self.car.lateral_offset(),
-            heading_error: self.car.heading_error(),
-            curvature: self.config.track.curvature(self.car.arc_position()),
-        }
+    fn sense(&mut self, _t: f64) -> Self::Row {
+        let car = &self.car;
+        let curvature = self.config.track.curvature(car.arc_position());
+        (car.lateral_offset(), car.heading_error(), curvature)
     }
 
-    fn command(&mut self, cmd: &ControlCommand, history: &History<SensedFrenet>, _dt_cmd: f64) {
-        let (_, sensed) = history.lookup(cmd.chain_released_at.as_secs());
-        self.held_steer = self.config.steer.steer(
-            sensed.lateral_offset,
-            sensed.heading_error,
-            sensed.curvature,
-        );
+    fn command(&mut self, cmd: &ControlCommand, history: &[(f64, Self::Row)], _dt_cmd: f64) {
+        let (_, (offset, heading, curvature)) = lookup(history, cmd.chain_released_at.as_secs());
+        self.held_steer = self.config.steer.steer(offset, heading, curvature);
     }
 
-    fn step(&mut self, t: f64, overdue: Option<f64>) -> f64 {
+    fn step(&mut self, t: f64, overdue: Option<f64>, sample: bool) -> f64 {
         // Stale steering eases back toward center (chassis watchdog).
         let steer = match overdue {
             None => self.held_steer,
@@ -206,18 +189,11 @@ impl Plant for LaneKeeping<'_> {
             self.count += 1;
             self.result.max_lateral_offset = self.result.max_lateral_offset.max(offset.abs());
         }
+        if sample {
+            self.result.lateral_offset.push(t, offset);
+            self.result.arc_position.push(t, self.car.arc_position());
+        }
         offset
-    }
-
-    fn record(&mut self, t: f64, period: Option<&Period<'_>>) {
-        let Some(period) = period else {
-            return;
-        };
-        let r = &mut self.result;
-        r.lateral_offset.push(t, self.car.lateral_offset());
-        r.arc_position.push(t, self.car.arc_position());
-        r.miss_ratio.push(t, period.miss_ratio);
-        r.gamma.push(t, period.gamma());
     }
 }
 
@@ -241,28 +217,6 @@ impl Plant for LaneKeeping<'_> {
 /// # Ok::<(), Box<dyn std::error::Error>>(())
 /// ```
 pub fn run_lane_keeping(config: &LaneKeepingConfig) -> Result<LaneKeepingResult, ScenarioError> {
-    let setup = Setup {
-        scheme: config.scheme,
-        graph: config.graph()?,
-        dps: config.dps,
-        coordinator: config.coordinator,
-        processors: config.processors,
-        seed: config.seed,
-        load: config.load.clone(),
-        staleness_ms: 60.0,
-        release_jitter_frac: 0.15,
-        expire_queued_jobs: false,
-        rates: InitialRates::PerScheme {
-            baseline_hz: config.baseline_rate_hz,
-            hcperf_fraction: config.hcperf_initial_rate_fraction,
-        },
-        duration: config.duration,
-        physics_dt: config.physics_dt,
-        control_period: config.control_period,
-        command_timeout: config.command_timeout,
-        record_series: true,
-        faults: &VehicleFaults::default(),
-    };
     let plant = LaneKeeping {
         config,
         car: BicycleCar::new(config.bicycle),
@@ -283,14 +237,37 @@ pub fn run_lane_keeping(config: &LaneKeepingConfig) -> Result<LaneKeepingResult,
             gamma: TimeSeries::new("gamma"),
         },
     };
-    let done = ClosedLoop::new(setup, plant)?.run()?;
+    let done = ClosedLoop {
+        plant,
+        scheme: config.scheme,
+        graph: config.graph()?,
+        dps: config.dps,
+        coordinator: config.coordinator,
+        processors: config.processors,
+        seed: config.seed,
+        load: config.load.clone(),
+        staleness_ms: 60.0,
+        release_jitter_frac: 0.15,
+        expire_queued_jobs: false,
+        baseline_rate_hz: config.baseline_rate_hz,
+        hcperf_initial_rate_fraction: Some(config.hcperf_initial_rate_fraction),
+        duration: config.duration,
+        physics_dt: config.physics_dt,
+        control_period: config.control_period,
+        command_timeout: config.command_timeout,
+        record_series: true,
+        faults: &VehicleFaults::default(),
+    }
+    .run()?;
     let p = done.plant;
     Ok(LaneKeepingResult {
-        rms_lateral_offset: rms_of_sum(p.sq, p.count),
+        rms_lateral_offset: (p.sq / p.count.max(1) as f64).sqrt(),
         commands: done.commands,
         overall_miss_ratio: done.overall_miss_ratio,
         mean_e2e_ms: done.mean_e2e_ms,
         e2e_p99_ms: done.e2e_p99_ms,
+        miss_ratio: done.miss_ratio,
+        gamma: done.gamma,
         ..p.result
     })
 }

@@ -14,6 +14,8 @@
 //! * [`traffic_jam`] — the § VII-C responsiveness/throughput study
 //!   (Fig. 16/17);
 //! * [`runner`] — run one scenario across all five schemes;
+//! * `closed_loop` (crate-private) — the one sense/compute/actuate/
+//!   coordinate loop the scenarios run, generic over their vehicle `Plant`;
 //! * [`metrics`] / [`report`] — RMS/series recording and paper-style
 //!   tables / CSV output.
 //!

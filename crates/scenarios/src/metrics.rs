@@ -193,16 +193,6 @@ pub fn rms(values: &[f64]) -> f64 {
     (values.iter().map(|v| v * v).sum::<f64>() / values.len() as f64).sqrt()
 }
 
-/// Root mean square of `count` samples whose squares sum to `sum_sq`
-/// (zero for no samples) — the running form the scenario loops accumulate.
-pub(crate) fn rms_of_sum(sum_sq: f64, count: u64) -> f64 {
-    if count > 0 {
-        (sum_sq / count as f64).sqrt()
-    } else {
-        0.0
-    }
-}
-
 /// Passenger-discomfort index over an acceleration series: the RMS *jerk*
 /// (derivative of acceleration), following the comfort standards the paper
 /// cites (de Winkel et al. — acceleration and jerk drive perceived

@@ -9,15 +9,12 @@
 //! become sluggish and the gap collapses to a collision (Fig. 4b, at
 //! `t ≈ 23.4 s` in the paper).
 
-use hcperf::{CoordinatorConfig, DpsConfig, PdcConfig, Scheme};
-use hcperf_faults::VehicleFaults;
-use hcperf_rtsim::ControlCommand;
+use hcperf::{CoordinatorConfig, PdcConfig, Scheme};
 use hcperf_taskgraph::graphs::{motivation_graph, GraphOptions};
 use hcperf_taskgraph::{GraphError, LoadProfile, SimTime, TaskGraph};
-use hcperf_vehicle::{FollowConfig, LeadProfile, LongitudinalCar, LongitudinalConfig};
+use hcperf_vehicle::{FollowConfig, LeadProfile};
 
-use crate::car_following::{Following, ScenarioError, Sensed};
-use crate::closed_loop::{ratio, ClosedLoop, History, InitialRates, Period, Plant, Setup};
+use crate::car_following::{drive, CarFollowingConfig, ScenarioError};
 use crate::metrics::TimeSeries;
 
 /// Coordinator tuning of the study (HCPerf runs only): the car-following
@@ -30,10 +27,6 @@ const COORDINATOR: CoordinatorConfig = CoordinatorConfig {
     },
     ..CoordinatorConfig::DEFAULT
 };
-
-/// Coordinator control period (s): the miss-ratio window and the
-/// speed-difference sampling interval.
-const CONTROL_PERIOD: f64 = 0.1;
 
 /// Configuration of the motivation study.
 #[derive(Debug, Clone)]
@@ -85,12 +78,8 @@ impl Default for MotivationConfig {
 }
 
 impl MotivationConfig {
-    /// The § II task graph this study schedules: 10 % execution jitter, no
-    /// core affinity.
-    ///
-    /// # Errors
-    ///
-    /// Propagates a [`GraphError`] from graph construction.
+    /// The § II task graph this study schedules (10 % jitter, no affinity);
+    /// errors come from graph construction.
     pub fn graph(&self) -> Result<TaskGraph, GraphError> {
         motivation_graph(&GraphOptions {
             jitter_frac: 0.1,
@@ -121,69 +110,8 @@ pub struct MotivationResult {
     pub miss_ratio_after_event: f64,
 }
 
-/// The motivation [`Plant`]: the car-following pair with exact sensing,
-/// and the Fig. 4 series.
-struct Motivation<'a> {
-    pair: Following<'a>,
-    result: MotivationResult,
-    /// `(speed difference, gap)` after the last step.
-    last: (f64, f64),
-    /// `(missed, total)` jobs: since the last per-second sample, before the
-    /// braking event and after it.
-    window: (u64, u64),
-    before: (u64, u64),
-    after: (u64, u64),
-    next_second: f64,
-}
-
-impl Plant for Motivation<'_> {
-    type Row = Sensed;
-
-    fn sense(&mut self, t: f64) -> Sensed {
-        self.pair.sense(t)
-    }
-
-    fn command(&mut self, cmd: &ControlCommand, history: &History<Sensed>, dt_cmd: f64) {
-        self.pair.command(cmd, history, dt_cmd);
-    }
-
-    fn step(&mut self, t: f64, overdue: Option<f64>) -> f64 {
-        let (lead_speed, gap) = self.pair.step(t, overdue);
-        if gap <= 0.0 && self.result.collision_time.is_none() {
-            self.result.collision_time = Some(t);
-        }
-        let speed_difference = lead_speed - self.pair.follower().speed();
-        self.last = (speed_difference, gap);
-        speed_difference
-    }
-
-    fn record(&mut self, t: f64, period: Option<&Period<'_>>) {
-        if let Some(period) = period {
-            let (speed_difference, gap) = self.last;
-            self.result.speed_difference.push(t, speed_difference);
-            self.result.gap.push(t, gap.max(0.0));
-            let missed = period.window.missed_late + period.window.expired;
-            let total = period.window.total();
-            let bucket = if t < 5.0 {
-                &mut self.before
-            } else {
-                &mut self.after
-            };
-            bucket.0 += missed;
-            bucket.1 += total;
-            self.window.0 += missed;
-            self.window.1 += total;
-        }
-        if t >= self.next_second {
-            let sample = (self.next_second, ratio(self.window));
-            self.result.miss_ratio_per_sec.push(sample);
-            self.window = (0, 0);
-            self.next_second += 1.0;
-        }
-    }
-}
-
-/// Runs the motivation scenario.
+/// Runs the motivation scenario: car following behind the red-light lead,
+/// scheduled on the § II graph, every source at the fixed rate.
 ///
 /// # Errors
 ///
@@ -201,59 +129,63 @@ impl Plant for Motivation<'_> {
 /// # Ok::<(), Box<dyn std::error::Error>>(())
 /// ```
 pub fn run_motivation(config: &MotivationConfig) -> Result<MotivationResult, ScenarioError> {
-    let setup = Setup {
-        scheme: config.scheme,
-        graph: config.graph()?,
-        dps: DpsConfig::default(),
-        coordinator: COORDINATOR,
-        processors: config.processors,
-        seed: config.seed,
-        load: config.load.clone(),
-        staleness_ms: 60.0,
-        release_jitter_frac: 0.15,
-        expire_queued_jobs: false,
-        rates: InitialRates::Fixed(config.source_rate_hz),
+    // Exact sensing, the default longitudinal model and DPS, and series
+    // on, as in the § VII-B1 simulation preset.
+    let following = CarFollowingConfig {
         duration: config.duration,
         physics_dt: config.physics_dt,
-        control_period: CONTROL_PERIOD,
+        control_period: 0.1,
+        lead: LeadProfile::motivation_red_light(),
+        follow: FollowConfig::default(),
+        initial_gap: config.initial_gap,
+        initial_speed: 10.0,
+        seed: config.seed,
+        processors: config.processors,
+        baseline_rate_hz: config.source_rate_hz,
+        load: config.load.clone(),
+        coordinator: COORDINATOR,
         command_timeout: config.command_timeout,
-        record_series: true,
-        faults: &VehicleFaults::default(),
+        ..CarFollowingConfig::paper_simulation(config.scheme)
     };
-    let lead = LeadProfile::motivation_red_light();
-    let plant = Motivation {
-        pair: Following::new(
-            &lead,
-            LongitudinalCar::with_state(LongitudinalConfig::default(), -config.initial_gap, 10.0),
-            FollowConfig::default(),
-            0.0,
-            config.seed,
-            config.physics_dt,
-        ),
-        result: MotivationResult {
-            scheme: config.scheme,
-            miss_ratio_per_sec: Vec::new(),
-            speed_difference: TimeSeries::new("speed_difference"),
-            gap: TimeSeries::new("gap"),
-            collision_time: None,
-            overall_miss_ratio: 0.0,
-            miss_ratio_before_event: 0.0,
-            miss_ratio_after_event: 0.0,
-        },
-        last: (0.0, 0.0),
-        window: (0, 0),
-        before: (0, 0),
-        after: (0, 0),
-        next_second: 1.0,
-    };
-    let done = ClosedLoop::new(setup, plant)?.run()?;
-    let p = done.plant;
-    Ok(MotivationResult {
+    let done = drive(&following, config.graph()?, None)?;
+    let run = done.plant.result;
+    let mut result = MotivationResult {
+        scheme: config.scheme,
+        miss_ratio_per_sec: Vec::new(),
+        speed_difference: TimeSeries::new("speed_difference"),
+        gap: TimeSeries::new("gap"),
+        collision_time: run.collision_time,
         overall_miss_ratio: done.overall_miss_ratio,
-        miss_ratio_before_event: ratio(p.before),
-        miss_ratio_after_event: ratio(p.after),
-        ..p.result
-    })
+        miss_ratio_before_event: 0.0,
+        miss_ratio_after_event: 0.0,
+    };
+    for ((t, speed_error), (_, gap)) in run.speed_error.iter().zip(run.gap.iter()) {
+        result.speed_difference.push(t, speed_error);
+        result.gap.push(t, gap.max(0.0));
+    }
+    // `(missed, total)` jobs since the last per-second sample, and before
+    // and after the braking event; each second closes on the control
+    // period at or after it.
+    let (mut second, mut before, mut after) = ((0, 0), (0, 0), (0, 0));
+    for &(t, w) in &done.windows {
+        let event = if t < 5.0 { &mut before } else { &mut after };
+        for counts in [event, &mut second] {
+            counts.0 += w.missed_late + w.expired;
+            counts.1 += w.total();
+        }
+        let next_second = (result.miss_ratio_per_sec.len() + 1) as f64;
+        if t >= next_second {
+            result.miss_ratio_per_sec.push((next_second, ratio(second)));
+            second = (0, 0);
+        }
+    }
+    result.miss_ratio_before_event = ratio(before);
+    result.miss_ratio_after_event = ratio(after);
+    Ok(result)
+}
+
+fn ratio((missed, total): (u64, u64)) -> f64 {
+    missed as f64 / total.max(1) as f64
 }
 
 #[cfg(test)]
@@ -299,7 +231,7 @@ mod tests {
         assert_eq!(times.len(), 30);
         for pair in times.windows(2) {
             let dt = pair[1] - pair[0];
-            assert!((dt - CONTROL_PERIOD).abs() < 1e-9, "samples {dt} s apart");
+            assert!((dt - 0.1).abs() < 1e-9, "samples {dt} s apart");
         }
     }
 

@@ -16,16 +16,77 @@ use crate::car_following::{
 };
 use crate::lane_keeping::{run_lane_keeping, LaneKeepingConfig, LaneKeepingResult};
 
-/// Collects a harness batch of `Result` payloads back into the
-/// scenario error model: a panicked job surfaces as
-/// [`ScenarioError::Job`], a failed one propagates its own error.
-fn collect_jobs<O>(
-    results: Vec<hcperf_harness::JobResult<Result<O, ScenarioError>>>,
-) -> Result<Vec<O>, ScenarioError> {
-    results
+/// One `(job key, scheme, seed)` cell of a comparison.
+type Cell = (String, Scheme, u64);
+
+/// Every scheme at `seed`.
+fn per_scheme(seed: u64) -> Vec<Cell> {
+    let key = |scheme| format!("scheme={scheme}");
+    Scheme::all()
         .into_iter()
-        .map(|r| r.into_ok().map_err(ScenarioError::Job)?)
+        .map(|s| (key(s), s, seed))
         .collect()
+}
+
+/// Every `(scheme, seed)` pair, scheme-major.
+fn per_scheme_and_seed(seeds: &[u64]) -> Vec<Cell> {
+    assert!(!seeds.is_empty(), "need at least one seed");
+    let key = |scheme, seed| format!("scheme={scheme}/seed={seed}");
+    Scheme::all()
+        .into_iter()
+        .flat_map(|s| seeds.iter().map(move |&seed| (key(s, seed), s, seed)))
+        .collect()
+}
+
+/// Runs every cell in order: in this thread when `workers` is `None`,
+/// else over a [`hcperf_harness`] pool (`Some(0)` = host parallelism),
+/// where a panicked cell surfaces as [`ScenarioError::Job`]. Results
+/// come back in cell order either way.
+fn run_cells<O: Send>(
+    cells: Vec<Cell>,
+    workers: Option<usize>,
+    run: impl Fn(Scheme, u64) -> Result<O, ScenarioError> + Sync,
+) -> Result<Vec<O>, ScenarioError> {
+    let Some(workers) = workers else {
+        return cells.into_iter().map(|(_, s, seed)| run(s, seed)).collect();
+    };
+    let jobs: Vec<Job<(Scheme, u64)>> = cells
+        .into_iter()
+        .map(|(key, s, seed)| Job::with_seed(key, (s, seed), seed))
+        .collect();
+    run_batch(
+        &jobs,
+        BatchOptions::with_workers(workers),
+        |&(s, seed), _| run(s, seed),
+    )
+    .map_err(|e| ScenarioError::Job(e.to_string()))?
+    .into_iter()
+    .map(|r| r.into_ok().map_err(ScenarioError::Job)?)
+    .collect()
+}
+
+fn car_following(
+    base: &CarFollowingConfig,
+) -> impl Fn(Scheme, u64) -> Result<CarFollowingResult, ScenarioError> + Sync + '_ {
+    move |scheme, seed| {
+        run_car_following(&CarFollowingConfig {
+            scheme,
+            seed,
+            ..base.clone()
+        })
+    }
+}
+
+fn lane_keeping(
+    base: &LaneKeepingConfig,
+) -> impl Fn(Scheme, u64) -> Result<LaneKeepingResult, ScenarioError> + Sync + '_ {
+    move |scheme, seed| {
+        run_lane_keeping(&LaneKeepingConfig {
+            scheme,
+            seed,
+            ..base.clone()
+        })
+    }
 }
 
 /// Runs the car-following scenario for every scheme, keeping all other
@@ -37,14 +98,7 @@ fn collect_jobs<O>(
 pub fn compare_car_following(
     base: &CarFollowingConfig,
 ) -> Result<Vec<CarFollowingResult>, ScenarioError> {
-    Scheme::all()
-        .into_iter()
-        .map(|scheme| {
-            let mut config = base.clone();
-            config.scheme = scheme;
-            run_car_following(&config)
-        })
-        .collect()
+    run_cells(per_scheme(base.seed), None, car_following(base))
 }
 
 /// Runs the lane-keeping scenario for every scheme.
@@ -55,14 +109,7 @@ pub fn compare_car_following(
 pub fn compare_lane_keeping(
     base: &LaneKeepingConfig,
 ) -> Result<Vec<LaneKeepingResult>, ScenarioError> {
-    Scheme::all()
-        .into_iter()
-        .map(|scheme| {
-            let mut config = base.clone();
-            config.scheme = scheme;
-            run_lane_keeping(&config)
-        })
-        .collect()
+    run_cells(per_scheme(base.seed), None, lane_keeping(base))
 }
 
 /// Mean and population standard deviation of per-seed samples.
@@ -111,6 +158,23 @@ pub struct SeededComparison {
     pub overall_miss_ratio: SeedStats,
 }
 
+/// Aggregates scheme-major `(scheme, seed)` cells, `seeds` per scheme.
+fn aggregate_seeds(cells: &[CarFollowingResult], seeds: usize) -> Vec<SeededComparison> {
+    let stats = |runs: &[CarFollowingResult], metric: fn(&CarFollowingResult) -> f64| {
+        SeedStats::from_samples(&runs.iter().map(metric).collect::<Vec<f64>>())
+    };
+    cells
+        .chunks(seeds)
+        .zip(Scheme::all())
+        .map(|(runs, scheme)| SeededComparison {
+            scheme,
+            rms_speed_error: stats(runs, |r| r.rms_speed_error),
+            rms_distance_error: stats(runs, |r| r.rms_distance_error),
+            overall_miss_ratio: stats(runs, |r| r.overall_miss_ratio),
+        })
+        .collect()
+}
+
 /// Runs the car-following scenario for every scheme over several seeds and
 /// aggregates the headline metrics — how the hardware tables (V/VI) are
 /// produced, since the scaled-car runs are noisy.
@@ -122,30 +186,8 @@ pub fn compare_car_following_seeded(
     base: &CarFollowingConfig,
     seeds: &[u64],
 ) -> Result<Vec<SeededComparison>, ScenarioError> {
-    assert!(!seeds.is_empty(), "need at least one seed");
-    Scheme::all()
-        .into_iter()
-        .map(|scheme| {
-            let mut speed = Vec::with_capacity(seeds.len());
-            let mut dist = Vec::with_capacity(seeds.len());
-            let mut miss = Vec::with_capacity(seeds.len());
-            for &seed in seeds {
-                let mut config = base.clone();
-                config.scheme = scheme;
-                config.seed = seed;
-                let r = run_car_following(&config)?;
-                speed.push(r.rms_speed_error);
-                dist.push(r.rms_distance_error);
-                miss.push(r.overall_miss_ratio);
-            }
-            Ok(SeededComparison {
-                scheme,
-                rms_speed_error: SeedStats::from_samples(&speed),
-                rms_distance_error: SeedStats::from_samples(&dist),
-                overall_miss_ratio: SeedStats::from_samples(&miss),
-            })
-        })
-        .collect()
+    let cells = run_cells(per_scheme_and_seed(seeds), None, car_following(base))?;
+    Ok(aggregate_seeds(&cells, seeds.len()))
 }
 
 /// [`compare_car_following`] with the five scheme cells fanned out over
@@ -160,17 +202,7 @@ pub fn compare_car_following_parallel(
     base: &CarFollowingConfig,
     workers: usize,
 ) -> Result<Vec<CarFollowingResult>, ScenarioError> {
-    let jobs: Vec<Job<Scheme>> = Scheme::all()
-        .into_iter()
-        .map(|scheme| Job::with_seed(format!("scheme={scheme}"), scheme, base.seed))
-        .collect();
-    let results = run_batch(&jobs, BatchOptions::with_workers(workers), |&scheme, _| {
-        let mut config = base.clone();
-        config.scheme = scheme;
-        run_car_following(&config)
-    })
-    .map_err(|e| ScenarioError::Job(e.to_string()))?;
-    collect_jobs(results)
+    run_cells(per_scheme(base.seed), Some(workers), car_following(base))
 }
 
 /// [`compare_lane_keeping`] with the five scheme cells fanned out over
@@ -185,17 +217,7 @@ pub fn compare_lane_keeping_parallel(
     base: &LaneKeepingConfig,
     workers: usize,
 ) -> Result<Vec<LaneKeepingResult>, ScenarioError> {
-    let jobs: Vec<Job<Scheme>> = Scheme::all()
-        .into_iter()
-        .map(|scheme| Job::with_seed(format!("scheme={scheme}"), scheme, base.seed))
-        .collect();
-    let results = run_batch(&jobs, BatchOptions::with_workers(workers), |&scheme, _| {
-        let mut config = base.clone();
-        config.scheme = scheme;
-        run_lane_keeping(&config)
-    })
-    .map_err(|e| ScenarioError::Job(e.to_string()))?;
-    collect_jobs(results)
+    run_cells(per_scheme(base.seed), Some(workers), lane_keeping(base))
 }
 
 /// [`compare_car_following_seeded`] with every `(scheme, seed)` cell —
@@ -220,41 +242,12 @@ pub fn compare_car_following_seeded_parallel(
     seeds: &[u64],
     workers: usize,
 ) -> Result<Vec<SeededComparison>, ScenarioError> {
-    assert!(!seeds.is_empty(), "need at least one seed");
-    let jobs: Vec<Job<(Scheme, u64)>> = Scheme::all()
-        .into_iter()
-        .flat_map(|scheme| seeds.iter().map(move |&seed| (scheme, seed)))
-        .map(|(scheme, seed)| {
-            Job::with_seed(format!("scheme={scheme}/seed={seed}"), (scheme, seed), seed)
-        })
-        .collect();
-    let results = run_batch(
-        &jobs,
-        BatchOptions::with_workers(workers),
-        |&(scheme, seed), _| {
-            let mut config = base.clone();
-            config.scheme = scheme;
-            config.seed = seed;
-            run_car_following(&config)
-        },
-    )
-    .map_err(|e| ScenarioError::Job(e.to_string()))?;
-    let cells = collect_jobs(results)?;
-    Ok(cells
-        .chunks(seeds.len())
-        .zip(Scheme::all())
-        .map(|(runs, scheme)| {
-            let speed: Vec<f64> = runs.iter().map(|r| r.rms_speed_error).collect();
-            let dist: Vec<f64> = runs.iter().map(|r| r.rms_distance_error).collect();
-            let miss: Vec<f64> = runs.iter().map(|r| r.overall_miss_ratio).collect();
-            SeededComparison {
-                scheme,
-                rms_speed_error: SeedStats::from_samples(&speed),
-                rms_distance_error: SeedStats::from_samples(&dist),
-                overall_miss_ratio: SeedStats::from_samples(&miss),
-            }
-        })
-        .collect())
+    let cells = run_cells(
+        per_scheme_and_seed(seeds),
+        Some(workers),
+        car_following(base),
+    )?;
+    Ok(aggregate_seeds(&cells, seeds.len()))
 }
 
 #[cfg(test)]

@@ -35,8 +35,7 @@ pub struct FnNode {
     pub body: Option<(usize, usize)>,
     /// True when declared via `// hcperf-lint: hot-path-root`.
     pub is_root: bool,
-    /// Sink name when declared via `// hcperf-lint: det-sink(<name>)`
-    /// (only set when the graph is built from [`crate::parse::parse_file_marked`]).
+    /// Sink name when declared via `// hcperf-lint: det-sink(<name>)`.
     pub sink: Option<String>,
     /// True when declared via `// hcperf-lint: det-sanitizer(<name>)`.
     pub sanitizer: bool,
@@ -238,10 +237,7 @@ mod tests {
     fn graph(files: &[(&str, &str)]) -> CallGraph {
         let parsed: Vec<ParsedFile> = files
             .iter()
-            .map(|(path, src)| {
-                let m = mask(src);
-                parse_file(path, &m.masked, &m.hot_path_roots)
-            })
+            .map(|(path, src)| parse_file(path, &mask(src)))
             .collect();
         CallGraph::build(&parsed)
     }

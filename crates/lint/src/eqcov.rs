@@ -19,10 +19,10 @@
 
 use std::collections::BTreeMap;
 use std::io;
-use std::path::Path;
 
-use crate::report::{exit, Finding, Rule};
-use crate::workspace::{load_sources, SourceFile, DETERMINISTIC_CRATES};
+use crate::report::{render_findings, Finding, ModeReport, Rule};
+use crate::source::is_ident_byte;
+use crate::workspace::{load_sources, SourceFile, Workspace};
 
 /// Equations the paper defines.
 pub const KNOWN: std::ops::RangeInclusive<u32> = 1..=14;
@@ -76,15 +76,48 @@ pub struct EqCovReport {
     pub files_scanned: usize,
 }
 
-impl EqCovReport {
-    /// The process exit code this report maps to.
+impl ModeReport for EqCovReport {
+    fn findings(&self) -> &[Finding] {
+        &self.findings
+    }
+
+    fn json(&self) -> String {
+        let rows: Vec<String> = self
+            .per_eq
+            .iter()
+            .map(|(eq, cov)| {
+                format!(
+                    "{{\"eq\":{eq},\"impl_sites\":{},\"test_sites\":{},\"ok\":{}}}",
+                    cov.impl_sites.len(),
+                    cov.test_sites.len(),
+                    cov.covered()
+                )
+            })
+            .collect();
+        format!(
+            "{{\"files_scanned\":{},\"equations\":[{}]}}",
+            self.files_scanned,
+            rows.join(",")
+        )
+    }
+
+    fn human(&self) -> String {
+        format!(
+            "{}hcperf-lint --eq-coverage: {}/{} tracked equations covered, {} files, {} findings\n",
+            render_findings(&self.findings),
+            self.per_eq.values().filter(|c| c.covered()).count(),
+            self.per_eq.len(),
+            self.files_scanned,
+            self.findings.len(),
+        )
+    }
+}
+
+impl EqCoverage {
+    /// True when the equation has both an implementation and a test tag.
     #[must_use]
-    pub fn exit_code(&self) -> i32 {
-        if self.findings.is_empty() {
-            exit::CLEAN
-        } else {
-            exit::FINDINGS
-        }
+    pub fn covered(&self) -> bool {
+        !self.impl_sites.is_empty() && !self.test_sites.is_empty()
     }
 }
 
@@ -134,10 +167,6 @@ pub fn harvest(src: &SourceFile, file_is_test: bool) -> Vec<EqSite> {
     sites
 }
 
-fn is_ident_byte(b: u8) -> bool {
-    b.is_ascii_alphanumeric() || b == b'_'
-}
-
 /// Parses the digits after `Eq.` (skipping spaces); returns the number and
 /// the offset just past it.
 fn parse_number(span: &str, from: usize) -> Option<(u32, usize)> {
@@ -164,14 +193,15 @@ fn parse_range_end(span: &str, from: usize) -> Option<u32> {
     parse_number(span, offset).map(|(n, _)| n)
 }
 
-/// Runs the coverage analysis over the workspace rooted at `root`.
+/// Runs the coverage analysis over the deterministic crates and their
+/// `tests/` trees.
 ///
 /// # Errors
 ///
-/// Propagates I/O failures from walking the source trees.
-pub fn run_eq_coverage(root: &Path) -> io::Result<EqCovReport> {
-    let impl_sources = load_sources(root, &DETERMINISTIC_CRATES, true)?;
-    let test_sources = load_sources(root, &TEST_ROOTS, false)?;
+/// Propagates I/O failures from walking the test trees.
+pub fn run_eq_coverage(ws: &Workspace) -> io::Result<EqCovReport> {
+    let impl_sources = &ws.core;
+    let test_sources = load_sources(&ws.root, &TEST_ROOTS, false)?;
 
     let mut per_eq: BTreeMap<u32, EqCoverage> = BTreeMap::new();
     let mut orphans: Vec<EqSite> = Vec::new();
@@ -259,14 +289,9 @@ fn eq_finding(eq: u32, site: Option<&EqSite>, message: String) -> Finding {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::source::mask;
 
     fn file(rel: &str, raw: &str) -> SourceFile {
-        SourceFile {
-            rel: rel.to_owned(),
-            raw: raw.to_owned(),
-            masked: mask(raw),
-        }
+        SourceFile::new(rel, raw)
     }
 
     #[test]

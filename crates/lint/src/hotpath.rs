@@ -21,13 +21,12 @@
 
 use std::collections::BTreeMap;
 use std::io;
-use std::path::Path;
 
-use crate::callgraph::CallGraph;
-use crate::parse::{parse_file, LineIndex, ParsedFile};
-use crate::report::{exit, Finding, Rule};
-use crate::source::Waiver;
-use crate::workspace::{load_sources, SourceFile, DETERMINISTIC_CRATES};
+use crate::parse::LineIndex;
+use crate::ratchet::{Key, Ratchet, HOT_PATH};
+use crate::report::{json_escape, render_findings, Artifact, Finding, ModeReport, Rule};
+use crate::source::{is_ident_byte, waiver_for, word_offsets};
+use crate::workspace::{SourceFile, Workspace};
 
 /// Workspace-relative path of the hot-path ratchet baseline.
 pub const BASELINE_PATH: &str = "crates/lint/hotpath_baseline.txt";
@@ -52,40 +51,6 @@ const PANIC_PATTERNS: [&str; 6] = [
     "unimplemented!",
 ];
 
-/// One `(rule, path)` row's comparison against the baseline.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct RuleDelta {
-    /// Rule name (`hot-path-alloc` / `hot-path-panic`).
-    pub rule: String,
-    /// Workspace-relative path.
-    pub path: String,
-    /// Baseline count (0 when the row is absent).
-    pub baseline: usize,
-    /// Measured count.
-    pub current: usize,
-}
-
-/// Outcome of the per-rule ratchet comparison.
-#[derive(Debug, Default)]
-pub struct RuleRatchet {
-    /// Rows whose count grew past the baseline (fails the run).
-    pub growth: Vec<RuleDelta>,
-    /// Rows whose count shrank (passes; refresh via `--update-baseline`).
-    pub shrink: Vec<RuleDelta>,
-    /// Sum of measured counts.
-    pub current_total: usize,
-    /// Sum of baseline counts.
-    pub baseline_total: usize,
-}
-
-impl RuleRatchet {
-    /// True when no row grew.
-    #[must_use]
-    pub fn ok(&self) -> bool {
-        self.growth.is_empty()
-    }
-}
-
 /// Result of the hot-path analysis.
 #[derive(Debug)]
 pub struct HotPathReport {
@@ -97,110 +62,72 @@ pub struct HotPathReport {
     pub findings: Vec<Finding>,
     /// Sites suppressed by `allow(hot-path-…)` waivers.
     pub waived: Vec<Finding>,
-    /// Unwaived site counts per `(rule, path)`.
-    pub counts: BTreeMap<(String, String), usize>,
+    /// Unwaived site counts per `[rule, path]`, in key order.
+    pub counts: Vec<(Key, usize)>,
     /// Ratchet comparison; `None` when regenerating the baseline.
-    pub ratchet: Option<RuleRatchet>,
+    pub ratchet: Option<Ratchet<usize>>,
     /// Number of `.rs` files parsed into the call graph.
     pub files_scanned: usize,
 }
 
-impl HotPathReport {
-    /// The process exit code this report maps to: growth is ratchet
-    /// failure, everything else is clean (sites within baseline pass).
-    #[must_use]
-    pub fn exit_code(&self) -> i32 {
-        if self.ratchet.as_ref().is_some_and(|r| !r.ok()) {
-            exit::RATCHET
-        } else {
-            exit::CLEAN
-        }
+impl ModeReport for HotPathReport {
+    fn findings(&self) -> &[Finding] {
+        &self.findings
     }
-}
 
-/// Parses the `rule<TAB>count<TAB>path` baseline format.
-///
-/// # Errors
-///
-/// Returns a message describing the first malformed row.
-pub fn parse_baseline(text: &str) -> Result<BTreeMap<(String, String), usize>, String> {
-    let mut map = BTreeMap::new();
-    for (idx, line) in text.lines().enumerate() {
-        let line = line.trim();
-        if line.is_empty() || line.starts_with('#') {
-            continue;
-        }
-        let mut parts = line.splitn(3, '\t');
-        let (Some(rule), Some(count), Some(path)) = (parts.next(), parts.next(), parts.next())
-        else {
-            return Err(format!(
-                "hotpath baseline line {}: expected `rule<TAB>count<TAB>path`",
-                idx + 1
-            ));
-        };
-        let count: usize = count
-            .trim()
-            .parse()
-            .map_err(|_| format!("hotpath baseline line {}: bad count `{count}`", idx + 1))?;
-        map.insert((rule.trim().to_owned(), path.trim().to_owned()), count);
+    fn waived(&self) -> &[Finding] {
+        &self.waived
     }
-    Ok(map)
-}
 
-/// Renders the baseline file from measured counts (zero rows omitted).
-#[must_use]
-pub fn render_baseline(counts: &BTreeMap<(String, String), usize>) -> String {
-    let mut out = String::from(
-        "# hcperf-lint hot-path ratchet baseline: allocation and panic-capable\n\
-         # sites in functions reachable from `hot-path-root` markers. Rows are\n\
-         # `rule<TAB>count<TAB>path` and may only shrink; regenerate with\n\
-         # `cargo run -p hcperf-lint -- --hot-path --update-baseline`.\n",
-    );
-    for ((rule, path), count) in counts {
-        if *count > 0 {
-            out.push_str(&format!("{rule}\t{count}\t{path}\n"));
-        }
+    fn grew(&self) -> bool {
+        self.ratchet.as_ref().is_some_and(Ratchet::grew)
     }
-    out
-}
 
-/// Compares measured counts against the baseline.
-#[must_use]
-pub fn compare(
-    counts: &BTreeMap<(String, String), usize>,
-    baseline: &BTreeMap<(String, String), usize>,
-) -> RuleRatchet {
-    let mut report = RuleRatchet::default();
-    for (key, &current) in counts {
-        let base = baseline.get(key).copied().unwrap_or(0);
-        report.current_total += current;
-        let delta = RuleDelta {
-            rule: key.0.clone(),
-            path: key.1.clone(),
-            baseline: base,
-            current,
-        };
-        if current > base {
-            report.growth.push(delta);
-        } else if current < base {
-            report.shrink.push(delta);
-        }
+    fn json(&self) -> String {
+        let roots: Vec<String> = self
+            .roots
+            .iter()
+            .map(|r| format!("\"{}\"", json_escape(r)))
+            .collect();
+        format!(
+            "{{\"roots\":[{}],\"reachable_fns\":{},\"files_scanned\":{},\"ratchet\":{}}}",
+            roots.join(","),
+            self.reachable.len(),
+            self.files_scanned,
+            self.ratchet
+                .as_ref()
+                .map_or_else(|| "null".to_owned(), Ratchet::json)
+        )
     }
-    for (key, &base) in baseline {
-        report.baseline_total += base;
-        if !counts.contains_key(key) && base > 0 {
-            report.shrink.push(RuleDelta {
-                rule: key.0.clone(),
-                path: key.1.clone(),
-                baseline: base,
-                current: 0,
-            });
-        }
+
+    fn human(&self) -> String {
+        format!(
+            "{}{}hcperf-lint --hot-path: {} roots, {} reachable fns, {} files, {} findings, {} waived\n",
+            render_findings(&self.findings),
+            self.ratchet.as_ref().map_or_else(String::new, Ratchet::human),
+            self.roots.len(),
+            self.reachable.len(),
+            self.files_scanned,
+            self.findings.len(),
+            self.waived.len(),
+        )
     }
-    report
-        .shrink
-        .sort_by(|a, b| (&a.path, &a.rule).cmp(&(&b.path, &b.rule)));
-    report
+
+    fn artifact(&self) -> Option<Artifact> {
+        let sites: usize = self.counts.iter().map(|(_, c)| c).sum();
+        Some(Artifact {
+            path: BASELINE_PATH,
+            text: HOT_PATH.render(&self.counts),
+            rewritten: format!(
+                "hcperf-lint: hot-path baseline rewritten ({sites} sites across {} (rule, file) rows; \
+                 {} fns reachable from {} roots)",
+                self.counts.iter().filter(|(_, c)| *c > 0).count(),
+                self.reachable.len(),
+                self.roots.len(),
+            ),
+            brief: format!("{sites} hot-path sites"),
+        })
+    }
 }
 
 /// One violation site before waiver/baseline classification.
@@ -211,41 +138,17 @@ struct Site {
     fn_name: String,
 }
 
-/// Byte offsets of word-boundary-respecting occurrences of `pat` inside
-/// the `body` byte range of `masked`. Shared by the purity/panic scan here
-/// and the blocking-surface scan in [`crate::wcet`].
-pub(crate) fn pattern_offsets(masked: &str, body: (usize, usize), pat: &str) -> Vec<usize> {
-    let slice = &masked[body.0..body.1];
-    let bytes = masked.as_bytes();
-    let mut out = Vec::new();
-    let mut from = 0;
-    while let Some(p) = slice[from..].find(pat).map(|p| from + p) {
-        from = p + pat.len();
-        let at = body.0 + p;
-        let first = pat.as_bytes()[0];
-        let left_ok = !is_ident_byte(first) || at == 0 || !is_ident_byte(bytes[at - 1]);
-        let last = pat.as_bytes()[pat.len() - 1];
-        let right_ok =
-            !is_ident_byte(last) || bytes.get(at + pat.len()).is_none_or(|&b| !is_ident_byte(b));
-        if left_ok && right_ok {
-            out.push(at);
-        }
-    }
-    out
-}
-
 /// Scans one function body (a byte range of masked text) for violation
 /// sites.
 fn scan_body(masked: &str, body: (usize, usize), lines: &LineIndex, fn_name: &str) -> Vec<Site> {
     let mut sites = Vec::new();
-    let slice = &masked[body.0..body.1];
     let bytes = masked.as_bytes();
     for (rule, patterns) in [
         (Rule::HotPathAlloc, &ALLOC_PATTERNS[..]),
         (Rule::HotPathPanic, &PANIC_PATTERNS[..]),
     ] {
         for pat in patterns {
-            for at in pattern_offsets(masked, body, pat) {
+            for at in word_offsets(masked, body, pat) {
                 sites.push(Site {
                     rule,
                     line: lines.line_of(at),
@@ -258,11 +161,7 @@ fn scan_body(masked: &str, body: (usize, usize), lines: &LineIndex, fn_name: &st
     // Slice indexing: `[` whose previous non-space byte ends an expression
     // (identifier, `)`, or `]`). `#[attr]`, `vec![…]`, `&[T]` types and
     // array literals all fail that test.
-    for (off, b) in slice.bytes().enumerate() {
-        if b != b'[' {
-            continue;
-        }
-        let at = body.0 + off;
+    for at in (body.0..body.1).filter(|&at| bytes[at] == b'[') {
         let prev = bytes[..at].iter().rev().find(|b| !b.is_ascii_whitespace());
         if prev.is_some_and(|&p| is_ident_byte(p) || p == b')' || p == b']') {
             sites.push(Site {
@@ -276,18 +175,7 @@ fn scan_body(masked: &str, body: (usize, usize), lines: &LineIndex, fn_name: &st
     sites
 }
 
-fn is_ident_byte(b: u8) -> bool {
-    b.is_ascii_alphanumeric() || b == b'_'
-}
-
-pub(crate) fn waiver_covers(waivers: &[Waiver], rule: Rule, line: usize) -> Option<String> {
-    waivers
-        .iter()
-        .find(|w| w.rule == Some(rule) && (w.line == line || w.line + 1 == line))
-        .map(|w| w.reason.clone())
-}
-
-/// Runs the hot-path analysis over the workspace rooted at `root`.
+/// Runs the hot-path analysis over the workspace's shared call graph.
 ///
 /// When `against_baseline` is true, per-`(rule, path)` counts are compared
 /// to [`BASELINE_PATH`] and growth produces findings with exact lines; a
@@ -295,20 +183,15 @@ pub(crate) fn waiver_covers(waivers: &[Waiver], rule: Rule, line: usize) -> Opti
 ///
 /// # Errors
 ///
-/// Propagates I/O failures and baseline-format problems.
-pub fn run_hot_path(root: &Path, against_baseline: bool) -> io::Result<HotPathReport> {
-    let sources = load_sources(root, &DETERMINISTIC_CRATES, true)?;
-    let parsed: Vec<ParsedFile> = crate::par::map(&sources, |s| {
-        parse_file(&s.rel, &s.masked.masked, &s.masked.hot_path_roots)
-    });
-    let graph = CallGraph::build(&parsed);
+/// Propagates baseline read and format problems.
+pub fn run_hot_path(ws: &Workspace, against_baseline: bool) -> io::Result<HotPathReport> {
+    let graph = ws.hot_graph();
     let reachable_idx = graph.reachable_from_roots();
-
-    let by_rel: BTreeMap<&str, &SourceFile> = sources.iter().map(|s| (s.rel.as_str(), s)).collect();
+    let by_rel: BTreeMap<&str, &SourceFile> = ws.core.iter().map(|s| (s.rel.as_str(), s)).collect();
     let mut line_indexes: BTreeMap<&str, LineIndex> = BTreeMap::new();
 
-    let mut counts: BTreeMap<(String, String), usize> = BTreeMap::new();
-    let mut all_sites: Vec<(String, Site)> = Vec::new();
+    let mut counts: BTreeMap<Key, usize> = BTreeMap::new();
+    let mut all_sites: Vec<(&SourceFile, Site)> = Vec::new();
     let mut waived = Vec::new();
     for &idx in &reachable_idx {
         let node = &graph.nodes[idx];
@@ -318,40 +201,29 @@ pub fn run_hot_path(root: &Path, against_baseline: bool) -> io::Result<HotPathRe
             .entry(src.rel.as_str())
             .or_insert_with(|| LineIndex::new(&src.masked.masked));
         for site in scan_body(&src.masked.masked, body, lines, &node.qualified()) {
-            match waiver_covers(&src.masked.waivers, site.rule, site.line) {
-                Some(reason) => waived.push(site_finding(&site, &node.path, src, Some(reason))),
+            match waiver_for(&src.masked.waivers, site.rule, site.line) {
+                Some(reason) => waived.push(site_finding(&site, src, Some(reason))),
                 None => {
                     *counts
-                        .entry((site.rule.name().to_owned(), node.path.clone()))
+                        .entry(vec![site.rule.name().to_owned(), node.path.clone()])
                         .or_insert(0) += 1;
-                    all_sites.push((node.path.clone(), site));
+                    all_sites.push((src, site));
                 }
             }
         }
     }
+    let counts: Vec<(Key, usize)> = counts.into_iter().collect();
 
     let mut findings = Vec::new();
     let mut ratchet = None;
     if against_baseline {
-        let path = root.join(BASELINE_PATH);
-        let text = std::fs::read_to_string(&path).map_err(|e| {
-            io::Error::new(
-                e.kind(),
-                format!(
-                    "cannot read hot-path baseline {}: {e}; bootstrap with --hot-path --update-baseline",
-                    path.display()
-                ),
-            )
-        })?;
-        let baseline =
-            parse_baseline(&text).map_err(|m| io::Error::new(io::ErrorKind::InvalidData, m))?;
-        let cmp = compare(&counts, &baseline);
+        let cmp = HOT_PATH.compare(&counts, &HOT_PATH.load(&ws.root)?);
         // Every unwaived site in a grown row becomes a finding: the exact
         // lines point the author at the sites, new and baselined alike.
         for g in &cmp.growth {
-            for (rel, site) in &all_sites {
-                if site.rule.name() == g.rule && rel == &g.path {
-                    findings.push(site_finding(site, rel, by_rel[rel.as_str()], None));
+            for (src, site) in &all_sites {
+                if g.key == [site.rule.name(), src.rel.as_str()] {
+                    findings.push(site_finding(site, src, None));
                 }
             }
         }
@@ -359,63 +231,49 @@ pub fn run_hot_path(root: &Path, against_baseline: bool) -> io::Result<HotPathRe
         ratchet = Some(cmp);
     }
 
-    let roots = graph
-        .roots()
-        .iter()
-        .map(|&i| graph.nodes[i].qualified())
-        .collect();
-    let reachable = reachable_idx
-        .iter()
-        .map(|&i| graph.nodes[i].qualified())
-        .collect();
+    let names = |idx: &[usize]| idx.iter().map(|&i| graph.nodes[i].qualified()).collect();
     Ok(HotPathReport {
-        roots,
-        reachable,
+        roots: names(&graph.roots()),
+        reachable: names(&reachable_idx),
         findings,
         waived,
         counts,
         ratchet,
-        files_scanned: sources.len(),
+        files_scanned: ws.core.len(),
     })
 }
 
-fn site_finding(site: &Site, rel: &str, src: &SourceFile, waived: Option<String>) -> Finding {
-    let snippet = src
-        .raw
-        .lines()
-        .nth(site.line - 1)
-        .map_or("", str::trim)
-        .to_owned();
+fn site_finding(site: &Site, src: &SourceFile, waived: Option<String>) -> Finding {
     let what = match site.rule {
         Rule::HotPathAlloc => "allocates",
         _ => "can panic",
     };
     Finding {
-        rule: site.rule,
-        path: rel.to_owned(),
-        line: site.line,
-        snippet,
-        message: format!(
-            "`{}` {} in hot-path-reachable fn `{}`; hot paths must stay pure — \
-             restructure, or waive with `hcperf-lint: allow({})` and a reason",
-            site.construct,
-            what,
-            site.fn_name,
-            site.rule.name(),
-        ),
         waived,
-        chain: Vec::new(),
+        ..src.finding(
+            site.rule,
+            site.line,
+            format!(
+                "`{}` {} in hot-path-reachable fn `{}`; hot paths must stay pure — \
+                 restructure, or waive with `hcperf-lint: allow({})` and a reason",
+                site.construct,
+                what,
+                site.fn_name,
+                site.rule.name(),
+            ),
+        )
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::parse::parse_file;
     use crate::source::mask;
 
     fn sites(src: &str) -> Vec<(Rule, usize, String)> {
         let m = mask(src);
-        let parsed = parse_file("t.rs", &m.masked, &m.hot_path_roots);
+        let parsed = parse_file("t.rs", &m);
         let lines = LineIndex::new(&m.masked);
         let mut out = Vec::new();
         for item in &parsed.fns {
@@ -494,31 +352,32 @@ fn f(xs: &[u32]) -> [u8; 4] {
 
     #[test]
     fn ruled_baseline_round_trips_and_compares() {
-        let mut counts = BTreeMap::new();
-        counts.insert(("hot-path-alloc".to_owned(), "a.rs".to_owned()), 3);
-        counts.insert(("hot-path-panic".to_owned(), "a.rs".to_owned()), 1);
-        let text = render_baseline(&counts);
-        let parsed = parse_baseline(&text).unwrap();
-        assert_eq!(parsed, counts);
+        use crate::ratchet::tests::{key, round_trip, rows};
+        let counts = rows(&[
+            (&["hot-path-alloc", "a.rs"], 3),
+            (&["hot-path-panic", "a.rs"], 1),
+        ]);
+        let parsed = round_trip(&HOT_PATH, &counts);
 
         let mut grown = counts.clone();
-        grown.insert(("hot-path-alloc".to_owned(), "a.rs".to_owned()), 4);
-        let cmp = compare(&grown, &counts);
-        assert!(!cmp.ok());
+        grown[0].1 = 4;
+        let cmp = HOT_PATH.compare(&grown, &parsed);
+        assert!(cmp.grew());
         assert_eq!(cmp.growth.len(), 1);
-        assert_eq!(cmp.growth[0].current, 4);
+        assert_eq!(cmp.growth[0].current, Some(4));
 
-        let mut shrunk = counts.clone();
-        shrunk.remove(&("hot-path-panic".to_owned(), "a.rs".to_owned()));
-        let cmp = compare(&shrunk, &counts);
-        assert!(cmp.ok());
+        let cmp = HOT_PATH.compare(&counts[..1], &parsed);
+        assert!(!cmp.grew());
         assert_eq!(cmp.shrink.len(), 1);
+        assert_eq!(cmp.shrink[0].key, key(&["hot-path-panic", "a.rs"]));
     }
 
     #[test]
     fn rejects_malformed_baseline() {
-        assert!(parse_baseline("nonsense").is_err());
-        assert!(parse_baseline("hot-path-alloc\tx\ta.rs").is_err());
-        assert!(parse_baseline("# c\nhot-path-alloc\t3\ta.rs\n").is_ok());
+        crate::ratchet::tests::rejects(
+            &HOT_PATH,
+            &["nonsense", "hot-path-alloc\tx\ta.rs"],
+            "# c\nhot-path-alloc\t3\ta.rs\n",
+        );
     }
 }

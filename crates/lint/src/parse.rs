@@ -35,10 +35,10 @@ pub struct FnItem {
     /// True when a `// hcperf-lint: hot-path-root` marker precedes the item.
     pub is_root: bool,
     /// Sink name when a `// hcperf-lint: det-sink(<name>)` marker precedes
-    /// the item (populated by [`parse_file_marked`] only).
+    /// the item.
     pub sink: Option<String>,
     /// True when a `// hcperf-lint: det-sanitizer(<name>)` marker precedes
-    /// the item (populated by [`parse_file_marked`] only).
+    /// the item.
     pub sanitizer: bool,
 }
 
@@ -138,7 +138,7 @@ fn lex(masked: &str) -> Vec<Tok> {
             i += 1;
         } else if b.is_ascii_alphabetic() || b == b'_' {
             let start = i;
-            while i < bytes.len() && (bytes[i].is_ascii_alphanumeric() || bytes[i] == b'_') {
+            while i < bytes.len() && crate::source::is_ident_byte(bytes[i]) {
                 i += 1;
             }
             toks.push(Tok {
@@ -154,7 +154,7 @@ fn lex(masked: &str) -> Vec<Tok> {
             let start = i;
             while i < bytes.len() {
                 let c = bytes[i];
-                if c.is_ascii_alphanumeric() || c == b'_' {
+                if crate::source::is_ident_byte(c) {
                     i += 1;
                 } else if c == b'.' && bytes.get(i + 1).is_some_and(u8::is_ascii_digit) {
                     i += 2;
@@ -218,22 +218,24 @@ fn is_punct(toks: &[Tok], at: usize, p: u8) -> bool {
     toks.get(at).is_some_and(|t| t.kind == TokKind::Punct(p))
 }
 
+/// True when the `>` at `at` ends a `->` arrow (an `Fn(…) -> R` bound or
+/// return type), which never closes a generic list.
+fn is_arrow(toks: &[Tok], at: usize) -> bool {
+    at > 0 && toks[at - 1].kind == TokKind::Punct(b'-')
+}
+
 /// Skips a balanced `<…>` generic list starting at the `<` token; returns
-/// the index just past the closing `>`. `->` arrows never count as closers.
+/// the index just past the closing `>`.
 fn skip_generics(toks: &[Tok], open: usize) -> usize {
     let mut depth = 0usize;
     let mut i = open;
     while i < toks.len() {
         match toks[i].kind {
             TokKind::Punct(b'<') => depth += 1,
-            TokKind::Punct(b'>') => {
-                // `->` in an `Fn(…) -> R` bound: not a generics closer.
-                let arrow = i > 0 && toks[i - 1].kind == TokKind::Punct(b'-');
-                if !arrow {
-                    depth = depth.saturating_sub(1);
-                    if depth == 0 {
-                        return i + 1;
-                    }
+            TokKind::Punct(b'>') if !is_arrow(toks, i) => {
+                depth = depth.saturating_sub(1);
+                if depth == 0 {
+                    return i + 1;
                 }
             }
             _ => {}
@@ -293,12 +295,7 @@ fn parse_impl_header(toks: &[Tok], at: usize, masked: &str) -> (Option<String>, 
                 return (last_top_ident, i + 1);
             }
             TokKind::Punct(b'<') => angle += 1,
-            TokKind::Punct(b'>') => {
-                let arrow = i > 0 && toks[i - 1].kind == TokKind::Punct(b'-');
-                if !arrow {
-                    angle = angle.saturating_sub(1);
-                }
-            }
+            TokKind::Punct(b'>') if !is_arrow(toks, i) => angle = angle.saturating_sub(1),
             TokKind::Punct(b'(') => paren += 1,
             TokKind::Punct(b')') => paren = paren.saturating_sub(1),
             TokKind::Ident if angle == 0 && paren == 0 => {
@@ -636,37 +633,14 @@ fn scan_loops(
     loops
 }
 
-/// Parses one masked file into items and call sites. `root_lines` are the
-/// 1-based lines of `hot-path-root` markers ([`crate::source::MaskedFile`]);
-/// a marker declares the next `fn` item within 3 lines below it a root
-/// (attributes may sit between, doc comments should go above the marker).
+/// Parses one masked file into items and call sites. Each
+/// `hot-path-root`, `det-sink(<name>)` or `det-sanitizer(<name>)` marker
+/// of [`crate::source::MaskedFile`] declares the next `fn` item within 3
+/// lines below it a root, sink or sanitizer (attributes may sit between,
+/// doc comments should go above the marker).
 #[must_use]
-pub fn parse_file(path: &str, masked: &str, root_lines: &[usize]) -> ParsedFile {
-    parse_file_inner(path, masked, root_lines, &[], &[])
-}
-
-/// Like [`parse_file`], but also attaches `det-sink(<name>)` /
-/// `det-sanitizer(<name>)` markers from the full [`crate::source::MaskedFile`]
-/// to their `fn` items, using the same next-`fn`-within-3-lines rule as
-/// hot-path-root markers.
-#[must_use]
-pub fn parse_file_marked(path: &str, m: &crate::source::MaskedFile) -> ParsedFile {
-    parse_file_inner(
-        path,
-        &m.masked,
-        &m.hot_path_roots,
-        &m.det_sinks,
-        &m.det_sanitizers,
-    )
-}
-
-fn parse_file_inner(
-    path: &str,
-    masked: &str,
-    root_lines: &[usize],
-    sink_markers: &[(usize, String)],
-    sanitizer_markers: &[(usize, String)],
-) -> ParsedFile {
+pub fn parse_file(path: &str, m: &crate::source::MaskedFile) -> ParsedFile {
+    let masked = m.masked.as_str();
     let attaches = |m: usize, line: usize| m < line && line <= m + 3;
     let toks = lex(masked);
     let lines = LineIndex::new(masked);
@@ -690,14 +664,12 @@ fn parse_file_inner(
                 if word == "fn" {
                     let (item, body_range, next) = parse_fn(&toks, i, masked, &lines, &scopes);
                     if let Some(mut item) = item {
-                        item.is_root = root_lines.iter().any(|&m| attaches(m, item.line));
-                        item.sink = sink_markers
-                            .iter()
-                            .find(|(m, _)| attaches(*m, item.line))
+                        item.is_root = m.hot_path_roots.iter().any(|&l| attaches(l, item.line));
+                        item.sink = (m.det_sinks.iter())
+                            .find(|(l, _)| attaches(*l, item.line))
                             .map(|(_, name)| name.clone());
-                        item.sanitizer = sanitizer_markers
-                            .iter()
-                            .any(|(m, _)| attaches(*m, item.line));
+                        item.sanitizer =
+                            (m.det_sanitizers.iter()).any(|(l, _)| attaches(*l, item.line));
                         let sites = body_range
                             .map(|(from, to)| scan_calls(&toks, from, to, masked, &lines))
                             .unwrap_or_default();
@@ -764,12 +736,7 @@ fn parse_fn(
     while k < toks.len() {
         match toks[k].kind {
             TokKind::Punct(b'<') => angle += 1,
-            TokKind::Punct(b'>') => {
-                let arrow = k > 0 && toks[k - 1].kind == TokKind::Punct(b'-');
-                if !arrow {
-                    angle = angle.saturating_sub(1);
-                }
-            }
+            TokKind::Punct(b'>') if !is_arrow(toks, k) => angle = angle.saturating_sub(1),
             TokKind::Punct(b'{') if angle == 0 => {
                 body_open = Some(k);
                 break;
@@ -779,38 +746,21 @@ fn parse_fn(
         }
         k += 1;
     }
-    let impl_type = scopes.iter().rev().find_map(Clone::clone);
-    let line = lines.line_of(toks[at].start);
-    match body_open {
-        Some(open) => {
-            let close = match_braces(toks, open);
-            let item = FnItem {
-                name,
-                impl_type,
-                arity,
-                has_self,
-                line,
-                body: Some((toks[open].start, toks[close].end)),
-                is_root: false,
-                sink: None,
-                sanitizer: false,
-            };
-            (Some(item), Some((open + 1, close)), close + 1)
-        }
-        None => {
-            let item = FnItem {
-                name,
-                impl_type,
-                arity,
-                has_self,
-                line,
-                body: None,
-                is_root: false,
-                sink: None,
-                sanitizer: false,
-            };
-            (Some(item), None, k + 1)
-        }
+    let body = body_open.map(|open| (open, match_braces(toks, open)));
+    let item = FnItem {
+        name,
+        impl_type: scopes.iter().rev().find_map(Clone::clone),
+        arity,
+        has_self,
+        line: lines.line_of(toks[at].start),
+        body: body.map(|(open, close)| (toks[open].start, toks[close].end)),
+        is_root: false,
+        sink: None,
+        sanitizer: false,
+    };
+    match body {
+        Some((open, close)) => (Some(item), Some((open + 1, close)), close + 1),
+        None => (Some(item), None, k + 1),
     }
 }
 
@@ -820,8 +770,7 @@ mod tests {
     use crate::source::mask;
 
     fn parse(src: &str) -> ParsedFile {
-        let m = mask(src);
-        parse_file("t.rs", &m.masked, &m.hot_path_roots)
+        parse_file("t.rs", &mask(src))
     }
 
     #[test]

@@ -19,6 +19,55 @@ pub mod exit {
     pub const SCHEDULABILITY: i32 = 3;
     /// Bad command line, unreadable workspace, or missing baseline.
     pub const USAGE: i32 = 4;
+
+    /// `FINDINGS` when any finding is structural, `RATCHET` when a ratchet
+    /// grew (its own growth findings do not count as structural), else
+    /// `CLEAN`.
+    #[must_use]
+    pub fn code<'a>(findings: impl IntoIterator<Item = &'a super::Finding>, grew: bool) -> i32 {
+        if findings.into_iter().any(|f| !f.rule.is_ratchet()) {
+            FINDINGS
+        } else if grew {
+            RATCHET
+        } else {
+            CLEAN
+        }
+    }
+}
+
+/// What every analysis mode's report gives the driver.
+pub trait ModeReport {
+    /// Unwaived findings.
+    fn findings(&self) -> &[Finding];
+    /// Findings suppressed by a waiver, with their reasons.
+    fn waived(&self) -> &[Finding] {
+        &[]
+    }
+    /// True when the mode's ratchet grew past its checked-in artifact.
+    fn grew(&self) -> bool {
+        false
+    }
+    /// The mode's `--json` section.
+    fn json(&self) -> String;
+    /// Human text: findings, the mode's listing, ratchet rows, summary.
+    fn human(&self) -> String;
+    /// The ratchet artifact `--update-baseline` rewrites, if any.
+    fn artifact(&self) -> Option<Artifact> {
+        None
+    }
+}
+
+/// A ratchet artifact regenerated from a report.
+#[derive(Debug)]
+pub struct Artifact {
+    /// Workspace-relative path.
+    pub path: &'static str,
+    /// New file contents.
+    pub text: String,
+    /// Line printed after a single-mode rewrite.
+    pub rewritten: String,
+    /// This artifact's part of the `--update-baselines` summary.
+    pub brief: String,
 }
 
 /// The rule families enforced by the source pass.
@@ -111,6 +160,20 @@ impl Rule {
             Rule::DetFlow => "det-flow",
             Rule::DetSink => "det-sink",
         }
+    }
+
+    /// True for rules whose findings only report a ratchet's growth, so
+    /// they map to [`exit::RATCHET`] rather than [`exit::FINDINGS`].
+    #[must_use]
+    pub fn is_ratchet(self) -> bool {
+        matches!(
+            self,
+            Rule::UnwrapRatchet
+                | Rule::HotPathAlloc
+                | Rule::HotPathPanic
+                | Rule::WcetCert
+                | Rule::DetFlow
+        )
     }
 
     /// Parses a waiver rule name.
@@ -235,6 +298,19 @@ pub fn finding_json(f: &Finding) -> String {
     }
     s.push('}');
     s
+}
+
+/// Renders findings one per human diagnostic, each newline-terminated.
+#[must_use]
+pub fn render_findings(findings: &[Finding]) -> String {
+    findings.iter().map(|f| f.render() + "\n").collect()
+}
+
+/// Serializes findings as the comma-joined body of a JSON array.
+#[must_use]
+pub fn findings_json(findings: &[Finding]) -> String {
+    let items: Vec<String> = findings.iter().map(finding_json).collect();
+    items.join(",")
 }
 
 /// Serializes a non-source finding (no file anchor) in the shared

@@ -1,7 +1,9 @@
 //! The rule families and the per-file scan.
 
+use crate::parse::LineIndex;
 use crate::report::{Finding, Rule};
-use crate::source::{mask, Waiver};
+use crate::source::{waiver_for, word_offsets, Waiver};
+use crate::workspace::SourceFile;
 
 /// Which rule families apply to a file (derived from its crate).
 #[derive(Debug, Clone, Copy)]
@@ -40,12 +42,28 @@ impl RuleSet {
     };
 }
 
-/// Identifier-style patterns per rule. Matched on masked source with
-/// identifier boundaries on both sides, so `Instant` does not fire inside
-/// `InstantLike` and never inside comments, strings, or test modules.
-const WALL_CLOCK_PATTERNS: [&str; 3] = ["Instant", "SystemTime", "thread::sleep"];
-const UNORDERED_PATTERNS: [&str; 2] = ["HashMap", "HashSet"];
-const ENTROPY_PATTERNS: [&str; 3] = ["thread_rng", "from_entropy", "RandomState"];
+/// Identifier-style patterns per rule, with the message they carry.
+/// Matched on masked source with identifier boundaries on both sides, so
+/// `Instant` does not fire inside `InstantLike` and never inside
+/// comments, strings, or test modules. The first rule needs
+/// [`RuleSet::wall_clock`], the others [`RuleSet::determinism`].
+const WORD_RULES: [(Rule, &[&str], &str); 3] = [
+    (
+        Rule::WallClock,
+        &["Instant", "SystemTime", "thread::sleep"],
+        "wall-clock access breaks replayability; take times from the simulation clock",
+    ),
+    (
+        Rule::UnorderedIteration,
+        &["HashMap", "HashSet"],
+        "iteration order is seeded per process; use BTreeMap/BTreeSet or an indexed Vec",
+    ),
+    (
+        Rule::Entropy,
+        &["thread_rng", "from_entropy", "RandomState"],
+        "ambient entropy is not replayable; derive randomness from the scenario seed",
+    ),
+];
 
 /// Result of scanning one file.
 #[derive(Debug)]
@@ -62,62 +80,54 @@ pub struct FileScan {
 /// Scans one file's source text under `rules`.
 #[must_use]
 pub fn scan_file(path: &str, source: &str, rules: RuleSet) -> FileScan {
-    let masked = mask(source);
-    let lines: Vec<&str> = source.lines().collect();
-    let mut raw: Vec<Finding> = Vec::new();
+    scan(&SourceFile::new(path, source), rules)
+}
 
-    for w in &masked.waivers {
-        if w.rule.is_none() {
-            raw.push(finding(
+/// Scans one loaded (already masked) file under `rules`.
+#[must_use]
+pub fn scan(src: &SourceFile, rules: RuleSet) -> FileScan {
+    let masked = &src.masked.masked;
+    let lines = LineIndex::new(masked);
+    let mut raw: Vec<Finding> = src
+        .masked
+        .waivers
+        .iter()
+        .filter(|w| w.rule.is_none())
+        .map(|w| {
+            src.finding(
                 Rule::WaiverSyntax,
-                path,
                 w.line,
-                &lines,
                 format!(
                     "malformed waiver `{}`; expected `hcperf-lint: allow(<rule>): <reason>`",
                     w.reason
                 ),
-            ));
+            )
+        })
+        .collect();
+
+    let enabled = |rule| match rule {
+        Rule::WallClock => rules.wall_clock,
+        _ => rules.determinism,
+    };
+    for (rule, patterns, message) in WORD_RULES.into_iter().filter(|(r, ..)| enabled(*r)) {
+        for pat in patterns {
+            for at in word_offsets(masked, (0, masked.len()), pat) {
+                raw.push(src.finding(rule, lines.line_of(at), format!("`{pat}`: {message}")));
+            }
         }
     }
-
-    if rules.wall_clock {
-        scan_words(
-            &mut raw,
-            path,
-            &masked.masked,
-            &lines,
-            &WALL_CLOCK_PATTERNS,
-            Rule::WallClock,
-            "wall-clock access breaks replayability; take times from the simulation clock",
-        );
+    if rules.wall_clock || rules.determinism {
+        // Findings from different patterns interleave; report in line order.
+        raw.sort_by_key(|a| (a.line, a.rule));
     }
     if rules.determinism {
-        scan_words(
-            &mut raw,
-            path,
-            &masked.masked,
-            &lines,
-            &UNORDERED_PATTERNS,
-            Rule::UnorderedIteration,
-            "iteration order is seeded per process; use BTreeMap/BTreeSet or an indexed Vec",
-        );
-        scan_words(
-            &mut raw,
-            path,
-            &masked.masked,
-            &lines,
-            &ENTROPY_PATTERNS,
-            Rule::Entropy,
-            "ambient entropy is not replayable; derive randomness from the scenario seed",
-        );
-        scan_float_eq(&mut raw, path, &masked.masked, &lines);
+        scan_float_eq(&mut raw, src, &lines);
     }
 
     let mut findings = Vec::new();
     let mut waived = Vec::new();
     for mut f in raw {
-        match waiver_reason(&masked.waivers, f.rule, f.line) {
+        match waiver_for(&src.masked.waivers, f.rule, f.line) {
             Some(reason) => {
                 f.waived = Some(reason);
                 waived.push(f);
@@ -127,7 +137,7 @@ pub fn scan_file(path: &str, source: &str, rules: RuleSet) -> FileScan {
     }
 
     let unwrap_count = if rules.unwrap_ratchet {
-        count_unwraps(&masked.masked, &masked.waivers)
+        count_unwraps(masked, &src.masked.waivers)
     } else {
         0
     };
@@ -139,67 +149,11 @@ pub fn scan_file(path: &str, source: &str, rules: RuleSet) -> FileScan {
     }
 }
 
-/// A waiver covers its own line and the next, so it can trail the site or
-/// sit on the line above it.
-fn waiver_reason(waivers: &[Waiver], rule: Rule, line: usize) -> Option<String> {
-    waivers
-        .iter()
-        .find(|w| w.rule == Some(rule) && (w.line == line || w.line + 1 == line))
-        .map(|w| w.reason.clone())
-}
-
-fn finding(rule: Rule, path: &str, line: usize, lines: &[&str], message: String) -> Finding {
-    Finding {
-        rule,
-        path: path.to_owned(),
-        line,
-        snippet: lines.get(line - 1).map_or("", |l| l.trim()).to_owned(),
-        message,
-        waived: None,
-        chain: Vec::new(),
-    }
-}
-
-fn is_ident_byte(b: u8) -> bool {
-    b.is_ascii_alphanumeric() || b == b'_'
-}
-
-fn scan_words(
-    out: &mut Vec<Finding>,
-    path: &str,
-    masked: &str,
-    lines: &[&str],
-    patterns: &[&str],
-    rule: Rule,
-    message: &str,
-) {
-    let bytes = masked.as_bytes();
-    for pat in patterns {
-        let mut from = 0;
-        while let Some(pos) = masked[from..].find(pat).map(|p| from + p) {
-            from = pos + pat.len();
-            let left_ok = pos == 0 || !is_ident_byte(bytes[pos - 1]);
-            let right_ok = bytes.get(from).is_none_or(|&b| !is_ident_byte(b));
-            if left_ok && right_ok {
-                let line = 1 + masked[..pos].matches('\n').count();
-                out.push(finding(
-                    rule,
-                    path,
-                    line,
-                    lines,
-                    format!("`{pat}`: {message}"),
-                ));
-            }
-        }
-    }
-    // Findings from different patterns interleave; report in line order.
-    out.sort_by_key(|a| (a.line, a.rule));
-}
-
 /// Flags `==`/`!=` where either operand is a float literal (or a known
 /// float accessor). Exact float comparison is only sound against a value
 /// stored verbatim, never a computed one — use the approx helpers instead.
-fn scan_float_eq(out: &mut Vec<Finding>, path: &str, masked: &str, lines: &[&str]) {
+fn scan_float_eq(out: &mut Vec<Finding>, src: &SourceFile, lines: &LineIndex) {
+    let masked = &src.masked.masked;
     let bytes = masked.as_bytes();
     let mut i = 0;
     while i + 1 < bytes.len() {
@@ -224,12 +178,9 @@ fn scan_float_eq(out: &mut Vec<Finding>, path: &str, masked: &str, lines: &[&str
         let left = token_before(masked, i);
         let right = token_after(masked, i + 2);
         if is_float_operand(&left) || is_float_operand(&right) {
-            let line = 1 + masked[..i].matches('\n').count();
-            out.push(finding(
+            out.push(src.finding(
                 Rule::FloatEq,
-                path,
-                line,
-                lines,
+                lines.line_of(i),
                 format!(
                     "float `{}` comparison (`{left}` vs `{right}`); compare with an epsilon or justify the exact sentinel",
                     if is_eq { "==" } else { "!=" }
@@ -337,9 +288,7 @@ fn count_unwraps(masked: &str, waivers: &[Waiver]) -> usize {
         .enumerate()
         .map(|(idx, line)| {
             let lineno = idx + 1;
-            if waivers.iter().any(|w| {
-                w.rule == Some(Rule::UnwrapRatchet) && (w.line == lineno || w.line + 1 == lineno)
-            }) {
+            if waiver_for(waivers, Rule::UnwrapRatchet, lineno).is_some() {
                 return 0;
             }
             line.matches(".unwrap()").count() + line.matches(".expect(").count()

@@ -42,6 +42,7 @@ use hcperf_taskgraph::graphs::{apollo_graph, motivation_graph, GraphOptions};
 use hcperf_taskgraph::{ExecContext, LoadProfile, SimSpan, SimTime, TaskGraph};
 
 use crate::report::{exit, json_escape, json_opt_f64, tagged_finding_json};
+use crate::wcet::Cost;
 
 /// One graph/preset to audit.
 #[derive(Debug)]
@@ -319,25 +320,25 @@ pub struct KernelGap {
     /// Kernel root name from [`kernel_roots`].
     pub kernel: String,
     /// The certified cost; `None` when the kernel has no certificate row.
-    pub cost: Option<crate::wcet::Cost>,
+    pub cost: Option<Cost>,
 }
 
 /// Pure coverage check of audit targets against parsed certificates
-/// (keyed `(root, path)` as [`crate::wcet::parse_certs`] returns them).
+/// (keyed `[root, path]` as [`crate::ratchet::WCET`] parses them).
 #[must_use]
 pub fn kernel_gaps(
     results: &[AuditResult],
-    certs: &std::collections::BTreeMap<(String, String), crate::wcet::Cost>,
+    certs: &std::collections::BTreeMap<crate::ratchet::Key, Cost>,
 ) -> Vec<KernelGap> {
-    let by_name: std::collections::BTreeMap<&str, crate::wcet::Cost> = certs
+    let by_name: std::collections::BTreeMap<&str, Cost> = certs
         .iter()
-        .map(|((name, _), &cost)| (name.as_str(), cost))
+        .map(|(key, &cost)| (key[0].as_str(), cost))
         .collect();
     let mut gaps = Vec::new();
     for r in results {
         for kernel in kernel_roots(&r.name) {
             let cost = by_name.get(kernel).copied();
-            if cost.is_none() || cost == Some(crate::wcet::Cost::Unbounded) {
+            if cost.is_none() || cost == Some(Cost::Unbounded) {
                 gaps.push(KernelGap {
                     target: r.name.clone(),
                     kernel: kernel.to_owned(),
@@ -360,19 +361,7 @@ pub fn wcet_cross_check(
     results: &[AuditResult],
     root: &std::path::Path,
 ) -> std::io::Result<Vec<KernelGap>> {
-    let path = root.join(crate::wcet::CERT_PATH);
-    let text = std::fs::read_to_string(&path).map_err(|e| {
-        std::io::Error::new(
-            e.kind(),
-            format!(
-                "cannot read WCET certificates {}: {e}; bootstrap with --update-baselines",
-                path.display()
-            ),
-        )
-    })?;
-    let certs = crate::wcet::parse_certs(&text)
-        .map_err(|m| std::io::Error::new(std::io::ErrorKind::InvalidData, m))?;
-    Ok(kernel_gaps(results, &certs))
+    Ok(kernel_gaps(results, &crate::ratchet::WCET.load(root)?))
 }
 
 /// `sched-wcet` error findings for coverage gaps, in the shared schema.
@@ -414,10 +403,10 @@ pub fn render_gaps_human(gaps: &[KernelGap]) -> String {
     out
 }
 
-/// Exit code for a set of audit results.
+/// Exit code for a set of audit results and their kernel coverage gaps.
 #[must_use]
-pub fn exit_code(results: &[AuditResult]) -> i32 {
-    if results.iter().all(AuditResult::ok) {
+pub fn exit_code(results: &[AuditResult], gaps: &[KernelGap]) -> i32 {
+    if gaps.is_empty() && results.iter().all(AuditResult::ok) {
         exit::CLEAN
     } else {
         exit::SCHEDULABILITY
@@ -531,11 +520,7 @@ pub fn render_json(results: &[AuditResult], gaps: &[KernelGap]) -> String {
         .collect();
     let mut findings = findings_json(results);
     findings.extend(gap_findings_json(gaps));
-    let exit_code = if gaps.is_empty() {
-        exit_code(results)
-    } else {
-        exit::SCHEDULABILITY
-    };
+    let exit_code = exit_code(results, gaps);
     format!(
         "{{\"schema_version\":{},\"mode\":\"schedulability\",\"targets\":[{}],\"findings\":[{}],\"exit_code\":{exit_code}}}",
         crate::report::SCHEMA_VERSION,
@@ -561,7 +546,7 @@ mod tests {
                 r.gamma_max
             );
         }
-        assert_eq!(exit_code(&results), exit::CLEAN);
+        assert_eq!(exit_code(&results, &[]), exit::CLEAN);
     }
 
     #[test]
@@ -611,12 +596,11 @@ mod tests {
         assert!(findings[1].contains("\"rule\":\"sched-eq11\""));
         assert!(findings[2].contains("\"rule\":\"sched-eq9-transient\""));
         assert!(findings[2].contains("\"severity\":\"info\""));
-        assert_eq!(exit_code(&[r]), exit::SCHEDULABILITY);
+        assert_eq!(exit_code(&[r], &[]), exit::SCHEDULABILITY);
     }
 
     #[test]
     fn kernel_gaps_flag_missing_and_unbounded_certificates() {
-        use crate::wcet::Cost;
         let results = audit_all();
         // A full bounded certificate set covers everything.
         let mut certs = std::collections::BTreeMap::new();
@@ -628,13 +612,13 @@ mod tests {
             "DynamicPriorityScheduler::gamma_max_cached",
             "PerformanceDirectedController::step",
         ] {
-            certs.insert((name.to_owned(), "x.rs".to_owned()), Cost::N_LOG_N);
+            certs.insert(vec![name.to_owned(), "x.rs".to_owned()], Cost::N_LOG_N);
         }
         assert!(kernel_gaps(&results, &certs).is_empty());
 
         // Removing the DPS kernel breaks every scenario::* target but not
         // the bare graphs (they only use the reference oracle + dispatch).
-        certs.remove(&("GammaScratch::rank".to_owned(), "x.rs".to_owned()));
+        certs.remove(&vec!["GammaScratch::rank".to_owned(), "x.rs".to_owned()]);
         let gaps = kernel_gaps(&results, &certs);
         assert_eq!(gaps.len(), 5, "{gaps:?}");
         assert!(gaps.iter().all(|g| g.kernel == "GammaScratch::rank"));
@@ -642,7 +626,7 @@ mod tests {
 
         // An unbounded certificate is as bad as a missing one.
         certs.insert(
-            ("GammaScratch::rank".to_owned(), "x.rs".to_owned()),
+            vec!["GammaScratch::rank".to_owned(), "x.rs".to_owned()],
             Cost::Unbounded,
         );
         let gaps = kernel_gaps(&results, &certs);

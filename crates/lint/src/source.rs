@@ -54,6 +54,39 @@ pub struct MaskedFile {
 
 const MARKER: &str = "hcperf-lint:";
 
+/// True for bytes that can continue a Rust identifier.
+pub(crate) fn is_ident_byte(b: u8) -> bool {
+    b.is_ascii_alphanumeric() || b == b'_'
+}
+
+/// The reason of the waiver for `rule` covering `line`, if any. A waiver
+/// covers its own line and the next, so it can trail the site or sit on
+/// the line above it.
+pub(crate) fn waiver_for(waivers: &[Waiver], rule: Rule, line: usize) -> Option<String> {
+    waivers
+        .iter()
+        .find(|w| w.rule == Some(rule) && (w.line == line || w.line + 1 == line))
+        .map(|w| w.reason.clone())
+}
+
+/// Byte offsets of `pat` inside the `body` byte range of `masked`, where
+/// a pattern end that is an identifier byte must not touch another one
+/// (`collect` does not match `recollect`; `.lock(` needs no boundary).
+pub(crate) fn word_offsets(masked: &str, body: (usize, usize), pat: &str) -> Vec<usize> {
+    let bytes = masked.as_bytes();
+    let (first, last) = (pat.as_bytes()[0], pat.as_bytes()[pat.len() - 1]);
+    masked[body.0..body.1]
+        .match_indices(pat)
+        .map(|(p, _)| body.0 + p)
+        .filter(|&at| {
+            let left_ok = !is_ident_byte(first) || at == 0 || !is_ident_byte(bytes[at - 1]);
+            let right_ok = !is_ident_byte(last)
+                || bytes.get(at + pat.len()).is_none_or(|&b| !is_ident_byte(b));
+            left_ok && right_ok
+        })
+        .collect()
+}
+
 /// One recognised `hcperf-lint:` comment directive.
 enum Directive {
     /// `allow(<rule>): <reason>` — possibly malformed (`rule: None`).
@@ -413,10 +446,7 @@ fn attr_tokens(bytes: &[u8]) -> impl Iterator<Item = AttrTok<'_>> {
         let b = *bytes.get(i)?;
         if b.is_ascii_alphabetic() || b == b'_' {
             let start = i;
-            while bytes
-                .get(i)
-                .is_some_and(|&b| b.is_ascii_alphanumeric() || b == b'_')
-            {
+            while bytes.get(i).is_some_and(|&b| is_ident_byte(b)) {
                 i += 1;
             }
             let text = std::str::from_utf8(&bytes[start..i]).ok()?;

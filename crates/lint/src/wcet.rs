@@ -39,13 +39,13 @@
 
 use std::collections::BTreeMap;
 use std::io;
-use std::path::Path;
 
 use crate::callgraph::CallGraph;
-use crate::hotpath::{pattern_offsets, waiver_covers};
-use crate::parse::{parse_file, LoopClass, ParsedFile};
-use crate::report::{exit, Finding, Rule};
-use crate::workspace::{load_sources, SourceFile, DETERMINISTIC_CRATES};
+use crate::parse::{LineIndex, LoopClass};
+use crate::ratchet::{Key, Ratchet, WCET};
+use crate::report::{json_escape, render_findings, Artifact, Finding, ModeReport, Rule};
+use crate::source::{waiver_for, word_offsets};
+use crate::workspace::{SourceFile, Workspace};
 
 /// Workspace-relative path of the certificate ratchet file.
 pub const CERT_PATH: &str = "crates/lint/wcet_certificates.txt";
@@ -270,36 +270,6 @@ pub struct CertRow {
     pub witness: Option<Witness>,
 }
 
-/// One certificate row's comparison against the checked-in file.
-#[derive(Debug, Clone)]
-pub struct CertDelta {
-    /// Qualified root name.
-    pub name: String,
-    /// Root's defining file.
-    pub path: String,
-    /// Certified cost (`None` = root is new).
-    pub baseline: Option<Cost>,
-    /// Measured cost (`None` = root removed).
-    pub current: Option<Cost>,
-}
-
-/// Outcome of the certificate ratchet comparison.
-#[derive(Debug, Default)]
-pub struct CertRatchet {
-    /// Roots whose cost grew or that are new (fails the run).
-    pub growth: Vec<CertDelta>,
-    /// Roots whose cost shrank or that disappeared (refresh the file).
-    pub shrink: Vec<CertDelta>,
-}
-
-impl CertRatchet {
-    /// True when no root's cost grew.
-    #[must_use]
-    pub fn ok(&self) -> bool {
-        self.growth.is_empty()
-    }
-}
-
 /// Loop-classification tallies over the reachable set.
 #[derive(Debug, Default, Clone, Copy, PartialEq, Eq)]
 pub struct LoopStats {
@@ -324,7 +294,7 @@ pub struct WcetReport {
     /// Waived sites with their reasons.
     pub waived: Vec<Finding>,
     /// Certificate comparison; `None` when regenerating.
-    pub ratchet: Option<CertRatchet>,
+    pub ratchet: Option<Ratchet<Cost>>,
     /// Loop tallies over the reachable set.
     pub loop_stats: LoopStats,
     /// Reachable function count.
@@ -334,96 +304,87 @@ pub struct WcetReport {
 }
 
 impl WcetReport {
-    /// Exit code: structural findings (unbounded loops, blocking calls)
-    /// are `FINDINGS`; certificate growth alone is `RATCHET`.
-    #[must_use]
-    pub fn exit_code(&self) -> i32 {
-        if self.findings.iter().any(|f| f.rule != Rule::WcetCert) {
-            exit::FINDINGS
-        } else if self.ratchet.as_ref().is_some_and(|r| !r.ok()) {
-            exit::RATCHET
-        } else {
-            exit::CLEAN
-        }
+    fn rows(&self) -> Vec<(Key, Cost)> {
+        let rows = self.certs.iter();
+        rows.map(|c| (vec![c.name.clone(), c.path.clone()], c.cost))
+            .collect()
     }
 }
 
-/// Parses the `root<TAB>cost<TAB>path` certificate format.
-///
-/// # Errors
-///
-/// Returns a message describing the first malformed row.
-pub fn parse_certs(text: &str) -> Result<BTreeMap<(String, String), Cost>, String> {
-    let mut map = BTreeMap::new();
-    for (idx, line) in text.lines().enumerate() {
-        let line = line.trim();
-        if line.is_empty() || line.starts_with('#') {
-            continue;
-        }
-        let mut parts = line.splitn(3, '\t');
-        let (Some(name), Some(cost), Some(path)) = (parts.next(), parts.next(), parts.next())
-        else {
-            return Err(format!(
-                "wcet certificates line {}: expected `root<TAB>cost<TAB>path`",
-                idx + 1
-            ));
-        };
-        let cost = Cost::parse(cost)
-            .ok_or_else(|| format!("wcet certificates line {}: bad cost `{cost}`", idx + 1))?;
-        map.insert((name.trim().to_owned(), path.trim().to_owned()), cost);
+impl ModeReport for WcetReport {
+    fn findings(&self) -> &[Finding] {
+        &self.findings
     }
-    Ok(map)
-}
 
-/// Renders the certificate file from measured rows.
-#[must_use]
-pub fn render_certs(rows: &[CertRow]) -> String {
-    let mut out = String::from(
-        "# hcperf-lint WCET certificates: symbolic cost bound per hot-path\n\
-         # root, propagated over the call graph from the loop lattice. Rows\n\
-         # are `root<TAB>cost<TAB>path` in the single-variable abstraction\n\
-         # O(n^d log^l n); the ratchet rejects any cost increase. Regenerate\n\
-         # deliberately with `cargo run -p hcperf-lint -- --update-baselines`.\n",
-    );
-    for r in rows {
-        out.push_str(&format!("{}\t{}\t{}\n", r.name, r.cost.render(), r.path));
+    fn waived(&self) -> &[Finding] {
+        &self.waived
     }
-    out
-}
 
-/// Compares measured certificates against the checked-in file.
-#[must_use]
-pub fn compare(rows: &[CertRow], baseline: &BTreeMap<(String, String), Cost>) -> CertRatchet {
-    let mut ratchet = CertRatchet::default();
-    let mut seen = BTreeMap::new();
-    for r in rows {
-        let key = (r.name.clone(), r.path.clone());
-        seen.insert(key.clone(), ());
-        let base = baseline.get(&key).copied();
-        let delta = CertDelta {
-            name: r.name.clone(),
-            path: r.path.clone(),
-            baseline: base,
-            current: Some(r.cost),
-        };
-        match base {
-            None => ratchet.growth.push(delta),
-            Some(b) if r.cost > b => ratchet.growth.push(delta),
-            Some(b) if r.cost < b => ratchet.shrink.push(delta),
-            _ => {}
-        }
+    fn grew(&self) -> bool {
+        self.ratchet.as_ref().is_some_and(Ratchet::grew)
     }
-    for (key, &base) in baseline {
-        if !seen.contains_key(key) {
-            ratchet.shrink.push(CertDelta {
-                name: key.0.clone(),
-                path: key.1.clone(),
-                baseline: Some(base),
-                current: None,
-            });
-        }
+
+    fn json(&self) -> String {
+        let certs: Vec<String> = self
+            .certs
+            .iter()
+            .map(|c| {
+                format!(
+                    "{{\"root\":\"{}\",\"cost\":\"{}\",\"path\":\"{}\"}}",
+                    json_escape(&c.name),
+                    json_escape(&c.cost.render()),
+                    json_escape(&c.path)
+                )
+            })
+            .collect();
+        let s = &self.loop_stats;
+        format!(
+            "{{\"certificates\":[{}],\"reachable_fns\":{},\"files_scanned\":{},\"loops\":{{\"constant\":{},\"input_bounded\":{},\"waived\":{},\"unbounded\":{}}},\"ratchet\":{}}}",
+            certs.join(","),
+            self.reachable_fns,
+            self.files_scanned,
+            s.constant,
+            s.input_bounded,
+            s.waived,
+            s.unbounded,
+            self.ratchet.as_ref().map_or_else(|| "null".to_owned(), Ratchet::json)
+        )
     }
-    ratchet
+
+    fn human(&self) -> String {
+        let certs: String = self
+            .certs
+            .iter()
+            .map(|c| format!("cert {:<50} {}\n", c.name, c.cost.render()))
+            .collect();
+        let s = &self.loop_stats;
+        format!(
+            "{}{certs}{}hcperf-lint --wcet: {} certificates, {} reachable fns, {} files, loops {}c/{}i/{}w/{}u, {} findings, {} waived\n",
+            render_findings(&self.findings),
+            self.ratchet.as_ref().map_or_else(String::new, Ratchet::human),
+            self.certs.len(),
+            self.reachable_fns,
+            self.files_scanned,
+            s.constant,
+            s.input_bounded,
+            s.waived,
+            s.unbounded,
+            self.findings.len(),
+            self.waived.len(),
+        )
+    }
+
+    fn artifact(&self) -> Option<Artifact> {
+        let (roots, fns) = (self.certs.len(), self.reachable_fns);
+        Some(Artifact {
+            path: CERT_PATH,
+            text: WCET.render(&self.rows()),
+            rewritten: format!(
+                "hcperf-lint: WCET certificates rewritten ({roots} roots, {fns} reachable fns)"
+            ),
+            brief: format!("{roots} WCET certificates ({fns} reachable fns)"),
+        })
+    }
 }
 
 /// Effective loop class after waiver resolution.
@@ -445,31 +406,10 @@ impl Eff {
     }
 }
 
-/// Analysis output before any baseline comparison.
-#[derive(Debug)]
-pub(crate) struct WcetAnalysis {
-    pub certs: Vec<CertRow>,
-    pub findings: Vec<Finding>,
-    pub waived: Vec<Finding>,
-    pub loop_stats: LoopStats,
-    pub reachable_fns: usize,
-}
-
-fn snippet_of(src: &SourceFile, line: usize) -> String {
-    src.raw
-        .lines()
-        .nth(line - 1)
-        .map_or("", str::trim)
-        .to_owned()
-}
-
-/// Core analysis over already-loaded sources (separated from [`run_wcet`]
-/// so tests can drive it with synthetic files).
-pub(crate) fn analyze(sources: &[SourceFile]) -> WcetAnalysis {
-    let parsed: Vec<ParsedFile> = crate::par::map(sources, |s| {
-        parse_file(&s.rel, &s.masked.masked, &s.masked.hot_path_roots)
-    });
-    let graph = CallGraph::build(&parsed);
+/// Core analysis over already-loaded sources and their hot-path graph,
+/// before any certificate comparison (separated from [`run_wcet`] so
+/// tests can drive it with synthetic files).
+pub(crate) fn analyze(sources: &[SourceFile], graph: &CallGraph) -> WcetReport {
     let reachable = graph.reachable_from_roots();
     let by_rel: BTreeMap<&str, &SourceFile> = sources.iter().map(|s| (s.rel.as_str(), s)).collect();
 
@@ -494,7 +434,7 @@ pub(crate) fn analyze(sources: &[SourceFile]) -> WcetAnalysis {
                     Eff::Input
                 }
                 LoopClass::Unknown => {
-                    match waiver_covers(&src.masked.waivers, Rule::WcetUnbounded, l.line) {
+                    match waiver_for(&src.masked.waivers, Rule::WcetUnbounded, l.line) {
                         Some(reason) => {
                             stats.waived += 1;
                             waived.push(loop_finding(node, l, src, Some(reason)));
@@ -600,26 +540,22 @@ pub(crate) fn analyze(sources: &[SourceFile]) -> WcetAnalysis {
         let node = &graph.nodes[i];
         let Some(body) = node.body else { continue };
         let src = by_rel[node.path.as_str()];
-        let lines = crate::parse::LineIndex::new(&src.masked.masked);
+        let lines = LineIndex::new(&src.masked.masked);
         for pat in BLOCKING_PATTERNS {
-            for at in pattern_offsets(&src.masked.masked, body, pat) {
+            for at in word_offsets(&src.masked.masked, body, pat) {
                 let line = lines.line_of(at);
-                let construct = pat.trim_matches(|c| c == '.' || c == '(').to_owned();
-                let f = Finding {
-                    rule: Rule::HotPathBlocking,
-                    path: node.path.clone(),
+                let construct = pat.trim_matches(|c| c == '.' || c == '(');
+                let f = src.finding(
+                    Rule::HotPathBlocking,
                     line,
-                    snippet: snippet_of(src, line),
-                    message: format!(
+                    format!(
                         "`{construct}` can block in hot-path-reachable fn `{}`; the dispatch \
                          path must not wait on I/O, locks, channels or sleeps — move it out, \
                          or waive with `hcperf-lint: allow(hot-path-blocking)` and a reason",
                         node.qualified()
                     ),
-                    waived: None,
-                    chain: Vec::new(),
-                };
-                match waiver_covers(&src.masked.waivers, Rule::HotPathBlocking, line) {
+                );
+                match waiver_for(&src.masked.waivers, Rule::HotPathBlocking, line) {
                     Some(reason) => waived.push(Finding {
                         waived: Some(reason),
                         ..f
@@ -655,29 +591,27 @@ pub(crate) fn analyze(sources: &[SourceFile]) -> WcetAnalysis {
                 .map_or((1, "degree saturation".to_owned()), |w| {
                     (w.line, w.what.clone())
                 });
-            findings.push(Finding {
-                rule: Rule::WcetUnbounded,
-                path: c.path.clone(),
+            findings.push(src.finding(
+                Rule::WcetUnbounded,
                 line,
-                snippet: snippet_of(src, line),
-                message: format!(
+                format!(
                     "hot-path root `{}` has no bounded certificate ({}); every root must \
                      admit a symbolic cost bound",
                     c.name, what
                 ),
-                waived: None,
-                chain: Vec::new(),
-            });
+            ));
         }
     }
 
     findings.sort_by(|a, b| (&a.path, a.line, a.rule).cmp(&(&b.path, b.line, b.rule)));
-    WcetAnalysis {
+    WcetReport {
         certs,
         findings,
         waived,
+        ratchet: None,
         loop_stats: stats,
         reachable_fns: reachable.len(),
+        files_scanned: sources.len(),
     }
 }
 
@@ -688,23 +622,22 @@ fn loop_finding(
     waived: Option<String>,
 ) -> Finding {
     Finding {
-        rule: Rule::WcetUnbounded,
-        path: node.path.clone(),
-        line: l.line,
-        snippet: snippet_of(src, l.line),
-        message: format!(
-            "`{}` loop in hot-path-reachable fn `{}` has no lexically visible bound; \
-             restructure it as a bounded loop, or assert the bound with \
-             `hcperf-lint: allow(wcet-unbounded)` and a reason",
-            l.keyword,
-            node.qualified()
-        ),
         waived,
-        chain: Vec::new(),
+        ..src.finding(
+            Rule::WcetUnbounded,
+            l.line,
+            format!(
+                "`{}` loop in hot-path-reachable fn `{}` has no lexically visible bound; \
+                 restructure it as a bounded loop, or assert the bound with \
+                 `hcperf-lint: allow(wcet-unbounded)` and a reason",
+                l.keyword,
+                node.qualified()
+            ),
+        )
     }
 }
 
-/// Runs the WCET analysis over the workspace rooted at `root`.
+/// Runs the WCET analysis over the workspace's shared call graph.
 ///
 /// When `against_baseline` is true, per-root certificates are compared to
 /// [`CERT_PATH`] and any cost increase produces [`Rule::WcetCert`]
@@ -713,86 +646,53 @@ fn loop_finding(
 ///
 /// # Errors
 ///
-/// Propagates I/O failures and certificate-format problems.
-pub fn run_wcet(root: &Path, against_baseline: bool) -> io::Result<WcetReport> {
-    let sources = load_sources(root, &DETERMINISTIC_CRATES, true)?;
-    let mut analysis = analyze(&sources);
-
-    let mut ratchet = None;
+/// Propagates certificate read and format problems.
+pub fn run_wcet(ws: &Workspace, against_baseline: bool) -> io::Result<WcetReport> {
+    let mut report = analyze(&ws.core, ws.hot_graph());
     if against_baseline {
-        let path = root.join(CERT_PATH);
-        let text = std::fs::read_to_string(&path).map_err(|e| {
-            io::Error::new(
-                e.kind(),
-                format!(
-                    "cannot read WCET certificates {}: {e}; bootstrap with --update-baselines",
-                    path.display()
-                ),
-            )
-        })?;
-        let baseline =
-            parse_certs(&text).map_err(|m| io::Error::new(io::ErrorKind::InvalidData, m))?;
-        let cmp = compare(&analysis.certs, &baseline);
+        let cmp = WCET.compare(&report.rows(), &WCET.load(&ws.root)?);
         let by_rel: BTreeMap<&str, &SourceFile> =
-            sources.iter().map(|s| (s.rel.as_str(), s)).collect();
+            ws.core.iter().map(|s| (s.rel.as_str(), s)).collect();
         for g in &cmp.growth {
-            let row = analysis
-                .certs
-                .iter()
-                .find(|c| c.name == g.name && c.path == g.path);
+            let row = (report.certs.iter()).find(|c| g.key == [c.name.as_str(), c.path.as_str()]);
             let (path, line, what) = row.and_then(|c| c.witness.as_ref()).map_or_else(
-                || (g.path.clone(), 1, "no dominant construct".to_owned()),
-                |w| (w.path.clone(), w.line, w.what.clone()),
+                || (g.key[1].as_str(), 1, "no dominant construct"),
+                |w| (w.path.as_str(), w.line, w.what.as_str()),
             );
-            let snippet = by_rel
-                .get(path.as_str())
-                .map_or_else(String::new, |s| snippet_of(s, line));
-            analysis.findings.push(Finding {
-                rule: Rule::WcetCert,
-                path,
+            report.findings.push(by_rel[path].finding(
+                Rule::WcetCert,
                 line,
-                snippet,
-                message: format!(
+                format!(
                     "hot-path root `{}` now costs {}, certified {} in {CERT_PATH} \
                      (dominant: {what}); lower the cost, or regenerate certificates \
                      deliberately with --update-baselines",
-                    g.name,
+                    g.key[0],
                     g.current.map_or_else(|| "?".to_owned(), Cost::render),
                     g.baseline
                         .map_or_else(|| "nothing (new root)".to_owned(), Cost::render),
                 ),
-                waived: None,
-                chain: Vec::new(),
-            });
+            ));
         }
-        analysis
+        report
             .findings
             .sort_by(|a, b| (&a.path, a.line, a.rule).cmp(&(&b.path, b.line, b.rule)));
-        ratchet = Some(cmp);
+        report.ratchet = Some(cmp);
     }
-
-    Ok(WcetReport {
-        certs: analysis.certs,
-        findings: analysis.findings,
-        waived: analysis.waived,
-        ratchet,
-        loop_stats: analysis.loop_stats,
-        reachable_fns: analysis.reachable_fns,
-        files_scanned: sources.len(),
-    })
+    Ok(report)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::source::mask;
+    use crate::ratchet::tests::{key, rejects, round_trip};
+    use crate::workspace::hot_graph;
 
     fn src_file(rel: &str, raw: &str) -> SourceFile {
-        SourceFile {
-            rel: rel.to_owned(),
-            raw: raw.to_owned(),
-            masked: mask(raw),
-        }
+        SourceFile::new(rel, raw)
+    }
+
+    fn analyze_files(files: &[SourceFile]) -> WcetReport {
+        analyze(files, &hot_graph(files))
     }
 
     #[test]
@@ -838,51 +738,43 @@ mod tests {
     #[test]
     fn certificates_round_trip_and_ratchet() {
         let rows = vec![
-            CertRow {
-                name: "GammaScratch::rank".to_owned(),
-                path: "crates/core/src/dps.rs".to_owned(),
-                cost: Cost::N_LOG_N,
-                witness: None,
-            },
-            CertRow {
-                name: "Sim::try_dispatch".to_owned(),
-                path: "crates/rtsim/src/sim.rs".to_owned(),
-                cost: Cost::Bounded { degree: 2, logs: 0 },
-                witness: None,
-            },
+            (
+                key(&["GammaScratch::rank", "crates/core/src/dps.rs"]),
+                Cost::N_LOG_N,
+            ),
+            (
+                key(&["Sim::try_dispatch", "crates/rtsim/src/sim.rs"]),
+                Cost::Bounded { degree: 2, logs: 0 },
+            ),
         ];
-        let text = render_certs(&rows);
-        let parsed = parse_certs(&text).unwrap();
+        let parsed = round_trip(&WCET, &rows);
         assert_eq!(parsed.len(), 2);
-        assert!(compare(&rows, &parsed).ok());
+        assert!(!WCET.compare(&rows, &parsed).grew());
 
         // Raising a degree trips the ratchet; shrinking passes.
         let mut grown = rows.clone();
-        grown[0].cost = Cost::Bounded { degree: 2, logs: 1 };
-        let cmp = compare(&grown, &parsed);
-        assert!(!cmp.ok());
-        assert_eq!(cmp.growth[0].name, "GammaScratch::rank");
+        grown[0].1 = Cost::Bounded { degree: 2, logs: 1 };
+        let cmp = WCET.compare(&grown, &parsed);
+        assert!(cmp.grew());
+        assert_eq!(cmp.growth[0].key[0], "GammaScratch::rank");
 
         let mut shrunk = rows.clone();
-        shrunk[1].cost = Cost::LINEAR;
-        assert!(compare(&shrunk, &parsed).ok());
+        shrunk[1].1 = Cost::LINEAR;
+        assert!(!WCET.compare(&shrunk, &parsed).grew());
 
         // A new root must be certified deliberately.
         let mut extended = rows.clone();
-        extended.push(CertRow {
-            name: "newcomer".to_owned(),
-            path: "x.rs".to_owned(),
-            cost: Cost::ONE,
-            witness: None,
-        });
-        assert!(!compare(&extended, &parsed).ok());
+        extended.push((key(&["newcomer", "x.rs"]), Cost::ONE));
+        assert!(WCET.compare(&extended, &parsed).grew());
     }
 
     #[test]
     fn rejects_malformed_certificates() {
-        assert!(parse_certs("nonsense").is_err());
-        assert!(parse_certs("root\tO(n!)\tx.rs").is_err());
-        assert!(parse_certs("# comment\nroot\tO(n)\tx.rs\n").is_ok());
+        rejects(
+            &WCET,
+            &["nonsense", "root\tO(n!)\tx.rs"],
+            "# comment\nroot\tO(n)\tx.rs\n",
+        );
     }
 
     #[test]
@@ -896,7 +788,7 @@ fn rank(xs: &mut [u32]) {
 }
 ",
         )];
-        let a = analyze(&files);
+        let a = analyze_files(&files);
         assert_eq!(a.certs.len(), 1);
         assert_eq!(a.certs[0].cost, Cost::N_LOG_N);
         assert!(a.findings.is_empty(), "{:?}", a.findings);
@@ -926,7 +818,7 @@ fn helper(n: usize) {
 fn touch(_i: usize) {}
 ",
         )];
-        let a = analyze(&files);
+        let a = analyze_files(&files);
         let root = a.certs.iter().find(|c| c.name == "root").unwrap();
         assert_eq!(root.cost, Cost::Bounded { degree: 2, logs: 0 });
         // The witness resolves transitively to the concrete inner loop.
@@ -948,7 +840,7 @@ fn root() {
 fn done() -> bool { true }
 ",
         )];
-        let a = analyze(&files);
+        let a = analyze_files(&files);
         assert_eq!(a.certs[0].cost, Cost::Unbounded);
         assert_eq!(a.findings.len(), 1);
         assert_eq!(a.findings[0].rule, Rule::WcetUnbounded);
@@ -970,7 +862,7 @@ fn root() {
 fn done() -> bool { true }
 ",
         )];
-        let a = analyze(&files);
+        let a = analyze_files(&files);
         assert_eq!(a.certs[0].cost, Cost::LINEAR);
         assert!(a.findings.is_empty(), "{:?}", a.findings);
         assert_eq!(a.waived.len(), 1);
@@ -990,7 +882,7 @@ fn root() {
 }
 ",
         )];
-        let a = analyze(&files);
+        let a = analyze_files(&files);
         let rules: Vec<(usize, &str)> =
             a.findings.iter().map(|f| (f.line, f.rule.name())).collect();
         assert!(rules.contains(&(3, "hot-path-blocking")), "{rules:?}"); // Mutex type
@@ -1012,7 +904,7 @@ fn cold() {
 }
 ",
         )];
-        let a = analyze(&files);
+        let a = analyze_files(&files);
         assert!(a.findings.is_empty(), "{:?}", a.findings);
         assert_eq!(a.certs[0].cost, Cost::ONE);
         assert_eq!(a.loop_stats, LoopStats::default());
@@ -1034,7 +926,7 @@ fn odd(n: usize) { for i in 0..n { touch(i); } even(n); }
 fn touch(_i: usize) {}
 ",
         )];
-        let a = analyze(&files);
+        let a = analyze_files(&files);
         assert_eq!(a.certs[0].cost, Cost::LINEAR);
 
         let files = [src_file(
@@ -1044,7 +936,7 @@ fn touch(_i: usize) {}
 fn spin(n: usize) { for _ in 0..n { spin(n); } }
 ",
         )];
-        let a = analyze(&files);
+        let a = analyze_files(&files);
         assert_eq!(
             a.certs[0].cost,
             Cost::Unbounded,

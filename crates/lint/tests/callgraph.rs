@@ -7,6 +7,7 @@
 use std::path::{Path, PathBuf};
 
 use hcperf_lint::hotpath::run_hot_path;
+use hcperf_lint::Workspace;
 
 fn real_root() -> PathBuf {
     Path::new(env!("CARGO_MANIFEST_DIR"))
@@ -18,7 +19,8 @@ fn real_root() -> PathBuf {
 
 #[test]
 fn real_hot_path_set_contains_the_dispatch_pipeline() {
-    let report = run_hot_path(&real_root(), false).expect("analysis runs");
+    let ws = Workspace::load(&real_root()).expect("workspace loads");
+    let report = run_hot_path(&ws, false).expect("analysis runs");
 
     assert_eq!(report.roots.len(), 7, "{:?}", report.roots);
     // Everything a `hot-path-root` marker names is itself reachable.

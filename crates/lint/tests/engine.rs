@@ -587,6 +587,28 @@ fn binary_update_baselines_rejects_other_modes() {
     assert_eq!(out.status.code(), Some(exit::USAGE), "{out:?}");
 }
 
+#[test]
+fn binary_update_flags_reject_json_and_annotations_without_writing() {
+    // An update run prints rewrite notes, never a JSON document, and
+    // `--update-baselines` takes no output flags: each combination is a
+    // usage error that leaves stdout and every artifact untouched.
+    let root = mini_workspace("update-usage", &[], "# stale\n");
+    for args in [
+        &["--update-baseline", "--json"][..],
+        &["--hot-path", "--update-baseline", "--json"],
+        &["--wcet", "--det-flow", "--update-baseline", "--json"],
+        &["--update-baselines", "--json"],
+        &["--update-baselines", "--annotations"],
+    ] {
+        let out = run_lint(&root, args);
+        assert_eq!(out.status.code(), Some(exit::USAGE), "{args:?}: {out:?}");
+        assert!(out.stdout.is_empty(), "{args:?}: {out:?}");
+    }
+    let baseline = fs::read_to_string(root.join("crates/lint/unwrap_baseline.txt"))
+        .expect("baseline still there");
+    assert_eq!(baseline, "# stale\n");
+}
+
 // ---------------------------------------------------------------------------
 // The real workspace: both modes must be clean (this is the CI gate).
 // ---------------------------------------------------------------------------

@@ -5,8 +5,7 @@
 //! after an interruption replays finished cells from disk.
 use hcperf_bench::experiments as ex;
 fn main() -> Result<(), Box<dyn std::error::Error>> {
-    let jobs = hcperf_bench::jobs_from_cli();
-    let mut store = hcperf_bench::store_from_cli()?;
+    let (jobs, mut store) = hcperf_bench::jobs_and_store_or_exit();
     print!("{}", ex::fig04_motivation(jobs, store.as_mut())?);
     print!("{}", ex::fig05_schedules());
     print!("{}", ex::fig12_exec_times()?);

@@ -7,11 +7,10 @@
 //!
 //! Figures whose cells are independent simulations (`fig04`, `fig13`,
 //! `fig14`, `fig15`, `fig18`) take a `jobs` argument and fan their
-//! cells out through the [`hcperf_harness`] worker pool; `jobs = 0`
+//! cells out through [`hcperf_scenarios::runner::run_cells`]; `jobs = 0`
 //! uses the host's available parallelism. Reports and CSVs are
-//! bit-identical to the old sequential loops for any worker count:
-//! every cell keeps its sequential seed and results are collected in
-//! submission order before anything is written.
+//! bit-identical for any worker count: every cell pins its seed and
+//! results are collected in submission order before anything is written.
 //!
 //! The same figures also take an optional [`hcperf_store::Store`]:
 //! cells finished by an earlier run are then served from disk instead
@@ -22,14 +21,15 @@ use std::fmt::Write as _;
 use std::path::PathBuf;
 
 use hcperf::Scheme;
-use hcperf_harness::{run_batch, BatchOptions, Job};
+use hcperf_harness::Job;
 use hcperf_scenarios::car_following::{run_car_following, CarFollowingConfig};
 use hcperf_scenarios::lane_keeping::{run_lane_keeping, LaneKeepingConfig};
 use hcperf_scenarios::motivation::{run_motivation, MotivationConfig};
 use hcperf_scenarios::report::{improvement_over_best_baseline, pairs_to_csv, series_to_csv};
+use hcperf_scenarios::runner::run_cells;
 use hcperf_scenarios::traffic_jam::{analyze_responsiveness, traffic_jam_config};
 use hcperf_scenarios::ScenarioError;
-use hcperf_store::{fingerprint, CellCache, RunSummary, Store};
+use hcperf_store::{fingerprint, CellCache, Store};
 use hcperf_taskgraph::graphs::{apollo_graph, GraphOptions};
 use hcperf_taskgraph::{ExecContext, SimTime};
 use rand::rngs::StdRng;
@@ -53,51 +53,30 @@ fn dump(name: &str, content: &str) {
     }
 }
 
-/// Fans a set of independent figure cells out through the harness and
-/// collects their payloads in submission order. A panicked cell comes
-/// back as [`ScenarioError::Job`] instead of aborting the process.
-fn fan_out<I, O>(
-    jobs: &[Job<I>],
-    workers: usize,
-    run: impl Fn(&I) -> Result<O, ScenarioError> + Sync,
-) -> Result<Vec<O>, ScenarioError>
-where
-    I: Sync,
-    O: Send,
-{
-    let results = run_batch(jobs, BatchOptions::with_workers(workers), |input, _| {
-        run(input)
-    })
-    .map_err(|e| ScenarioError::Job(e.to_string()))?;
-    results
-        .into_iter()
-        .map(|r| r.into_ok().map_err(ScenarioError::Job)?)
-        .collect()
-}
-
 /// Code-version tag baked into every figure fingerprint. Bump it
 /// whenever a figure's simulation changes results — stale cells from
 /// the old code then miss instead of contaminating the new run.
 pub const FIG_CODE_VERSION: &str = "figs-v1";
 
-/// [`fan_out`] with an optional [`Store`]: cells already `done` under
-/// this figure's fingerprint are replayed from disk bit-identically;
-/// fresh results are appended for the next run. Panicked cells are
-/// recorded as `failed` and retried on resume. Without a store this is
-/// exactly [`fan_out`].
+/// Runs a figure's cells through [`run_cells`], optionally behind a
+/// [`Store`]: cells already `done` under this figure's fingerprint are
+/// replayed from disk bit-identically; fresh results are appended for
+/// the next run. Panicked cells are recorded as `failed` and retried on
+/// resume. Cache activity goes to stderr, so the stdout report is
+/// byte-identical whether cells were simulated or replayed.
 fn fan_out_cached<I, O>(
     figure: &str,
     cells: &[Job<I>],
     workers: usize,
     store: Option<&mut Store>,
     run: impl Fn(&I) -> Result<O, ScenarioError> + Sync,
-) -> Result<(Vec<O>, Option<RunSummary>), ScenarioError>
+) -> Result<Vec<O>, ScenarioError>
 where
     I: Sync,
     O: Send + serde::Serialize + serde::Deserialize,
 {
     let Some(store) = store else {
-        return Ok((fan_out(cells, workers, run)?, None));
+        return run_cells(cells, workers, None, run);
     };
     // Only Ok payloads are cached; a cell whose scenario errored is
     // recorded as `failed` (by the cache's `put`) and retried next run.
@@ -107,32 +86,14 @@ where
         |o: &Result<O, ScenarioError>| serde_json::to_string(o.as_ref().ok()?).ok(),
         |payload: &str| Some(Ok(serde_json::from_str::<O>(payload).ok()?)),
     );
-    let results = run_batch(
-        cells,
-        BatchOptions::with_workers(workers).cached(&mut cache),
-        |input, _| run(input),
-    )
-    .map_err(|e| ScenarioError::Job(e.to_string()))?;
+    let outputs = run_cells(cells, workers, Some(&mut cache), run);
     let summary = cache
         .finish()
         .map_err(|e| ScenarioError::Job(format!("store: {e}")))?;
-    let outputs = results
-        .into_iter()
-        .map(|r| r.into_ok().map_err(ScenarioError::Job)?)
-        .collect::<Result<Vec<O>, ScenarioError>>()?;
-    Ok((outputs, Some(summary)))
-}
-
-/// Notes cache activity on stderr — stderr, so the stdout report is
-/// byte-identical whether cells were simulated or replayed.
-fn report_cache_use(figure: &str, summary: Option<&RunSummary>) {
-    if let Some(s) = summary {
-        eprintln!(
-            "{figure}: store served {} of {} cells",
-            s.hits,
-            s.hits + s.misses
-        );
-    }
+    let outputs = outputs?;
+    let (hits, total) = (summary.hits, summary.hits + summary.misses);
+    eprintln!("{figure}: store served {hits} of {total} cells");
+    Ok(outputs)
 }
 
 /// Fig. 4 — the § II motivation study under fixed-priority scheduling, and
@@ -153,13 +114,12 @@ pub fn fig04_motivation(jobs: usize, store: Option<&mut Store>) -> Result<String
         .iter()
         .map(|&scheme| Job::new(format!("fig04/scheme={scheme}"), scheme))
         .collect();
-    let (runs, cached) = fan_out_cached("fig04", &cells, jobs, store, |&scheme| {
+    let runs = fan_out_cached("fig04", &cells, jobs, store, |&scheme| {
         run_motivation(&MotivationConfig {
             scheme,
             ..Default::default()
         })
     })?;
-    report_cache_use("fig04", cached.as_ref());
     for (scheme, r) in schemes.into_iter().zip(runs) {
         let _ = writeln!(
             out,
@@ -294,10 +254,9 @@ pub fn fig13_car_following(
         .into_iter()
         .map(|scheme| Job::new(format!("fig13/scheme={scheme}"), scheme))
         .collect();
-    let (runs, cached) = fan_out_cached("fig13", &cells, jobs, store, |&scheme| {
+    let runs = fan_out_cached("fig13", &cells, jobs, store, |&scheme| {
         run_car_following(&CarFollowingConfig::paper_simulation(scheme))
     })?;
-    report_cache_use("fig13", cached.as_ref());
     for (scheme, r) in Scheme::all().into_iter().zip(runs) {
         speed_rows.push((scheme.to_string(), r.rms_speed_error));
         dist_rows.push((scheme.to_string(), r.rms_distance_error));
@@ -366,10 +325,9 @@ pub fn fig14_lane_keeping(jobs: usize, store: Option<&mut Store>) -> Result<Stri
         .into_iter()
         .map(|scheme| Job::new(format!("fig14/scheme={scheme}"), scheme))
         .collect();
-    let (runs, cached) = fan_out_cached("fig14", &cells, jobs, store, |&scheme| {
+    let runs = fan_out_cached("fig14", &cells, jobs, store, |&scheme| {
         run_lane_keeping(&LaneKeepingConfig::paper_loop(scheme))
     })?;
-    report_cache_use("fig14", cached.as_ref());
     for (scheme, r) in Scheme::all().into_iter().zip(runs) {
         rows.push((scheme.to_string(), r.rms_lateral_offset));
         let _ = writeln!(
@@ -422,12 +380,11 @@ pub fn fig15_hardware(jobs: usize, store: Option<&mut Store>) -> Result<String, 
             )
         })
         .collect();
-    let (runs, cached) = fan_out_cached("fig15", &cells, jobs, store, |&(scheme, seed)| {
+    let runs = fan_out_cached("fig15", &cells, jobs, store, |&(scheme, seed)| {
         let mut config = CarFollowingConfig::hardware(scheme);
         config.seed = seed;
         run_car_following(&config)
     })?;
-    report_cache_use("fig15", cached.as_ref());
     for (per_seed, scheme) in runs.chunks(seeds.len()).zip(Scheme::all()) {
         let mut v = 0.0;
         let mut d = 0.0;
@@ -481,6 +438,21 @@ pub fn fig15_hardware(jobs: usize, store: Option<&mut Store>) -> Result<String, 
     Ok(out)
 }
 
+/// Mean of the per-second samples in `[from, to)`, `0.0` for an empty
+/// window.
+fn window_mean(samples: &[(f64, f64)], from: f64, to: f64) -> f64 {
+    let vals: Vec<f64> = samples
+        .iter()
+        .filter(|(t, _)| *t >= from && *t < to)
+        .map(|(_, v)| *v)
+        .collect();
+    if vals.is_empty() {
+        0.0
+    } else {
+        vals.iter().sum::<f64>() / vals.len() as f64
+    }
+}
+
 /// Fig. 16/17 — the § VII-C responsiveness/throughput trade under a traffic
 /// jam.
 ///
@@ -509,19 +481,7 @@ pub fn fig17_responsiveness() -> Result<String, ScenarioError> {
         "Gap-deficit tracking error: {pre_err:.2} m RMS before the jam, peak {jam_max:.2} m \
          during onset, {post_err:.2} m RMS after recovery (paper: ~5 m spike mitigated to ~2 m)."
     );
-    let resp = |from: f64, to: f64| {
-        let vals: Vec<f64> = report
-            .response_ms_per_sec
-            .iter()
-            .filter(|(t, _)| *t >= from && *t < to)
-            .map(|(_, v)| *v)
-            .collect();
-        if vals.is_empty() {
-            0.0
-        } else {
-            vals.iter().sum::<f64>() / vals.len() as f64
-        }
-    };
+    let resp = |from, to| window_mean(&report.response_ms_per_sec, from, to);
     let _ = writeln!(
         out,
         "Mean control response time: {:.1} ms pre-jam, {:.1} ms during the jam, {:.1} ms after \
@@ -530,19 +490,7 @@ pub fn fig17_responsiveness() -> Result<String, ScenarioError> {
         resp(10.0, 20.0),
         resp(30.0, 40.0),
     );
-    let disc = |from: f64, to: f64| {
-        let vals: Vec<f64> = report
-            .discomfort
-            .iter()
-            .filter(|(t, _)| *t >= from && *t < to)
-            .map(|(_, v)| *v)
-            .collect();
-        if vals.is_empty() {
-            0.0
-        } else {
-            vals.iter().sum::<f64>() / vals.len() as f64
-        }
-    };
+    let disc = |from, to| window_mean(&report.discomfort, from, to);
     let _ = writeln!(
         out,
         "Passenger discomfort (RMS jerk): {:.2} pre-jam, {:.2} during, {:.2} after — discomfort \
@@ -586,12 +534,11 @@ pub fn fig18_ablation(jobs: usize, store: Option<&mut Store>) -> Result<String, 
         .iter()
         .map(|&(label, external)| Job::new(format!("fig18/{label}"), external))
         .collect();
-    let (runs, cached) = fan_out_cached("fig18", &cells, jobs, store, |&external| {
+    let runs = fan_out_cached("fig18", &cells, jobs, store, |&external| {
         let mut config = CarFollowingConfig::paper_simulation(Scheme::HcPerf);
         config.coordinator.external_enabled = external;
         run_car_following(&config)
     })?;
-    report_cache_use("fig18", cached.as_ref());
     for ((label, external), r) in variants.into_iter().zip(runs) {
         let _ = writeln!(
             out,
@@ -665,12 +612,11 @@ mod tests {
             std::env::temp_dir().join(format!("hcperf_bench_fanout_{}.jsonl", std::process::id()));
         let _ = std::fs::remove_file(&path);
 
-        let (uncached, none) = fan_out_cached("test", &cells, 2, None, run).unwrap();
-        assert!(none.is_none());
+        let uncached = fan_out_cached("test", &cells, 2, None, run).unwrap();
 
         let mut store = Store::open(&path).unwrap();
-        let (cold, s) = fan_out_cached("test", &cells, 2, Some(&mut store), run).unwrap();
-        let s = s.unwrap();
+        let cold = fan_out_cached("test", &cells, 2, Some(&mut store), run).unwrap();
+        let s = store.status().last_run.unwrap();
         assert_eq!((s.hits, s.misses), (0, 4));
         assert_eq!(cold, uncached);
 
@@ -678,13 +624,13 @@ mod tests {
         // and the payloads are bit-identical.
         drop(store);
         let mut store = Store::open(&path).unwrap();
-        let (warm, s) = fan_out_cached("test", &cells, 2, Some(&mut store), run).unwrap();
-        let s = s.unwrap();
+        let warm = fan_out_cached("test", &cells, 2, Some(&mut store), run).unwrap();
+        let s = store.status().last_run.unwrap();
         assert_eq!((s.hits, s.misses), (4, 0));
         assert_eq!(warm, uncached);
         // A different figure tag is a different fingerprint — no hits.
-        let (_, s) = fan_out_cached("other", &cells, 2, Some(&mut store), run).unwrap();
-        assert_eq!(s.unwrap().hits, 0);
+        fan_out_cached("other", &cells, 2, Some(&mut store), run).unwrap();
+        assert_eq!(store.status().last_run.unwrap().hits, 0);
         let _ = std::fs::remove_file(&path);
     }
 

@@ -14,7 +14,7 @@ use hcperf_scenarios::fleet::{run_fleet_with_cache, FleetConfig, FleetPreset};
 use hcperf_scenarios::lane_keeping::{run_lane_keeping, LaneKeepingConfig};
 use hcperf_scenarios::motivation::{run_motivation, MotivationConfig};
 use hcperf_scenarios::robustness::{traction_loss_comparison, TractionLossConfig};
-use hcperf_scenarios::sweep::{knee, rate_sweep_parallel_cached, SweepConfig};
+use hcperf_scenarios::sweep::{knee, rate_sweep, SweepConfig};
 use hcperf_store::{RunSummary, Store};
 use hcperf_taskgraph::graphs::{apollo_graph, motivation_graph, GraphOptions};
 use hcperf_taskgraph::{ExecContext, Rate, SimTime};
@@ -267,11 +267,11 @@ fn cmd_sweep(args: &Args) -> Result<String, CliError> {
         ..Default::default()
     };
     let (points, store_report) = match store_path(args) {
-        None => (rate_sweep_parallel_cached(&config, jobs, None)?, None),
+        None => (rate_sweep(&config, jobs, None)?, None),
         Some(path) => {
             let mut store = open_store(path)?;
             let mut cache = sweep_cache(&mut store, &config);
-            let points = rate_sweep_parallel_cached(&config, jobs, Some(&mut cache))?;
+            let points = rate_sweep(&config, jobs, Some(&mut cache))?;
             let summary = cache
                 .finish()
                 .map_err(|e| CliError::Io(format!("store {path}: {e}")))?;

@@ -26,21 +26,14 @@ use crate::job::JobResult;
 /// through `put`, so an implementation can count `put` calls as
 /// recomputations.
 pub trait ResultCache<O> {
-    /// Returns the cached payload for `key`, or `None` to run the job.
+    /// Returns the cached payload for `key` with the number of attempts
+    /// it originally took (so a replayed batch reproduces its retry
+    /// accounting byte for byte), or `None` to run the job.
     ///
     /// A `None` may register the key as pending work; the pool will call
     /// [`ResultCache::put`] for it once the job completes (unless the
     /// batch is aborted first).
-    fn get(&mut self, key: &str) -> Option<O>;
-
-    /// Like [`ResultCache::get`], but also reports how many attempts the
-    /// cached result originally took, so a replayed batch reproduces its
-    /// retry accounting byte for byte. The default assumes a first-try
-    /// success; caches that persist attempt counts (e.g. `hcperf-store`)
-    /// override it.
-    fn get_with_attempts(&mut self, key: &str) -> Option<(O, u32)> {
-        self.get(key).map(|output| (output, 1))
-    }
+    fn get(&mut self, key: &str) -> Option<(O, u32)>;
 
     /// Offers a freshly computed result for caching. Implementations
     /// decide what to persist — e.g. store successes as `done` cells and
@@ -58,8 +51,8 @@ mod tests {
     /// A map is a perfectly good cache for a closure-shaped test.
     struct MapCache(BTreeMap<String, u32>);
     impl ResultCache<u32> for MapCache {
-        fn get(&mut self, key: &str) -> Option<u32> {
-            self.0.get(key).copied()
+        fn get(&mut self, key: &str) -> Option<(u32, u32)> {
+            self.0.get(key).map(|&o| (o, 1))
         }
         fn put(&mut self, result: &JobResult<u32>) {
             if let JobStatus::Ok(o) = &result.status {
@@ -81,7 +74,6 @@ mod tests {
             attempts: 1,
             status: JobStatus::Ok(7),
         });
-        assert_eq!(dyn_cache.get("a"), Some(7));
-        assert_eq!(dyn_cache.get_with_attempts("a"), Some((7, 1)));
+        assert_eq!(dyn_cache.get("a"), Some((7, 1)));
     }
 }

@@ -15,9 +15,9 @@ pub struct Job<I> {
     /// Input payload handed to the job function.
     pub input: I,
     /// Explicit seed override. `None` derives the seed from the batch
-    /// root seed and `key` (the default); `Some` pins it — used when a
-    /// parallel variant must replay the exact seeds of a sequential
-    /// path it mirrors.
+    /// root seed and `key` (the default); `Some` pins it — used when the
+    /// cell's scenario already carries its seed, so the cell computes
+    /// exactly what a direct scenario call with that seed computes.
     pub seed: Option<u64>,
 }
 

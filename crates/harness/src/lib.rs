@@ -36,10 +36,11 @@
 //! # Examples
 //!
 //! ```
-//! use hcperf_harness::{run_batch_with, Job};
+//! use hcperf_harness::{run_batch, BatchOptions, Job};
 //!
 //! let jobs: Vec<Job<u64>> = (0..16).map(|i| Job::new(format!("cell/{i}"), i)).collect();
-//! let results = run_batch_with(&jobs, 4, |&input, seed| input.wrapping_mul(seed)).unwrap();
+//! let opts = BatchOptions::with_workers(4);
+//! let results = run_batch(&jobs, opts, |&input, seed| input.wrapping_mul(seed)).unwrap();
 //! assert_eq!(results.len(), 16);
 //! assert!(results.iter().enumerate().all(|(i, r)| r.index == i));
 //! ```
@@ -53,7 +54,6 @@ pub mod sink;
 pub use cache::ResultCache;
 pub use job::{Job, JobResult, JobStatus, Progress};
 pub use pool::{
-    available_workers, run_batch, run_batch_streaming, run_batch_with, BatchError, BatchOptions,
-    HarnessError, StreamSummary,
+    available_workers, run_batch, run_batch_streaming, BatchOptions, HarnessError, StreamSummary,
 };
 pub use sink::{json_escape, JsonlSink, RecordSink};

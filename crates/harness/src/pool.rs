@@ -98,9 +98,6 @@ impl std::fmt::Display for HarnessError {
 
 impl std::error::Error for HarnessError {}
 
-/// Former name of [`HarnessError`], kept for existing callers.
-pub type BatchError = HarnessError;
-
 /// Worker threads the host can usefully run (`available_parallelism`,
 /// falling back to 1 when the platform cannot say).
 #[must_use]
@@ -443,7 +440,7 @@ where
             let mut prehits: BTreeMap<usize, JobResult<O>> = BTreeMap::new();
             let mut misses = Vec::new();
             for (index, job) in jobs.iter().enumerate() {
-                match cache.get_with_attempts(&job.key) {
+                match cache.get(&job.key) {
                     Some((output, attempts)) => {
                         // A hit replays the attempt count the original
                         // run recorded, so its seed is the one the final
@@ -647,27 +644,6 @@ where
         },
     )?;
     Ok(summary)
-}
-
-/// [`run_batch`] with default options and an explicit worker count —
-/// the common case for callers that just want the parallelism.
-///
-/// # Errors
-///
-/// Returns [`HarnessError::DuplicateKey`] if two jobs share a key, or a
-/// collection error ([`HarnessError::LostJobs`] /
-/// [`HarnessError::CorruptCollection`]) if the pool loses a job.
-pub fn run_batch_with<I, O, F>(
-    jobs: &[Job<I>],
-    workers: usize,
-    run: F,
-) -> Result<Vec<JobResult<O>>, HarnessError>
-where
-    I: Sync,
-    O: Send,
-    F: Fn(&I, u64) -> O + Sync,
-{
-    run_batch(jobs, BatchOptions::with_workers(workers), run)
 }
 
 #[cfg(test)]

@@ -2,12 +2,12 @@
 //! panic isolation, ordered streaming, progress accounting.
 
 use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::Mutex;
+use std::sync::{Condvar, Mutex};
+use std::time::Duration;
 
 use hcperf_harness::seed::{derive_seed, splitmix64};
 use hcperf_harness::{
-    run_batch, run_batch_streaming, run_batch_with, BatchError, BatchOptions, HarnessError, Job,
-    JobStatus, JsonlSink, Progress,
+    run_batch, run_batch_streaming, BatchOptions, HarnessError, Job, JobStatus, JsonlSink, Progress,
 };
 
 /// A deterministic, seed-driven stand-in for a simulation: a short
@@ -28,9 +28,9 @@ fn batch(n: u64) -> Vec<Job<u64>> {
 #[test]
 fn results_are_bit_identical_for_any_worker_count() {
     let jobs = batch(33);
-    let reference = run_batch_with(&jobs, 1, fake_sim).unwrap();
+    let reference = run_batch(&jobs, BatchOptions::with_workers(1), fake_sim).unwrap();
     for workers in [2, 3, 8, 16] {
-        let got = run_batch_with(&jobs, workers, fake_sim).unwrap();
+        let got = run_batch(&jobs, BatchOptions::with_workers(workers), fake_sim).unwrap();
         assert_eq!(got.len(), reference.len());
         for (r, g) in reference.iter().zip(&got) {
             assert_eq!((r.index, &r.key, r.seed), (g.index, &g.key, g.seed));
@@ -60,7 +60,7 @@ fn explicit_seeds_override_derivation() {
         Job::with_seed("b", 2u64, 7),
         Job::new("c", 3u64),
     ];
-    let results = run_batch_with(&jobs, 2, fake_sim).unwrap();
+    let results = run_batch(&jobs, BatchOptions::with_workers(2), fake_sim).unwrap();
     assert_eq!(results[0].seed, 7);
     assert_eq!(results[1].seed, 7);
     assert_ne!(results[2].seed, 7);
@@ -72,7 +72,7 @@ fn panicking_job_yields_failure_record_and_siblings_complete() {
     let prev = std::panic::take_hook();
     std::panic::set_hook(Box::new(|_| {}));
     let jobs = batch(12);
-    let results = run_batch_with(&jobs, 3, |&input, seed| {
+    let results = run_batch(&jobs, BatchOptions::with_workers(3), |&input, seed| {
         assert!(input != 5, "job five exploded");
         fake_sim(&input, seed)
     })
@@ -97,14 +97,16 @@ fn panicking_job_yields_failure_record_and_siblings_complete() {
 #[test]
 fn duplicate_keys_are_rejected_up_front() {
     let jobs = vec![Job::new("same", 1u64), Job::new("same", 2u64)];
-    let err = run_batch_with(&jobs, 2, fake_sim).unwrap_err();
-    assert_eq!(err, BatchError::DuplicateKey("same".into()));
+    let err = run_batch(&jobs, BatchOptions::with_workers(2), fake_sim).unwrap_err();
+    assert_eq!(err, HarnessError::DuplicateKey("same".into()));
 }
 
 #[test]
 fn empty_batch_is_fine() {
     let jobs: Vec<Job<u64>> = Vec::new();
-    assert!(run_batch_with(&jobs, 4, fake_sim).unwrap().is_empty());
+    assert!(run_batch(&jobs, BatchOptions::with_workers(4), fake_sim)
+        .unwrap()
+        .is_empty());
 }
 
 #[test]
@@ -216,13 +218,42 @@ fn streaming_counts_panicked_jobs() {
 fn zero_workers_means_available_parallelism() {
     let jobs = batch(4);
     let touched = AtomicUsize::new(0);
-    let results = run_batch_with(&jobs, 0, |&input, seed| {
+    let results = run_batch(&jobs, BatchOptions::with_workers(0), |&input, seed| {
         touched.fetch_add(1, Ordering::Relaxed);
         fake_sim(&input, seed)
     })
     .unwrap();
     assert_eq!(results.len(), 4);
     assert_eq!(touched.load(Ordering::Relaxed), 4);
+}
+
+/// The pool really runs `workers` jobs at once. Four jobs meet at a
+/// four-party rendezvous, so the batch succeeds only if all four are in
+/// flight together. `std::sync::Barrier` cannot time out, so the
+/// rendezvous is a countdown on a `Condvar` with a bounded wait: a
+/// serialized pool fails the test with `Panicked` records instead of
+/// hanging it. No wall-clock threshold decides the outcome.
+#[test]
+fn four_workers_run_four_jobs_at_once() {
+    let jobs = batch(4);
+    let arrived = (Mutex::new(0usize), Condvar::new());
+    let results = run_batch(&jobs, BatchOptions::with_workers(4), |&input, seed| {
+        let (count, all_here) = &arrived;
+        let mut here = count.lock().unwrap();
+        *here += 1;
+        all_here.notify_all();
+        let (here, wait) = all_here
+            .wait_timeout_while(here, Duration::from_secs(30), |n| *n < 4)
+            .unwrap();
+        let seen = *here;
+        drop(here);
+        assert!(!wait.timed_out(), "only {seen} of 4 jobs ran at once");
+        fake_sim(&input, seed)
+    })
+    .unwrap();
+    for r in &results {
+        assert!(r.status.is_ok(), "{}: {:?}", r.key, r.status);
+    }
 }
 
 /// The retry-policy failure audit: a job that panics on *every*
@@ -320,9 +351,9 @@ impl MemCache {
 }
 
 impl hcperf_harness::ResultCache<u64> for MemCache {
-    fn get(&mut self, key: &str) -> Option<u64> {
+    fn get(&mut self, key: &str) -> Option<(u64, u32)> {
         self.gets += 1;
-        self.map.get(key).copied()
+        self.map.get(key).map(|&o| (o, 1))
     }
     fn put(&mut self, result: &hcperf_harness::JobResult<u64>) {
         if let JobStatus::Ok(o) = &result.status {

@@ -13,7 +13,9 @@
 //! * [`motivation`] — the § II red-light study (Fig. 4);
 //! * [`traffic_jam`] — the § VII-C responsiveness/throughput study
 //!   (Fig. 16/17);
-//! * [`runner`] — run one scenario across all five schemes;
+//! * [`runner`] — run one scenario across all five schemes, and
+//!   [`runner::run_cells`], the one harness fan-out every experiment
+//!   surface runs its cells through;
 //! * `closed_loop` (crate-private) — the one sense/compute/actuate/
 //!   coordinate loop the scenarios run, generic over their vehicle `Plant`;
 //! * [`metrics`] / [`report`] — RMS/series recording and paper-style
@@ -59,9 +61,8 @@ pub use metrics::TimeSeries;
 pub use motivation::{run_motivation, MotivationConfig, MotivationResult};
 pub use robustness::{traction_loss_comparison, RecoveryRow, TractionLossConfig};
 pub use runner::{
-    compare_car_following, compare_car_following_parallel, compare_car_following_seeded,
-    compare_car_following_seeded_parallel, compare_lane_keeping, compare_lane_keeping_parallel,
-    SeedStats, SeededComparison,
+    compare_car_following, compare_car_following_seeded, compare_lane_keeping, SeedStats,
+    SeededComparison,
 };
-pub use sweep::{knee, rate_sweep, rate_sweep_parallel, SweepConfig, SweepPoint};
+pub use sweep::{knee, rate_sweep, SweepConfig, SweepPoint};
 pub use traffic_jam::{analyze_responsiveness, traffic_jam_config, ResponsivenessReport};

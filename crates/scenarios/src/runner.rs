@@ -1,74 +1,60 @@
-//! Multi-scheme experiment runner.
+//! Multi-scheme experiment runner and the one cell fan-out.
 //!
 //! Every evaluation figure compares the same scenario across all five
 //! schemes; this module runs them and collects the per-scheme results.
 //! Each `(scheme, seed)` cell is an independent deterministic
-//! simulation, so the comparisons also come in parallel flavours built
-//! on [`hcperf_harness`] — bit-identical to the sequential paths for
-//! any worker count, because every cell replays the exact seed the
-//! sequential loop would have used.
+//! simulation, so every experiment surface (these comparisons, the rate
+//! sweep, the figure pipeline) runs its cells through [`run_cells`]:
+//! one [`hcperf_harness`] batch whose results come back in submission
+//! order, bit-identical for any worker count.
 
 use hcperf::Scheme;
-use hcperf_harness::{run_batch, BatchOptions, Job};
+use hcperf_harness::{run_batch, BatchOptions, Job, ResultCache};
 
 use crate::car_following::{
     run_car_following, CarFollowingConfig, CarFollowingResult, ScenarioError,
 };
 use crate::lane_keeping::{run_lane_keeping, LaneKeepingConfig, LaneKeepingResult};
 
-/// One `(job key, scheme, seed)` cell of a comparison.
-type Cell = (String, Scheme, u64);
-
-/// Every scheme at `seed`.
-fn per_scheme(seed: u64) -> Vec<Cell> {
-    let key = |scheme| format!("scheme={scheme}");
-    Scheme::all()
+/// Runs `jobs` over a [`hcperf_harness`] pool of `workers` threads
+/// (`0` = host parallelism), serving cells from `cache` where it can,
+/// and returns the payloads in submission order.
+///
+/// # Errors
+///
+/// Returns the first cell's [`ScenarioError`] in submission order; a
+/// panicked cell or a pool failure surfaces as [`ScenarioError::Job`].
+pub fn run_cells<I: Sync, O: Send>(
+    jobs: &[Job<I>],
+    workers: usize,
+    cache: Option<&mut dyn ResultCache<Result<O, ScenarioError>>>,
+    run: impl Fn(&I) -> Result<O, ScenarioError> + Sync,
+) -> Result<Vec<O>, ScenarioError> {
+    let mut opts = BatchOptions::with_workers(workers);
+    opts.cache = cache;
+    run_batch(jobs, opts, |input, _| run(input))
+        .map_err(|e| ScenarioError::Job(e.to_string()))?
         .into_iter()
-        .map(|s| (key(s), s, seed))
+        .map(|r| r.into_ok().map_err(ScenarioError::Job)?)
         .collect()
 }
 
-/// Every `(scheme, seed)` pair, scheme-major.
-fn per_scheme_and_seed(seeds: &[u64]) -> Vec<Cell> {
+/// One job per `(scheme, seed)` pair, scheme-major, each pinned to its
+/// seed.
+fn jobs(seeds: &[u64]) -> Vec<Job<(Scheme, u64)>> {
     assert!(!seeds.is_empty(), "need at least one seed");
     let key = |scheme, seed| format!("scheme={scheme}/seed={seed}");
     Scheme::all()
         .into_iter()
-        .flat_map(|s| seeds.iter().map(move |&seed| (key(s, seed), s, seed)))
+        .flat_map(|s| seeds.iter().map(move |&seed| (s, seed)))
+        .map(|(s, seed)| Job::with_seed(key(s, seed), (s, seed), seed))
         .collect()
-}
-
-/// Runs every cell in order: in this thread when `workers` is `None`,
-/// else over a [`hcperf_harness`] pool (`Some(0)` = host parallelism),
-/// where a panicked cell surfaces as [`ScenarioError::Job`]. Results
-/// come back in cell order either way.
-fn run_cells<O: Send>(
-    cells: Vec<Cell>,
-    workers: Option<usize>,
-    run: impl Fn(Scheme, u64) -> Result<O, ScenarioError> + Sync,
-) -> Result<Vec<O>, ScenarioError> {
-    let Some(workers) = workers else {
-        return cells.into_iter().map(|(_, s, seed)| run(s, seed)).collect();
-    };
-    let jobs: Vec<Job<(Scheme, u64)>> = cells
-        .into_iter()
-        .map(|(key, s, seed)| Job::with_seed(key, (s, seed), seed))
-        .collect();
-    run_batch(
-        &jobs,
-        BatchOptions::with_workers(workers),
-        |&(s, seed), _| run(s, seed),
-    )
-    .map_err(|e| ScenarioError::Job(e.to_string()))?
-    .into_iter()
-    .map(|r| r.into_ok().map_err(ScenarioError::Job)?)
-    .collect()
 }
 
 fn car_following(
     base: &CarFollowingConfig,
-) -> impl Fn(Scheme, u64) -> Result<CarFollowingResult, ScenarioError> + Sync + '_ {
-    move |scheme, seed| {
+) -> impl Fn(&(Scheme, u64)) -> Result<CarFollowingResult, ScenarioError> + Sync + '_ {
+    move |&(scheme, seed)| {
         run_car_following(&CarFollowingConfig {
             scheme,
             seed,
@@ -79,8 +65,8 @@ fn car_following(
 
 fn lane_keeping(
     base: &LaneKeepingConfig,
-) -> impl Fn(Scheme, u64) -> Result<LaneKeepingResult, ScenarioError> + Sync + '_ {
-    move |scheme, seed| {
+) -> impl Fn(&(Scheme, u64)) -> Result<LaneKeepingResult, ScenarioError> + Sync + '_ {
+    move |&(scheme, seed)| {
         run_lane_keeping(&LaneKeepingConfig {
             scheme,
             seed,
@@ -90,26 +76,30 @@ fn lane_keeping(
 }
 
 /// Runs the car-following scenario for every scheme, keeping all other
-/// configuration identical.
+/// configuration identical, over `workers` pool threads (`0` = host
+/// parallelism).
 ///
 /// # Errors
 ///
-/// Propagates the first [`ScenarioError`].
+/// Same contract as [`run_cells`].
 pub fn compare_car_following(
     base: &CarFollowingConfig,
+    workers: usize,
 ) -> Result<Vec<CarFollowingResult>, ScenarioError> {
-    run_cells(per_scheme(base.seed), None, car_following(base))
+    run_cells(&jobs(&[base.seed]), workers, None, car_following(base))
 }
 
-/// Runs the lane-keeping scenario for every scheme.
+/// Runs the lane-keeping scenario for every scheme over `workers` pool
+/// threads (`0` = host parallelism).
 ///
 /// # Errors
 ///
-/// Propagates the first [`ScenarioError`].
+/// Same contract as [`run_cells`].
 pub fn compare_lane_keeping(
     base: &LaneKeepingConfig,
+    workers: usize,
 ) -> Result<Vec<LaneKeepingResult>, ScenarioError> {
-    run_cells(per_scheme(base.seed), None, lane_keeping(base))
+    run_cells(&jobs(&[base.seed]), workers, None, lane_keeping(base))
 }
 
 /// Mean and population standard deviation of per-seed samples.
@@ -175,79 +165,26 @@ fn aggregate_seeds(cells: &[CarFollowingResult], seeds: usize) -> Vec<SeededComp
         .collect()
 }
 
-/// Runs the car-following scenario for every scheme over several seeds and
-/// aggregates the headline metrics — how the hardware tables (V/VI) are
-/// produced, since the scaled-car runs are noisy.
+/// Runs the car-following scenario for every scheme over several seeds
+/// and aggregates the headline metrics — how the hardware tables (V/VI)
+/// are produced, since the scaled-car runs are noisy. The `5 ×
+/// seeds.len()` cells run over `workers` pool threads (`0` = host
+/// parallelism) and are aggregated in scheme-major, seed order.
 ///
 /// # Errors
 ///
-/// Propagates the first [`ScenarioError`].
-pub fn compare_car_following_seeded(
-    base: &CarFollowingConfig,
-    seeds: &[u64],
-) -> Result<Vec<SeededComparison>, ScenarioError> {
-    let cells = run_cells(per_scheme_and_seed(seeds), None, car_following(base))?;
-    Ok(aggregate_seeds(&cells, seeds.len()))
-}
-
-/// [`compare_car_following`] with the five scheme cells fanned out over
-/// a [`hcperf_harness`] worker pool (`workers = 0` = host parallelism).
-/// Bit-identical to the sequential path for any worker count.
-///
-/// # Errors
-///
-/// Propagates the first [`ScenarioError`]; a panicked cell surfaces as
-/// [`ScenarioError::Job`].
-pub fn compare_car_following_parallel(
-    base: &CarFollowingConfig,
-    workers: usize,
-) -> Result<Vec<CarFollowingResult>, ScenarioError> {
-    run_cells(per_scheme(base.seed), Some(workers), car_following(base))
-}
-
-/// [`compare_lane_keeping`] with the five scheme cells fanned out over
-/// a [`hcperf_harness`] worker pool (`workers = 0` = host parallelism).
-/// Bit-identical to the sequential path for any worker count.
-///
-/// # Errors
-///
-/// Propagates the first [`ScenarioError`]; a panicked cell surfaces as
-/// [`ScenarioError::Job`].
-pub fn compare_lane_keeping_parallel(
-    base: &LaneKeepingConfig,
-    workers: usize,
-) -> Result<Vec<LaneKeepingResult>, ScenarioError> {
-    run_cells(per_scheme(base.seed), Some(workers), lane_keeping(base))
-}
-
-/// [`compare_car_following_seeded`] with every `(scheme, seed)` cell —
-/// `5 × seeds.len()` independent simulations — fanned out over a
-/// [`hcperf_harness`] worker pool (`workers = 0` = host parallelism).
-///
-/// Each cell pins the exact seed the sequential loop would have used,
-/// and aggregation walks the cells in the sequential order, so the
-/// result is bit-identical to [`compare_car_following_seeded`] for any
-/// worker count.
-///
-/// # Errors
-///
-/// Propagates the first [`ScenarioError`]; a panicked cell surfaces as
-/// [`ScenarioError::Job`].
+/// Same contract as [`run_cells`].
 ///
 /// # Panics
 ///
-/// Panics when `seeds` is empty, like the sequential path.
-pub fn compare_car_following_seeded_parallel(
+/// Panics when `seeds` is empty.
+pub fn compare_car_following_seeded(
     base: &CarFollowingConfig,
     seeds: &[u64],
     workers: usize,
 ) -> Result<Vec<SeededComparison>, ScenarioError> {
-    let cells = run_cells(
-        per_scheme_and_seed(seeds),
-        Some(workers),
-        car_following(base),
-    )?;
-    Ok(aggregate_seeds(&cells, seeds.len()))
+    let runs = run_cells(&jobs(seeds), workers, None, car_following(base))?;
+    Ok(aggregate_seeds(&runs, seeds.len()))
 }
 
 #[cfg(test)]
@@ -260,7 +197,7 @@ mod tests {
         base.duration = 5.0;
         base.fusion_step = None;
         base.record_series = false;
-        let results = compare_car_following_seeded(&base, &[1, 2]).unwrap();
+        let results = compare_car_following_seeded(&base, &[1, 2], 1).unwrap();
         assert_eq!(results.len(), 5);
         for r in &results {
             assert!(r.rms_speed_error.mean.is_finite());
@@ -288,7 +225,7 @@ mod tests {
         base.duration = 6.0;
         base.fusion_step = None;
         base.record_series = false;
-        let results = compare_car_following(&base).unwrap();
+        let results = compare_car_following(&base, 1).unwrap();
         let schemes: Vec<Scheme> = results.iter().map(|r| r.scheme).collect();
         assert_eq!(schemes, Scheme::all().to_vec());
         assert!(results.iter().all(|r| r.commands > 0));

@@ -7,17 +7,18 @@
 //! baseline rates in experiments.
 //!
 //! Each probed rate is an independent deterministic simulation, so the
-//! sweep also comes in a parallel flavour ([`rate_sweep_parallel`])
-//! built on [`hcperf_harness`]: bit-identical to the sequential path
-//! for any worker count.
+//! sweep fans its rates out through [`crate::runner::run_cells`]: the
+//! curve is bit-identical for any worker count, and an optional result
+//! cache serves already-swept points instead of re-simulating them.
 
 use hcperf::{DpsConfig, Scheme};
-use hcperf_harness::{run_batch, BatchOptions, Job, ResultCache};
+use hcperf_harness::{Job, ResultCache};
 use hcperf_rtsim::{JoinPolicy, Sim, SimConfig};
 use hcperf_taskgraph::graphs::{apollo_graph, GraphOptions};
 use hcperf_taskgraph::{LoadProfile, Rate, SimTime, TaskGraph};
 
 use crate::car_following::ScenarioError;
+use crate::runner::run_cells;
 
 /// One sweep sample.
 #[derive(Debug, Clone, Copy, PartialEq, serde::Serialize, serde::Deserialize)]
@@ -67,9 +68,8 @@ impl Default for SweepConfig {
     }
 }
 
-/// Simulates one probed rate. Every sweep point — sequential or
-/// parallel — goes through this single function, which is what makes
-/// the two paths bit-identical.
+/// Simulates one probed rate. Every point runs with the same
+/// `config.seed`, so a point's bytes depend only on its rate.
 fn sweep_point(
     graph: &TaskGraph,
     config: &SweepConfig,
@@ -109,47 +109,15 @@ fn sweep_graph(config: &SweepConfig) -> Result<TaskGraph, ScenarioError> {
 }
 
 /// Sweeps pipeline rates over the Fig. 11 graph and returns the
-/// miss/throughput curve.
-///
-/// # Errors
-///
-/// Returns [`ScenarioError`] on graph or simulator construction failure.
-pub fn rate_sweep(config: &SweepConfig) -> Result<Vec<SweepPoint>, ScenarioError> {
-    let graph = sweep_graph(config)?;
-    config
-        .rates_hz
-        .iter()
-        .map(|&rate_hz| sweep_point(&graph, config, rate_hz))
-        .collect()
-}
-
-/// [`rate_sweep`] with the probed rates fanned out over a
-/// [`hcperf_harness`] worker pool.
-///
-/// `workers = 0` uses the host's available parallelism. The returned
-/// curve is bit-identical to the sequential [`rate_sweep`] for any
-/// worker count: every point runs the same simulation with the same
-/// `config.seed`, and the harness reports results in submission order.
+/// miss/throughput curve, probing the rates over `workers` pool threads
+/// (`0` = host parallelism). `cache` (`hcperf-store`'s `CellCache` in
+/// production) serves already-swept points bit-identically.
 ///
 /// # Errors
 ///
 /// Returns [`ScenarioError`] on graph or simulator construction
 /// failure, or [`ScenarioError::Job`] if a point's simulation panicked.
-pub fn rate_sweep_parallel(
-    config: &SweepConfig,
-    workers: usize,
-) -> Result<Vec<SweepPoint>, ScenarioError> {
-    rate_sweep_parallel_cached(config, workers, None)
-}
-
-/// [`rate_sweep_parallel`] with an optional result cache
-/// (`hcperf-store`'s `CellCache` in production): already-swept points
-/// are served from the cache bit-identically instead of re-simulated.
-///
-/// # Errors
-///
-/// Same contract as [`rate_sweep_parallel`].
-pub fn rate_sweep_parallel_cached(
+pub fn rate_sweep(
     config: &SweepConfig,
     workers: usize,
     cache: Option<&mut dyn ResultCache<Result<SweepPoint, ScenarioError>>>,
@@ -159,22 +127,11 @@ pub fn rate_sweep_parallel_cached(
         .rates_hz
         .iter()
         .enumerate()
-        // The sequential path runs every rate with the same config.seed;
-        // pin that seed so the parallel path replays it exactly.
         .map(|(i, &rate_hz)| Job::with_seed(format!("rate[{i}]={rate_hz}"), rate_hz, config.seed))
         .collect();
-    let mut opts = BatchOptions::with_workers(workers);
-    if let Some(cache) = cache {
-        opts = opts.cached(cache);
-    }
-    let results = run_batch(&jobs, opts, |&rate_hz, _| {
+    run_cells(&jobs, workers, cache, |&rate_hz| {
         sweep_point(&graph, config, rate_hz)
     })
-    .map_err(|e| ScenarioError::Job(e.to_string()))?;
-    results
-        .into_iter()
-        .map(|r| r.into_ok().map_err(ScenarioError::Job)?)
-        .collect()
 }
 
 /// Locates the capacity knee: the lowest probed rate whose miss ratio
@@ -192,13 +149,13 @@ mod tests {
     use super::*;
 
     fn sweep(scheme: Scheme) -> Vec<SweepPoint> {
-        rate_sweep(&SweepConfig {
+        let config = SweepConfig {
             scheme,
             rates_hz: vec![10.0, 20.0, 30.0, 40.0],
             duration: 4.0,
             ..Default::default()
-        })
-        .unwrap()
+        };
+        rate_sweep(&config, 1, None).unwrap()
     }
 
     #[test]
@@ -232,12 +189,12 @@ mod tests {
 
     #[test]
     fn knee_returns_none_for_easy_sweeps() {
-        let points = rate_sweep(&SweepConfig {
+        let config = SweepConfig {
             rates_hz: vec![5.0, 10.0],
             duration: 3.0,
             ..Default::default()
-        })
-        .unwrap();
+        };
+        let points = rate_sweep(&config, 1, None).unwrap();
         assert_eq!(knee(&points, 0.5), None);
     }
 
@@ -251,18 +208,5 @@ mod tests {
         };
         let json = serde_json::to_string(&p).unwrap();
         assert!(json.contains("\"mean_e2e_ms\":null"), "{json}");
-    }
-
-    #[test]
-    fn parallel_sweep_matches_sequential_exactly() {
-        let config = SweepConfig {
-            rates_hz: vec![10.0, 25.0, 40.0],
-            duration: 2.0,
-            ..Default::default()
-        };
-        let sequential = rate_sweep(&config).unwrap();
-        for workers in [1, 3] {
-            assert_eq!(rate_sweep_parallel(&config, workers).unwrap(), sequential);
-        }
     }
 }

@@ -120,11 +120,7 @@ where
     E: Fn(&O) -> Option<String>,
     D: Fn(&str) -> Option<O>,
 {
-    fn get(&mut self, key: &str) -> Option<O> {
-        self.get_with_attempts(key).map(|(output, _)| output)
-    }
-
-    fn get_with_attempts(&mut self, key: &str) -> Option<(O, u32)> {
+    fn get(&mut self, key: &str) -> Option<(O, u32)> {
         if self.error.is_some() {
             return None; // degraded: pass everything through
         }
@@ -248,8 +244,8 @@ mod tests {
         }
         let mut store = Store::open(&path).unwrap();
         let mut c = cache(&mut store, &fp);
-        assert_eq!(c.get("cell/0"), Some(10));
-        assert_eq!(c.get("cell/1"), Some(11));
+        assert_eq!(c.get("cell/0"), Some((10, 1)));
+        assert_eq!(c.get("cell/1"), Some((11, 1)));
         let summary = c.finish().unwrap();
         assert_eq!((summary.hits, summary.misses), (2, 0));
         assert_eq!(summary.hit_ratio(), Some(1.0));
@@ -282,7 +278,7 @@ mod tests {
         {
             let mut store = Store::open(&path).unwrap();
             let mut c = cache(&mut store, &fp);
-            assert_eq!(c.get_with_attempts("cell/0"), None);
+            assert_eq!(c.get("cell/0"), None);
             let mut r = result(0, "cell/0", JobStatus::Ok(10));
             r.attempts = 3;
             c.put(&r);
@@ -290,7 +286,7 @@ mod tests {
         }
         let mut store = Store::open(&path).unwrap();
         let mut c = cache(&mut store, &fp);
-        assert_eq!(c.get_with_attempts("cell/0"), Some((10, 3)));
+        assert_eq!(c.get("cell/0"), Some((10, 3)));
         let _ = std::fs::remove_file(&path);
     }
 

@@ -8,7 +8,7 @@
 
 use hcperf::analysis::{analyze, liu_layland_bound, max_rate_within_bound};
 use hcperf::Scheme;
-use hcperf_scenarios::sweep::{knee, rate_sweep_parallel, SweepConfig};
+use hcperf_scenarios::sweep::{knee, rate_sweep, SweepConfig};
 use hcperf_taskgraph::graphs::{apollo_graph, GraphOptions};
 use hcperf_taskgraph::{ExecContext, Rate};
 
@@ -35,14 +35,12 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     }
 
     println!("\n== empirical sweep (EDF, 5 s per point, one worker per core) ==");
-    let points = rate_sweep_parallel(
-        &SweepConfig {
-            scheme: Scheme::Edf,
-            rates_hz: (2..=10).map(|k| k as f64 * 5.0).collect(),
-            ..Default::default()
-        },
-        0,
-    )?;
+    let config = SweepConfig {
+        scheme: Scheme::Edf,
+        rates_hz: (2..=10).map(|k| k as f64 * 5.0).collect(),
+        ..Default::default()
+    };
+    let points = rate_sweep(&config, 0, None)?;
     println!(
         "{:>7} {:>10} {:>12} {:>10}",
         "rate", "miss", "commands/s", "e2e (ms)"

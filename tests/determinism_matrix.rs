@@ -1,7 +1,8 @@
-//! The harness determinism matrix: every parallel evaluation surface,
-//! run with 1, 2 and 8 workers, must be **bit-identical** to its
-//! sequential counterpart. This is the contract that makes `--jobs N`
-//! a pure wall-clock knob — CI runs this file explicitly.
+//! The harness determinism matrix: every evaluation surface, run with
+//! 1, 2 and 8 workers, must be **bit-identical** to an independent
+//! oracle — a plain in-test loop over the same cells, outside the
+//! harness. This is the contract that makes `--jobs N` a pure
+//! wall-clock knob — CI runs this file explicitly.
 //!
 //! The matrix also covers resumption: a fleet run interrupted halfway
 //! and resumed through an `hcperf-store` log must reproduce the
@@ -11,16 +12,18 @@
 use std::io::{self, Write};
 
 use hcperf_suite::core::Scheme;
-use hcperf_suite::scenarios::car_following::CarFollowingConfig;
+use hcperf_suite::scenarios::car_following::{
+    run_car_following, CarFollowingConfig, CarFollowingResult,
+};
 use hcperf_suite::scenarios::fleet::{
     run_fleet, run_fleet_with_cache, FleetConfig, FleetPreset, VehicleRecord,
 };
 use hcperf_suite::scenarios::runner::{
-    compare_car_following, compare_car_following_parallel, compare_car_following_seeded,
-    compare_car_following_seeded_parallel, compare_lane_keeping, compare_lane_keeping_parallel,
+    compare_car_following, compare_car_following_seeded, compare_lane_keeping, SeedStats,
+    SeededComparison,
 };
-use hcperf_suite::scenarios::sweep::{rate_sweep, rate_sweep_parallel, SweepConfig};
-use hcperf_suite::scenarios::{LaneKeepingConfig, ScenarioError};
+use hcperf_suite::scenarios::sweep::{rate_sweep, SweepConfig};
+use hcperf_suite::scenarios::{run_lane_keeping, LaneKeepingConfig, ScenarioError};
 use hcperf_suite::store::{fingerprint, CellCache, Store};
 
 const WORKER_MATRIX: [usize; 3] = [1, 2, 8];
@@ -33,6 +36,28 @@ fn short_car_following() -> CarFollowingConfig {
     base
 }
 
+/// The oracle for one scheme: `base` re-run in a plain loop with only
+/// the scheme and seed changed.
+fn car_following_at(base: &CarFollowingConfig, scheme: Scheme, seed: u64) -> CarFollowingResult {
+    run_car_following(&CarFollowingConfig {
+        scheme,
+        seed,
+        ..base.clone()
+    })
+    .unwrap()
+}
+
+/// Mean and population standard deviation, summed in sample order.
+fn seed_stats(samples: &[f64]) -> SeedStats {
+    let n = samples.len() as f64;
+    let mean = samples.iter().sum::<f64>() / n;
+    let var = samples.iter().map(|x| (x - mean).powi(2)).sum::<f64>() / n;
+    SeedStats {
+        mean,
+        std_dev: var.sqrt(),
+    }
+}
+
 #[test]
 fn rate_sweep_is_bit_identical_across_worker_counts() {
     let config = SweepConfig {
@@ -40,10 +65,21 @@ fn rate_sweep_is_bit_identical_across_worker_counts() {
         duration: 2.0,
         ..Default::default()
     };
-    let sequential = rate_sweep(&config).unwrap();
+    // Oracle: one single-rate sweep per rate, concatenated.
+    let oracle: Vec<_> = config
+        .rates_hz
+        .iter()
+        .flat_map(|&rate| {
+            let single = SweepConfig {
+                rates_hz: vec![rate],
+                ..config.clone()
+            };
+            rate_sweep(&single, 1, None).unwrap()
+        })
+        .collect();
     for workers in WORKER_MATRIX {
-        let parallel = rate_sweep_parallel(&config, workers).unwrap();
-        assert_eq!(parallel, sequential, "workers={workers}");
+        let parallel = rate_sweep(&config, workers, None).unwrap();
+        assert_eq!(parallel, oracle, "workers={workers}");
     }
 }
 
@@ -51,21 +87,43 @@ fn rate_sweep_is_bit_identical_across_worker_counts() {
 fn seeded_comparison_is_bit_identical_across_worker_counts() {
     let base = short_car_following();
     let seeds = [1u64, 2, 3];
-    let sequential = compare_car_following_seeded(&base, &seeds).unwrap();
+    // Oracle: every (scheme, seed) cell in a plain loop, aggregated
+    // scheme-major in seed order.
+    let oracle: Vec<SeededComparison> = Scheme::all()
+        .into_iter()
+        .map(|scheme| {
+            let runs: Vec<CarFollowingResult> = seeds
+                .iter()
+                .map(|&seed| car_following_at(&base, scheme, seed))
+                .collect();
+            let stats = |metric: fn(&CarFollowingResult) -> f64| {
+                seed_stats(&runs.iter().map(metric).collect::<Vec<f64>>())
+            };
+            SeededComparison {
+                scheme,
+                rms_speed_error: stats(|r| r.rms_speed_error),
+                rms_distance_error: stats(|r| r.rms_distance_error),
+                overall_miss_ratio: stats(|r| r.overall_miss_ratio),
+            }
+        })
+        .collect();
     for workers in WORKER_MATRIX {
-        let parallel = compare_car_following_seeded_parallel(&base, &seeds, workers).unwrap();
-        assert_eq!(parallel, sequential, "workers={workers}");
+        let parallel = compare_car_following_seeded(&base, &seeds, workers).unwrap();
+        assert_eq!(parallel, oracle, "workers={workers}");
     }
 }
 
 #[test]
 fn scheme_comparison_is_bit_identical_across_worker_counts() {
     let base = short_car_following();
-    let sequential = compare_car_following(&base).unwrap();
+    let oracle: Vec<CarFollowingResult> = Scheme::all()
+        .into_iter()
+        .map(|scheme| car_following_at(&base, scheme, base.seed))
+        .collect();
     for workers in WORKER_MATRIX {
-        let parallel = compare_car_following_parallel(&base, workers).unwrap();
-        assert_eq!(parallel.len(), sequential.len(), "workers={workers}");
-        for (s, p) in sequential.iter().zip(&parallel) {
+        let parallel = compare_car_following(&base, workers).unwrap();
+        assert_eq!(parallel.len(), oracle.len(), "workers={workers}");
+        for (s, p) in oracle.iter().zip(&parallel) {
             assert_eq!(s.scheme, p.scheme);
             assert_eq!(s.commands, p.commands, "workers={workers} {}", s.scheme);
             assert_eq!(s.rms_speed_error, p.rms_speed_error);
@@ -333,11 +391,20 @@ fn faulted_fleet_is_bit_identical_across_workers_and_kill_resume() {
 fn lane_keeping_comparison_is_bit_identical_across_worker_counts() {
     let mut base = LaneKeepingConfig::paper_loop(Scheme::Hpf);
     base.duration = 5.0;
-    let sequential = compare_lane_keeping(&base).unwrap();
+    let oracle: Vec<_> = Scheme::all()
+        .into_iter()
+        .map(|scheme| {
+            run_lane_keeping(&LaneKeepingConfig {
+                scheme,
+                ..base.clone()
+            })
+            .unwrap()
+        })
+        .collect();
     for workers in WORKER_MATRIX {
-        let parallel = compare_lane_keeping_parallel(&base, workers).unwrap();
-        assert_eq!(parallel.len(), sequential.len(), "workers={workers}");
-        for (s, p) in sequential.iter().zip(&parallel) {
+        let parallel = compare_lane_keeping(&base, workers).unwrap();
+        assert_eq!(parallel.len(), oracle.len(), "workers={workers}");
+        for (s, p) in oracle.iter().zip(&parallel) {
             assert_eq!(s.scheme, p.scheme);
             assert_eq!(s.commands, p.commands, "workers={workers} {}", s.scheme);
             assert_eq!(s.rms_lateral_offset, p.rms_lateral_offset);

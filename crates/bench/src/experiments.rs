@@ -26,7 +26,7 @@ use hcperf_scenarios::car_following::{run_car_following, CarFollowingConfig};
 use hcperf_scenarios::lane_keeping::{run_lane_keeping, LaneKeepingConfig};
 use hcperf_scenarios::motivation::{run_motivation, MotivationConfig};
 use hcperf_scenarios::report::{improvement_over_best_baseline, pairs_to_csv, series_to_csv};
-use hcperf_scenarios::runner::run_cells;
+use hcperf_scenarios::runner::{decode_ok, encode_ok, run_cells};
 use hcperf_scenarios::traffic_jam::{analyze_responsiveness, traffic_jam_config};
 use hcperf_scenarios::ScenarioError;
 use hcperf_store::{fingerprint, CellCache, Store};
@@ -61,8 +61,8 @@ pub const FIG_CODE_VERSION: &str = "figs-v1";
 /// Runs a figure's cells through [`run_cells`], optionally behind a
 /// [`Store`]: cells already `done` under this figure's fingerprint are
 /// replayed from disk bit-identically; fresh results are appended for
-/// the next run. Panicked cells are recorded as `failed` and retried on
-/// resume. Cache activity goes to stderr, so the stdout report is
+/// the next run. Panicked and errored cells are recorded as `failed`
+/// ([`encode_ok`]) and retried on resume. Cache activity goes to stderr, so the stdout report is
 /// byte-identical whether cells were simulated or replayed.
 fn fan_out_cached<I, O>(
     figure: &str,
@@ -78,13 +78,11 @@ where
     let Some(store) = store else {
         return run_cells(cells, workers, None, run);
     };
-    // Only Ok payloads are cached; a cell whose scenario errored is
-    // recorded as `failed` (by the cache's `put`) and retried next run.
     let mut cache = CellCache::new(
         store,
         fingerprint(&[figure, FIG_CODE_VERSION]),
-        |o: &Result<O, ScenarioError>| serde_json::to_string(o.as_ref().ok()?).ok(),
-        |payload: &str| Some(Ok(serde_json::from_str::<O>(payload).ok()?)),
+        encode_ok::<O>,
+        decode_ok::<O>,
     );
     let outputs = run_cells(cells, workers, Some(&mut cache), run);
     let summary = cache

@@ -10,7 +10,7 @@ use hcperf_faults::FaultPlan;
 use hcperf_harness::ResultCache;
 use hcperf_rtsim::{gantt, trace_json, JoinPolicy, Sim, SimConfig};
 use hcperf_scenarios::car_following::{run_car_following, CarFollowingConfig};
-use hcperf_scenarios::fleet::{run_fleet_with_cache, FleetConfig, FleetPreset};
+use hcperf_scenarios::fleet::{run_fleet, FleetConfig, FleetPreset};
 use hcperf_scenarios::lane_keeping::{run_lane_keeping, LaneKeepingConfig};
 use hcperf_scenarios::motivation::{run_motivation, MotivationConfig};
 use hcperf_scenarios::robustness::{traction_loss_comparison, TractionLossConfig};
@@ -432,7 +432,7 @@ fn cmd_fleet(args: &Args) -> Result<String, CliError> {
         // only the human summary is returned through dispatch.
         let stdout = std::io::stdout();
         let mut lock = stdout.lock();
-        run_fleet_with_cache(
+        run_fleet(
             &config,
             &mut lock,
             cache.as_mut().map(|c| c as &mut dyn ResultCache<_>),
@@ -441,7 +441,7 @@ fn cmd_fleet(args: &Args) -> Result<String, CliError> {
         let mut file = std::fs::File::create(out_path)
             .map(std::io::BufWriter::new)
             .map_err(|e| CliError::Io(format!("create {out_path}: {e}")))?;
-        let result = run_fleet_with_cache(
+        let result = run_fleet(
             &config,
             &mut file,
             cache.as_mut().map(|c| c as &mut dyn ResultCache<_>),

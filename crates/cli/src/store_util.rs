@@ -12,6 +12,7 @@
 //! bump it when the underlying simulation changes behaviour.
 
 use hcperf_scenarios::fleet::{FleetConfig, VehicleRecord};
+use hcperf_scenarios::runner::{decode_ok, encode_ok};
 use hcperf_scenarios::sweep::{SweepConfig, SweepPoint};
 use hcperf_scenarios::ScenarioError;
 use hcperf_store::{fingerprint, CellCache, Store};
@@ -20,23 +21,6 @@ use hcperf_store::{fingerprint, CellCache, Store};
 pub const FLEET_CODE_VERSION: &str = "fleet-v1";
 /// Bump when `sweep_point` / the sweep pipeline change results.
 pub const SWEEP_CODE_VERSION: &str = "sweep-v1";
-
-/// The cache type both fleet entry points use: plain `fn` codecs keep
-/// the generic type nameable.
-pub type FleetCache<'s> = CellCache<
-    's,
-    Result<VehicleRecord, String>,
-    fn(&Result<VehicleRecord, String>) -> Option<String>,
-    fn(&str) -> Option<Result<VehicleRecord, String>>,
->;
-
-/// The cache type the sweep entry points use.
-pub type SweepCache<'s> = CellCache<
-    's,
-    Result<SweepPoint, ScenarioError>,
-    fn(&Result<SweepPoint, ScenarioError>) -> Option<String>,
-    fn(&str) -> Option<Result<SweepPoint, ScenarioError>>,
->;
 
 /// Cell-identity fingerprint of a fleet run. Deliberately excludes the
 /// vehicle count: per-vehicle cells are keyed `fleet/<preset>/vehicle=<i>`,
@@ -98,19 +82,12 @@ fn decode_vehicle(payload: &str) -> Option<Result<VehicleRecord, String>> {
     Some(Ok(serde_json::from_str::<VehicleRecord>(json).ok()?))
 }
 
-/// Encodes a sweep point. Construction errors (graph/simulator setup)
-/// are environment problems, not cell results — those are never cached.
-fn encode_sweep(result: &Result<SweepPoint, ScenarioError>) -> Option<String> {
-    serde_json::to_string(result.as_ref().ok()?).ok()
-}
-
-fn decode_sweep(payload: &str) -> Option<Result<SweepPoint, ScenarioError>> {
-    Some(Ok(serde_json::from_str::<SweepPoint>(payload).ok()?))
-}
-
 /// A fleet-run cache over `store`.
 #[must_use]
-pub fn fleet_cache<'s>(store: &'s mut Store, config: &FleetConfig) -> FleetCache<'s> {
+pub fn fleet_cache<'s>(
+    store: &'s mut Store,
+    config: &FleetConfig,
+) -> CellCache<'s, Result<VehicleRecord, String>> {
     CellCache::new(
         store,
         fleet_fingerprint(config),
@@ -119,10 +96,14 @@ pub fn fleet_cache<'s>(store: &'s mut Store, config: &FleetConfig) -> FleetCache
     )
 }
 
-/// A sweep cache over `store`.
+/// A sweep cache over `store`. Only `Ok` points are cached
+/// ([`encode_ok`]).
 #[must_use]
-pub fn sweep_cache<'s>(store: &'s mut Store, config: &SweepConfig) -> SweepCache<'s> {
-    CellCache::new(store, sweep_fingerprint(config), encode_sweep, decode_sweep)
+pub fn sweep_cache<'s>(
+    store: &'s mut Store,
+    config: &SweepConfig,
+) -> CellCache<'s, Result<SweepPoint, ScenarioError>> {
+    CellCache::new(store, sweep_fingerprint(config), encode_ok, decode_ok)
 }
 
 #[cfg(test)]
@@ -179,11 +160,11 @@ mod tests {
             commands_per_sec: 49.5,
             mean_e2e_ms: None,
         };
-        let encoded = encode_sweep(&Ok(p)).unwrap();
-        match decode_sweep(&encoded) {
+        let encoded = encode_ok(&Ok(p)).unwrap();
+        match decode_ok::<SweepPoint>(&encoded) {
             Some(Ok(q)) => assert_eq!(q, p),
             other => panic!("bad decode: {other:?}"),
         }
-        assert!(encode_sweep(&Err(ScenarioError::Job("x".into()))).is_none());
+        assert!(encode_ok::<SweepPoint>(&Err(ScenarioError::Job("x".into()))).is_none());
     }
 }

@@ -51,7 +51,7 @@
 //! records; [`DynamicPriorityScheduler::search_counters`] counts probes,
 //! reused verdicts and skips.
 //! The pre-optimization sort-per-probe search is retained in
-//! [`reference`] as the benchmark baseline and as an independent oracle
+//! [`mod@reference`] as the benchmark baseline and as an independent oracle
 //! in tests.
 
 use std::cmp::Ordering;

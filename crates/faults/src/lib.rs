@@ -13,7 +13,7 @@
 //! Each fault event is scheduled from a SplitMix64 stream derived from
 //! the stable key `faults/<plan>/vehicle=<i>/event=<j>` over the
 //! vehicle's own seed, via the same
-//! [`derive_seed`](hcperf_harness::seed::derive_seed) the fleet harness
+//! [`derive_seed`] the fleet harness
 //! uses for vehicle seeds. A fleet shard therefore sees the byte-identical
 //! fault sequence at any worker count, and a *retried* vehicle (whose
 //! seed is attempt-derived) re-draws its faults — a crash fault is a

@@ -100,14 +100,3 @@ impl<O> JobResult<O> {
         }
     }
 }
-
-/// Batch-level progress, reported after each job completes.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct Progress {
-    /// Jobs finished so far (success or panic).
-    pub completed: usize,
-    /// Total jobs in the batch.
-    pub total: usize,
-    /// Index of the job that just finished.
-    pub index: usize,
-}

@@ -12,17 +12,16 @@
 //!   keys (`"fig13/scheme=edf"`), reported in submission order;
 //! * [`seed::derive_seed`] — SplitMix64 over `root_seed ^ fnv1a(key)`,
 //!   so a job's randomness follows its identity, not its scheduling;
-//! * [`run_batch`] — the pool: shared atomic work cursor, mpsc result
-//!   collection, per-job `catch_unwind` panic isolation (a crashed
-//!   simulation becomes a [`JobStatus::Panicked`] record instead of
-//!   killing the batch);
-//! * [`run_batch_streaming`] — the same pool without result retention:
-//!   each record goes to the sink in submission order and is dropped,
-//!   and [`BatchOptions::queue_capacity`] bounds the result queue so a
-//!   slow sink back-pressures the workers — the fleet-scale mode;
-//! * [`JsonlSink`]/[`RecordSink`] — streaming JSON-Lines output fed in
-//!   submission order, plus a [`Progress`] callback fed in completion
-//!   order;
+//! * [`run_batch_streaming`] — the pool and its one entry point: shared
+//!   atomic work cursor, mpsc result collection, per-job `catch_unwind`
+//!   panic isolation (a crashed simulation becomes a
+//!   [`JobStatus::Panicked`] record instead of killing the batch). Each
+//!   result goes *by value* to the sink in submission order and is not
+//!   kept, and [`BatchOptions::queue_capacity`] bounds the result queue
+//!   so a slow sink back-pressures the workers;
+//! * [`RecordSink`] — the ordered result consumer: the fleet's JSONL
+//!   writer, or any `FnMut(JobResult<O>)` closure (which is how a sweep
+//!   collects its results into a vector);
 //! * [`ResultCache`] — an optional cache probed per job key before
 //!   anything runs ([`BatchOptions::cached`]): because every job is a
 //!   pure function of `(input, seed)` and its seed a pure function of
@@ -36,12 +35,14 @@
 //! # Examples
 //!
 //! ```
-//! use hcperf_harness::{run_batch, BatchOptions, Job};
+//! use hcperf_harness::{run_batch_streaming, BatchOptions, Job, JobResult};
 //!
 //! let jobs: Vec<Job<u64>> = (0..16).map(|i| Job::new(format!("cell/{i}"), i)).collect();
-//! let opts = BatchOptions::with_workers(4);
-//! let results = run_batch(&jobs, opts, |&input, seed| input.wrapping_mul(seed)).unwrap();
-//! assert_eq!(results.len(), 16);
+//! let mut results = Vec::new();
+//! let mut sink = |r: JobResult<u64>| results.push(r);
+//! let opts = BatchOptions::with_workers(4).stream_to(&mut sink);
+//! let summary = run_batch_streaming(&jobs, opts, |&input, seed| input.wrapping_mul(seed)).unwrap();
+//! assert_eq!(summary.ok, 16);
 //! assert!(results.iter().enumerate().all(|(i, r)| r.index == i));
 //! ```
 
@@ -52,8 +53,6 @@ pub mod seed;
 pub mod sink;
 
 pub use cache::ResultCache;
-pub use job::{Job, JobResult, JobStatus, Progress};
-pub use pool::{
-    available_workers, run_batch, run_batch_streaming, BatchOptions, HarnessError, StreamSummary,
-};
-pub use sink::{json_escape, JsonlSink, RecordSink};
+pub use job::{Job, JobResult, JobStatus};
+pub use pool::{available_workers, run_batch_streaming, BatchOptions, HarnessError, StreamSummary};
+pub use sink::{json_escape, RecordSink};

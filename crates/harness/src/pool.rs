@@ -8,16 +8,13 @@
 //! and results are reported in submission order, which is what makes a
 //! batch bit-identical for any worker count.
 //!
-//! Two collection modes share one ordered delivery core:
-//!
-//! * [`run_batch`] retains every result and returns the full vector —
-//!   right for bounded sweeps whose results are aggregated afterwards;
-//! * [`run_batch_streaming`] hands each result to the sink in
-//!   submission order and then **drops it**, so a fleet of a million
-//!   vehicles holds only the out-of-order reorder window in memory.
-//!   Combined with [`BatchOptions::queue_capacity`] (a bounded result
-//!   channel), a slow sink back-pressures the workers instead of
-//!   ballooning the queue.
+//! [`run_batch_streaming`] is the one batch entry point: it hands each
+//! result *by value* to the sink in submission order and keeps nothing,
+//! so a fleet of a million vehicles holds only the out-of-order reorder
+//! window in memory, while a caller that wants every result collects
+//! them with a closure sink. Combined with
+//! [`BatchOptions::queue_capacity`] (a bounded result channel), a slow
+//! sink back-pressures the workers instead of ballooning the queue.
 //!
 //! Collection failures are structured: a worker that dies without
 //! reporting its job yields [`HarnessError::LostJobs`] instead of
@@ -32,7 +29,7 @@ use std::thread;
 use std::time::{Duration, Instant};
 
 use crate::cache::ResultCache;
-use crate::job::{Job, JobResult, JobStatus, Progress};
+use crate::job::{Job, JobResult, JobStatus};
 use crate::seed::derive_seed;
 use crate::sink::RecordSink;
 
@@ -105,10 +102,7 @@ pub fn available_workers() -> usize {
     thread::available_parallelism().map_or(1, std::num::NonZeroUsize::get)
 }
 
-/// Execution options for one batch.
-///
-/// `progress` fires after each completion (in completion order — it
-/// reports counts, not data); `sink` receives every result in
+/// Execution options for one batch; `sink` receives every result in
 /// submission order, buffered as needed.
 pub struct BatchOptions<'a, O> {
     /// Worker threads; `0` means [`available_workers`]. Capped at the
@@ -132,8 +126,6 @@ pub struct BatchOptions<'a, O> {
     /// first success (or the `n`-th retry's failure) is the result, with
     /// [`JobResult::attempts`] recording how many attempts were made.
     pub max_retries: u32,
-    /// Per-completion progress callback.
-    pub progress: Option<&'a mut dyn FnMut(Progress)>,
     /// Ordered streaming result sink.
     pub sink: Option<&'a mut dyn RecordSink<O>>,
     /// Optional result cache. Probed once per job (in submission order)
@@ -153,7 +145,6 @@ impl<O> std::fmt::Debug for BatchOptions<'_, O> {
             .field("root_seed", &self.root_seed)
             .field("queue_capacity", &self.queue_capacity)
             .field("max_retries", &self.max_retries)
-            .field("progress", &self.progress.is_some())
             .field("sink", &self.sink.is_some())
             .field("cache", &self.cache.is_some())
             .finish()
@@ -167,7 +158,6 @@ impl<O> Default for BatchOptions<'_, O> {
             root_seed: 0x4843_5045_5246, // "HCPERF"
             queue_capacity: 0,
             max_retries: 0,
-            progress: None,
             sink: None,
             cache: None,
         }
@@ -203,13 +193,6 @@ impl<'a, O> BatchOptions<'a, O> {
     #[must_use]
     pub fn max_retries(mut self, max_retries: u32) -> Self {
         self.max_retries = max_retries;
-        self
-    }
-
-    /// Attaches a progress callback.
-    #[must_use]
-    pub fn on_progress(mut self, progress: &'a mut dyn FnMut(Progress)) -> Self {
-        self.progress = Some(progress);
         self
     }
 
@@ -281,40 +264,24 @@ impl<T> ResultSender<T> {
     }
 }
 
-/// Drains `rx`, firing `progress` in completion order and `on_ready` in
-/// strict submission order (out-of-order completions wait in a reorder
-/// window, pre-seeded with the cache hits in `prehits`). Fresh results
-/// are offered to `cache` at delivery time — submission order — so an
-/// append-only cache log is itself deterministic. Returns a structured
-/// error — never panics — when the channel closes early, an index
-/// arrives twice, or `on_ready` asks to stop.
+/// Drains `rx`, firing `on_ready` in strict submission order
+/// (out-of-order completions wait in a reorder window, pre-seeded with
+/// the cache hits in `prehits`). Fresh results are offered to `cache`
+/// at delivery time — submission order — so an append-only cache log is
+/// itself deterministic. Returns a structured error — never panics —
+/// when the channel closes early, an index arrives twice, or `on_ready`
+/// asks to stop.
 // hcperf-lint: det-sanitizer(index-tagged-merge): reorder window re-serializes by submission index
 fn collect_ordered<O>(
     rx: &mpsc::Receiver<JobResult<O>>,
     total: usize,
     prehits: BTreeMap<usize, JobResult<O>>,
     mut cache: Option<&mut dyn ResultCache<O>>,
-    mut progress: Option<&mut dyn FnMut(Progress)>,
     on_ready: &mut dyn FnMut(JobResult<O>) -> ControlFlow<()>,
 ) -> Result<(), HarnessError> {
     let cached_ix: BTreeSet<usize> = prehits.keys().copied().collect();
     let mut pending = prehits;
     let mut next_ready = 0usize;
-    let mut completed = 0usize;
-    // Cache hits "complete" the moment the batch starts: report them
-    // before the first worker result so progress counts never regress.
-    if let Some(progress) = progress.as_deref_mut() {
-        for &index in &cached_ix {
-            completed += 1;
-            progress(Progress {
-                completed,
-                total,
-                index,
-            });
-        }
-    } else {
-        completed = cached_ix.len();
-    }
     let mut deliver_ready = |pending: &mut BTreeMap<usize, JobResult<O>>,
                              next_ready: &mut usize,
                              cache: &mut Option<&mut dyn ResultCache<O>>|
@@ -338,14 +305,6 @@ fn collect_ordered<O>(
     // A fully-cached prefix (or batch) is deliverable immediately.
     deliver_ready(&mut pending, &mut next_ready, &mut cache)?;
     while let Ok(result) = rx.recv() {
-        completed += 1;
-        if let Some(progress) = progress.as_deref_mut() {
-            progress(Progress {
-                completed,
-                total,
-                index: result.index,
-            });
-        }
         let index = result.index;
         if index >= total || index < next_ready || pending.contains_key(&index) {
             return Err(HarnessError::CorruptCollection { index });
@@ -400,27 +359,47 @@ impl WorkList {
     }
 }
 
-/// The shared pool core: validates keys, probes the cache, fans the
-/// cache misses out over `workers` threads, and feeds results to
-/// `on_ready` in submission order. Returns the number of jobs served
-/// from cache.
-#[allow(clippy::too_many_arguments)] // private core: both entry points unpack BatchOptions here
-fn run_ordered<I, O, F>(
+/// Runs every job in `jobs` through `run` on a fixed pool of workers
+/// and hands each [`JobResult`] by value to the sink in submission
+/// order, keeping none of them: memory stays bounded by the
+/// out-of-order reorder window rather than the batch size. A caller
+/// that wants the results collects them with a closure sink; pair a
+/// fleet-scale run with [`BatchOptions::queue_capacity`] so a slow sink
+/// throttles the workers too.
+///
+/// `run` receives the job's input and its seed. A panicking job becomes
+/// a [`JobStatus::Panicked`] record — its worker and all sibling jobs
+/// carry on, and the pool still shuts down cleanly.
+///
+/// Determinism contract: everything delivered to the sink is
+/// bit-identical for any `workers` value, provided `run` itself is a
+/// pure function of `(input, seed)`.
+///
+/// # Errors
+///
+/// Returns [`HarnessError::DuplicateKey`] before running anything if
+/// two jobs share a key, [`HarnessError::Aborted`] when the sink asks
+/// to stop, [`HarnessError::LostJobs`] if a worker dies without
+/// reporting, and [`HarnessError::CorruptCollection`] if the pool
+/// itself misbehaves — collection never panics.
+pub fn run_batch_streaming<I, O, F>(
     jobs: &[Job<I>],
-    workers: usize,
-    root_seed: u64,
-    queue_capacity: usize,
-    max_retries: u32,
-    mut cache: Option<&mut dyn ResultCache<O>>,
-    progress: Option<&mut dyn FnMut(Progress)>,
+    opts: BatchOptions<'_, O>,
     run: F,
-    on_ready: &mut dyn FnMut(JobResult<O>) -> ControlFlow<()>,
-) -> Result<usize, HarnessError>
+) -> Result<StreamSummary, HarnessError>
 where
     I: Sync,
     O: Send,
     F: Fn(&I, u64) -> O + Sync,
 {
+    let BatchOptions {
+        workers,
+        root_seed,
+        queue_capacity,
+        max_retries,
+        mut sink,
+        mut cache,
+    } = opts;
     let total = jobs.len();
     {
         // hcperf-lint: allow(det-flow): membership-only duplicate check; iteration order never observed
@@ -464,7 +443,29 @@ where
             (prehits, WorkList::Subset(misses))
         }
     };
-    let cached = prehits.len();
+    let mut summary = StreamSummary {
+        total,
+        ok: 0,
+        panicked: 0,
+        retried: 0,
+        cached: prehits.len(),
+    };
+    let mut on_ready = |result: JobResult<O>| {
+        match result.status {
+            JobStatus::Ok(_) => summary.ok += 1,
+            JobStatus::Panicked(_) => summary.panicked += 1,
+        }
+        if result.attempts > 1 {
+            summary.retried += 1;
+        }
+        if let Some(sink) = sink.as_deref_mut() {
+            sink.record(result);
+            if !sink.keep_going() {
+                return ControlFlow::Break(());
+            }
+        }
+        ControlFlow::Continue(())
+    };
     let workers = if workers == 0 {
         available_workers()
     } else {
@@ -528,121 +529,10 @@ where
         // *before* the scope's implicit join: a worker parked on a full
         // bounded queue only unblocks when the receiver drops, sees the
         // send failure, and exits — so drop it here, inside the scope.
-        let collected = collect_ordered(&rx, total, prehits, cache, progress, on_ready);
+        let collected = collect_ordered(&rx, total, prehits, cache, &mut on_ready);
         drop(rx);
         collected
     })?;
-    Ok(cached)
-}
-
-/// Runs every job in `jobs` through `run` on a fixed pool of workers
-/// and returns the results in submission order.
-///
-/// `run` receives the job's input and its seed. A panicking job becomes
-/// a [`JobStatus::Panicked`] record — its worker and all sibling jobs
-/// carry on, and the pool still shuts down cleanly.
-///
-/// Determinism contract: the returned vector (and everything streamed
-/// to the sink) is bit-identical for any `workers` value, provided
-/// `run` itself is a pure function of `(input, seed)`.
-///
-/// # Errors
-///
-/// Returns [`HarnessError::DuplicateKey`] before running anything if
-/// two jobs share a key, [`HarnessError::LostJobs`] if a worker dies
-/// without reporting, and [`HarnessError::CorruptCollection`] if the
-/// pool itself misbehaves — collection never panics.
-pub fn run_batch<I, O, F>(
-    jobs: &[Job<I>],
-    mut opts: BatchOptions<'_, O>,
-    run: F,
-) -> Result<Vec<JobResult<O>>, HarnessError>
-where
-    I: Sync,
-    O: Send,
-    F: Fn(&I, u64) -> O + Sync,
-{
-    let mut out: Vec<JobResult<O>> = Vec::with_capacity(jobs.len());
-    let mut sink = opts.sink.take();
-    run_ordered(
-        jobs,
-        opts.workers,
-        opts.root_seed,
-        opts.queue_capacity,
-        opts.max_retries,
-        opts.cache.take(),
-        opts.progress.take(),
-        run,
-        &mut |result| {
-            if let Some(sink) = sink.as_deref_mut() {
-                sink.record(&result);
-                if !sink.keep_going() {
-                    return ControlFlow::Break(());
-                }
-            }
-            out.push(result);
-            ControlFlow::Continue(())
-        },
-    )?;
-    Ok(out)
-}
-
-/// [`run_batch`] without result retention: each [`JobResult`] is handed
-/// to the sink in submission order and then dropped, so memory stays
-/// bounded by the out-of-order reorder window rather than the batch
-/// size — the collection mode for fleet-scale runs. Pair it with
-/// [`BatchOptions::queue_capacity`] so a slow sink throttles the
-/// workers too.
-///
-/// # Errors
-///
-/// Same contract as [`run_batch`]: [`HarnessError::DuplicateKey`] up
-/// front, [`HarnessError::LostJobs`] / [`HarnessError::CorruptCollection`]
-/// from collection — never a panic.
-pub fn run_batch_streaming<I, O, F>(
-    jobs: &[Job<I>],
-    mut opts: BatchOptions<'_, O>,
-    run: F,
-) -> Result<StreamSummary, HarnessError>
-where
-    I: Sync,
-    O: Send,
-    F: Fn(&I, u64) -> O + Sync,
-{
-    let mut summary = StreamSummary {
-        total: jobs.len(),
-        ok: 0,
-        panicked: 0,
-        retried: 0,
-        cached: 0,
-    };
-    let mut sink = opts.sink.take();
-    summary.cached = run_ordered(
-        jobs,
-        opts.workers,
-        opts.root_seed,
-        opts.queue_capacity,
-        opts.max_retries,
-        opts.cache.take(),
-        opts.progress.take(),
-        run,
-        &mut |result| {
-            match result.status {
-                JobStatus::Ok(_) => summary.ok += 1,
-                JobStatus::Panicked(_) => summary.panicked += 1,
-            }
-            if result.attempts > 1 {
-                summary.retried += 1;
-            }
-            if let Some(sink) = sink.as_deref_mut() {
-                sink.record(&result);
-                if !sink.keep_going() {
-                    return ControlFlow::Break(());
-                }
-            }
-            ControlFlow::Continue(())
-        },
-    )?;
     Ok(summary)
 }
 
@@ -668,7 +558,7 @@ mod tests {
         prehits: BTreeMap<usize, JobResult<u32>>,
         delivered: &mut Vec<usize>,
     ) -> Result<(), HarnessError> {
-        collect_ordered(rx, total, prehits, None, None, &mut |r| {
+        collect_ordered(rx, total, prehits, None, &mut |r| {
             delivered.push(r.index);
             ControlFlow::Continue(())
         })
@@ -766,7 +656,7 @@ mod tests {
         }
         drop(tx);
         let mut delivered = Vec::new();
-        let err = collect_ordered(&rx, 4, BTreeMap::new(), None, None, &mut |r| {
+        let err = collect_ordered(&rx, 4, BTreeMap::new(), None, &mut |r| {
             delivered.push(r.index);
             if r.index == 1 {
                 ControlFlow::Break(())

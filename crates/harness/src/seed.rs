@@ -7,12 +7,19 @@
 //! `(root_seed, key)` pair always yields the same seed, so a batch is
 //! bit-identical whether it runs on one worker or sixteen.
 
-/// FNV-1a 64-bit hash — folds a stable job key into a single word.
+/// FNV-1a 64-bit hash from the standard offset basis — folds a stable
+/// job key into a single word.
 #[must_use]
 pub fn fnv1a64(bytes: &[u8]) -> u64 {
-    const OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
+    fnv1a64_with(0xcbf2_9ce4_8422_2325, bytes)
+}
+
+/// FNV-1a 64-bit hash from an explicit offset basis (`hcperf-store`
+/// hashes the high half of its 128-bit cell ids from a second basis).
+#[must_use]
+pub fn fnv1a64_with(offset: u64, bytes: &[u8]) -> u64 {
     const PRIME: u64 = 0x0000_0100_0000_01b3;
-    let mut h = OFFSET;
+    let mut h = offset;
     for &b in bytes {
         h ^= u64::from(b);
         h = h.wrapping_mul(PRIME);
@@ -62,6 +69,28 @@ mod tests {
         // Reference output of SplitMix64 seeded with 1234567.
         let mut s = 1_234_567;
         assert_eq!(splitmix64(&mut s), 0x599e_d017_fb08_fc85);
+    }
+
+    /// Every warm store and every derived job seed depends on these
+    /// exact words: a change here silently invalidates stored cells.
+    #[test]
+    fn hash_identities_are_pinned() {
+        // Published FNV-1a 64 test vectors.
+        assert_eq!(fnv1a64(b""), 0xcbf2_9ce4_8422_2325);
+        assert_eq!(fnv1a64(b"a"), 0xaf63_dc4c_8601_ec8c);
+        assert_eq!(derive_seed(0, ""), 0x100c_daac_c0bc_9316);
+        assert_eq!(
+            derive_seed(0x4843_5045_5246, "fig13/scheme=edf"),
+            0xbaec_6548_2fb2_aa45
+        );
+        assert_eq!(
+            derive_seed(42, "fleet/car-following/vehicle=0"),
+            0xdf4b_bd81_9346_9268
+        );
+        assert_eq!(
+            derive_seed(u64::MAX, "cell/7#attempt=1"),
+            0xf6b0_2a17_3d80_b68a
+        );
     }
 
     #[test]

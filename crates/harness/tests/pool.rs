@@ -1,13 +1,17 @@
 //! Pool-level integration tests: determinism across worker counts,
-//! panic isolation, ordered streaming, progress accounting.
+//! panic isolation, ordered streaming, retries, caching and sink aborts
+//! — all through the one entry point, `run_batch_streaming`, with
+//! test-local sinks.
 
+use std::fmt::Write as _;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Condvar, Mutex};
 use std::time::Duration;
 
 use hcperf_harness::seed::{derive_seed, splitmix64};
 use hcperf_harness::{
-    run_batch, run_batch_streaming, BatchOptions, HarnessError, Job, JobStatus, JsonlSink, Progress,
+    json_escape, run_batch_streaming, BatchOptions, HarnessError, Job, JobResult, JobStatus,
+    RecordSink,
 };
 
 /// A deterministic, seed-driven stand-in for a simulation: a short
@@ -25,12 +29,80 @@ fn batch(n: u64) -> Vec<Job<u64>> {
     (0..n).map(|i| Job::new(format!("cell/{i}"), i)).collect()
 }
 
+/// Runs `jobs` on `workers` threads and collects every result through
+/// a closure sink.
+fn collect<O: Send>(
+    jobs: &[Job<u64>],
+    workers: usize,
+    run: impl Fn(&u64, u64) -> O + Sync,
+) -> Vec<JobResult<O>> {
+    let mut results = Vec::new();
+    let mut sink = |r| results.push(r);
+    run_batch_streaming(
+        jobs,
+        BatchOptions::with_workers(workers).stream_to(&mut sink),
+        run,
+    )
+    .unwrap();
+    results
+}
+
+/// A sink that renders each result as a JSON-Lines envelope into `out`:
+/// `index`, `key`, `seed`, `attempts` for retried jobs, then `ok` with
+/// the payload or the panic message.
+fn jsonl(out: &mut String) -> impl FnMut(JobResult<u64>) + '_ {
+    move |r| {
+        let _ = write!(
+            out,
+            "{{\"index\":{},\"key\":\"{}\",\"seed\":{}",
+            r.index,
+            json_escape(&r.key),
+            r.seed
+        );
+        if r.attempts > 1 {
+            let _ = write!(out, ",\"attempts\":{}", r.attempts);
+        }
+        let _ = match r.status {
+            JobStatus::Ok(o) => writeln!(out, ",\"ok\":true,\"payload\":{o}}}"),
+            JobStatus::Panicked(msg) => {
+                writeln!(out, ",\"ok\":false,\"panic\":\"{}\"}}", json_escape(&msg))
+            }
+        };
+    }
+}
+
+/// A sink whose writer dies after `budget` records: `keep_going` turns
+/// false once it holds that many, so the pool aborts the batch.
+struct StopAfter {
+    budget: usize,
+    indices: Vec<usize>,
+}
+
+impl StopAfter {
+    fn new(budget: usize) -> StopAfter {
+        StopAfter {
+            budget,
+            indices: Vec::new(),
+        }
+    }
+}
+
+impl RecordSink<u64> for StopAfter {
+    fn record(&mut self, result: JobResult<u64>) {
+        self.indices.push(result.index);
+    }
+
+    fn keep_going(&self) -> bool {
+        self.indices.len() < self.budget
+    }
+}
+
 #[test]
 fn results_are_bit_identical_for_any_worker_count() {
     let jobs = batch(33);
-    let reference = run_batch(&jobs, BatchOptions::with_workers(1), fake_sim).unwrap();
+    let reference = collect(&jobs, 1, fake_sim);
     for workers in [2, 3, 8, 16] {
-        let got = run_batch(&jobs, BatchOptions::with_workers(workers), fake_sim).unwrap();
+        let got = collect(&jobs, workers, fake_sim);
         assert_eq!(got.len(), reference.len());
         for (r, g) in reference.iter().zip(&got) {
             assert_eq!((r.index, &r.key, r.seed), (g.index, &g.key, g.seed));
@@ -42,14 +114,18 @@ fn results_are_bit_identical_for_any_worker_count() {
 #[test]
 fn seeds_come_from_root_and_key_not_from_scheduling() {
     let jobs = batch(9);
-    let opts = || BatchOptions::<u64>::with_workers(4).root_seed(99);
-    let results = run_batch(&jobs, opts(), fake_sim).unwrap();
+    let mut results = Vec::new();
+    let mut sink = |r| results.push(r);
+    let opts = BatchOptions::with_workers(4)
+        .root_seed(99)
+        .stream_to(&mut sink);
+    run_batch_streaming(&jobs, opts, fake_sim).unwrap();
     for (i, r) in results.iter().enumerate() {
         assert_eq!(r.index, i);
         assert_eq!(r.seed, derive_seed(99, &format!("cell/{i}")));
     }
     // A different root seed shifts every derived seed.
-    let other = run_batch(&jobs, BatchOptions::with_workers(4), fake_sim).unwrap();
+    let other = collect(&jobs, 4, fake_sim);
     assert!(results.iter().zip(&other).all(|(a, b)| a.seed != b.seed));
 }
 
@@ -60,7 +136,7 @@ fn explicit_seeds_override_derivation() {
         Job::with_seed("b", 2u64, 7),
         Job::new("c", 3u64),
     ];
-    let results = run_batch(&jobs, BatchOptions::with_workers(2), fake_sim).unwrap();
+    let results = collect(&jobs, 2, fake_sim);
     assert_eq!(results[0].seed, 7);
     assert_eq!(results[1].seed, 7);
     assert_ne!(results[2].seed, 7);
@@ -72,11 +148,10 @@ fn panicking_job_yields_failure_record_and_siblings_complete() {
     let prev = std::panic::take_hook();
     std::panic::set_hook(Box::new(|_| {}));
     let jobs = batch(12);
-    let results = run_batch(&jobs, BatchOptions::with_workers(3), |&input, seed| {
+    let results = collect(&jobs, 3, |&input, seed| {
         assert!(input != 5, "job five exploded");
         fake_sim(&input, seed)
-    })
-    .unwrap();
+    });
     std::panic::set_hook(prev);
 
     assert_eq!(results.len(), 12);
@@ -97,80 +172,44 @@ fn panicking_job_yields_failure_record_and_siblings_complete() {
 #[test]
 fn duplicate_keys_are_rejected_up_front() {
     let jobs = vec![Job::new("same", 1u64), Job::new("same", 2u64)];
-    let err = run_batch(&jobs, BatchOptions::with_workers(2), fake_sim).unwrap_err();
+    let err = run_batch_streaming(&jobs, BatchOptions::with_workers(2), fake_sim).unwrap_err();
     assert_eq!(err, HarnessError::DuplicateKey("same".into()));
 }
 
 #[test]
 fn empty_batch_is_fine() {
     let jobs: Vec<Job<u64>> = Vec::new();
-    assert!(run_batch(&jobs, BatchOptions::with_workers(4), fake_sim)
-        .unwrap()
-        .is_empty());
+    assert!(collect(&jobs, 4, fake_sim).is_empty());
 }
 
+/// The sink sees submission order and the same bytes for any worker
+/// count, with or without a bounded result queue.
 #[test]
 fn sink_receives_submission_order_and_identical_bytes_for_any_worker_count() {
     let jobs = batch(17);
-    let stream = |workers: usize| {
-        let mut sink = JsonlSink::new(Vec::new(), |o: &u64| o.to_string()).timing(false);
-        {
-            let opts = BatchOptions::with_workers(workers).stream_to(&mut sink);
-            run_batch(&jobs, opts, fake_sim).unwrap();
-        }
-        String::from_utf8(sink.finish().unwrap()).unwrap()
-    };
-    let reference = stream(1);
-    assert_eq!(reference.lines().count(), 17);
-    for (i, line) in reference.lines().enumerate() {
-        assert!(line.starts_with(&format!("{{\"index\":{i},")), "{line}");
-    }
-    for workers in [2, 8] {
-        assert_eq!(stream(workers), reference, "workers={workers}");
-    }
-}
-
-#[test]
-fn progress_counts_every_completion() {
-    let jobs = batch(10);
-    let seen = Mutex::new(Vec::<Progress>::new());
-    let mut on_progress = |p: Progress| seen.lock().unwrap().push(p);
-    let opts = BatchOptions::<u64>::with_workers(4).on_progress(&mut on_progress);
-    run_batch(&jobs, opts, fake_sim).unwrap();
-    let seen = seen.into_inner().unwrap();
-    assert_eq!(seen.len(), 10);
-    assert!(seen.iter().enumerate().all(|(i, p)| p.completed == i + 1));
-    assert!(seen.iter().all(|p| p.total == 10 && p.index < 10));
-    let mut indices: Vec<usize> = seen.iter().map(|p| p.index).collect();
-    indices.sort_unstable();
-    assert_eq!(indices, (0..10).collect::<Vec<_>>());
-}
-
-#[test]
-fn streaming_run_matches_retained_run_byte_for_byte() {
-    let jobs = batch(29);
-    // Reference: the retained path, streamed through a sink.
-    let reference = {
-        let mut sink = JsonlSink::new(Vec::new(), |o: &u64| o.to_string()).timing(false);
-        {
-            let opts = BatchOptions::with_workers(1).stream_to(&mut sink);
-            run_batch(&jobs, opts, fake_sim).unwrap();
-        }
-        String::from_utf8(sink.finish().unwrap()).unwrap()
-    };
-    // Streaming path, with and without a bounded queue, at several
-    // worker counts, must produce identical bytes and a full summary.
-    for (workers, capacity) in [(1, 0), (2, 0), (8, 0), (2, 1), (8, 3)] {
-        let mut sink = JsonlSink::new(Vec::new(), |o: &u64| o.to_string()).timing(false);
+    let stream = |workers: usize, capacity: usize| {
+        let mut text = String::new();
         let summary = {
+            let mut sink = jsonl(&mut text);
             let opts = BatchOptions::with_workers(workers)
                 .queue_capacity(capacity)
                 .stream_to(&mut sink);
             run_batch_streaming(&jobs, opts, fake_sim).unwrap()
         };
-        assert_eq!((summary.total, summary.ok, summary.panicked), (29, 29, 0));
-        let got = String::from_utf8(sink.finish().unwrap()).unwrap();
-        assert_eq!(got, reference, "workers={workers} capacity={capacity}");
+        assert_eq!((summary.total, summary.ok, summary.panicked), (17, 17, 0));
+        text
+    };
+    let reference = stream(1, 0);
+    assert_eq!(reference.lines().count(), 17);
+    for (i, line) in reference.lines().enumerate() {
+        assert!(line.starts_with(&format!("{{\"index\":{i},")), "{line}");
+    }
+    for (workers, capacity) in [(2, 0), (8, 0), (2, 1), (8, 3)] {
+        assert_eq!(
+            stream(workers, capacity),
+            reference,
+            "workers={workers} capacity={capacity}"
+        );
     }
 }
 
@@ -180,9 +219,9 @@ fn bounded_queue_backpressures_without_losing_results() {
     // deliberately slow sink; everything must still arrive in order.
     let jobs = batch(24);
     let mut seen = Vec::new();
-    let mut sink = |r: &hcperf_harness::JobResult<u64>| {
+    let mut sink = |r: JobResult<u64>| {
         std::thread::sleep(std::time::Duration::from_millis(1));
-        seen.push((r.index, r.clone().into_ok().unwrap()));
+        seen.push((r.index, r.into_ok().unwrap()));
     };
     let summary = {
         let opts = BatchOptions::with_workers(8)
@@ -218,11 +257,10 @@ fn streaming_counts_panicked_jobs() {
 fn zero_workers_means_available_parallelism() {
     let jobs = batch(4);
     let touched = AtomicUsize::new(0);
-    let results = run_batch(&jobs, BatchOptions::with_workers(0), |&input, seed| {
+    let results = collect(&jobs, 0, |&input, seed| {
         touched.fetch_add(1, Ordering::Relaxed);
         fake_sim(&input, seed)
-    })
-    .unwrap();
+    });
     assert_eq!(results.len(), 4);
     assert_eq!(touched.load(Ordering::Relaxed), 4);
 }
@@ -237,7 +275,7 @@ fn zero_workers_means_available_parallelism() {
 fn four_workers_run_four_jobs_at_once() {
     let jobs = batch(4);
     let arrived = (Mutex::new(0usize), Condvar::new());
-    let results = run_batch(&jobs, BatchOptions::with_workers(4), |&input, seed| {
+    let results = collect(&jobs, 4, |&input, seed| {
         let (count, all_here) = &arrived;
         let mut here = count.lock().unwrap();
         *here += 1;
@@ -249,8 +287,7 @@ fn four_workers_run_four_jobs_at_once() {
         drop(here);
         assert!(!wait.timed_out(), "only {seen} of 4 jobs ran at once");
         fake_sim(&input, seed)
-    })
-    .unwrap();
+    });
     for r in &results {
         assert!(r.status.is_ok(), "{}: {:?}", r.key, r.status);
     }
@@ -266,7 +303,7 @@ fn always_panicking_job_surfaces_failure_with_attempt_count() {
     std::panic::set_hook(Box::new(|_| {}));
     let jobs = batch(12);
     let mut seen = Vec::new();
-    let mut sink = |r: &hcperf_harness::JobResult<u64>| seen.push((r.index, r.attempts));
+    let mut sink = |r: JobResult<u64>| seen.push((r.index, r.attempts));
     let summary = {
         let opts = BatchOptions::with_workers(4)
             .queue_capacity(2)
@@ -309,10 +346,16 @@ fn flaky_seed_job_recovers_on_deterministic_retry() {
         assert!(seed != first, "first attempt crashes");
         seed
     };
-    let reference = {
-        let opts = BatchOptions::with_workers(1).max_retries(1);
-        run_batch(&jobs, opts, run).unwrap()
+    let retried = |workers: usize| {
+        let mut results = Vec::new();
+        let mut sink = |r| results.push(r);
+        let opts = BatchOptions::with_workers(workers)
+            .max_retries(1)
+            .stream_to(&mut sink);
+        run_batch_streaming(&jobs, opts, run).unwrap();
+        results
     };
+    let reference = retried(1);
     for (i, r) in reference.iter().enumerate() {
         assert_eq!(r.attempts, 2, "cell/{i} needed its retry");
         let retry_seed = derive_seed(root, &format!("cell/{i}#attempt=1"));
@@ -320,8 +363,7 @@ fn flaky_seed_job_recovers_on_deterministic_retry() {
         assert_eq!(r.status, JobStatus::Ok(retry_seed));
     }
     for workers in [2, 8] {
-        let opts = BatchOptions::with_workers(workers).max_retries(1);
-        let got = run_batch(&jobs, opts, run).unwrap();
+        let got = retried(workers);
         for (r, g) in reference.iter().zip(&got) {
             assert_eq!(
                 (r.index, &r.key, r.seed, r.attempts, &r.status),
@@ -355,7 +397,7 @@ impl hcperf_harness::ResultCache<u64> for MemCache {
         self.gets += 1;
         self.map.get(key).map(|&o| (o, 1))
     }
-    fn put(&mut self, result: &hcperf_harness::JobResult<u64>) {
+    fn put(&mut self, result: &JobResult<u64>) {
         if let JobStatus::Ok(o) = &result.status {
             self.map.insert(result.key.clone(), *o);
             self.puts.push(result.key.clone());
@@ -370,10 +412,22 @@ impl hcperf_harness::ResultCache<u64> for MemCache {
 fn warm_cache_serves_batch_without_recomputation() {
     let jobs = batch(12);
     let mut cache = MemCache::new();
-    let cold = {
-        let opts = BatchOptions::with_workers(3).cached(&mut cache);
-        run_batch(&jobs, opts, fake_sim).unwrap()
+    let ran = AtomicUsize::new(0);
+    let cached_run = |cache: &mut MemCache| {
+        let mut results = Vec::new();
+        let mut sink = |r| results.push(r);
+        let opts = BatchOptions::with_workers(3)
+            .stream_to(&mut sink)
+            .cached(cache);
+        run_batch_streaming(&jobs, opts, |input, seed| {
+            ran.fetch_add(1, Ordering::Relaxed);
+            fake_sim(input, seed)
+        })
+        .unwrap();
+        results
     };
+    let cold = cached_run(&mut cache);
+    assert_eq!(ran.load(Ordering::Relaxed), 12);
     assert_eq!(cache.puts.len(), 12);
     assert_eq!(
         cache.puts,
@@ -381,16 +435,9 @@ fn warm_cache_serves_batch_without_recomputation() {
         "puts must arrive in submission order"
     );
 
-    let ran = AtomicUsize::new(0);
-    let warm = {
-        let opts = BatchOptions::with_workers(3).cached(&mut cache);
-        run_batch(&jobs, opts, |input, seed| {
-            ran.fetch_add(1, Ordering::Relaxed);
-            fake_sim(input, seed)
-        })
-        .unwrap()
-    };
-    assert_eq!(ran.load(Ordering::Relaxed), 0, "zero cells recomputed");
+    let warm = cached_run(&mut cache);
+    assert_eq!(ran.load(Ordering::Relaxed), 12, "zero cells recomputed");
+    assert_eq!(cache.puts.len(), 12, "hits are never offered back");
     // Identical apart from wall time (cached results take zero wall).
     assert_eq!(warm.len(), cold.len());
     for (w, c) in warm.iter().zip(&cold) {
@@ -410,12 +457,12 @@ fn warm_cache_serves_batch_without_recomputation() {
 #[test]
 fn partial_cache_recomputes_only_misses_and_streams_in_order() {
     let jobs = batch(10);
-    let reference = {
-        let mut sink = JsonlSink::new(Vec::new(), |o: &u64| o.to_string()).timing(false);
+    let mut reference = String::new();
+    {
+        let mut sink = jsonl(&mut reference);
         let opts = BatchOptions::with_workers(2).stream_to(&mut sink);
         run_batch_streaming(&jobs, opts, fake_sim).unwrap();
-        String::from_utf8(sink.finish().unwrap()).unwrap()
-    };
+    }
 
     let mut cache = MemCache::new();
     // Pre-warm the even cells only.
@@ -427,8 +474,9 @@ fn partial_cache_recomputes_only_misses_and_streams_in_order() {
             .insert(job.key.clone(), fake_sim(&(i as u64), seed));
     }
     let ran = AtomicUsize::new(0);
-    let mut sink = JsonlSink::new(Vec::new(), |o: &u64| o.to_string()).timing(false);
+    let mut got = String::new();
     let summary = {
+        let mut sink = jsonl(&mut got);
         let opts = BatchOptions::with_workers(4)
             .stream_to(&mut sink)
             .cached(&mut cache);
@@ -442,7 +490,6 @@ fn partial_cache_recomputes_only_misses_and_streams_in_order() {
     assert_eq!(summary.ok, 10);
     assert_eq!(ran.load(Ordering::Relaxed), 5, "only the odd cells ran");
     assert_eq!(cache.puts.len(), 5, "only fresh results are offered back");
-    let got = String::from_utf8(sink.finish().unwrap()).unwrap();
     assert_eq!(got, reference);
 }
 
@@ -471,25 +518,13 @@ fn panicked_jobs_are_retried_on_the_next_run() {
 }
 
 /// A sink whose writer dies aborts the batch with a structured error;
-/// the delivered prefix reached the cache, nothing later did.
+/// the delivered prefix reached the sink and the cache, nothing later
+/// did.
 #[test]
 fn dead_sink_aborts_batch_leaving_resumable_prefix() {
-    struct FailAfter(usize);
-    impl std::io::Write for FailAfter {
-        fn write(&mut self, buf: &[u8]) -> std::io::Result<usize> {
-            if self.0 == 0 {
-                return Err(std::io::Error::other("disk full"));
-            }
-            self.0 -= 1;
-            Ok(buf.len())
-        }
-        fn flush(&mut self) -> std::io::Result<()> {
-            Ok(())
-        }
-    }
     let jobs = batch(20);
     let mut cache = MemCache::new();
-    let mut sink = JsonlSink::new(FailAfter(4), |o: &u64| o.to_string()).timing(false);
+    let mut sink = StopAfter::new(5);
     let err = {
         let opts = BatchOptions::with_workers(2)
             .stream_to(&mut sink)
@@ -500,7 +535,8 @@ fn dead_sink_aborts_batch_leaving_resumable_prefix() {
         panic!("expected Aborted, got {err:?}");
     };
     assert_eq!(total, 20);
-    assert_eq!(delivered, 5, "4 written lines + the one that failed");
+    assert_eq!(delivered, 5, "the sink stopped after its fifth record");
+    assert_eq!(sink.indices, (0..delivered).collect::<Vec<_>>());
     // Exactly the delivered prefix was cached, in order.
     assert_eq!(
         cache.puts,
@@ -516,21 +552,8 @@ fn dead_sink_aborts_batch_leaving_resumable_prefix() {
 /// receiver before joining them or the join never completes.
 #[test]
 fn abort_with_full_bounded_queue_does_not_deadlock() {
-    struct FailAfter(usize);
-    impl std::io::Write for FailAfter {
-        fn write(&mut self, buf: &[u8]) -> std::io::Result<usize> {
-            if self.0 == 0 {
-                return Err(std::io::Error::other("pipe closed"));
-            }
-            self.0 -= 1;
-            Ok(buf.len())
-        }
-        fn flush(&mut self) -> std::io::Result<()> {
-            Ok(())
-        }
-    }
     let jobs = batch(200);
-    let mut sink = JsonlSink::new(FailAfter(3), |o: &u64| o.to_string()).timing(false);
+    let mut sink = StopAfter::new(4);
     let err = {
         let opts = BatchOptions::with_workers(4)
             .queue_capacity(2)
@@ -541,5 +564,5 @@ fn abort_with_full_bounded_queue_does_not_deadlock() {
         panic!("expected Aborted, got {err:?}");
     };
     assert_eq!(total, 200);
-    assert_eq!(delivered, 4, "3 written lines + the one that failed");
+    assert_eq!(delivered, 4, "the sink stopped after its fourth record");
 }

@@ -766,7 +766,6 @@ fn real_workspace_det_flow_certifies_every_sink_clean() {
     let sinks = doc["det_flow"]["sinks"].as_array().expect("sinks array");
     let names: Vec<&str> = sinks.iter().filter_map(|s| s["sink"].as_str()).collect();
     for expected in [
-        "harness-jsonl",
         "fleet-jsonl",
         "seed-derivation",
         "store-fingerprint",
@@ -784,7 +783,7 @@ fn real_workspace_det_flow_certifies_every_sink_clean() {
             "missing sink {expected}: {names:?}"
         );
     }
-    assert_eq!(sinks.len(), 12, "exactly the declared sinks: {names:?}");
+    assert_eq!(sinks.len(), 11, "exactly the declared sinks: {names:?}");
     for s in sinks {
         assert_eq!(s["status"].as_str(), Some("clean"), "{s:?}");
     }

@@ -30,7 +30,7 @@
 //!
 //! # Dispatch hot path
 //!
-//! [`Sim::try_dispatch`] is called after every event. To keep steady-state
+//! `Sim::try_dispatch` is called after every event. To keep steady-state
 //! dispatch free of heap allocations it reuses scratch buffers owned by the
 //! engine (candidate indices and per-processor remaining times) and
 //! maintains an affinity-partitioned ready index — per-processor counts of

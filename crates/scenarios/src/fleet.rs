@@ -206,7 +206,7 @@ pub struct FleetSummary {
     /// Vehicles that collided.
     pub collisions: usize,
     /// Vehicles served from the result cache instead of simulated
-    /// (always zero without a cache — see [`run_fleet_with_cache`]).
+    /// (always zero without a cache).
     pub cached: usize,
     /// Final fleet-wide aggregate (`None` for an empty fleet).
     pub aggregate: Option<FleetAggregate>,
@@ -288,7 +288,10 @@ struct FleetSink<'a> {
     tracking_sq_sum: f64,
     collisions: usize,
     ok: usize,
+    /// Vehicles whose scenario returned an error.
     failed: usize,
+    /// Vehicles whose simulation panicked on every permitted attempt.
+    panicked: usize,
     retried: usize,
     seen: usize,
     error: Option<io::Error>,
@@ -308,6 +311,7 @@ impl<'a> FleetSink<'a> {
             collisions: 0,
             ok: 0,
             failed: 0,
+            panicked: 0,
             retried: 0,
             seen: 0,
             error: None,
@@ -318,7 +322,7 @@ impl<'a> FleetSink<'a> {
         let n = self.ok;
         FleetAggregate {
             vehicles: n,
-            failures: self.failed,
+            failures: self.failed + self.panicked,
             e2e_p50_ms: percentile(&self.e2e_means, 0.5).unwrap_or(0.0),
             e2e_p99_ms: percentile(&self.e2e_means, 0.99).unwrap_or(0.0),
             worst_e2e_p99_ms: self.worst_e2e_p99_ms,
@@ -358,7 +362,8 @@ impl<'a> FleetSink<'a> {
                     json.truncate(json.len() - 1);
                     json.push_str(&format!(
                         ",\"failed_vehicles\":{},\"retried\":{}}}",
-                        self.failed, self.retried
+                        self.failed + self.panicked,
+                        self.retried
                     ));
                 }
                 let line = format!("{{\"type\":\"aggregate\",\"aggregate\":{json}}}");
@@ -375,7 +380,7 @@ impl<'a> FleetSink<'a> {
 
 impl RecordSink<Result<VehicleRecord, String>> for FleetSink<'_> {
     // hcperf-lint: det-sink(fleet-jsonl): per-vehicle JSONL lines must be byte-reproducible
-    fn record(&mut self, result: &JobResult<Result<VehicleRecord, String>>) {
+    fn record(&mut self, result: JobResult<Result<VehicleRecord, String>>) {
         self.seen += 1;
         let mut line = format!(
             "{{\"type\":\"vehicle\",\"index\":{},\"key\":\"{}\",\"seed\":{}",
@@ -418,7 +423,7 @@ impl RecordSink<Result<VehicleRecord, String>> for FleetSink<'_> {
                 line.push_str(&format!(",\"ok\":false,\"error\":\"{}\"", json_escape(msg)));
             }
             JobStatus::Panicked(msg) => {
-                self.failed += 1;
+                self.panicked += 1;
                 line.push_str(&format!(",\"ok\":false,\"panic\":\"{}\"", json_escape(msg)));
             }
         }
@@ -442,33 +447,21 @@ impl RecordSink<Result<VehicleRecord, String>> for FleetSink<'_> {
 /// aggregate after the last vehicle.
 ///
 /// The stream is bit-identical for any [`FleetConfig::workers`] value
-/// (with [`FleetConfig::timing`] off).
+/// (with [`FleetConfig::timing`] off). With a `cache` (`hcperf-store`'s
+/// `CellCache` in production), finished vehicles are served from it
+/// bit-identically instead of re-simulated, and freshly simulated
+/// vehicles are offered back to it in submission order — which is what
+/// makes an interrupted fleet run resumable where it stopped.
 ///
 /// # Errors
 ///
 /// [`ScenarioError::Job`] if the harness loses a worker,
 /// [`ScenarioError::Sink`] if writing the stream fails. Per-vehicle
 /// simulation failures do **not** error the run — they are `"ok":false`
-/// records and counted in [`FleetSummary::failed`]/`panicked`.
+/// records and counted in [`FleetSummary::failed`]/`panicked`. On *any*
+/// error path the delivered JSONL prefix is flushed to `out` first, so
+/// an interrupted run always leaves a replayable prefix behind.
 pub fn run_fleet(
-    config: &FleetConfig,
-    out: &mut dyn io::Write,
-) -> Result<FleetSummary, ScenarioError> {
-    run_fleet_with_cache(config, out, None)
-}
-
-/// [`run_fleet`] with an optional result cache (`hcperf-store`'s
-/// `CellCache` in production): finished vehicles are served from the
-/// cache bit-identically instead of re-simulated, and freshly simulated
-/// vehicles are offered back to it in submission order — which is what
-/// makes an interrupted fleet run resumable where it stopped.
-///
-/// # Errors
-///
-/// Same contract as [`run_fleet`]. On *any* error path the delivered
-/// JSONL prefix is flushed to `out` first, so an interrupted run always
-/// leaves a replayable prefix behind.
-pub fn run_fleet_with_cache(
     config: &FleetConfig,
     out: &mut dyn io::Write,
     cache: Option<&mut dyn ResultCache<Result<VehicleRecord, String>>>,
@@ -546,8 +539,8 @@ pub fn run_fleet_with_cache(
     Ok(FleetSummary {
         vehicles: config.vehicles,
         ok: sink.ok,
-        failed: sink.failed - summary.panicked,
-        panicked: summary.panicked,
+        failed: sink.failed,
+        panicked: sink.panicked,
         retried: sink.retried,
         collisions: sink.collisions,
         cached: summary.cached,
@@ -569,7 +562,7 @@ mod tests {
 
     fn stream(config: &FleetConfig) -> (String, FleetSummary) {
         let mut buf = Vec::new();
-        let summary = run_fleet(config, &mut buf).unwrap();
+        let summary = run_fleet(config, &mut buf, None).unwrap();
         (String::from_utf8(buf).unwrap(), summary)
     }
 
@@ -640,7 +633,7 @@ mod tests {
             }
         }
         let config = small(FleetPreset::CarFollowing, 2);
-        let err = run_fleet(&config, &mut Failing).unwrap_err();
+        let err = run_fleet(&config, &mut Failing, None).unwrap_err();
         assert!(matches!(err, ScenarioError::Sink(_)), "{err}");
     }
 
@@ -708,7 +701,7 @@ mod tests {
         let mut config = small(FleetPreset::LaneKeeping, 2);
         config.faults = FaultPlan::chaos();
         let mut buf = Vec::new();
-        let err = run_fleet(&config, &mut buf).unwrap_err();
+        let err = run_fleet(&config, &mut buf, None).unwrap_err();
         assert!(err.to_string().contains("lane-keeping"), "{err}");
     }
 

@@ -9,7 +9,8 @@
 //! order, bit-identical for any worker count.
 
 use hcperf::Scheme;
-use hcperf_harness::{run_batch, BatchOptions, Job, ResultCache};
+use hcperf_harness::{run_batch_streaming, BatchOptions, Job, JobResult, ResultCache};
+use serde::{Deserialize, Serialize};
 
 use crate::car_following::{
     run_car_following, CarFollowingConfig, CarFollowingResult, ScenarioError,
@@ -30,13 +31,32 @@ pub fn run_cells<I: Sync, O: Send>(
     cache: Option<&mut dyn ResultCache<Result<O, ScenarioError>>>,
     run: impl Fn(&I) -> Result<O, ScenarioError> + Sync,
 ) -> Result<Vec<O>, ScenarioError> {
-    let mut opts = BatchOptions::with_workers(workers);
-    opts.cache = cache;
-    run_batch(jobs, opts, |input, _| run(input))
-        .map_err(|e| ScenarioError::Job(e.to_string()))?
-        .into_iter()
-        .map(|r| r.into_ok().map_err(ScenarioError::Job)?)
-        .collect()
+    let mut outputs = Vec::with_capacity(jobs.len());
+    let mut sink = |r: JobResult<Result<O, ScenarioError>>| {
+        outputs.push(r.into_ok().map_err(ScenarioError::Job).and_then(|o| o));
+    };
+    let mut opts = BatchOptions::with_workers(workers).stream_to(&mut sink);
+    if let Some(cache) = cache {
+        opts = opts.cached(cache);
+    }
+    run_batch_streaming(jobs, opts, |input, _| run(input))
+        .map_err(|e| ScenarioError::Job(e.to_string()))?;
+    outputs.into_iter().collect()
+}
+
+/// Store codec for a [`run_cells`] payload: only an `Ok` cell is
+/// cached. An errored cell is an environment problem (graph or
+/// simulator setup), not a result, so it is recorded as `failed` and
+/// retried on the next run.
+#[must_use]
+pub fn encode_ok<O: Serialize>(cell: &Result<O, ScenarioError>) -> Option<String> {
+    serde_json::to_string(cell.as_ref().ok()?).ok()
+}
+
+/// Inverse of [`encode_ok`].
+#[must_use]
+pub fn decode_ok<O: Deserialize>(payload: &str) -> Option<Result<O, ScenarioError>> {
+    Some(Ok(serde_json::from_str::<O>(payload).ok()?))
 }
 
 /// One job per `(scheme, seed)` pair, scheme-major, each pinned to its

@@ -28,25 +28,19 @@ use crate::store::{CellState, RunSummary, Store, StoreError};
 /// `serde::Writer` in fixed field order, print integral numbers as
 /// integers and other floats in shortest round-trip form, and every
 /// derived type's bytes are pinned in `tests/serialize_golden.rs`.
-pub struct CellCache<'s, O, E, D>
-where
-    E: Fn(&O) -> Option<String>,
-    D: Fn(&str) -> Option<O>,
-{
+/// The codecs are plain `fn` pointers: a codec is a pure function of
+/// the payload, so it never needs to capture anything.
+pub struct CellCache<'s, O> {
     store: &'s mut Store,
     fingerprint: String,
-    encode: E,
-    decode: D,
+    encode: fn(&O) -> Option<String>,
+    decode: fn(&str) -> Option<O>,
     hits: usize,
     misses: usize,
     error: Option<StoreError>,
 }
 
-impl<'s, O, E, D> std::fmt::Debug for CellCache<'s, O, E, D>
-where
-    E: Fn(&O) -> Option<String>,
-    D: Fn(&str) -> Option<O>,
-{
+impl<O> std::fmt::Debug for CellCache<'_, O> {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("CellCache")
             .field("fingerprint", &self.fingerprint)
@@ -57,14 +51,15 @@ where
     }
 }
 
-impl<'s, O, E, D> CellCache<'s, O, E, D>
-where
-    E: Fn(&O) -> Option<String>,
-    D: Fn(&str) -> Option<O>,
-{
+impl<'s, O> CellCache<'s, O> {
     /// A cache over `store` scoped to one run `fingerprint`
     /// (see [`crate::fingerprint`]).
-    pub fn new(store: &'s mut Store, fingerprint: String, encode: E, decode: D) -> Self {
+    pub fn new(
+        store: &'s mut Store,
+        fingerprint: String,
+        encode: fn(&O) -> Option<String>,
+        decode: fn(&str) -> Option<O>,
+    ) -> Self {
         CellCache {
             store,
             fingerprint,
@@ -74,18 +69,6 @@ where
             misses: 0,
             error: None,
         }
-    }
-
-    /// Cache hits so far this run.
-    #[must_use]
-    pub fn hits(&self) -> usize {
-        self.hits
-    }
-
-    /// Cache misses so far this run.
-    #[must_use]
-    pub fn misses(&self) -> usize {
-        self.misses
     }
 
     fn park(&mut self, result: Result<(), StoreError>) {
@@ -115,11 +98,7 @@ where
     }
 }
 
-impl<'s, O, E, D> ResultCache<O> for CellCache<'s, O, E, D>
-where
-    E: Fn(&O) -> Option<String>,
-    D: Fn(&str) -> Option<O>,
-{
+impl<O> ResultCache<O> for CellCache<'_, O> {
     fn get(&mut self, key: &str) -> Option<(O, u32)> {
         if self.error.is_some() {
             return None; // degraded: pass everything through
@@ -216,10 +195,7 @@ mod tests {
         }
     }
 
-    fn cache<'s>(
-        store: &'s mut Store,
-        fp: &str,
-    ) -> CellCache<'s, u32, impl Fn(&u32) -> Option<String>, impl Fn(&str) -> Option<u32>> {
+    fn cache<'s>(store: &'s mut Store, fp: &str) -> CellCache<'s, u32> {
         CellCache::new(
             store,
             fp.to_owned(),

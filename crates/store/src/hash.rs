@@ -10,24 +10,14 @@
 //! the stored key on lookup, so a collision degrades to a cache miss,
 //! never to wrong data).
 
+use hcperf_harness::seed::{fnv1a64, fnv1a64_with};
+
 /// A 128-bit content hash rendered as 32 lowercase hex digits.
 pub type CellId = String;
 
-/// FNV-1a 64-bit offset basis (standard).
-const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
 /// Second, independent offset basis for the high half: FNV-1a of the
 /// ASCII bytes `"hcperf-store"` folded into the standard basis.
 const FNV_OFFSET_HI: u64 = 0x9ae1_6a3b_2f90_404f;
-const FNV_PRIME: u64 = 0x100_0000_01b3;
-
-fn fnv1a64_with(offset: u64, bytes: &[u8]) -> u64 {
-    let mut hash = offset;
-    for &b in bytes {
-        hash ^= u64::from(b);
-        hash = hash.wrapping_mul(FNV_PRIME);
-    }
-    hash
-}
 
 /// Hashes the parts of a run configuration that define cell identity
 /// into a 16-hex-digit fingerprint.
@@ -47,7 +37,7 @@ pub fn fingerprint(parts: &[&str]) -> String {
         }
         bytes.extend_from_slice(p.as_bytes());
     }
-    format!("{:016x}", fnv1a64_with(FNV_OFFSET, &bytes))
+    format!("{:016x}", fnv1a64(&bytes))
 }
 
 /// Content-addressed identity of one experiment cell: 128 bits over
@@ -61,7 +51,7 @@ pub fn cell_id(fingerprint: &str, key: &str) -> CellId {
     bytes.extend_from_slice(key.as_bytes());
     format!(
         "{:016x}{:016x}",
-        fnv1a64_with(FNV_OFFSET, &bytes),
+        fnv1a64(&bytes),
         fnv1a64_with(FNV_OFFSET_HI, &bytes)
     )
 }
@@ -91,5 +81,31 @@ mod tests {
         // Identity is fingerprint-sensitive too.
         let fp2 = fingerprint(&["fleet", "seed=0xF1EE7", "v2"]);
         assert_ne!(a, cell_id(&fp2, "fleet/car-following/vehicle=0"));
+    }
+
+    /// Every warm store is addressed by these exact strings: a change
+    /// here turns every stored cell into a miss.
+    #[test]
+    fn fingerprint_and_cell_id_are_pinned() {
+        assert_eq!(fingerprint(&[]), "cbf29ce484222325");
+        assert_eq!(fingerprint(&["a", "b"]), "e5eaa319043b0991");
+        let fleet = fingerprint(&[
+            "fleet",
+            "fleet-v1",
+            "car-following",
+            "hcperf",
+            "duration=20",
+            "root_seed=0xf1ee7",
+        ]);
+        assert_eq!(fleet, "f4a870d2da4653dc");
+        assert_eq!(
+            cell_id(&fleet, "fleet/car-following/vehicle=0"),
+            "a297bd608800acf9cd52a84c9b627c1b"
+        );
+        assert_eq!(cell_id("", ""), "af63d24c8601db8ebd47d291d21d47f0");
+        assert_eq!(
+            cell_id(&fingerprint(&["fig13", "fig-v1"]), "fig13/scheme=edf"),
+            "84670b9bacdddcce46cb4e6374668b18"
+        );
     }
 }

@@ -402,43 +402,21 @@ impl Store {
         payload: &str,
         attempts: u32,
     ) -> Result<(), StoreError> {
-        if !self.cells.contains_key(id) {
-            return Err(StoreError::Lifecycle(format!(
-                "cell {id} completed but was never registered"
-            )));
-        }
         let attempts = attempts.max(1);
-        let extra = if attempts > 1 {
-            format!(",\"attempts\":{attempts}")
-        } else {
-            String::new()
-        };
-        self.append(&format!(
-            "{{\"op\":\"done\",\"cell\":\"{id}\",\"wall_ms\":{wall_ms},\"payload\":\"{}\"{extra}}}",
+        let op = format!(
+            "{{\"op\":\"done\",\"cell\":\"{id}\",\"wall_ms\":{wall_ms},\"payload\":\"{}\"",
             json_escape(payload)
-        ))?;
-        if let Some(cell) = self.cells.get_mut(id) {
-            cell.state = CellState::Done {
-                wall_ms,
-                payload: payload.to_owned(),
-                attempts,
-            };
-        }
-        Ok(())
+        );
+        let state = CellState::Done {
+            wall_ms,
+            payload: payload.to_owned(),
+            attempts,
+        };
+        self.close(id, op, attempts, state)
     }
 
-    /// Marks a cell `failed` (retried on the next run via
-    /// [`Store::register`]).
-    ///
-    /// # Errors
-    ///
-    /// Fails on unregistered cells and on append I/O failures.
-    pub fn fail(&mut self, id: &str, error: &str) -> Result<(), StoreError> {
-        self.fail_with_attempts(id, error, 1)
-    }
-
-    /// [`Store::fail`] recording how many attempts the job made before
-    /// its failure became final.
+    /// Marks a cell `failed` after `attempts` attempts (retried on the
+    /// next run via [`Store::register`]).
     ///
     /// # Errors
     ///
@@ -449,26 +427,45 @@ impl Store {
         error: &str,
         attempts: u32,
     ) -> Result<(), StoreError> {
+        let attempts = attempts.max(1);
+        let op = format!(
+            "{{\"op\":\"failed\",\"cell\":\"{id}\",\"error\":\"{}\"",
+            json_escape(error)
+        );
+        let state = CellState::Failed {
+            error: error.to_owned(),
+            attempts,
+        };
+        self.close(id, op, attempts, state)
+    }
+
+    /// The one appender that closes a registered cell: completes `op`
+    /// (a `done`/`failed` record missing its closing brace) with
+    /// `"attempts":N` for a retried job, appends it, and moves the cell
+    /// to `state`.
+    fn close(
+        &mut self,
+        id: &str,
+        mut op: String,
+        attempts: u32,
+        state: CellState,
+    ) -> Result<(), StoreError> {
         if !self.cells.contains_key(id) {
+            let verb = match state {
+                CellState::Done { .. } => "completed",
+                _ => "failed",
+            };
             return Err(StoreError::Lifecycle(format!(
-                "cell {id} failed but was never registered"
+                "cell {id} {verb} but was never registered"
             )));
         }
-        let attempts = attempts.max(1);
-        let extra = if attempts > 1 {
-            format!(",\"attempts\":{attempts}")
-        } else {
-            String::new()
-        };
-        self.append(&format!(
-            "{{\"op\":\"failed\",\"cell\":\"{id}\",\"error\":\"{}\"{extra}}}",
-            json_escape(error)
-        ))?;
+        if attempts > 1 {
+            op.push_str(&format!(",\"attempts\":{attempts}"));
+        }
+        op.push('}');
+        self.append(&op)?;
         if let Some(cell) = self.cells.get_mut(id) {
-            cell.state = CellState::Failed {
-                error: error.to_owned(),
-                attempts,
-            };
+            cell.state = state;
         }
         Ok(())
     }
@@ -803,7 +800,7 @@ mod tests {
             store.mark_running(&a).unwrap();
             store.complete(&a, 1.5, "{\"x\":1}").unwrap();
             store.mark_running(&b).unwrap();
-            store.fail(&b, "panicked: boom").unwrap();
+            store.fail_with_attempts(&b, "panicked: boom", 1).unwrap();
             store
                 .record_run(&fp, RunSummary { hits: 0, misses: 2 })
                 .unwrap();
@@ -838,7 +835,7 @@ mod tests {
         let a = cell_id(&fp, "cell/a");
         let mut store = Store::open(&path).unwrap();
         store.register(&a, "cell/a").unwrap();
-        store.fail(&a, "boom").unwrap();
+        store.fail_with_attempts(&a, "boom", 1).unwrap();
         assert!(store.register(&a, "cell/a").unwrap(), "failed cell retries");
         store.complete(&a, 0.1, "1").unwrap();
         assert!(!store.register(&a, "cell/a").unwrap(), "done cell sticks");
@@ -892,7 +889,7 @@ mod tests {
             store.register(&c, "cell/c").unwrap();
             store.complete_with_attempts(&a, 1.0, "1", 3).unwrap();
             store.fail_with_attempts(&b, "panicked: boom", 4).unwrap();
-            store.fail(&c, "panicked: pow").unwrap();
+            store.fail_with_attempts(&c, "panicked: pow", 1).unwrap();
             store.sync().unwrap();
         }
         let log = std::fs::read_to_string(&path).unwrap();

@@ -2,10 +2,11 @@
 //! recover every complete record, quarantine the torn tail, and let a
 //! resumed run reproduce byte-identical output vs an uninterrupted run.
 
+use std::fmt::Write as _;
 use std::fs;
 use std::path::{Path, PathBuf};
 
-use hcperf_harness::{run_batch, BatchOptions, Job, JsonlSink};
+use hcperf_harness::{run_batch_streaming, BatchOptions, Job, JobResult, JobStatus};
 use hcperf_store::{cell_id, fingerprint, CellCache, CellState, Store};
 
 const CELLS: usize = 12;
@@ -38,7 +39,8 @@ fn simulate(input: &u64, seed: u64) -> f64 {
 }
 
 /// Runs the batch against `store`, returning (jsonl output, recomputed
-/// cell count).
+/// cell count). Each result is rendered as one JSON line by a closure
+/// sink.
 fn run_with_store(store: &mut Store, fp: &str) -> (String, usize) {
     let mut cache = CellCache::new(
         store,
@@ -46,8 +48,18 @@ fn run_with_store(store: &mut Store, fp: &str) -> (String, usize) {
         |o: &f64| Some(format!("{o}")),
         |s: &str| s.parse::<f64>().ok(),
     );
-    let mut sink = JsonlSink::new(Vec::new(), |o: &f64| format!("{o}")).timing(false);
-    let results = run_batch(
+    let mut out = String::new();
+    let mut sink = |r: JobResult<f64>| {
+        let JobStatus::Ok(o) = r.status else {
+            panic!("cell {} panicked", r.key);
+        };
+        let _ = writeln!(
+            out,
+            "{{\"index\":{},\"key\":\"{}\",\"seed\":{},\"ok\":true,\"payload\":{o}}}",
+            r.index, r.key, r.seed
+        );
+    };
+    let summary = run_batch_streaming(
         &jobs(),
         BatchOptions::with_workers(2)
             .stream_to(&mut sink)
@@ -55,10 +67,9 @@ fn run_with_store(store: &mut Store, fp: &str) -> (String, usize) {
         simulate,
     )
     .expect("batch");
-    let summary = cache.finish().expect("store healthy");
-    let out = String::from_utf8(sink.finish().expect("sink healthy")).expect("utf8");
-    assert_eq!(results.len(), CELLS);
-    (out, summary.misses)
+    assert_eq!(summary.ok, CELLS);
+    let run = cache.finish().expect("store healthy");
+    (out, run.misses)
 }
 
 #[test]

@@ -15,9 +15,7 @@ use hcperf_suite::core::Scheme;
 use hcperf_suite::scenarios::car_following::{
     run_car_following, CarFollowingConfig, CarFollowingResult,
 };
-use hcperf_suite::scenarios::fleet::{
-    run_fleet, run_fleet_with_cache, FleetConfig, FleetPreset, VehicleRecord,
-};
+use hcperf_suite::scenarios::fleet::{run_fleet, FleetConfig, FleetPreset, VehicleRecord};
 use hcperf_suite::scenarios::runner::{
     compare_car_following, compare_car_following_seeded, compare_lane_keeping, SeedStats,
     SeededComparison,
@@ -150,7 +148,7 @@ fn fleet_jsonl_stream_is_bit_identical_across_worker_counts() {
     for workers in WORKER_MATRIX {
         config.workers = workers;
         let mut buf = Vec::new();
-        let summary = run_fleet(&config, &mut buf).unwrap();
+        let summary = run_fleet(&config, &mut buf, None).unwrap();
         assert_eq!(summary.vehicles, 1000, "workers={workers}");
         assert_eq!(summary.ok, 1000, "workers={workers}");
         assert_eq!(summary.panicked, 0, "workers={workers}");
@@ -217,7 +215,7 @@ fn resumed_fleet_is_bit_identical_and_recomputes_no_done_cells() {
 
     // Straight-through reference, no store.
     let mut reference = Vec::new();
-    run_fleet(&config, &mut reference).unwrap();
+    run_fleet(&config, &mut reference, None).unwrap();
 
     for workers in WORKER_MATRIX {
         config.workers = workers;
@@ -239,7 +237,7 @@ fn resumed_fleet_is_bit_identical_and_recomputes_no_done_cells() {
             written: 0,
             budget: reference.len() / 2,
         };
-        let err = run_fleet_with_cache(&config, &mut dying, Some(&mut cache)).unwrap_err();
+        let err = run_fleet(&config, &mut dying, Some(&mut cache)).unwrap_err();
         assert!(
             matches!(err, ScenarioError::Sink(_)),
             "workers={workers}: {err:?}"
@@ -265,7 +263,7 @@ fn resumed_fleet_is_bit_identical_and_recomputes_no_done_cells() {
             decode_vehicle,
         );
         let mut resumed = Vec::new();
-        let summary = run_fleet_with_cache(&config, &mut resumed, Some(&mut cache)).unwrap();
+        let summary = run_fleet(&config, &mut resumed, Some(&mut cache)).unwrap();
         let run = cache.finish().unwrap();
         assert_eq!(summary.cached, done_before, "workers={workers}");
         assert_eq!(
@@ -307,7 +305,7 @@ fn faulted_fleet_is_bit_identical_across_workers_and_kill_resume() {
 
     // Straight-through reference (1 worker, no store).
     let mut reference = Vec::new();
-    let ref_summary = run_fleet(&config, &mut reference).unwrap();
+    let ref_summary = run_fleet(&config, &mut reference, None).unwrap();
     assert!(
         ref_summary.retried > 0,
         "chaos over 256 vehicles should crash and retry some"
@@ -325,7 +323,7 @@ fn faulted_fleet_is_bit_identical_across_workers_and_kill_resume() {
     for workers in WORKER_MATRIX {
         config.workers = workers;
         let mut buf = Vec::new();
-        let summary = run_fleet(&config, &mut buf).unwrap();
+        let summary = run_fleet(&config, &mut buf, None).unwrap();
         assert_eq!(
             String::from_utf8(buf).unwrap(),
             reference,
@@ -351,7 +349,7 @@ fn faulted_fleet_is_bit_identical_across_workers_and_kill_resume() {
             written: 0,
             budget: reference.len() / 2,
         };
-        let err = run_fleet_with_cache(&config, &mut dying, Some(&mut cache)).unwrap_err();
+        let err = run_fleet(&config, &mut dying, Some(&mut cache)).unwrap_err();
         assert!(
             matches!(err, ScenarioError::Sink(_)),
             "workers={workers}: {err:?}"
@@ -372,7 +370,7 @@ fn faulted_fleet_is_bit_identical_across_workers_and_kill_resume() {
             decode_vehicle,
         );
         let mut resumed = Vec::new();
-        let summary = run_fleet_with_cache(&config, &mut resumed, Some(&mut cache)).unwrap();
+        let summary = run_fleet(&config, &mut resumed, Some(&mut cache)).unwrap();
         cache.finish().unwrap();
         assert_eq!(summary.cached, done_before, "workers={workers}");
         assert_eq!(summary.retried, ref_summary.retried, "workers={workers}");

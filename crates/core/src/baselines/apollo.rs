@@ -3,13 +3,15 @@
 //! Apollo binds task groups to processors and dispatches by statically
 //! assigned priority within each processor. In this reproduction the
 //! binding lives in the task graph (each [`TaskSpec`](hcperf_taskgraph::TaskSpec)
-//! carries an `affinity`, which the engine enforces when building the
-//! candidate set), so the scheduling policy itself is fixed-priority
-//! selection — like HPF, but combined with the per-processor binding the
-//! evaluation graph provides via
+//! carries an `affinity`, which the engine enforces at dispatch), so the
+//! scheduling policy itself is HPF's fixed-priority key, combined with the
+//! per-processor binding the evaluation graph provides via
 //! [`GraphOptions::with_affinity`](hcperf_taskgraph::graphs::GraphOptions).
 
-use hcperf_rtsim::{SchedContext, Scheduler};
+use hcperf_rtsim::{Job, Scheduler};
+use hcperf_taskgraph::TaskGraph;
+
+use super::hpf::priority_release_key;
 
 /// The Apollo baseline scheduler (fixed priority over processor-bound
 /// tasks).
@@ -34,17 +36,10 @@ impl ApolloStatic {
 }
 
 impl Scheduler for ApolloStatic {
-    fn select(&mut self, ctx: &SchedContext<'_>) -> Option<usize> {
-        // The engine has already filtered candidates by the static binding;
-        // within a processor Apollo picks the highest static priority.
-        ctx.candidates.iter().copied().min_by_key(|&i| {
-            let job = &ctx.queue[i];
-            (
-                ctx.graph.spec(job.task()).priority(),
-                job.release(),
-                job.id(),
-            )
-        })
+    fn release_key(&self, job: &Job, graph: &TaskGraph) -> Option<u128> {
+        // The engine applies the static binding; within a processor Apollo
+        // dispatches by HPF's key.
+        Some(priority_release_key(job, graph))
     }
 
     fn name(&self) -> &str {

@@ -3,7 +3,8 @@
 //! Jobs dispatch in order of absolute deadline (Liu & Layland), ignoring
 //! static priorities and driving performance. Non-preemptive.
 
-use hcperf_rtsim::{SchedContext, Scheduler};
+use hcperf_rtsim::{order_image, Job, Scheduler};
+use hcperf_taskgraph::TaskGraph;
 
 /// The EDF baseline scheduler.
 ///
@@ -27,11 +28,8 @@ impl Edf {
 }
 
 impl Scheduler for Edf {
-    fn select(&mut self, ctx: &SchedContext<'_>) -> Option<usize> {
-        ctx.candidates
-            .iter()
-            .copied()
-            .min_by_key(|&i| (ctx.queue[i].absolute_deadline(), ctx.queue[i].id()))
+    fn release_key(&self, job: &Job, _graph: &TaskGraph) -> Option<u128> {
+        Some(order_image(job.absolute_deadline().as_secs()).into())
     }
 
     fn name(&self) -> &str {

@@ -7,8 +7,8 @@
 //! (virtual or actual) deadlines. This gives safety-relevant tasks earlier
 //! effective deadlines without abandoning deadline ordering.
 
-use hcperf_rtsim::{SchedContext, Scheduler};
-use hcperf_taskgraph::Criticality;
+use hcperf_rtsim::{order_image, Job, Scheduler};
+use hcperf_taskgraph::{Criticality, TaskGraph};
 
 /// The EDF-VD baseline scheduler.
 ///
@@ -55,29 +55,19 @@ impl Default for EdfVd {
 }
 
 impl Scheduler for EdfVd {
-    fn select(&mut self, ctx: &SchedContext<'_>) -> Option<usize> {
-        ctx.candidates.iter().copied().min_by(|&a, &b| {
-            self.effective_deadline(ctx, a)
-                .total_cmp(&self.effective_deadline(ctx, b))
-                .then_with(|| ctx.queue[a].id().cmp(&ctx.queue[b].id()))
-        })
+    fn release_key(&self, job: &Job, graph: &TaskGraph) -> Option<u128> {
+        // Virtual deadline for high-criticality tasks, actual for the rest.
+        let release = job.release().as_secs();
+        let relative = job.relative_deadline().as_secs();
+        let deadline = match graph.spec(job.task()).criticality() {
+            Criticality::High => release + self.scale * relative,
+            Criticality::Low => release + relative,
+        };
+        Some(order_image(deadline).into())
     }
 
     fn name(&self) -> &str {
         "EDF-VD"
-    }
-}
-
-impl EdfVd {
-    /// Virtual deadline for high-criticality tasks, actual for the rest.
-    fn effective_deadline(&self, ctx: &SchedContext<'_>, index: usize) -> f64 {
-        let job = &ctx.queue[index];
-        let release = job.release().as_secs();
-        let relative = job.relative_deadline().as_secs();
-        match ctx.graph.spec(job.task()).criticality() {
-            Criticality::High => release + self.scale * relative,
-            Criticality::Low => release + relative,
-        }
     }
 }
 

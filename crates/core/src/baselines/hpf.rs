@@ -4,7 +4,8 @@
 //! task has the numerically smallest (most important) priority dispatches
 //! first, non-preemptively. Ties break by release time then job id.
 
-use hcperf_rtsim::{SchedContext, Scheduler};
+use hcperf_rtsim::{order_image, Job, Scheduler};
+use hcperf_taskgraph::TaskGraph;
 
 /// The HPF baseline scheduler.
 ///
@@ -28,20 +29,20 @@ impl Hpf {
 }
 
 impl Scheduler for Hpf {
-    fn select(&mut self, ctx: &SchedContext<'_>) -> Option<usize> {
-        ctx.candidates.iter().copied().min_by_key(|&i| {
-            let job = &ctx.queue[i];
-            (
-                ctx.graph.spec(job.task()).priority(),
-                job.release(),
-                job.id(),
-            )
-        })
+    fn release_key(&self, job: &Job, graph: &TaskGraph) -> Option<u128> {
+        Some(priority_release_key(job, graph))
     }
 
     fn name(&self) -> &str {
         "HPF"
     }
+}
+
+/// The fixed-priority key HPF and Apollo share: the task's static priority
+/// above the release instant.
+pub(crate) fn priority_release_key(job: &Job, graph: &TaskGraph) -> u128 {
+    let priority = graph.spec(job.task()).priority().value();
+    (u128::from(priority) << 64) | u128::from(order_image(job.release().as_secs()))
 }
 
 #[cfg(test)]

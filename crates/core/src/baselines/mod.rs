@@ -5,6 +5,10 @@
 //! * [`EdfVd`] — EDF with Virtual Deadlines for high-criticality tasks.
 //! * [`ApolloStatic`] — Apollo Cyber RT: per-processor binding + fixed
 //!   priority (the state-of-the-practice).
+//!
+//! Each ranks jobs by a key fixed at release
+//! ([`Scheduler::release_key`](hcperf_rtsim::Scheduler::release_key)), so
+//! the engine dispatches them without calling `select`.
 
 mod apollo;
 mod edf;

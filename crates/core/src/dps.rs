@@ -56,7 +56,7 @@
 
 use std::cmp::Ordering;
 
-use hcperf_rtsim::{Job, JobId, SchedContext, Scheduler};
+use hcperf_rtsim::{order_image, Job, JobId, SchedContext, Scheduler};
 use hcperf_taskgraph::{SimSpan, SimTime};
 
 /// How the scheduler searches for `γ_max`.
@@ -256,11 +256,7 @@ struct Rec {
 /// The ranking key of a job with dynamic priority `key` and id `id`: one
 /// integer whose order is `key.total_cmp`, ties broken by id.
 fn packed_key(key: f64, id: u64) -> u128 {
-    let bits = key.to_bits();
-    // Negative floats flip every bit, the others only the sign bit; the
-    // unsigned order of the result is then the `total_cmp` order.
-    let image = bits ^ ((((bits as i64) >> 63) as u64) | (1 << 63));
-    (u128::from(image) << 64) | u128::from(id)
+    (u128::from(order_image(key)) << 64) | u128::from(id)
 }
 
 /// Per-job constraint data cached for one γ recomputation, ranked in place
@@ -854,7 +850,7 @@ impl Scheduler for DynamicPriorityScheduler {
         self.maybe_recompute(ctx);
         let gamma = self.gamma;
         // Single pass evaluating each candidate's key exactly once; ties
-        // break on (release, id) like the baselines. The winner's tie
+        // break on (release, id), as in HPF's key. The winner's tie
         // token rides along in `best` so no candidate is re-indexed.
         let mut best: Option<(f64, (SimTime, JobId), usize)> = None;
         for &i in ctx.candidates {

@@ -6,7 +6,8 @@
 
 use std::fmt;
 
-use hcperf_rtsim::{SchedContext, Scheduler};
+use hcperf_rtsim::{Job, SchedContext, Scheduler};
+use hcperf_taskgraph::TaskGraph;
 use serde::{Deserialize, Serialize};
 
 use crate::baselines::{ApolloStatic, Edf, EdfVd, Hpf};
@@ -136,6 +137,16 @@ impl Scheduler for SchedulerKind {
             SchedulerKind::EdfVd(s) => s.select(ctx),
             SchedulerKind::Apollo(s) => s.select(ctx),
             SchedulerKind::HcPerf(s) => s.select(ctx),
+        }
+    }
+
+    fn release_key(&self, job: &Job, graph: &TaskGraph) -> Option<u128> {
+        match self {
+            SchedulerKind::Hpf(s) => s.release_key(job, graph),
+            SchedulerKind::Edf(s) => s.release_key(job, graph),
+            SchedulerKind::EdfVd(s) => s.release_key(job, graph),
+            SchedulerKind::Apollo(s) => s.release_key(job, graph),
+            SchedulerKind::HcPerf(s) => s.release_key(job, graph),
         }
     }
 

@@ -22,7 +22,7 @@ fn real_hot_path_set_contains_the_dispatch_pipeline() {
     let ws = Workspace::load(&real_root()).expect("workspace loads");
     let report = run_hot_path(&ws, false).expect("analysis runs");
 
-    assert_eq!(report.roots.len(), 7, "{:?}", report.roots);
+    assert_eq!(report.roots.len(), 6, "{:?}", report.roots);
     // Everything a `hot-path-root` marker names is itself reachable.
     for root in &report.roots {
         assert!(
@@ -32,15 +32,19 @@ fn real_hot_path_set_contains_the_dispatch_pipeline() {
     }
 
     // The γ-search rank/feasibility kernel is reached from the markers in
-    // `crates/core/src/dps.rs`, and the dispatch loop pulls the scheduler
-    // plus the Pdc step in behind it.
+    // `crates/core/src/dps.rs`, and the dispatch loop pulls both dispatch
+    // passes, the trait's default `select` and the Pdc step in behind it.
     for expected in [
         "GammaScratch::rank",
         "GammaScratch::feasible",
         "DynamicPriorityScheduler::gamma_max_cached",
         "gamma_max",
-        "FifoScheduler::select",
         "Sim::try_dispatch",
+        "Sim::least_key",
+        "Sim::ask_select",
+        "Scheduler::select",
+        "Scheduler::release_key",
+        "order_image",
         "PerformanceDirectedController::step",
     ] {
         assert!(

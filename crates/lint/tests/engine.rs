@@ -685,7 +685,6 @@ fn real_workspace_wcet_gives_every_root_a_bounded_certificate() {
         "GammaScratch::feasible",
         "DynamicPriorityScheduler::gamma_max_cached",
         "gamma_max",
-        "FifoScheduler::select",
         "Sim::try_dispatch",
         "PerformanceDirectedController::step",
     ] {
@@ -696,7 +695,7 @@ fn real_workspace_wcet_gives_every_root_a_bounded_certificate() {
         let cost = row["cost"].as_str().expect("cost string");
         assert!(cost.starts_with("O("), "{expected} unbounded: {row:?}");
     }
-    assert_eq!(certs.len(), 7, "exactly the declared roots: {certs:?}");
+    assert_eq!(certs.len(), 6, "exactly the declared roots: {certs:?}");
     assert_eq!(doc["wcet"]["loops"]["unbounded"].as_f64(), Some(0.0));
 }
 
@@ -725,7 +724,6 @@ fn real_workspace_hot_path_and_eq_coverage_are_clean() {
         "GammaScratch::feasible",
         "DynamicPriorityScheduler::gamma_max_cached",
         "gamma_max",
-        "FifoScheduler::select",
         "Sim::try_dispatch",
         "PerformanceDirectedController::step",
     ] {

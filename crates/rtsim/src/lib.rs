@@ -41,7 +41,7 @@ pub mod trace_json;
 pub use fault::{FaultCounters, FaultEffect, FaultWindow, KillPolicy};
 pub use gantt::RenderError;
 pub use job::{ControlCommand, Job, JobId, JobOutcome};
-pub use scheduler::{FifoScheduler, SchedContext, Scheduler};
+pub use scheduler::{order_image, FifoScheduler, SchedContext, Scheduler};
 pub use sim::{JoinPolicy, Sim, SimConfig, SimError, SimSnapshot};
 pub use stats::{percentile, SimStats, TaskStats, WindowStats};
 pub use trace::{Trace, TraceEvent};

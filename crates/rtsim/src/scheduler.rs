@@ -1,18 +1,30 @@
 //! The pluggable scheduler interface.
 //!
-//! Whenever a processor is idle and the ready queue is non-empty, the
-//! simulator asks the [`Scheduler`] to pick the next job. The scheduler
-//! sees the full ready queue, the set of candidate indices permitted on the
-//! idle processor (affinity-filtered by the engine), per-task observed
-//! execution times (the paper's `c_i`: "the execution time from the last
-//! run of the task"), and the remaining processing time on every processor
-//! (the paper's `T_p`).
+//! A scheduler ranks ready jobs in one of two ways:
+//!
+//! * **A key fixed at release.** [`Scheduler::release_key`] returns each
+//!   job's dispatch key when the job enters the ready queue. The engine
+//!   keeps the key beside the job and fills every idle processor with the
+//!   affinity-eligible job of least `(key, JobId)`: lower keys dispatch
+//!   first, and equal keys go to the lower [`JobId`]. The scheduler is
+//!   not consulted again. FIFO and the paper's four baselines (HPF, EDF,
+//!   EDF-VD, Apollo) work this way; [`order_image`] turns a time into a
+//!   key.
+//! * **A choice at every dispatch.** A scheduler whose ranking moves with
+//!   time or state returns `None` from `release_key`, and the engine asks
+//!   [`Scheduler::select`] whenever a processor is idle and work is
+//!   eligible for it. `select` sees the full ready queue, the candidate
+//!   indices permitted on the idle processor (affinity-filtered by the
+//!   engine), per-task observed execution times (the paper's `c_i`: "the
+//!   execution time from the last run of the task"), and the remaining
+//!   processing time on every processor (the paper's `T_p`). HCPerf's
+//!   Dynamic Priority Scheduler (Eq. 10) is the one such scheduler.
 //!
 //! Scheduling is non-preemptive: once dispatched, a job runs to completion.
 
 use hcperf_taskgraph::{SimSpan, SimTime, TaskGraph};
 
-use crate::job::Job;
+use crate::job::{Job, JobId};
 
 /// Read-only view the engine hands to the scheduler at each dispatch point.
 #[derive(Debug)]
@@ -57,14 +69,64 @@ impl SchedContext<'_> {
     }
 }
 
+/// The unsigned image of `x` under the IEEE 754 total order: for every
+/// pair of `f64` values, including signed zeros, infinities, NaNs and
+/// subnormals, `order_image(a).cmp(&order_image(b))` equals
+/// `a.total_cmp(&b)`. Dispatch keys are built from it, so a key compares
+/// times exactly as [`SimTime`]'s `Ord` does.
+#[must_use]
+#[inline]
+pub fn order_image(x: f64) -> u64 {
+    let bits = x.to_bits();
+    // Negative floats flip every bit, the others only the sign bit; the
+    // unsigned order of the result is then the `total_cmp` order.
+    bits ^ ((((bits as i64) >> 63) as u64) | (1 << 63))
+}
+
 /// A non-preemptive multiprocessor scheduling policy.
 ///
-/// Implementations must return either `None` (leave the processor idle) or
+/// A scheduler either keys every job at release ([`release_key`]) or
+/// chooses at every dispatch ([`select`]); see the [module docs](self).
+///
+/// The key contract: a job's key is fixed when the job is released (and
+/// when a failed processor requeues it); lower keys dispatch first; equal
+/// keys go to the lower [`JobId`]; `None` means "ask `select`". The
+/// engine reads no key once any job has returned `None`, so a scheduler
+/// returns `Some` for every job or for none.
+///
+/// `select` must return either `None` (leave the processor idle) or
 /// `Some(i)` with `i` taken from [`SchedContext::candidates`].
+///
+/// [`release_key`]: Scheduler::release_key
+/// [`select`]: Scheduler::select
 pub trait Scheduler {
     /// Picks the next job for `ctx.processor`, returning an index into
     /// `ctx.queue` drawn from `ctx.candidates`.
-    fn select(&mut self, ctx: &SchedContext<'_>) -> Option<usize>;
+    ///
+    /// The default picks the candidate with the least
+    /// `(release_key, JobId)`: the order the engine's keyed dispatch uses,
+    /// so a keyed scheduler gives the same schedule through either path.
+    fn select(&mut self, ctx: &SchedContext<'_>) -> Option<usize> {
+        let mut best: Option<((Option<u128>, JobId), usize)> = None;
+        for &i in ctx.candidates {
+            let Some(job) = ctx.queue.get(i) else {
+                continue;
+            };
+            let rank = (self.release_key(job, ctx.graph), job.id());
+            if best.is_none_or(|(least, _)| rank < least) {
+                best = Some((rank, i));
+            }
+        }
+        best.map(|(_, i)| i)
+    }
+
+    /// The job's dispatch key, fixed at release, or `None` to have the
+    /// engine ask [`select`](Scheduler::select) at every dispatch (the
+    /// default).
+    fn release_key(&self, job: &Job, graph: &TaskGraph) -> Option<u128> {
+        let _ = (job, graph);
+        None
+    }
 
     /// Human-readable scheme name for reports.
     fn name(&self) -> &str;
@@ -73,6 +135,10 @@ pub trait Scheduler {
 impl<S: Scheduler + ?Sized> Scheduler for Box<S> {
     fn select(&mut self, ctx: &SchedContext<'_>) -> Option<usize> {
         (**self).select(ctx)
+    }
+
+    fn release_key(&self, job: &Job, graph: &TaskGraph) -> Option<u128> {
+        (**self).release_key(job, graph)
     }
 
     fn name(&self) -> &str {
@@ -104,12 +170,8 @@ impl FifoScheduler {
 }
 
 impl Scheduler for FifoScheduler {
-    // hcperf-lint: hot-path-root
-    fn select(&mut self, ctx: &SchedContext<'_>) -> Option<usize> {
-        ctx.candidates
-            .iter()
-            .copied()
-            .min_by_key(|&i| (ctx.queue[i].release(), ctx.queue[i].id()))
+    fn release_key(&self, job: &Job, _graph: &TaskGraph) -> Option<u128> {
+        Some(order_image(job.release().as_secs()).into())
     }
 
     fn name(&self) -> &str {
@@ -120,8 +182,52 @@ impl Scheduler for FifoScheduler {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::job::JobId;
-    use hcperf_taskgraph::{TaskGraph, TaskId, TaskSpec};
+    use hcperf_taskgraph::{TaskId, TaskSpec};
+    use proptest::prelude::*;
+
+    /// Values a uniform bit pattern almost never hits.
+    const SPECIAL: [f64; 12] = [
+        0.0,
+        -0.0,
+        f64::INFINITY,
+        f64::NEG_INFINITY,
+        f64::NAN,
+        -f64::NAN,
+        f64::MIN_POSITIVE,
+        -f64::MIN_POSITIVE,
+        5e-324,
+        -5e-324,
+        f64::MAX,
+        f64::MIN,
+    ];
+
+    /// `SPECIAL[pick]` when `pick` indexes it, else the float with `bits`
+    /// (signaling NaNs and subnormals included).
+    fn value(bits: u64, pick: usize) -> f64 {
+        SPECIAL
+            .get(pick)
+            .copied()
+            .unwrap_or_else(|| f64::from_bits(bits))
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(4096))]
+
+        #[test]
+        fn order_image_is_the_total_order(
+            a in any::<u64>(),
+            b in any::<u64>(),
+            pick_a in 0usize..24,
+            pick_b in 0usize..24,
+        ) {
+            let (x, y) = (value(a, pick_a), value(b, pick_b));
+            prop_assert_eq!(order_image(x).cmp(&order_image(y)), x.total_cmp(&y));
+            // `a` with its lowest bit flipped: adjacent floats, the
+            // hardest pairs to order.
+            let z = f64::from_bits(a ^ 1);
+            prop_assert_eq!(order_image(x).cmp(&order_image(z)), x.total_cmp(&z));
+        }
+    }
 
     fn tiny_graph() -> TaskGraph {
         let mut b = TaskGraph::builder();

@@ -30,12 +30,25 @@
 //!
 //! # Dispatch hot path
 //!
-//! `Sim::try_dispatch` is called after every event. To keep steady-state
-//! dispatch free of heap allocations it reuses scratch buffers owned by the
-//! engine (candidate indices and per-processor remaining times) and
-//! maintains an affinity-partitioned ready index — per-processor counts of
-//! pinned ready jobs plus a count of unpinned ones — so processors with no
-//! eligible work are skipped without scanning the queue.
+//! `Sim::try_dispatch` is called after every event and takes one of two
+//! paths, chosen by the scheduler's [`Scheduler::release_key`]:
+//!
+//! * **Keyed.** When every released job came with a key, the engine keeps
+//!   the keys beside the ready queue and fills each idle processor, in
+//!   index order, with the affinity-eligible job of least `(key, JobId)`:
+//!   one scan of the queue per processor, no candidate list and no
+//!   `select` call. FIFO and the four baselines dispatch this way.
+//! * **`select`.** Otherwise the engine builds each idle processor's
+//!   affinity-filtered candidate list and asks [`Scheduler::select`],
+//!   repeating until a pass places nothing. HCPerf's DPS dispatches this
+//!   way. The candidate indices and per-processor remaining times live in
+//!   scratch buffers owned by the engine, so steady-state dispatch
+//!   allocates nothing.
+//!
+//! Both paths read an affinity-partitioned ready index — per-processor
+//! counts of pinned ready jobs plus a count of unpinned ones — so
+//! processors with no eligible work are skipped without scanning the
+//! queue.
 
 use std::collections::BTreeMap;
 use std::fmt;
@@ -185,6 +198,14 @@ pub struct Sim<S> {
     now: SimTime,
     events: EventQueue,
     ready: Vec<Job>,
+    /// Dispatch key of each ready job ([`Scheduler::release_key`]),
+    /// parallel to `ready` (pushed and swap-removed with it) while
+    /// `keyed`; empty otherwise.
+    ready_keys: Vec<u128>,
+    /// Whether every job released so far came with a key. The first
+    /// `None` sends every later dispatch through [`Scheduler::select`],
+    /// and no key is asked for after it.
+    keyed: bool,
     running: Vec<Option<Running>>,
     observed: Vec<SimSpan>,
     rates: Vec<Option<Rate>>,
@@ -299,6 +320,8 @@ impl<S: Scheduler> Sim<S> {
             pipeline_cycle: 0,
             next_job: 0,
             ready: Vec::new(),
+            ready_keys: Vec::new(),
+            keyed: true,
             commands: Vec::new(),
             faults: Vec::new(),
             fault_active: Vec::new(),
@@ -565,27 +588,49 @@ impl<S: Scheduler> Sim<S> {
                 EventKind::ExpiryCheck { job: job.id() },
             );
         }
-        self.ready.push(job);
-        self.note_ready_added(task);
+        self.enqueue(job);
     }
 
-    /// Maintains the affinity-partitioned ready index on queue insertion.
-    #[inline]
-    fn note_ready_added(&mut self, task: TaskId) {
-        match self.affinity[task.index()] {
-            None => self.ready_free += 1,
-            Some(p) if p < self.ready_pinned.len() => self.ready_pinned[p] += 1,
-            Some(_) => {}
+    /// Adds `job` to the ready queue with its dispatch key, maintaining the
+    /// affinity-partitioned ready index.
+    fn enqueue(&mut self, job: Job) {
+        if self.keyed {
+            match self.scheduler.release_key(&job, &self.graph) {
+                Some(key) => self.ready_keys.push(key),
+                None => {
+                    self.keyed = false;
+                    self.ready_keys.clear();
+                }
+            }
+        }
+        self.ready.push(job);
+        if let Some(n) = self.ready_count(job.task()) {
+            *n += 1;
         }
     }
 
-    /// Maintains the affinity-partitioned ready index on queue removal.
+    /// Removes the ready job at `pos` (by `swap_remove`, with its key),
+    /// maintaining the affinity-partitioned ready index.
     #[inline]
-    fn note_ready_removed(&mut self, task: TaskId) {
-        match self.affinity[task.index()] {
-            None => self.ready_free -= 1,
-            Some(p) if p < self.ready_pinned.len() => self.ready_pinned[p] -= 1,
-            Some(_) => {}
+    fn dequeue(&mut self, pos: usize) -> Job {
+        if self.keyed {
+            self.ready_keys.swap_remove(pos);
+        }
+        let job = self.ready.swap_remove(pos);
+        if let Some(n) = self.ready_count(job.task()) {
+            *n -= 1;
+        }
+        job
+    }
+
+    /// The affinity-partitioned ready index entry `task`'s jobs count in:
+    /// `ready_free`, their processor's `ready_pinned`, or none for a
+    /// processor outside `0..processors`.
+    #[inline]
+    fn ready_count(&mut self, task: TaskId) -> Option<&mut usize> {
+        match self.affinity.get(task.index()).copied().flatten() {
+            None => Some(&mut self.ready_free),
+            Some(p) => self.ready_pinned.get_mut(p),
         }
     }
 
@@ -798,10 +843,8 @@ impl<S: Scheduler> Sim<S> {
         let Some(pos) = self.ready.iter().position(|j| j.id() == job_id) else {
             return; // already dispatched (running or done)
         };
-        let job = self.ready[pos];
-        if self.now >= job.absolute_deadline() {
-            self.ready.swap_remove(pos);
-            self.note_ready_removed(job.task());
+        if self.now >= self.ready[pos].absolute_deadline() {
+            let job = self.dequeue(pos);
             self.stats
                 .on_outcome(job.task().index(), JobOutcome::Expired);
             self.trace.record(TraceEvent::Expired {
@@ -817,69 +860,37 @@ impl<S: Scheduler> Sim<S> {
         if self.ready.is_empty() {
             return;
         }
-        // Remaining processing time per processor (`T_p`), computed once per
-        // entry and patched in place as jobs are placed below. The scratch
-        // buffers only ever grow to queue-depth/processor-count capacity, so
-        // steady-state dispatch performs no heap allocation.
-        self.scratch_remaining.clear();
-        for r in &self.running {
-            self.scratch_remaining.push(r.map_or(SimSpan::ZERO, |run| {
-                (run.finish - self.now).clamp_non_negative()
-            }));
+        if !self.keyed {
+            // Remaining processing time per processor (`T_p`) for `select`,
+            // computed once per entry and patched in place as jobs are
+            // placed below. The scratch buffers only ever grow to
+            // queue-depth/processor-count capacity, so steady-state
+            // dispatch performs no heap allocation.
+            self.scratch_remaining.clear();
+            for r in &self.running {
+                self.scratch_remaining.push(r.map_or(SimSpan::ZERO, |run| {
+                    (run.finish - self.now).clamp_non_negative()
+                }));
+            }
         }
         // hcperf-lint: allow(wcet-unbounded): each pass either places a ready job on an idle core or exits; bounded by min(queue depth, processors) passes
         loop {
             let mut made_progress = false;
             for processor in 0..self.config.processors {
-                if self.running[processor].is_some() || self.ready.is_empty() {
+                if self.ready.is_empty() || !self.wants_work(processor) {
                     continue;
                 }
-                // A stalled or failed processor accepts no new work. The
-                // flag vector is maintained by fault transitions only, so
-                // fault-free runs pay one always-true branch here.
-                if !self.fault_available.get(processor).copied().unwrap_or(true) {
-                    continue;
-                }
-                // Affinity-partitioned ready index: nothing unpinned and
-                // nothing pinned here means no candidates — skip without
-                // scanning the queue.
-                if self.ready_free == 0 && self.ready_pinned[processor] == 0 {
-                    continue;
-                }
-                self.scratch_candidates.clear();
-                for (i, j) in self.ready.iter().enumerate() {
-                    match self.affinity[j.task().index()] {
-                        None => self.scratch_candidates.push(i),
-                        Some(a) if a == processor => self.scratch_candidates.push(i),
-                        Some(_) => {}
-                    }
-                }
-                debug_assert!(
-                    !self.scratch_candidates.is_empty(),
-                    "ready index promised a candidate for processor {processor}"
-                );
-                let ctx = SchedContext {
-                    now: self.now,
-                    graph: &self.graph,
-                    queue: &self.ready,
-                    candidates: &self.scratch_candidates,
-                    processor,
-                    observed_exec: &self.observed,
-                    processor_remaining: &self.scratch_remaining,
+                let chosen = if self.keyed {
+                    self.least_key(processor)
+                } else {
+                    self.ask_select(processor)
                 };
-                let Some(chosen) = self.scheduler.select(&ctx) else {
+                let Some(chosen) = chosen else {
                     continue;
                 };
-                // Candidates are built in ascending queue order.
-                assert!(
-                    self.scratch_candidates.binary_search(&chosen).is_ok(),
-                    "scheduler {} selected index {chosen} outside the candidate set",
-                    self.scheduler.name()
-                );
-                // `swap_remove` is safe: every scheduler selects by a total
+                // `swap_remove` is safe: every scheduler ranks by a total
                 // order on job attributes, never by queue position.
-                let job = self.ready.swap_remove(chosen);
-                self.note_ready_removed(job.task());
+                let job = self.dequeue(chosen);
                 let exec = self.sample_exec(job.task());
                 let finish = self.now + exec;
                 self.stats.on_dispatch(job.task().index(), processor, exec);
@@ -889,16 +900,85 @@ impl<S: Scheduler> Sim<S> {
                     task: job.task(),
                     processor,
                 });
-                self.running[processor] = Some(Running { job, finish, exec });
-                self.scratch_remaining[processor] = exec;
+                if let Some(slot) = self.running.get_mut(processor) {
+                    *slot = Some(Running { job, finish, exec });
+                }
+                if let Some(slot) = self.scratch_remaining.get_mut(processor) {
+                    *slot = exec;
+                }
                 self.events
                     .push(finish, EventKind::JobCompleted { processor });
                 made_progress = true;
             }
-            if !made_progress {
+            // A keyed pass leaves no processor idle beside eligible work,
+            // and placing a job only removes candidates, so a second pass
+            // would place nothing. `select` may leave a processor idle and
+            // is asked again after a placement elsewhere.
+            if self.keyed || !made_progress {
                 break;
             }
         }
+    }
+
+    /// Whether `processor` is idle, accepts work and has an eligible ready
+    /// job. The affinity-partitioned ready index answers the last part
+    /// without scanning the queue: nothing unpinned and nothing pinned
+    /// here means no candidates.
+    #[inline]
+    fn wants_work(&self, processor: usize) -> bool {
+        // A stalled or failed processor accepts no new work. The flag
+        // vector is maintained by fault transitions only, so fault-free
+        // runs pay one always-true branch here.
+        self.running.get(processor).is_some_and(Option::is_none)
+            && self.fault_available.get(processor).copied().unwrap_or(true)
+            && (self.ready_free > 0 || self.ready_pinned.get(processor).is_some_and(|&n| n > 0))
+    }
+
+    /// The ready job eligible on `processor` with the least `(key, JobId)`.
+    fn least_key(&self, processor: usize) -> Option<usize> {
+        // With no pinned job ready, every job is eligible here.
+        let pinned = self.ready_free < self.ready.len();
+        let mut best: Option<(u128, JobId, usize)> = None;
+        for (i, (job, &key)) in self.ready.iter().zip(&self.ready_keys).enumerate() {
+            if pinned && !eligible(&self.affinity, job, processor) {
+                continue;
+            }
+            if best.is_none_or(|(k, id, _)| (key, job.id()) < (k, id)) {
+                best = Some((key, job.id(), i));
+            }
+        }
+        best.map(|(_, _, i)| i)
+    }
+
+    /// Builds `processor`'s candidate list and asks the scheduler.
+    fn ask_select(&mut self, processor: usize) -> Option<usize> {
+        self.scratch_candidates.clear();
+        for (i, j) in self.ready.iter().enumerate() {
+            if eligible(&self.affinity, j, processor) {
+                self.scratch_candidates.push(i);
+            }
+        }
+        debug_assert!(
+            !self.scratch_candidates.is_empty(),
+            "ready index promised a candidate for processor {processor}"
+        );
+        let ctx = SchedContext {
+            now: self.now,
+            graph: &self.graph,
+            queue: &self.ready,
+            candidates: &self.scratch_candidates,
+            processor,
+            observed_exec: &self.observed,
+            processor_remaining: &self.scratch_remaining,
+        };
+        let chosen = self.scheduler.select(&ctx)?;
+        // Candidates are built in ascending queue order.
+        assert!(
+            self.scratch_candidates.binary_search(&chosen).is_ok(),
+            "scheduler {} selected index {chosen} outside the candidate set",
+            self.scheduler.name()
+        );
+        Some(chosen)
     }
 
     fn sample_exec(&mut self, task: TaskId) -> SimSpan {
@@ -1023,8 +1103,7 @@ impl<S: Scheduler> Sim<S> {
                         EventKind::ExpiryCheck { job: job.id() },
                     );
                 }
-                self.ready.push(job);
-                self.note_ready_added(job.task());
+                self.enqueue(job);
             }
             KillPolicy::Requeue | KillPolicy::Discard => {
                 self.stats
@@ -1038,6 +1117,16 @@ impl<S: Scheduler> Sim<S> {
             }
         }
     }
+}
+
+/// Whether `job` may run on `processor` under the per-task `affinity`.
+#[inline]
+fn eligible(affinity: &[Option<usize>], job: &Job, processor: usize) -> bool {
+    affinity
+        .get(job.task().index())
+        .copied()
+        .flatten()
+        .is_none_or(|a| a == processor)
 }
 
 #[cfg(test)]
@@ -1125,6 +1214,48 @@ mod tests {
         // No deadline misses in this light load.
         assert_eq!(s.stats().totals().missed_late, 0);
         assert_eq!(s.stats().totals().expired, 0);
+    }
+
+    /// Keys the source's jobs only, and counts `select` calls.
+    struct KeysSourceOnly {
+        selects: usize,
+    }
+
+    impl Scheduler for KeysSourceOnly {
+        fn select(&mut self, ctx: &SchedContext<'_>) -> Option<usize> {
+            self.selects += 1;
+            ctx.candidates.first().copied()
+        }
+
+        fn release_key(&self, job: &Job, _graph: &TaskGraph) -> Option<u128> {
+            (job.task().index() == 0).then_some(0)
+        }
+
+        fn name(&self) -> &str {
+            "keys-source-only"
+        }
+    }
+
+    #[test]
+    fn first_unkeyed_job_sends_dispatch_through_select() {
+        let mut s = Sim::new(
+            chain_graph(5.0, 5.0, 5.0, 50.0),
+            SimConfig {
+                processors: 2,
+                ..Default::default()
+            },
+            KeysSourceOnly { selects: 0 },
+        )
+        .unwrap();
+        // Only the keyed source job has been released and dispatched.
+        s.run_until(SimTime::from_millis(4.0));
+        assert_eq!(s.stats().dispatched(), 1);
+        assert_eq!(s.scheduler().selects, 0);
+        // Its successor has no key: from then on `select` decides, for
+        // the keyed source jobs as well.
+        s.run_until(SimTime::from_secs(1.0));
+        assert_eq!(s.scheduler().selects, s.stats().dispatched() as usize - 1);
+        assert_eq!(s.drain_commands().len(), 10);
     }
 
     #[test]

@@ -50,6 +50,14 @@ fn car_following_edf_bytes_are_pinned() {
 }
 
 #[test]
+fn car_following_hpf_bytes_are_pinned() {
+    // HPF's dispatch key packs the static priority above the release
+    // instant; this pins the order that key produces.
+    let r = run_car_following(&car_following_12s(Scheme::Hpf)).unwrap();
+    assert_digest("car_following/hpf", &r, 0x33d9_9fc6_9c38_1736);
+}
+
+#[test]
 fn car_following_apollo_bytes_are_pinned() {
     let r = run_car_following(&car_following_12s(Scheme::Apollo)).unwrap();
     assert_digest("car_following/apollo", &r, 0xa378_8b15_08b7_5a27);

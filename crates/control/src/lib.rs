@@ -3,17 +3,15 @@
 //! The paper's Performance Directed Controller is built on **Model-Free
 //! Control** (MFC, Fliess & Join 2013) with **Algebraic Differentiation
 //! Estimation** (ADE) of the error derivative; the Task Rate Adapter and the
-//! vehicle models use classical proportional/PID loops and first-order
-//! filters. This crate implements those pieces as a small, dependency-free
+//! vehicle models use classical PID loops and first-order filters. This crate implements those pieces as a small, dependency-free
 //! control library:
 //!
 //! * [`AlgebraicDifferentiator`] — Eq. 6: noise-attenuating derivative
 //!   estimation over a sliding window.
 //! * [`ModelFreeControl`] — Eq. 2–5: ultra-local model + feedback law.
-//! * [`Pid`] / [`Proportional`] — classical loops for rate adaptation and
-//!   vehicle actuation.
-//! * [`LowPass`], [`RateLimiter`], [`SlidingWindow`] — signal conditioning
-//!   and windowed statistics (RMS errors, discomfort/jerk).
+//! * [`Pid`] — the classical loop for vehicle actuation.
+//! * [`LowPass`], [`SlidingWindow`] — signal conditioning and windowed
+//!   statistics (RMS errors, discomfort/jerk).
 //!
 //! # Examples
 //!
@@ -32,6 +30,6 @@ pub mod mfc;
 pub mod pid;
 
 pub use ade::{AdeConfigError, AlgebraicDifferentiator};
-pub use filter::{LowPass, RateLimiter, SlidingWindow};
+pub use filter::{LowPass, SlidingWindow};
 pub use mfc::{MfcConfig, MfcConfigError, ModelFreeControl};
-pub use pid::{Pid, PidConfig, Proportional};
+pub use pid::{Pid, PidConfig};

@@ -2,49 +2,10 @@
 //!
 //! The paper's Task Rate Adapter is a proportional controller (Eq. 13) and
 //! the vehicle substrate uses PI/PID speed and steering loops; this module
-//! provides both, plus output clamping and anti-windup.
+//! provides the PID loop, with output clamping and anti-windup (the Task
+//! Rate Adapter applies its gain inline).
 
 use std::fmt;
-
-/// A proportional controller `out = K_p · error`.
-///
-/// # Examples
-///
-/// ```
-/// use hcperf_control::Proportional;
-///
-/// let p = Proportional::new(2.0);
-/// assert_eq!(p.output(1.5), 3.0);
-/// ```
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct Proportional {
-    gain: f64,
-}
-
-impl Proportional {
-    /// Creates a proportional controller with gain `K_p`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the gain is not finite.
-    #[must_use]
-    pub fn new(gain: f64) -> Self {
-        assert!(gain.is_finite(), "gain must be finite");
-        Proportional { gain }
-    }
-
-    /// Returns the gain.
-    #[must_use]
-    pub fn gain(&self) -> f64 {
-        self.gain
-    }
-
-    /// Computes the control output for an error.
-    #[must_use]
-    pub fn output(&self, error: f64) -> f64 {
-        self.gain * error
-    }
-}
 
 /// Configuration for a [`Pid`] controller.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -162,19 +123,6 @@ impl fmt::Display for Pid {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn proportional_scales_error() {
-        let p = Proportional::new(-0.5);
-        assert_eq!(p.output(4.0), -2.0);
-        assert_eq!(p.gain(), -0.5);
-    }
-
-    #[test]
-    #[should_panic(expected = "finite")]
-    fn proportional_rejects_nan_gain() {
-        let _ = Proportional::new(f64::NAN);
-    }
 
     #[test]
     fn pure_p_matches_proportional() {

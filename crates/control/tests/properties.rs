@@ -1,8 +1,7 @@
 //! Property-based tests for the control substrate.
 
 use hcperf_control::{
-    AlgebraicDifferentiator, LowPass, MfcConfig, ModelFreeControl, Pid, PidConfig, RateLimiter,
-    SlidingWindow,
+    AlgebraicDifferentiator, LowPass, MfcConfig, ModelFreeControl, Pid, PidConfig, SlidingWindow,
 };
 use proptest::prelude::*;
 
@@ -111,21 +110,6 @@ proptest! {
             hi = hi.max(x);
             let y = lp.step(x, 0.01);
             prop_assert!(y >= lo - 1e-9 && y <= hi + 1e-9);
-        }
-    }
-
-    #[test]
-    fn rate_limiter_obeys_slew_bound(
-        targets in proptest::collection::vec(-1e3f64..1e3, 1..100),
-        max_rate in 0.1f64..100.0,
-        dt in 0.001f64..0.5,
-    ) {
-        let mut rl = RateLimiter::new(max_rate);
-        let mut prev = rl.value();
-        for target in targets {
-            let out = rl.step(target, dt);
-            prop_assert!((out - prev).abs() <= max_rate * dt + 1e-9);
-            prev = out;
         }
     }
 

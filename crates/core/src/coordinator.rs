@@ -112,29 +112,6 @@ pub struct HcPerf {
 }
 
 impl HcPerf {
-    /// Starts building a coordinator with fluent configuration.
-    ///
-    /// # Examples
-    ///
-    /// ```
-    /// use hcperf::coordinator::HcPerf;
-    /// use hcperf_taskgraph::graphs::{apollo_graph, GraphOptions};
-    /// use hcperf_taskgraph::SimSpan;
-    ///
-    /// let graph = apollo_graph(&GraphOptions::default())?;
-    /// let coord = HcPerf::builder()
-    ///     .period(SimSpan::from_millis(50.0))
-    ///     .external(false)
-    ///     .error_scale(0.1)
-    ///     .build(&graph)?;
-    /// assert!(!coord.config().external_enabled);
-    /// # Ok::<(), Box<dyn std::error::Error>>(())
-    /// ```
-    #[must_use]
-    pub fn builder() -> HcPerfBuilder {
-        HcPerfBuilder::default()
-    }
-
     /// Creates a coordinator for `graph`, managing every source task that
     /// declares a rate range.
     ///
@@ -226,76 +203,6 @@ impl HcPerf {
     }
 }
 
-/// Fluent builder for [`HcPerf`] (see [`HcPerf::builder`]).
-#[derive(Debug, Clone, Default)]
-pub struct HcPerfBuilder {
-    config: CoordinatorConfig,
-}
-
-impl HcPerfBuilder {
-    /// Sets the full Performance Directed Controller configuration.
-    #[must_use]
-    pub fn pdc(mut self, pdc: PdcConfig) -> Self {
-        self.config.pdc = pdc;
-        self
-    }
-
-    /// Sets the full Task Rate Adapter configuration.
-    #[must_use]
-    pub fn rate(mut self, rate: RateAdapterConfig) -> Self {
-        self.config.rate = rate;
-        self
-    }
-
-    /// Enables or disables the external coordinator (Fig. 18 ablation).
-    #[must_use]
-    pub fn external(mut self, enabled: bool) -> Self {
-        self.config.external_enabled = enabled;
-        self
-    }
-
-    /// Sets the coordinator control period.
-    #[must_use]
-    pub fn period(mut self, period: SimSpan) -> Self {
-        self.config.period = period;
-        self
-    }
-
-    /// Shortcut: rescales the PDC's tracking-error gain (how strongly the
-    /// driving error drives γ).
-    #[must_use]
-    pub fn error_scale(mut self, scale: f64) -> Self {
-        self.config.pdc.error_scale = scale;
-        self
-    }
-
-    /// Shortcut: sets the miss-ratio target of the Task Rate Adapter.
-    #[must_use]
-    pub fn target_miss_ratio(mut self, target: f64) -> Self {
-        self.config.rate.target_miss_ratio = target;
-        self
-    }
-
-    /// Shortcut: arms graceful degradation in the Task Rate Adapter — at
-    /// or above `miss_threshold` the adapter floors rates at
-    /// `min + floor_frac·span` instead of driving them to the minimum.
-    #[must_use]
-    pub fn degraded_rate_floor(mut self, miss_threshold: f64, floor_frac: f64) -> Self {
-        self.config.rate.degraded_miss_threshold = miss_threshold;
-        self.config.rate.rate_floor_frac = floor_frac;
-        self
-    }
-
-    /// Builds the coordinator for `graph`.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`MfcConfigError`] if the PDC configuration is invalid.
-    pub fn build(self, graph: &TaskGraph) -> Result<HcPerf, MfcConfigError> {
-        HcPerf::new(self.config, graph)
-    }
-}
-
 /// Restricts the supplied rates to the sources the adapter manages.
 fn filter_managed(slots: &[SourceSlot], current: &[(TaskId, Rate)]) -> Vec<(TaskId, Rate)> {
     current
@@ -347,16 +254,18 @@ mod tests {
         assert!(config.external_enabled);
     }
 
+    /// Every knob set through `CoordinatorConfig` reaches the coordinator.
     #[test]
     fn builder_configures_all_knobs() {
         let graph = apollo_graph(&GraphOptions::default()).unwrap();
-        let coord = HcPerf::builder()
-            .period(hcperf_taskgraph::SimSpan::from_millis(50.0))
-            .external(false)
-            .error_scale(0.3)
-            .target_miss_ratio(0.01)
-            .build(&graph)
-            .unwrap();
+        let mut config = CoordinatorConfig {
+            period: hcperf_taskgraph::SimSpan::from_millis(50.0),
+            external_enabled: false,
+            ..Default::default()
+        };
+        config.pdc.error_scale = 0.3;
+        config.rate.target_miss_ratio = 0.01;
+        let coord = HcPerf::new(config, &graph).unwrap();
         let cfg = coord.config();
         assert_eq!(cfg.period, hcperf_taskgraph::SimSpan::from_millis(50.0));
         assert!(!cfg.external_enabled);
@@ -369,7 +278,11 @@ mod tests {
         let graph = apollo_graph(&GraphOptions::default()).unwrap();
         let mut pdc = crate::pdc::PdcConfig::default();
         pdc.mfc.alpha = 1.0; // must be negative
-        assert!(HcPerf::builder().pdc(pdc).build(&graph).is_err());
+        let config = CoordinatorConfig {
+            pdc,
+            ..Default::default()
+        };
+        assert!(HcPerf::new(config, &graph).is_err());
     }
 
     #[test]
@@ -430,10 +343,10 @@ mod tests {
     #[test]
     fn degraded_flag_surfaces_in_period_decision() {
         let graph = apollo_graph(&GraphOptions::default()).unwrap();
-        let mut c = HcPerf::builder()
-            .degraded_rate_floor(0.5, 0.25)
-            .build(&graph)
-            .unwrap();
+        let mut config = CoordinatorConfig::default();
+        config.rate.degraded_miss_threshold = 0.5;
+        config.rate.rate_floor_frac = 0.25;
+        let mut c = HcPerf::new(config, &graph).unwrap();
         let rates: Vec<_> = graph
             .sources()
             .iter()

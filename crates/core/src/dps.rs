@@ -758,13 +758,6 @@ impl DynamicPriorityScheduler {
         self.counters
     }
 
-    /// Dynamic scheduling priority `P_i` of queue entry `i` under the
-    /// current γ (Eq. 10), in seconds.
-    #[must_use]
-    pub fn dynamic_priority(&self, ctx: &SchedContext<'_>, index: usize) -> f64 {
-        priority_key(ctx, index, self.gamma)
-    }
-
     /// Derives `γ_max` for the current queue (Eq. 11) and clamps the
     /// nominal `u` into `[0, γ_max]` (Eq. 12). Exposed for benchmarks and
     /// diagnostics; [`select`](Scheduler::select) calls it automatically.

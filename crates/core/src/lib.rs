@@ -66,7 +66,7 @@ pub mod rta;
 pub mod scheme;
 
 pub use analysis::{analyze, SchedulabilityReport};
-pub use coordinator::{CoordinatorConfig, HcPerf, HcPerfBuilder, PeriodDecision, PeriodInput};
+pub use coordinator::{CoordinatorConfig, HcPerf, PeriodDecision, PeriodInput};
 pub use dps::{DpsConfig, DynamicPriorityScheduler, GammaCounters, GammaSearch};
 pub use pdc::{PdcConfig, PerformanceDirectedController};
 pub use rate_adapter::{RateAdapterConfig, SourceSlot, TaskRateAdapter};

@@ -15,6 +15,7 @@
 use std::collections::BTreeMap;
 
 use crate::parse::{CallSite, LoopSite, ParsedFile, Receiver};
+use crate::source::SourceFile;
 
 /// One function node in the workspace graph.
 #[derive(Debug, Clone)]
@@ -31,7 +32,7 @@ pub struct FnNode {
     pub has_self: bool,
     /// 1-based line of the `fn` keyword.
     pub line: usize,
-    /// Byte range of the body in the file's masked text.
+    /// Byte range of the body in the file's raw text.
     pub body: Option<(usize, usize)>,
     /// True when declared via `// hcperf-lint: hot-path-root`.
     pub is_root: bool,
@@ -78,9 +79,11 @@ pub struct CallGraph {
 }
 
 impl CallGraph {
-    /// Builds the graph from parsed files.
+    /// Builds the graph over `sources`, parsing each (in parallel) unless
+    /// an earlier graph already did.
     #[must_use]
-    pub fn build(files: &[ParsedFile]) -> CallGraph {
+    pub fn of(sources: &[&SourceFile]) -> CallGraph {
+        let files: Vec<&ParsedFile> = crate::par::map(sources, |s| s.parsed());
         let mut nodes = Vec::new();
         let mut site_lists = Vec::new();
         let mut loops = Vec::new();
@@ -231,15 +234,13 @@ fn resolve(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::parse::parse_file;
-    use crate::source::mask;
 
     fn graph(files: &[(&str, &str)]) -> CallGraph {
-        let parsed: Vec<ParsedFile> = files
+        let sources: Vec<SourceFile> = files
             .iter()
-            .map(|(path, src)| parse_file(path, &mask(src)))
+            .map(|(path, src)| SourceFile::new(path, src))
             .collect();
-        CallGraph::build(&parsed)
+        CallGraph::of(&sources.iter().collect::<Vec<_>>())
     }
 
     fn idx(g: &CallGraph, qualified: &str) -> usize {

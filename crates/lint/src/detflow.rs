@@ -65,25 +65,13 @@ use std::collections::BTreeMap;
 use std::io;
 
 use crate::callgraph::CallGraph;
-use crate::parse::{parse_file, LineIndex, ParsedFile};
 use crate::ratchet::{self, status, Ratchet, DET_FLOW};
 use crate::report::{json_escape, render_findings, Artifact, Finding, Hop, ModeReport, Rule};
-use crate::source::{waiver_for, word_offsets};
-use crate::workspace::{load_sources, SourceFile, Workspace};
+use crate::source::{waiver_for, Pattern, SourceFile};
+use crate::workspace::{Workspace, DET_FLOW_ROOTS};
 
 /// Checked-in per-sink certificate file, ratcheted like the WCET file.
 pub const CERT_PATH: &str = "crates/lint/detflow_certificates.txt";
-
-/// Roots scanned *in addition to* [`crate::workspace::DETERMINISTIC_CRATES`]: the sinks
-/// live in the harness/store/cli/bench layers. These are optional so
-/// fixture workspaces without every crate still analyze.
-pub const EXTRA_ROOTS: [&str; 5] = [
-    "crates/harness/src",
-    "crates/store/src",
-    "crates/cli/src",
-    "crates/bench/src",
-    "src",
-];
 
 /// The kind of nondeterminism a source pattern introduces.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
@@ -122,7 +110,7 @@ impl TaintKind {
     }
 }
 
-/// Source patterns (matched word-boundary-aware in masked fn bodies).
+/// Source patterns (token sequences matched in fn bodies).
 const SOURCES: &[(&str, TaintKind)] = &[
     ("HashMap", TaintKind::UnorderedIter),
     ("HashSet", TaintKind::UnorderedIter),
@@ -348,14 +336,14 @@ enum Ev {
 /// Core analysis over already-loaded sources (separated from
 /// [`run_detflow`] so tests can drive it with synthetic files).
 pub(crate) fn analyze(sources: &[&SourceFile]) -> DetFlowReport {
-    let parsed: Vec<ParsedFile> = crate::par::map(sources, |s| parse_file(&s.rel, &s.masked));
-    let graph = CallGraph::build(&parsed);
+    let graph = CallGraph::of(sources);
     let by_rel: BTreeMap<&str, &SourceFile> =
         sources.iter().map(|s| (s.rel.as_str(), *s)).collect();
-    let lines_of: BTreeMap<&str, LineIndex> = sources
+    let source_pats: Vec<(Pattern, TaintKind)> = SOURCES
         .iter()
-        .map(|s| (s.rel.as_str(), LineIndex::new(&s.masked.masked)))
+        .map(|&(p, kind)| (Pattern::new(p), kind))
         .collect();
+    let sanitizers = Pattern::all(SANITIZERS);
 
     let mut findings = Vec::new();
     let mut waived = Vec::new();
@@ -364,14 +352,10 @@ pub(crate) fn analyze(sources: &[&SourceFile]) -> DetFlowReport {
     //    must be globally unique so certificate rows are addressable.
     let mut names_seen: BTreeMap<&str, (&str, usize)> = BTreeMap::new();
     for src in sources {
-        let markers = src
-            .masked
-            .det_sinks
-            .iter()
+        let markers = (src.det_sinks.iter())
             .map(|(l, n)| (*l, n, "det-sink"))
             .chain(
-                src.masked
-                    .det_sanitizers
+                src.det_sanitizers
                     .iter()
                     .map(|(l, n)| (*l, n, "det-sanitizer")),
             );
@@ -422,14 +406,14 @@ pub(crate) fn analyze(sources: &[&SourceFile]) -> DetFlowReport {
             events.push(evs);
             continue;
         }
-        let lines = &lines_of[node.path.as_str()];
-        for &(pat, kind) in SOURCES {
+        for (pattern, kind) in &source_pats {
+            let (pat, kind) = (pattern.text, *kind);
             if source_exempt(&node.path, kind) {
                 continue;
             }
-            for at in word_offsets(&src.masked.masked, body, pat) {
-                let line = lines.line_of(at);
-                match waiver_for(&src.masked.waivers, Rule::DetFlow, line) {
+            for at in src.find(pattern, body) {
+                let line = src.line_of(at);
+                match waiver_for(&src.waivers, Rule::DetFlow, line) {
                     Some(reason) => waived.push(Finding {
                         waived: Some(reason),
                         ..src.finding(
@@ -445,8 +429,8 @@ pub(crate) fn analyze(sources: &[&SourceFile]) -> DetFlowReport {
                 }
             }
         }
-        for pat in SANITIZERS {
-            for at in word_offsets(&src.masked.masked, body, pat) {
+        for pat in &sanitizers {
+            for at in src.find(pat, body) {
                 evs.push((at, Ev::Clean));
             }
         }
@@ -621,7 +605,7 @@ pub(crate) fn analyze(sources: &[&SourceFile]) -> DetFlowReport {
 }
 
 /// Runs the det-flow analysis over the deterministic crates plus
-/// [`EXTRA_ROOTS`], on its own call graph: the wider file set changes
+/// [`DET_FLOW_ROOTS`], on its own call graph: the wider file set changes
 /// name+arity call resolution, so the hot-path graph is not reused.
 ///
 /// When `against_baseline` is true, per-sink exposure is compared to
@@ -634,8 +618,8 @@ pub(crate) fn analyze(sources: &[&SourceFile]) -> DetFlowReport {
 ///
 /// Propagates I/O failures and certificate-format problems.
 pub fn run_detflow(ws: &Workspace, against_baseline: bool) -> io::Result<DetFlowReport> {
-    let extra = load_sources(&ws.root, &EXTRA_ROOTS, false)?;
-    let mut sources: Vec<&SourceFile> = ws.core.iter().chain(&extra).collect();
+    let mut sources = ws.core();
+    sources.extend(ws.files(&DET_FLOW_ROOTS, false)?);
     sources.sort_by(|a, b| a.rel.cmp(&b.rel));
     let mut report = analyze(&sources);
     if against_baseline {

@@ -3,7 +3,7 @@
 //! exercised by ≥ 1 test.
 //!
 //! Tags are harvested from comments only (doc comments, line comments,
-//! block comments — the masking pass records their byte spans), so a
+//! block comments — the lexer records their byte spans), so a
 //! string literal mentioning an equation in a report renderer does not
 //! count as coverage. A tag inside a `#[cfg(test)]` module or under a
 //! `tests/` directory is a **test site**; everywhere else in a
@@ -21,25 +21,13 @@ use std::collections::BTreeMap;
 use std::io;
 
 use crate::report::{render_findings, Finding, ModeReport, Rule};
-use crate::source::is_ident_byte;
-use crate::workspace::{load_sources, SourceFile, Workspace};
+use crate::source::{is_ident_byte, SourceFile};
+use crate::workspace::{Workspace, TEST_ROOTS};
 
 /// Equations the paper defines.
 pub const KNOWN: std::ops::RangeInclusive<u32> = 1..=14;
 /// Equations the coverage gate requires (implementation + test).
 pub const REQUIRED: std::ops::RangeInclusive<u32> = 2..=12;
-
-/// Per-crate `tests/` trees and the umbrella integration tests, scanned as
-/// test sites alongside `#[cfg(test)]` modules inside `src/`.
-const TEST_ROOTS: [&str; 7] = [
-    "crates/taskgraph/tests",
-    "crates/rtsim/tests",
-    "crates/control/tests",
-    "crates/vehicle/tests",
-    "crates/scenarios/tests",
-    "crates/core/tests",
-    "tests",
-];
 
 /// One harvested `Eq. N` tag.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -126,7 +114,7 @@ impl EqCoverage {
 pub fn harvest(src: &SourceFile, file_is_test: bool) -> Vec<EqSite> {
     let bytes = src.raw.as_bytes();
     let mut sites = Vec::new();
-    for &(start, end) in &src.masked.comment_spans {
+    for &(start, end) in &src.comments {
         let span = &src.raw[start..end];
         let mut from = 0;
         while let Some(p) = span[from..].find("Eq.").map(|p| from + p) {
@@ -145,13 +133,8 @@ pub fn harvest(src: &SourceFile, file_is_test: bool) -> Vec<EqSite> {
             }
             let hi = parse_range_end(span, upto).unwrap_or(lo);
             from = upto;
-            let line = 1 + src.raw[..at].matches('\n').count();
-            let is_test = file_is_test
-                || src
-                    .masked
-                    .test_regions
-                    .iter()
-                    .any(|&(a, b)| a <= at && at < b);
+            let line = src.line_of(at);
+            let is_test = file_is_test || src.test_regions.iter().any(|&(a, b)| a <= at && at < b);
             if hi >= lo && hi - lo <= 13 {
                 for eq in lo..=hi {
                     sites.push(EqSite {
@@ -200,16 +183,14 @@ fn parse_range_end(span: &str, from: usize) -> Option<u32> {
 ///
 /// Propagates I/O failures from walking the test trees.
 pub fn run_eq_coverage(ws: &Workspace) -> io::Result<EqCovReport> {
-    let impl_sources = &ws.core;
-    let test_sources = load_sources(&ws.root, &TEST_ROOTS, false)?;
+    let impl_sources = ws.core();
+    let test_sources = ws.files(&TEST_ROOTS, false)?;
 
     let mut per_eq: BTreeMap<u32, EqCoverage> = BTreeMap::new();
     let mut orphans: Vec<EqSite> = Vec::new();
     let files_scanned = impl_sources.len() + test_sources.len();
-    for (src, file_is_test) in impl_sources
-        .iter()
-        .map(|s| (s, false))
-        .chain(test_sources.iter().map(|s| (s, true)))
+    for (src, file_is_test) in
+        (impl_sources.iter().map(|s| (s, false))).chain(test_sources.iter().map(|s| (s, true)))
     {
         for site in harvest(src, file_is_test) {
             if !KNOWN.contains(&site.eq) {

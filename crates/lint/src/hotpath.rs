@@ -21,12 +21,12 @@
 
 use std::collections::BTreeMap;
 use std::io;
+use std::sync::LazyLock;
 
-use crate::parse::LineIndex;
 use crate::ratchet::{Key, Ratchet, HOT_PATH};
 use crate::report::{json_escape, render_findings, Artifact, Finding, ModeReport, Rule};
-use crate::source::{is_ident_byte, waiver_for, word_offsets};
-use crate::workspace::{SourceFile, Workspace};
+use crate::source::{waiver_for, Pattern, SourceFile, TokKind};
+use crate::workspace::Workspace;
 
 /// Workspace-relative path of the hot-path ratchet baseline.
 pub const BASELINE_PATH: &str = "crates/lint/hotpath_baseline.txt";
@@ -138,38 +138,43 @@ struct Site {
     fn_name: String,
 }
 
-/// Scans one function body (a byte range of masked text) for violation
-/// sites.
-fn scan_body(masked: &str, body: (usize, usize), lines: &LineIndex, fn_name: &str) -> Vec<Site> {
+/// The alloc and panic tables, lexed once.
+static PATTERNS: LazyLock<[(Rule, Vec<Pattern>); 2]> = LazyLock::new(|| {
+    [
+        (Rule::HotPathAlloc, Pattern::all(&ALLOC_PATTERNS)),
+        (Rule::HotPathPanic, Pattern::all(&PANIC_PATTERNS)),
+    ]
+});
+
+/// Scans one function body (a byte range of `src`) for violation sites.
+fn scan_body(src: &SourceFile, body: (usize, usize), fn_name: &str) -> Vec<Site> {
     let mut sites = Vec::new();
-    let bytes = masked.as_bytes();
-    for (rule, patterns) in [
-        (Rule::HotPathAlloc, &ALLOC_PATTERNS[..]),
-        (Rule::HotPathPanic, &PANIC_PATTERNS[..]),
-    ] {
-        for pat in patterns {
-            for at in word_offsets(masked, body, pat) {
-                sites.push(Site {
-                    rule,
-                    line: lines.line_of(at),
-                    construct: (*pat).trim_end_matches('(').to_owned(),
-                    fn_name: fn_name.to_owned(),
-                });
+    let mut site = |rule, at, construct: &str| {
+        sites.push(Site {
+            rule,
+            line: src.line_of(at),
+            construct: construct.to_owned(),
+            fn_name: fn_name.to_owned(),
+        });
+    };
+    for (rule, pats) in PATTERNS.iter() {
+        for pat in pats {
+            for at in src.find(pat, body) {
+                site(*rule, at, pat.text.trim_end_matches('('));
             }
         }
     }
-    // Slice indexing: `[` whose previous non-space byte ends an expression
-    // (identifier, `)`, or `]`). `#[attr]`, `vec![…]`, `&[T]` types and
-    // array literals all fail that test.
-    for at in (body.0..body.1).filter(|&at| bytes[at] == b'[') {
-        let prev = bytes[..at].iter().rev().find(|b| !b.is_ascii_whitespace());
-        if prev.is_some_and(|&p| is_ident_byte(p) || p == b')' || p == b']') {
-            sites.push(Site {
-                rule: Rule::HotPathPanic,
-                line: lines.line_of(at),
-                construct: "slice-indexing".to_owned(),
-                fn_name: fn_name.to_owned(),
-            });
+    // Slice indexing: `[` right after a token that ends an expression
+    // (identifier, number, lifetime, `)`, or `]`). `#[attr]`, `vec![…]`,
+    // `&[T]` types and array literals all fail that test.
+    let toks = &src.tokens;
+    for k in src.token_range(body).filter(|&k| k > 0) {
+        let ends_expr = matches!(
+            toks[k - 1].kind,
+            TokKind::Ident | TokKind::Num | TokKind::Lifetime | TokKind::Punct(b')' | b']')
+        );
+        if toks[k].kind == TokKind::Punct(b'[') && ends_expr {
+            site(Rule::HotPathPanic, toks[k].start, "slice-indexing");
         }
     }
     sites
@@ -187,8 +192,8 @@ fn scan_body(masked: &str, body: (usize, usize), lines: &LineIndex, fn_name: &st
 pub fn run_hot_path(ws: &Workspace, against_baseline: bool) -> io::Result<HotPathReport> {
     let graph = ws.hot_graph();
     let reachable_idx = graph.reachable_from_roots();
-    let by_rel: BTreeMap<&str, &SourceFile> = ws.core.iter().map(|s| (s.rel.as_str(), s)).collect();
-    let mut line_indexes: BTreeMap<&str, LineIndex> = BTreeMap::new();
+    let core = ws.core();
+    let by_rel: BTreeMap<&str, &SourceFile> = core.iter().map(|s| (s.rel.as_str(), *s)).collect();
 
     let mut counts: BTreeMap<Key, usize> = BTreeMap::new();
     let mut all_sites: Vec<(&SourceFile, Site)> = Vec::new();
@@ -197,11 +202,8 @@ pub fn run_hot_path(ws: &Workspace, against_baseline: bool) -> io::Result<HotPat
         let node = &graph.nodes[idx];
         let Some(body) = node.body else { continue };
         let src = by_rel[node.path.as_str()];
-        let lines = line_indexes
-            .entry(src.rel.as_str())
-            .or_insert_with(|| LineIndex::new(&src.masked.masked));
-        for site in scan_body(&src.masked.masked, body, lines, &node.qualified()) {
-            match waiver_for(&src.masked.waivers, site.rule, site.line) {
+        for site in scan_body(src, body, &node.qualified()) {
+            match waiver_for(&src.waivers, site.rule, site.line) {
                 Some(reason) => waived.push(site_finding(&site, src, Some(reason))),
                 None => {
                     *counts
@@ -239,7 +241,7 @@ pub fn run_hot_path(ws: &Workspace, against_baseline: bool) -> io::Result<HotPat
         waived,
         counts,
         ratchet,
-        files_scanned: ws.core.len(),
+        files_scanned: core.len(),
     })
 }
 
@@ -268,17 +270,13 @@ fn site_finding(site: &Site, src: &SourceFile, waived: Option<String>) -> Findin
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::parse::parse_file;
-    use crate::source::mask;
 
     fn sites(src: &str) -> Vec<(Rule, usize, String)> {
-        let m = mask(src);
-        let parsed = parse_file("t.rs", &m);
-        let lines = LineIndex::new(&m.masked);
+        let f = SourceFile::new("t.rs", src);
         let mut out = Vec::new();
-        for item in &parsed.fns {
+        for item in &f.parsed().fns {
             if let Some(body) = item.body {
-                for s in scan_body(&m.masked, body, &lines, &item.name) {
+                for s in scan_body(&f, body, &item.name) {
                     out.push((s.rule, s.line, s.construct));
                 }
             }

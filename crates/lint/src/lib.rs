@@ -5,9 +5,11 @@
 //! hazards that silently break it. This crate closes that gap with two
 //! analysis modes, both wired into CI ahead of the build:
 //!
-//! 1. **Source rules** (default mode) — a std-only lexical scanner (no
-//!    external parser) masks comments, string/char literals and
-//!    `#[cfg(test)]` modules, then enforces per-crate rule families:
+//! 1. **Source rules** (default mode) — one std-only lexer ([`source`],
+//!    no external parser) turns each file into code tokens, leaving out
+//!    comments, string/char literals and `#[cfg(test)]` modules, and every
+//!    pass reads that one token stream. Rule patterns are token sequences
+//!    matched against it, per crate rule family:
 //!    [`report::Rule::WallClock`], [`report::Rule::UnorderedIteration`],
 //!    [`report::Rule::Entropy`], [`report::Rule::FloatEq`] and the
 //!    [`report::Rule::UnwrapRatchet`] baseline that may only shrink.
@@ -22,8 +24,8 @@
 //!    by the paper-literal `dps::reference` oracle in strict mode.
 //!
 //! 3. **Hot-path purity** (`--hot-path`) — a token-tree pass ([`parse`])
-//!    extracts every `fn`, impl block and call site from the masked
-//!    sources; [`callgraph`] resolves calls with over-approximating
+//!    extracts every `fn`, impl block and call site from the token
+//!    stream; [`callgraph`] resolves calls with over-approximating
 //!    heuristics (receiver type when inferable, else name + arity) and
 //!    computes the set reachable from functions annotated
 //!    `// hcperf-lint: hot-path-root`. Inside that set, allocation
@@ -67,11 +69,12 @@
 //! or as new — and one parser, renderer, comparison and row renderer
 //! serve them all. Each mode's report implements
 //! [`report::ModeReport`]; the binary runs the selected modes in one
-//! loop over one [`workspace::Workspace`] load, in which `--hot-path`
-//! and `--wcet` share one call graph.
+//! loop over one [`workspace::Workspace`], which reads and lexes each
+//! source root at most once and caches each file's parse, and in which
+//! `--hot-path` and `--wcet` share one call graph.
 //!
 //! Exit codes are distinct per failure class — see [`report::exit`].
-//! The file scan and parse fan out over a std-only scoped-thread pool
+//! The file lex and parse fan out over a std-only scoped-thread pool
 //! ([`par`]) with index-ordered reassembly, so all output stays
 //! byte-deterministic.
 //!

@@ -1,7 +1,7 @@
 //! A std-only scoped-thread map for the file scan.
 //!
 //! Lint wall-clock is dominated by embarrassingly parallel per-file work
-//! (read + mask, token-tree parse). [`map`] fans that work over
+//! (read + lex, token-tree parse). [`map`] fans that work over
 //! `std::thread::scope` workers pulling indices from an atomic cursor and
 //! reassembles results **by index**, so output order — and therefore
 //! every report, baseline, and certificate file — is byte-identical to

@@ -1,5 +1,5 @@
-//! Token-tree extraction of `fn` items, `impl`/`trait` blocks, and call
-//! sites from masked source (see [`crate::source::mask`]).
+//! Token-tree extraction of `fn` items, `impl`/`trait` blocks, call sites
+//! and loops from a file's code tokens (see [`crate::source`]).
 //!
 //! This is not a Rust parser. It recognises exactly enough structure —
 //! `impl`/`trait` headers, `fn` signatures, brace nesting, and the three
@@ -10,9 +10,11 @@
 //! edges, so hot-path reachability can gain false positives but not lose
 //! true ones.
 //!
-//! Masked input is essential: comments, strings and `#[cfg(test)]` modules
-//! are already spaces, so brace matching and keyword scans are safe, and
-//! test-only functions simply do not exist here.
+//! The token stream already leaves out comments, literals and
+//! `#[cfg(test)]` module bodies, so brace matching and keyword scans are
+//! safe, and test-only functions simply do not exist here.
+
+use crate::source::{group_end, is_punct, SourceFile, Tok, TokKind};
 
 /// One `fn` item found in a file.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -29,7 +31,7 @@ pub struct FnItem {
     pub has_self: bool,
     /// 1-based line of the `fn` keyword.
     pub line: usize,
-    /// Byte range of the `{ … }` body in the masked text (`None` for
+    /// Byte range of the `{ … }` body in the raw text (`None` for
     /// trait-method declarations without a default body).
     pub body: Option<(usize, usize)>,
     /// True when a `// hcperf-lint: hot-path-root` marker precedes the item.
@@ -66,7 +68,7 @@ pub struct CallSite {
     pub receiver: Receiver,
     /// 1-based line of the call.
     pub line: usize,
-    /// Byte offset of the callee identifier in the masked text — lets the
+    /// Byte offset of the callee identifier in the raw text — lets the
     /// WCET pass locate the call inside enclosing loop spans.
     pub offset: usize,
 }
@@ -97,7 +99,7 @@ pub struct LoopSite {
     /// Loop keyword (`for` / `while` / `while let` / `loop`).
     pub keyword: &'static str,
     /// Byte range of the whole loop (keyword through closing `}`) in the
-    /// masked text; containment over these spans gives loop nesting.
+    /// raw text; containment over these spans gives loop nesting.
     pub span: (usize, usize),
 }
 
@@ -114,109 +116,10 @@ pub struct ParsedFile {
     pub loops: Vec<Vec<LoopSite>>,
 }
 
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum TokKind {
-    Ident,
-    Num,
-    Punct(u8),
-}
-
-#[derive(Debug, Clone, Copy)]
-struct Tok {
-    kind: TokKind,
-    start: usize,
-    end: usize,
-}
-
-fn lex(masked: &str) -> Vec<Tok> {
-    let bytes = masked.as_bytes();
-    let mut toks = Vec::new();
-    let mut i = 0;
-    while i < bytes.len() {
-        let b = bytes[i];
-        if b.is_ascii_whitespace() {
-            i += 1;
-        } else if b.is_ascii_alphabetic() || b == b'_' {
-            let start = i;
-            while i < bytes.len() && crate::source::is_ident_byte(bytes[i]) {
-                i += 1;
-            }
-            toks.push(Tok {
-                kind: TokKind::Ident,
-                start,
-                end: i,
-            });
-        } else if b.is_ascii_digit() {
-            // Numeric literal: one token, so `1.5` never reads as a method
-            // call shape but `f(1)` still has a visible argument. A `.` is
-            // part of the number only when a digit follows, so `0..n`
-            // ranges and `self.0.push(x)` tuple-field calls survive.
-            let start = i;
-            while i < bytes.len() {
-                let c = bytes[i];
-                if crate::source::is_ident_byte(c) {
-                    i += 1;
-                } else if c == b'.' && bytes.get(i + 1).is_some_and(u8::is_ascii_digit) {
-                    i += 2;
-                } else {
-                    break;
-                }
-            }
-            toks.push(Tok {
-                kind: TokKind::Num,
-                start,
-                end: i,
-            });
-        } else {
-            toks.push(Tok {
-                kind: TokKind::Punct(b),
-                start: i,
-                end: i + 1,
-            });
-            i += 1;
-        }
-    }
-    toks
-}
-
-/// Fast byte-offset → 1-based line lookup.
-#[derive(Debug)]
-pub struct LineIndex {
-    newline_offsets: Vec<usize>,
-}
-
-impl LineIndex {
-    /// Builds the index for `text`.
-    #[must_use]
-    pub fn new(text: &str) -> Self {
-        Self {
-            newline_offsets: text
-                .bytes()
-                .enumerate()
-                .filter_map(|(i, b)| (b == b'\n').then_some(i))
-                .collect(),
-        }
-    }
-
-    /// 1-based line containing byte offset `at`.
-    #[must_use]
-    pub fn line_of(&self, at: usize) -> usize {
-        1 + self.newline_offsets.partition_point(|&o| o < at)
-    }
-}
-
 const KEYWORDS: [&str; 20] = [
     "if", "else", "while", "for", "loop", "match", "return", "in", "as", "move", "fn", "let",
     "ref", "mut", "unsafe", "where", "dyn", "impl", "box", "await",
 ];
-
-fn text<'a>(masked: &'a str, t: &Tok) -> &'a str {
-    &masked[t.start..t.end]
-}
-
-fn is_punct(toks: &[Tok], at: usize, p: u8) -> bool {
-    toks.get(at).is_some_and(|t| t.kind == TokKind::Punct(p))
-}
 
 /// True when the `>` at `at` ends a `->` arrow (an `Fn(…) -> R` bound or
 /// return type), which never closes a generic list.
@@ -248,7 +151,7 @@ fn skip_generics(toks: &[Tok], open: usize) -> usize {
 /// Skips a balanced `(…)` list starting at the `(` token; returns the index
 /// just past the closing `)` plus the top-level comma count and whether a
 /// top-level `self` identifier appears before the first comma.
-fn scan_parens(toks: &[Tok], open: usize, masked: &str) -> (usize, usize, bool) {
+fn scan_parens(toks: &[Tok], open: usize, src: &SourceFile) -> (usize, usize, bool) {
     let mut depth = 0usize;
     let mut commas = 0usize;
     let mut self_in_first = false;
@@ -263,7 +166,7 @@ fn scan_parens(toks: &[Tok], open: usize, masked: &str) -> (usize, usize, bool) 
                 }
             }
             TokKind::Punct(b',') if depth == 1 => commas += 1,
-            TokKind::Ident if depth == 1 && commas == 0 && text(masked, &toks[i]) == "self" => {
+            TokKind::Ident if depth == 1 && commas == 0 && src.text(&toks[i]) == "self" => {
                 self_in_first = true;
             }
             _ => {}
@@ -280,7 +183,7 @@ fn parens_empty(toks: &[Tok], open: usize) -> bool {
 
 /// Extracts the `impl`/`trait` header's subject type name and returns the
 /// token index of the block's `{` (or past a terminating `;`).
-fn parse_impl_header(toks: &[Tok], at: usize, masked: &str) -> (Option<String>, usize) {
+fn parse_impl_header(toks: &[Tok], at: usize, src: &SourceFile) -> (Option<String>, usize) {
     let mut i = at + 1;
     let mut angle = 0usize;
     let mut paren = 0usize;
@@ -299,7 +202,7 @@ fn parse_impl_header(toks: &[Tok], at: usize, masked: &str) -> (Option<String>, 
             TokKind::Punct(b'(') => paren += 1,
             TokKind::Punct(b')') => paren = paren.saturating_sub(1),
             TokKind::Ident if angle == 0 && paren == 0 => {
-                let t = text(masked, &toks[i]);
+                let t = src.text(&toks[i]);
                 if t == "for" {
                     // `impl Trait for Type`: the subject restarts here.
                     last_top_ident = None;
@@ -328,34 +231,14 @@ fn parse_impl_header(toks: &[Tok], at: usize, masked: &str) -> (Option<String>, 
     (last_top_ident, i)
 }
 
-/// Finds the matching `}` for the `{` at token index `open`.
+/// Finds the matching `}` for the `{` at token index `open` (the last
+/// token when it is never closed).
 fn match_braces(toks: &[Tok], open: usize) -> usize {
-    let mut depth = 0usize;
-    let mut i = open;
-    while i < toks.len() {
-        match toks[i].kind {
-            TokKind::Punct(b'{') => depth += 1,
-            TokKind::Punct(b'}') => {
-                depth -= 1;
-                if depth == 0 {
-                    return i;
-                }
-            }
-            _ => {}
-        }
-        i += 1;
-    }
-    toks.len().saturating_sub(1)
+    group_end(toks, open, b'{', b'}').unwrap_or(toks.len().saturating_sub(1))
 }
 
 /// Extracts call sites from the body token slice `toks[from..to]`.
-fn scan_calls(
-    toks: &[Tok],
-    from: usize,
-    to: usize,
-    masked: &str,
-    lines: &LineIndex,
-) -> Vec<CallSite> {
+fn scan_calls(toks: &[Tok], from: usize, to: usize, src: &SourceFile) -> Vec<CallSite> {
     let mut calls = Vec::new();
     for k in from..to {
         if toks[k].kind != TokKind::Ident {
@@ -370,18 +253,18 @@ fn scan_calls(
         if !is_punct(toks, open, b'(') {
             continue;
         }
-        let name = text(masked, &toks[k]);
+        let name = src.text(&toks[k]);
         if KEYWORDS.contains(&name) {
             continue;
         }
         // `fn helper(` nested inside a body: a definition, not a call.
-        if k > 0 && toks[k - 1].kind == TokKind::Ident && text(masked, &toks[k - 1]) == "fn" {
+        if k > 0 && toks[k - 1].kind == TokKind::Ident && src.text(&toks[k - 1]) == "fn" {
             continue;
         }
         let receiver = if k > 0 && toks[k - 1].kind == TokKind::Punct(b'.') {
             let self_recv = k >= 2
                 && toks[k - 2].kind == TokKind::Ident
-                && text(masked, &toks[k - 2]) == "self"
+                && src.text(&toks[k - 2]) == "self"
                 && !(k >= 3 && toks[k - 3].kind == TokKind::Punct(b'.'));
             if self_recv {
                 Receiver::SelfMethod
@@ -394,7 +277,7 @@ fn scan_calls(
         {
             match toks.get(k.wrapping_sub(3)) {
                 Some(t) if k >= 3 && t.kind == TokKind::Ident => {
-                    Receiver::Path(text(masked, t).to_owned())
+                    Receiver::Path(src.text(t).to_owned())
                 }
                 _ => Receiver::Free,
             }
@@ -404,14 +287,14 @@ fn scan_calls(
         let args = if parens_empty(toks, open) {
             0
         } else {
-            let (_, commas, _) = scan_parens(toks, open, masked);
+            let (_, commas, _) = scan_parens(toks, open, src);
             commas + 1
         };
         calls.push(CallSite {
             name: name.to_owned(),
             args,
             receiver,
-            line: lines.line_of(toks[k].start),
+            line: src.line_of(toks[k].start),
             offset: toks[k].start,
         });
     }
@@ -436,13 +319,13 @@ fn find_body_open(toks: &[Tok], from: usize, to: usize) -> Option<usize> {
 }
 
 /// True when `toks[at]` is the identifier `word`.
-fn is_word(toks: &[Tok], at: usize, masked: &str, word: &str) -> bool {
+fn is_word(toks: &[Tok], at: usize, src: &SourceFile, word: &str) -> bool {
     toks.get(at)
-        .is_some_and(|t| t.kind == TokKind::Ident && text(masked, t) == word)
+        .is_some_and(|t| t.kind == TokKind::Ident && src.text(t) == word)
 }
 
 /// Classifies a `for` iterable token range (`in` … body `{`).
-fn classify_iterable(toks: &[Tok], from: usize, to: usize, masked: &str) -> LoopClass {
+fn classify_iterable(toks: &[Tok], from: usize, to: usize, src: &SourceFile) -> LoopClass {
     if from >= to {
         return LoopClass::Unknown;
     }
@@ -463,14 +346,14 @@ fn classify_iterable(toks: &[Tok], from: usize, to: usize, masked: &str) -> Loop
     if all_range_lits {
         return LoopClass::Constant;
     }
-    let expr = masked[toks[from].start..toks[to - 1].end].trim();
+    let expr = src.joined(&toks[from..to]);
     // `lo..hi`: the upper bound names the input; otherwise the whole
     // iterable expression is the bound (a slice/Vec/iterator adapter).
     let symbol = match expr.split_once("..") {
         Some((_, hi)) if !hi.trim_start_matches('=').trim().is_empty() => {
             hi.trim_start_matches('=').trim().to_owned()
         }
-        _ => expr.to_owned(),
+        _ => expr.clone(),
     };
     LoopClass::InputBounded(compact_symbol(&symbol))
 }
@@ -491,13 +374,18 @@ fn compact_symbol(s: &str) -> String {
 
 /// The name of the last method called in `toks[from..to]` (the ident after
 /// the final top-level `.`), if any.
-fn last_method_name<'a>(toks: &[Tok], from: usize, to: usize, masked: &'a str) -> Option<&'a str> {
+fn last_method_name<'a>(
+    toks: &[Tok],
+    from: usize,
+    to: usize,
+    src: &'a SourceFile,
+) -> Option<&'a str> {
     let mut last = None;
     for k in from..to {
         if toks[k].kind == TokKind::Punct(b'.')
             && toks.get(k + 1).is_some_and(|t| t.kind == TokKind::Ident)
         {
-            last = Some(text(masked, &toks[k + 1]));
+            last = Some(src.text(&toks[k + 1]));
         }
     }
     last
@@ -505,9 +393,9 @@ fn last_method_name<'a>(toks: &[Tok], from: usize, to: usize, masked: &'a str) -
 
 /// True when the identifier `var` receives an assignment inside the body
 /// token range: `var += …`, `var -= …`, or a plain `var = …` (not `==`).
-fn body_mutates(toks: &[Tok], from: usize, to: usize, masked: &str, var: &str) -> bool {
+fn body_mutates(toks: &[Tok], from: usize, to: usize, src: &SourceFile, var: &str) -> bool {
     for k in from..to {
-        if !(toks[k].kind == TokKind::Ident && text(masked, &toks[k]) == var) {
+        if !(toks[k].kind == TokKind::Ident && src.text(&toks[k]) == var) {
             continue;
         }
         // `x.var = …` is a field store on another binding, not the counter.
@@ -531,33 +419,27 @@ fn body_mutates(toks: &[Tok], from: usize, to: usize, masked: &str, var: &str) -
 
 /// Extracts every loop in the body token slice `toks[from..to]`, classified
 /// by the lexical bound heuristics described on [`LoopClass`].
-fn scan_loops(
-    toks: &[Tok],
-    from: usize,
-    to: usize,
-    masked: &str,
-    lines: &LineIndex,
-) -> Vec<LoopSite> {
+fn scan_loops(toks: &[Tok], from: usize, to: usize, src: &SourceFile) -> Vec<LoopSite> {
     let mut loops = Vec::new();
     for k in from..to {
         if toks[k].kind != TokKind::Ident {
             continue;
         }
-        let word = text(masked, &toks[k]);
+        let word = src.text(&toks[k]);
         let site = match word {
             // `for<'a>` higher-ranked bounds are types, not loops.
             "for" if !is_punct(toks, k + 1, b'<') => {
                 let in_kw = (k + 1..to).find(|&j| {
-                    is_word(toks, j, masked, "in") && find_body_open(toks, k + 1, j).is_none()
+                    is_word(toks, j, src, "in") && find_body_open(toks, k + 1, j).is_none()
                 });
                 let Some(in_kw) = in_kw else { continue };
                 let Some(open) = find_body_open(toks, in_kw + 1, to) else {
                     continue;
                 };
-                let class = classify_iterable(toks, in_kw + 1, open, masked);
+                let class = classify_iterable(toks, in_kw + 1, open, src);
                 Some((class, open, "for"))
             }
-            "while" if is_word(toks, k + 1, masked, "let") => {
+            "while" if is_word(toks, k + 1, src, "let") => {
                 let Some(open) = find_body_open(toks, k + 2, to) else {
                     continue;
                 };
@@ -570,11 +452,10 @@ fn scan_loops(
                             !matches!(t.kind, TokKind::Punct(b'=' | b'!' | b'<' | b'>'))
                         })
                 });
-                let class = match eq.and_then(|j| last_method_name(toks, j + 1, open, masked)) {
+                let class = match eq.and_then(|j| last_method_name(toks, j + 1, open, src)) {
                     Some(m) if m.starts_with("pop") || m == "next" => {
-                        let rhs =
-                            eq.map_or("", |j| masked[toks[j + 1].start..toks[open - 1].end].trim());
-                        LoopClass::InputBounded(compact_symbol(rhs))
+                        let rhs = eq.map_or_else(String::new, |j| src.joined(&toks[j + 1..open]));
+                        LoopClass::InputBounded(compact_symbol(&rhs))
                     }
                     _ => LoopClass::Unknown,
                 };
@@ -591,9 +472,9 @@ fn scan_loops(
                 // that is the author's side of the bargain.
                 let counter = (k + 1..open).find_map(|j| {
                     (toks[j].kind == TokKind::Ident)
-                        .then(|| text(masked, &toks[j]))
+                        .then(|| src.text(&toks[j]))
                         .filter(|v| {
-                            !KEYWORDS.contains(v) && body_mutates(toks, open, close, masked, v)
+                            !KEYWORDS.contains(v) && body_mutates(toks, open, close, src, v)
                         })
                 });
                 let class = match counter {
@@ -601,15 +482,15 @@ fn scan_loops(
                     None => {
                         // `while xs.len() > k { xs.pop…() }`: shrinking
                         // collection, bounded by its starting length.
-                        let cond = &masked[toks[k + 1].start..toks[open - 1].end];
+                        let cond = src.joined(&toks[k + 1..open]);
                         let pops = (open..close).any(|j| {
                             toks[j].kind == TokKind::Ident
-                                && text(masked, &toks[j]).starts_with("pop")
+                                && src.text(&toks[j]).starts_with("pop")
                                 && j > 0
                                 && toks[j - 1].kind == TokKind::Punct(b'.')
                         });
                         if cond.contains(".len") && pops {
-                            LoopClass::InputBounded(compact_symbol(cond.trim()))
+                            LoopClass::InputBounded(compact_symbol(&cond))
                         } else {
                             LoopClass::Unknown
                         }
@@ -624,7 +505,7 @@ fn scan_loops(
             let close = match_braces(toks, open);
             loops.push(LoopSite {
                 class,
-                line: lines.line_of(toks[k].start),
+                line: src.line_of(toks[k].start),
                 keyword,
                 span: (toks[k].start, toks[close].end),
             });
@@ -633,17 +514,15 @@ fn scan_loops(
     loops
 }
 
-/// Parses one masked file into items and call sites. Each
+/// Parses one file's code tokens into items, call sites and loops. Each
 /// `hot-path-root`, `det-sink(<name>)` or `det-sanitizer(<name>)` marker
-/// of [`crate::source::MaskedFile`] declares the next `fn` item within 3
-/// lines below it a root, sink or sanitizer (attributes may sit between,
-/// doc comments should go above the marker).
+/// of the [`SourceFile`] declares the next `fn` item within 3 lines below
+/// it a root, sink or sanitizer (attributes may sit between, doc comments
+/// should go above the marker). [`SourceFile::parsed`] caches the result.
 #[must_use]
-pub fn parse_file(path: &str, m: &crate::source::MaskedFile) -> ParsedFile {
-    let masked = m.masked.as_str();
+pub fn parse_file(src: &SourceFile) -> ParsedFile {
     let attaches = |m: usize, line: usize| m < line && line <= m + 3;
-    let toks = lex(masked);
-    let lines = LineIndex::new(masked);
+    let toks = &src.tokens;
     let mut fns = Vec::new();
     let mut calls = Vec::new();
     let mut loops = Vec::new();
@@ -654,27 +533,27 @@ pub fn parse_file(path: &str, m: &crate::source::MaskedFile) -> ParsedFile {
     while i < toks.len() {
         match toks[i].kind {
             TokKind::Ident => {
-                let word = text(masked, &toks[i]);
+                let word = src.text(&toks[i]);
                 if word == "impl" || word == "trait" {
-                    let (subject, next) = parse_impl_header(&toks, i, masked);
+                    let (subject, next) = parse_impl_header(toks, i, src);
                     pending = Some(subject);
                     i = next;
                     continue;
                 }
                 if word == "fn" {
-                    let (item, body_range, next) = parse_fn(&toks, i, masked, &lines, &scopes);
+                    let (item, body_range, next) = parse_fn(toks, i, src, &scopes);
                     if let Some(mut item) = item {
-                        item.is_root = m.hot_path_roots.iter().any(|&l| attaches(l, item.line));
-                        item.sink = (m.det_sinks.iter())
+                        item.is_root = src.hot_path_roots.iter().any(|&l| attaches(l, item.line));
+                        item.sink = (src.det_sinks.iter())
                             .find(|(l, _)| attaches(*l, item.line))
                             .map(|(_, name)| name.clone());
                         item.sanitizer =
-                            (m.det_sanitizers.iter()).any(|(l, _)| attaches(*l, item.line));
+                            (src.det_sanitizers.iter()).any(|(l, _)| attaches(*l, item.line));
                         let sites = body_range
-                            .map(|(from, to)| scan_calls(&toks, from, to, masked, &lines))
+                            .map(|(from, to)| scan_calls(toks, from, to, src))
                             .unwrap_or_default();
                         let loop_sites = body_range
-                            .map(|(from, to)| scan_loops(&toks, from, to, masked, &lines))
+                            .map(|(from, to)| scan_loops(toks, from, to, src))
                             .unwrap_or_default();
                         fns.push(item);
                         calls.push(sites);
@@ -697,7 +576,7 @@ pub fn parse_file(path: &str, m: &crate::source::MaskedFile) -> ParsedFile {
         }
     }
     ParsedFile {
-        path: path.to_owned(),
+        path: src.rel.clone(),
         fns,
         calls,
         loops,
@@ -709,8 +588,7 @@ pub fn parse_file(path: &str, m: &crate::source::MaskedFile) -> ParsedFile {
 fn parse_fn(
     toks: &[Tok],
     at: usize,
-    masked: &str,
-    lines: &LineIndex,
+    src: &SourceFile,
     scopes: &[Option<String>],
 ) -> (Option<FnItem>, Option<(usize, usize)>, usize) {
     let Some(name_tok) = toks.get(at + 1) else {
@@ -719,7 +597,7 @@ fn parse_fn(
     if name_tok.kind != TokKind::Ident {
         return (None, None, at + 1);
     }
-    let name = text(masked, name_tok).to_owned();
+    let name = src.text(name_tok).to_owned();
     let mut j = at + 2;
     if is_punct(toks, j, b'<') {
         j = skip_generics(toks, j);
@@ -727,7 +605,7 @@ fn parse_fn(
     if !is_punct(toks, j, b'(') {
         return (None, None, at + 1);
     }
-    let (past_params, commas, has_self) = scan_parens(toks, j, masked);
+    let (past_params, commas, has_self) = scan_parens(toks, j, src);
     let arity = if parens_empty(toks, j) { 0 } else { commas + 1 };
     // Scan past `-> Type` / `where …` for the body `{` or a trailing `;`.
     let mut k = past_params;
@@ -752,7 +630,7 @@ fn parse_fn(
         impl_type: scopes.iter().rev().find_map(Clone::clone),
         arity,
         has_self,
-        line: lines.line_of(toks[at].start),
+        line: src.line_of(toks[at].start),
         body: body.map(|(open, close)| (toks[open].start, toks[close].end)),
         is_root: false,
         sink: None,
@@ -767,10 +645,9 @@ fn parse_fn(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::source::mask;
 
     fn parse(src: &str) -> ParsedFile {
-        parse_file("t.rs", &mask(src))
+        parse_file(&SourceFile::new("t.rs", src))
     }
 
     #[test]
@@ -961,12 +838,15 @@ fn f(rx: R) {
     loop { if done() { break; } }
     while !converged() { iterate(); }
     while let Some(m) = rx.recv_msg() { touch(m); }
+    while { spin(); }
 }
 ";
         let got = loop_shapes(src);
         assert_eq!(got[0], (LoopClass::Unknown, 2, "loop"));
         assert_eq!(got[1], (LoopClass::Unknown, 3, "while"));
         assert_eq!(got[2], (LoopClass::Unknown, 4, "while let"));
+        // No condition at all (malformed input) must not panic.
+        assert_eq!(got[3], (LoopClass::Unknown, 5, "while"));
     }
 
     #[test]

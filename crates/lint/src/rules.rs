@@ -1,9 +1,7 @@
 //! The rule families and the per-file scan.
 
-use crate::parse::LineIndex;
 use crate::report::{Finding, Rule};
-use crate::source::{waiver_for, word_offsets, Waiver};
-use crate::workspace::SourceFile;
+use crate::source::{waiver_for, Pattern, SourceFile, TokKind};
 
 /// Which rule families apply to a file (derived from its crate).
 #[derive(Debug, Clone, Copy)]
@@ -42,10 +40,9 @@ impl RuleSet {
     };
 }
 
-/// Identifier-style patterns per rule, with the message they carry.
-/// Matched on masked source with identifier boundaries on both sides, so
-/// `Instant` does not fire inside `InstantLike` and never inside
-/// comments, strings, or test modules. The first rule needs
+/// Token patterns per rule, with the message they carry. Matched on code
+/// tokens, so `Instant` does not fire inside `InstantLike` and never
+/// inside comments, strings, or test modules. The first rule needs
 /// [`RuleSet::wall_clock`], the others [`RuleSet::determinism`].
 const WORD_RULES: [(Rule, &[&str], &str); 3] = [
     (
@@ -83,13 +80,10 @@ pub fn scan_file(path: &str, source: &str, rules: RuleSet) -> FileScan {
     scan(&SourceFile::new(path, source), rules)
 }
 
-/// Scans one loaded (already masked) file under `rules`.
+/// Scans one loaded file under `rules`.
 #[must_use]
 pub fn scan(src: &SourceFile, rules: RuleSet) -> FileScan {
-    let masked = &src.masked.masked;
-    let lines = LineIndex::new(masked);
     let mut raw: Vec<Finding> = src
-        .masked
         .waivers
         .iter()
         .filter(|w| w.rule.is_none())
@@ -109,10 +103,12 @@ pub fn scan(src: &SourceFile, rules: RuleSet) -> FileScan {
         Rule::WallClock => rules.wall_clock,
         _ => rules.determinism,
     };
+    let whole = (0, src.raw.len());
     for (rule, patterns, message) in WORD_RULES.into_iter().filter(|(r, ..)| enabled(*r)) {
-        for pat in patterns {
-            for at in word_offsets(masked, (0, masked.len()), pat) {
-                raw.push(src.finding(rule, lines.line_of(at), format!("`{pat}`: {message}")));
+        for pat in Pattern::all(patterns) {
+            for at in src.find(&pat, whole) {
+                let message = format!("`{}`: {message}", pat.text);
+                raw.push(src.finding(rule, src.line_of(at), message));
             }
         }
     }
@@ -121,13 +117,13 @@ pub fn scan(src: &SourceFile, rules: RuleSet) -> FileScan {
         raw.sort_by_key(|a| (a.line, a.rule));
     }
     if rules.determinism {
-        scan_float_eq(&mut raw, src, &lines);
+        scan_float_eq(&mut raw, src);
     }
 
     let mut findings = Vec::new();
     let mut waived = Vec::new();
     for mut f in raw {
-        match waiver_for(&src.masked.waivers, f.rule, f.line) {
+        match waiver_for(&src.waivers, f.rule, f.line) {
             Some(reason) => {
                 f.waived = Some(reason);
                 waived.push(f);
@@ -136,8 +132,13 @@ pub fn scan(src: &SourceFile, rules: RuleSet) -> FileScan {
         }
     }
 
+    // `.unwrap()` / `.expect(` in library code, skipping lines covered by
+    // an `allow(unwrap-ratchet)` waiver.
     let unwrap_count = if rules.unwrap_ratchet {
-        count_unwraps(masked, &src.masked.waivers)
+        (Pattern::all(&[".unwrap()", ".expect("]).iter())
+            .flat_map(|pat| src.find(pat, whole))
+            .filter(|&at| waiver_for(&src.waivers, Rule::UnwrapRatchet, src.line_of(at)).is_none())
+            .count()
     } else {
         0
     };
@@ -152,100 +153,73 @@ pub fn scan(src: &SourceFile, rules: RuleSet) -> FileScan {
 /// Flags `==`/`!=` where either operand is a float literal (or a known
 /// float accessor). Exact float comparison is only sound against a value
 /// stored verbatim, never a computed one — use the approx helpers instead.
-fn scan_float_eq(out: &mut Vec<Finding>, src: &SourceFile, lines: &LineIndex) {
-    let masked = &src.masked.masked;
-    let bytes = masked.as_bytes();
-    let mut i = 0;
-    while i + 1 < bytes.len() {
-        let two = &bytes[i..i + 2];
-        let is_eq = two == b"==";
-        let is_ne = two == b"!=";
-        if !(is_eq || is_ne) {
-            i += 1;
+fn scan_float_eq(out: &mut Vec<Finding>, src: &SourceFile) {
+    let toks = &src.tokens;
+    let glued = |a: usize, b: usize| toks[a].end == toks[b].start;
+    let punct = |at: usize, set: &[u8]| {
+        toks.get(at)
+            .is_some_and(|t| matches!(t.kind, TokKind::Punct(p) if set.contains(&p)))
+    };
+    for j in 1..toks.len() {
+        let op = j - 1;
+        // `==` / `!=` as two glued tokens, not `<=`, `>=`, `!==` or the
+        // trailing half of a previous `==`.
+        if !(punct(op, b"=!") && punct(j, b"=") && glued(op, j))
+            || punct(op, b"=") && op > 0 && glued(op - 1, op) && punct(op - 1, b"=!<>")
+            || j + 1 < toks.len() && glued(j, j + 1) && punct(j + 1, b"=")
+        {
             continue;
         }
-        // Reject <=, >=, pattern guards like `x !== …` (not Rust, but be
-        // safe), and the trailing half of a previous `==`.
-        let prev = i.checked_sub(1).map(|p| bytes[p]);
-        if is_eq && matches!(prev, Some(b'=') | Some(b'!') | Some(b'<') | Some(b'>')) {
-            i += 2;
-            continue;
-        }
-        if bytes.get(i + 2) == Some(&b'=') {
-            i += 3;
-            continue;
-        }
-        let left = token_before(masked, i);
-        let right = token_after(masked, i + 2);
+        let left = operand(src, op, false);
+        let right = operand(src, j, true);
         if is_float_operand(&left) || is_float_operand(&right) {
             out.push(src.finding(
                 Rule::FloatEq,
-                lines.line_of(i),
+                src.line_of(toks[op].start),
                 format!(
                     "float `{}` comparison (`{left}` vs `{right}`); compare with an epsilon or justify the exact sentinel",
-                    if is_eq { "==" } else { "!=" }
+                    if src.text(&toks[op]) == "=" { "==" } else { "!=" },
                 ),
             ));
         }
-        i += 2;
     }
 }
 
-const TOKEN_BYTES: &[u8] = b"abcdefghijklmnopqrstuvwxyzABCDEFGHIJKLMNOPQRSTUVWXYZ0123456789_.()";
-
-fn token_before(masked: &str, op: usize) -> String {
-    let bytes = masked.as_bytes();
-    let mut end = op;
-    while end > 0 && bytes[end - 1] == b' ' {
-        end -= 1;
-    }
-    let mut start = end;
-    loop {
-        while start > 0 && TOKEN_BYTES.contains(&bytes[start - 1]) {
-            start -= 1;
+/// The operand text beside the comparison operator whose edge token is
+/// `toks[edge]`: the run of glued identifier, number, `.`, `(` and `)`
+/// tokens on the operator's line (a leading `-` included on the right).
+fn operand(src: &SourceFile, edge: usize, right: bool) -> String {
+    let toks = &src.tokens;
+    let part = |k: usize| match toks[k].kind {
+        TokKind::Ident | TokKind::Num => true,
+        TokKind::Punct(p) => matches!(p, b'.' | b'(' | b')'),
+        TokKind::Lifetime => false,
+    };
+    let glued = |k: usize| toks[k - 1].end == toks[k].start;
+    let line = src.line_of(toks[edge].start);
+    let (lo, hi) = if right {
+        let first = edge + 1;
+        let starts = |k: usize| part(k) || toks[k].kind == TokKind::Punct(b'-');
+        if first >= toks.len() || src.line_of(toks[first].start) != line || !starts(first) {
+            return String::new();
         }
-        // Re-attach a signed exponent (`-` is not a token byte, so `1.5e-3`
-        // would otherwise split at the sign and read back as just `3`).
-        if start >= 3
-            && matches!(bytes[start - 1], b'+' | b'-')
-            && matches!(bytes[start - 2], b'e' | b'E')
-            && bytes[start - 3].is_ascii_digit()
-        {
-            start -= 1;
-        } else {
-            break;
+        let mut hi = first + 1;
+        while hi < toks.len() && glued(hi) && part(hi) {
+            hi += 1;
         }
-    }
-    masked[start..end].to_owned()
-}
-
-fn token_after(masked: &str, from: usize) -> String {
-    let bytes = masked.as_bytes();
-    let mut start = from;
-    while start < bytes.len() && bytes[start] == b' ' {
-        start += 1;
-    }
-    let mut end = start;
-    if bytes.get(end) == Some(&b'-') {
-        end += 1;
-    }
-    loop {
-        while end < bytes.len() && TOKEN_BYTES.contains(&bytes[end]) {
-            end += 1;
+        (first, hi)
+    } else {
+        let on_line = |&k: &usize| src.line_of(toks[k].end) == line && part(k);
+        let Some(last) = edge.checked_sub(1).filter(on_line) else {
+            return String::new();
+        };
+        let mut lo = last;
+        while lo > 0 && glued(lo) && part(lo - 1) {
+            lo -= 1;
         }
-        // Re-attach a signed exponent, mirroring `token_before`.
-        if end < bytes.len()
-            && matches!(bytes[end], b'+' | b'-')
-            && end >= start + 2
-            && matches!(bytes[end - 1], b'e' | b'E')
-            && bytes[end - 2].is_ascii_digit()
-        {
-            end += 1;
-        } else {
-            break;
-        }
-    }
-    masked[start..end].to_owned()
+        (lo, last + 1)
+    };
+    src.joined(&toks[lo..hi])
 }
 
 /// Accessors that return `f64` on this workspace's newtypes; comparing
@@ -278,22 +252,6 @@ fn is_float_literal(token: &str) -> bool {
     (has_dot || has_exp)
         && t.chars()
             .all(|c| c.is_ascii_digit() || matches!(c, '.' | 'e' | 'E' | '+' | '-' | '_'))
-}
-
-/// Counts `.unwrap()` / `.expect(` in masked library code, skipping lines
-/// covered by an `allow(unwrap-ratchet)` waiver.
-fn count_unwraps(masked: &str, waivers: &[Waiver]) -> usize {
-    masked
-        .lines()
-        .enumerate()
-        .map(|(idx, line)| {
-            let lineno = idx + 1;
-            if waiver_for(waivers, Rule::UnwrapRatchet, lineno).is_some() {
-                return 0;
-            }
-            line.matches(".unwrap()").count() + line.matches(".expect(").count()
-        })
-        .sum()
 }
 
 #[cfg(test)]
@@ -376,6 +334,17 @@ mod tests {
 ";
         let s = scan(src);
         assert_eq!(s.unwrap_count, 2);
+    }
+
+    /// An out-of-line `#[cfg(test)] mod tests;` has no body to hide: the
+    /// item after it is shipping code and keeps both of its findings.
+    #[test]
+    fn out_of_line_test_module_does_not_hide_the_next_item() {
+        let src =
+            "#[cfg(test)]\nmod tests;\npub fn hot() { let m: HashMap<u32,u32> = HashMap::new(); }";
+        let s = scan(src);
+        let rules: Vec<Rule> = s.findings.iter().map(|f| f.rule).collect();
+        assert_eq!(rules, vec![Rule::UnorderedIteration; 2], "{:?}", s.findings);
     }
 
     #[test]

@@ -1,17 +1,31 @@
-//! Comment/string-aware source masking and waiver-comment parsing.
+//! The lint's one lexer, and the loaded source file every pass reads.
 //!
-//! The scanner is deliberately token-light: it does not parse Rust, it only
-//! tracks enough lexical state (line/block comments, string/char/raw-string
-//! literals, `#[cfg(test)] mod` regions) to blank out every byte that rule
-//! patterns must not match. Blanked bytes become spaces so byte offsets —
-//! and therefore line numbers — stay exact.
+//! [`SourceFile::new`] lexes a file exactly once. The lexer is deliberately
+//! token-light: it does not parse Rust, it only tracks enough lexical state
+//! (line/block comments, string/char/raw-string literals, lifetimes) to
+//! split the text into
 //!
-//! Besides waivers, two more outputs feed the semantic pass:
-//! comment byte spans (where `Eq. N` tags live, harvested by
-//! [`crate::eqcov`]) and `#[cfg(test)]`-module byte regions (so tags inside
-//! unit-test modules classify as test coverage, not implementation).
+//! * **code tokens** ([`Tok`]: identifiers, numbers, punctuation,
+//!   lifetimes), with every `#[cfg(test)] mod … { … }` body left out, so
+//!   rule patterns never match inside comments, strings or unit tests and
+//!   [`crate::parse`] never sees a test-only function;
+//! * **comment spans**, where `Eq. N` tags live (harvested by
+//!   [`crate::eqcov`]), and the `hcperf-lint:` **directives** parsed from
+//!   non-doc line comments (waivers, hot-path roots, det-flow sinks and
+//!   sanitizers);
+//! * **test-module regions**, found at token level, so tags inside them
+//!   classify as test coverage rather than implementation;
+//! * one **line index** for every byte-offset → line lookup.
+//!
+//! Rule patterns ([`Pattern`]) are token sequences lexed by the same lexer,
+//! so `collect` cannot match inside `recollect` and `thread::sleep` matches
+//! `std::thread::sleep`. Every offset is a byte offset into the raw text,
+//! on a char boundary.
 
-use crate::report::Rule;
+use std::sync::OnceLock;
+
+use crate::parse::{parse_file, ParsedFile};
+use crate::report::{Finding, Rule};
 
 /// A parsed `// hcperf-lint: allow(<rule>): <reason>` comment.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -26,23 +40,103 @@ pub struct Waiver {
     pub reason: String,
 }
 
-/// Result of masking one source file.
+/// Lexical class of one code token.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum TokKind {
+    /// Identifier or keyword (ASCII `[A-Za-z_][A-Za-z0-9_]*`).
+    Ident,
+    /// Numeric literal, suffix and signed exponent included (`1.5e-3f64`).
+    /// A `.` belongs to it only when a digit follows, so `0..n` and
+    /// `self.0.push(x)` keep their dots.
+    Num,
+    /// One punctuation character, keyed by its first byte (a non-ASCII
+    /// character is one token spanning all its bytes).
+    Punct(u8),
+    /// A lifetime or loop label (`'a`).
+    Lifetime,
+}
+
+/// One code token: its class and byte span in the raw text.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct Tok {
+    /// Lexical class.
+    pub kind: TokKind,
+    /// Byte offset of the first byte.
+    pub start: usize,
+    /// Byte offset just past the last byte.
+    pub end: usize,
+}
+
+/// Fast byte-offset → 1-based line lookup.
 #[derive(Debug)]
-pub struct MaskedFile {
-    /// Same byte length as the input; comments, string/char literals and
-    /// `#[cfg(test)] mod … { … }` regions are spaces (newlines kept).
-    pub masked: String,
+struct LineIndex {
+    newline_offsets: Vec<usize>,
+}
+
+impl LineIndex {
+    fn new(text: &str) -> Self {
+        Self {
+            newline_offsets: text
+                .bytes()
+                .enumerate()
+                .filter_map(|(i, b)| (b == b'\n').then_some(i))
+                .collect(),
+        }
+    }
+
+    /// 1-based line containing byte offset `at`.
+    fn line_of(&self, at: usize) -> usize {
+        1 + self.newline_offsets.partition_point(|&o| o < at)
+    }
+}
+
+/// A rule pattern: a token sequence lexed from its source text.
+#[derive(Debug)]
+pub struct Pattern {
+    /// The pattern as written (`.clone(`, `thread::sleep`).
+    pub text: &'static str,
+    toks: Vec<&'static str>,
+}
+
+impl Pattern {
+    /// Lexes `text` into the token sequence it matches.
+    #[must_use]
+    pub fn new(text: &'static str) -> Self {
+        let toks = tokenize(text).tokens;
+        Pattern {
+            text,
+            toks: toks.iter().map(|t| &text[t.start..t.end]).collect(),
+        }
+    }
+
+    /// Lexes every pattern of a rule table.
+    #[must_use]
+    pub fn all(texts: &[&'static str]) -> Vec<Pattern> {
+        texts.iter().map(|t| Pattern::new(t)).collect()
+    }
+}
+
+/// One loaded source file: raw text plus everything the lexer produced.
+#[derive(Debug)]
+pub struct SourceFile {
+    /// Workspace-relative path with `/` separators.
+    pub rel: String,
+    /// Raw file contents.
+    pub raw: String,
+    /// Code tokens in source order, test-module bodies excluded.
+    pub tokens: Vec<Tok>,
+    /// Byte spans of every comment (line, block, and doc), in order.
+    pub comments: Vec<(usize, usize)>,
+    /// Byte spans of every string, byte-string and char literal, in order.
+    pub literals: Vec<(usize, usize)>,
+    /// Byte regions of `#[cfg(…test…)] mod … { … }` test modules.
+    pub test_regions: Vec<(usize, usize)>,
     /// Every waiver comment found, malformed ones included.
     pub waivers: Vec<Waiver>,
     /// 1-based lines carrying a `// hcperf-lint: hot-path-root` marker;
     /// each declares the next `fn` item a hot-path root (see
     /// [`crate::hotpath`]).
     pub hot_path_roots: Vec<usize>,
-    /// Byte spans of every comment (line, block, and doc) in the original
-    /// source, in order. `Eq. N` tags are harvested from these.
-    pub comment_spans: Vec<(usize, usize)>,
-    /// Byte regions blanked as `#[cfg(…test…)] mod … { … }` test modules.
-    pub test_regions: Vec<(usize, usize)>,
     /// `(line, name)` pairs for `// hcperf-lint: det-sink(<name>)` markers;
     /// each declares the next `fn` item a determinism output sink (see
     /// [`crate::detflow`]).
@@ -50,6 +144,138 @@ pub struct MaskedFile {
     /// `(line, name)` pairs for `// hcperf-lint: det-sanitizer(<name>)`
     /// markers; each declares the next `fn` item a trusted taint sanitizer.
     pub det_sanitizers: Vec<(usize, String)>,
+    lines: LineIndex,
+    parsed: OnceLock<ParsedFile>,
+}
+
+impl SourceFile {
+    /// Lexes `raw` as the file at workspace-relative `rel`.
+    #[must_use]
+    pub fn new(rel: &str, raw: &str) -> Self {
+        let Lexed {
+            tokens,
+            comments,
+            literals,
+        } = tokenize(raw);
+        let lines = LineIndex::new(raw);
+        let test_regions = test_regions(raw, &tokens);
+        let mut regions = test_regions.iter().peekable();
+        let tokens = (tokens.into_iter())
+            .filter(|t| {
+                while regions.next_if(|r| r.1 <= t.start).is_some() {}
+                regions.peek().is_none_or(|r| t.start < r.0)
+            })
+            .collect();
+        let mut file = SourceFile {
+            rel: rel.to_owned(),
+            raw: raw.to_owned(),
+            tokens,
+            comments,
+            literals,
+            test_regions,
+            waivers: Vec::new(),
+            hot_path_roots: Vec::new(),
+            det_sinks: Vec::new(),
+            det_sanitizers: Vec::new(),
+            lines,
+            parsed: OnceLock::new(),
+        };
+        for &(start, end) in &file.comments {
+            // Doc comments (`///`, `//!`) are prose, not directives: they
+            // may legitimately *mention* the waiver syntax.
+            let text = &raw[start..end];
+            if !text.starts_with("//") || text[2..].starts_with(['/', '!']) {
+                continue;
+            }
+            let line = file.lines.line_of(start);
+            match parse_directive(text, line) {
+                Some(Directive::Waiver(w)) => file.waivers.push(w),
+                Some(Directive::HotPathRoot) => file.hot_path_roots.push(line),
+                Some(Directive::DetSink(name)) => file.det_sinks.push((line, name)),
+                Some(Directive::DetSanitizer(name)) => file.det_sanitizers.push((line, name)),
+                None => {}
+            }
+        }
+        file
+    }
+
+    /// The source text of token `t`.
+    #[must_use]
+    pub fn text(&self, t: &Tok) -> &str {
+        &self.raw[t.start..t.end]
+    }
+
+    /// The texts of `toks`, joined by one space wherever the source has a
+    /// gap (whitespace, a comment or a literal) between two tokens.
+    #[must_use]
+    pub fn joined(&self, toks: &[Tok]) -> String {
+        let mut out = String::new();
+        for (k, t) in toks.iter().enumerate() {
+            if k > 0 && toks[k - 1].end < t.start {
+                out.push(' ');
+            }
+            out.push_str(self.text(t));
+        }
+        out
+    }
+
+    /// 1-based line of byte offset `at`.
+    #[must_use]
+    pub fn line_of(&self, at: usize) -> usize {
+        self.lines.line_of(at)
+    }
+
+    /// Indices of the tokens lying inside the byte range `within`.
+    #[must_use]
+    pub fn token_range(&self, within: (usize, usize)) -> std::ops::Range<usize> {
+        let from = self.tokens.partition_point(|t| t.start < within.0);
+        let to = self.tokens.partition_point(|t| t.end <= within.1);
+        from..to.max(from)
+    }
+
+    /// Byte offsets of every match of `pat` inside the byte range `within`,
+    /// ascending.
+    #[must_use]
+    pub fn find(&self, pat: &Pattern, within: (usize, usize)) -> Vec<usize> {
+        let range = self.token_range(within);
+        let raw = self.raw.as_bytes();
+        let is =
+            |t: &Tok, p: &str| t.end - t.start == p.len() && raw[t.start..t.end] == *p.as_bytes();
+        self.tokens[range]
+            .windows(pat.toks.len())
+            .filter(|w| w.iter().zip(&pat.toks).all(|(t, p)| is(t, p)))
+            .map(|w| w[0].start)
+            .collect()
+    }
+
+    /// The file's items, call sites and loops, parsed on first use.
+    pub fn parsed(&self) -> &ParsedFile {
+        self.parsed.get_or_init(|| parse_file(self))
+    }
+
+    /// The trimmed raw text of 1-based `line` (empty past the end).
+    #[must_use]
+    pub fn snippet(&self, line: usize) -> String {
+        self.raw
+            .lines()
+            .nth(line - 1)
+            .map_or("", str::trim)
+            .to_owned()
+    }
+
+    /// An unwaived finding anchored at `line` of this file.
+    #[must_use]
+    pub fn finding(&self, rule: Rule, line: usize, message: String) -> Finding {
+        Finding {
+            rule,
+            path: self.rel.clone(),
+            line,
+            snippet: self.snippet(line),
+            message,
+            waived: None,
+            chain: Vec::new(),
+        }
+    }
 }
 
 const MARKER: &str = "hcperf-lint:";
@@ -69,24 +295,6 @@ pub(crate) fn waiver_for(waivers: &[Waiver], rule: Rule, line: usize) -> Option<
         .map(|w| w.reason.clone())
 }
 
-/// Byte offsets of `pat` inside the `body` byte range of `masked`, where
-/// a pattern end that is an identifier byte must not touch another one
-/// (`collect` does not match `recollect`; `.lock(` needs no boundary).
-pub(crate) fn word_offsets(masked: &str, body: (usize, usize), pat: &str) -> Vec<usize> {
-    let bytes = masked.as_bytes();
-    let (first, last) = (pat.as_bytes()[0], pat.as_bytes()[pat.len() - 1]);
-    masked[body.0..body.1]
-        .match_indices(pat)
-        .map(|(p, _)| body.0 + p)
-        .filter(|&at| {
-            let left_ok = !is_ident_byte(first) || at == 0 || !is_ident_byte(bytes[at - 1]);
-            let right_ok = !is_ident_byte(last)
-                || bytes.get(at + pat.len()).is_none_or(|&b| !is_ident_byte(b));
-            left_ok && right_ok
-        })
-        .collect()
-}
-
 /// One recognised `hcperf-lint:` comment directive.
 enum Directive {
     /// `allow(<rule>): <reason>` — possibly malformed (`rule: None`).
@@ -101,109 +309,107 @@ enum Directive {
     DetSanitizer(String),
 }
 
-/// Masks `source` and collects waiver comments.
-#[must_use]
-pub fn mask(source: &str) -> MaskedFile {
-    let bytes = source.as_bytes();
-    let mut out = bytes.to_vec();
-    let mut waivers = Vec::new();
-    let mut hot_path_roots = Vec::new();
-    let mut det_sinks = Vec::new();
-    let mut det_sanitizers = Vec::new();
-    let mut comment_spans = Vec::new();
+/// What one pass of the lexer yields.
+struct Lexed {
+    tokens: Vec<Tok>,
+    comments: Vec<(usize, usize)>,
+    literals: Vec<(usize, usize)>,
+}
+
+/// The lexer: splits `text` into code tokens, comment spans and literal
+/// spans. Total on any input: unterminated comments and literals run to
+/// the end of the text.
+fn tokenize(text: &str) -> Lexed {
+    let bytes = text.as_bytes();
+    let mut out = Lexed {
+        tokens: Vec::new(),
+        comments: Vec::new(),
+        literals: Vec::new(),
+    };
     let mut i = 0;
     while i < bytes.len() {
-        match bytes[i] {
+        let start = i;
+        let b = bytes[i];
+        if let Some(end) = matches!(b, b'"' | b'\'' | b'b' | b'r')
+            .then(|| literal_end(bytes, i))
+            .flatten()
+        {
+            out.literals.push((start, end));
+            i = end;
+            continue;
+        }
+        let kind = match b {
             b'/' if bytes.get(i + 1) == Some(&b'/') => {
-                let end = line_end(bytes, i);
-                comment_spans.push((i, end));
-                // Doc comments (`///`, `//!`) are prose, not directives:
-                // they may legitimately *mention* the waiver syntax.
-                let doc = matches!(bytes.get(i + 2), Some(&b'/') | Some(&b'!'));
-                if !doc {
-                    match parse_directive(&source[i..end], line_of(bytes, i)) {
-                        Some(Directive::Waiver(w)) => waivers.push(w),
-                        Some(Directive::HotPathRoot) => hot_path_roots.push(line_of(bytes, i)),
-                        Some(Directive::DetSink(name)) => {
-                            det_sinks.push((line_of(bytes, i), name));
-                        }
-                        Some(Directive::DetSanitizer(name)) => {
-                            det_sanitizers.push((line_of(bytes, i), name));
-                        }
-                        None => {}
-                    }
-                }
-                blank(&mut out, i, end);
-                i = end;
+                i = bytes[i..]
+                    .iter()
+                    .position(|&b| b == b'\n')
+                    .map_or(bytes.len(), |p| i + p);
+                out.comments.push((start, i));
+                continue;
             }
             b'/' if bytes.get(i + 1) == Some(&b'*') => {
-                let end = block_comment_end(bytes, i);
-                comment_spans.push((i, end));
-                blank(&mut out, i, end);
-                i = end;
+                i = block_comment_end(bytes, i);
+                out.comments.push((start, i));
+                continue;
             }
-            b'"' => {
-                let end = string_end(bytes, i);
-                blank(&mut out, i, end);
-                i = end;
+            _ if b.is_ascii_whitespace() => {
+                i += 1;
+                continue;
             }
-            b'r' if raw_string_start(bytes, i).is_some() => {
-                let end = raw_string_end(bytes, i);
-                blank(&mut out, i, end);
-                i = end;
+            b'\''
+                if bytes
+                    .get(i + 1)
+                    .is_some_and(|&c| c.is_ascii_alphabetic() || c == b'_') =>
+            {
+                i = ident_end(bytes, i + 1);
+                TokKind::Lifetime
             }
-            b'b' if bytes.get(i + 1) == Some(&b'"') => {
-                let end = string_end(bytes, i + 1);
-                blank(&mut out, i, end);
-                i = end;
+            _ if b.is_ascii_alphabetic() || b == b'_' => {
+                i = ident_end(bytes, i);
+                TokKind::Ident
             }
-            b'b' if bytes.get(i + 1) == Some(&b'r') && raw_string_start(bytes, i + 1).is_some() => {
-                let end = raw_string_end(bytes, i + 1);
-                blank(&mut out, i, end);
-                i = end;
+            _ if b.is_ascii_digit() => {
+                i = number_end(bytes, i);
+                TokKind::Num
             }
-            b'\'' => {
-                if let Some(end) = char_literal_end(bytes, i) {
-                    blank(&mut out, i, end);
-                    i = end;
-                } else {
-                    // A lifetime: leave it in place.
-                    i += 1;
-                }
+            _ => {
+                i += text[i..].chars().next().map_or(1, char::len_utf8);
+                TokKind::Punct(b)
             }
-            _ => i += 1,
+        };
+        out.tokens.push(Tok {
+            kind,
+            start,
+            end: i,
+        });
+    }
+    out
+}
+
+fn ident_end(bytes: &[u8], from: usize) -> usize {
+    (from..bytes.len())
+        .find(|&j| !is_ident_byte(bytes[j]))
+        .unwrap_or(bytes.len())
+}
+
+/// End of a numeric literal starting at a digit: identifier bytes (digits,
+/// suffixes, hex), a `.` followed by a digit, and the sign of an exponent
+/// (`1.5e-3`: an `e`/`E` after a digit, then `+`/`-` and a digit).
+fn number_end(bytes: &[u8], from: usize) -> usize {
+    let mut i = from;
+    while let Some(&c) = bytes.get(i) {
+        let digit_next = bytes.get(i + 1).is_some_and(u8::is_ascii_digit);
+        let exponent_sign = matches!(c, b'+' | b'-')
+            && i >= from + 2
+            && matches!(bytes[i - 1], b'e' | b'E')
+            && bytes[i - 2].is_ascii_digit();
+        if is_ident_byte(c) || (c == b'.' || exponent_sign) && digit_next {
+            i += 1;
+        } else {
+            break;
         }
     }
-    let test_regions = mask_test_modules(&mut out);
-    MaskedFile {
-        masked: String::from_utf8(out).expect("masking only writes ASCII spaces"),
-        waivers,
-        hot_path_roots,
-        comment_spans,
-        test_regions,
-        det_sinks,
-        det_sanitizers,
-    }
-}
-
-/// 1-based line number of byte offset `at`.
-fn line_of(bytes: &[u8], at: usize) -> usize {
-    1 + bytes[..at].iter().filter(|&&b| b == b'\n').count()
-}
-
-fn line_end(bytes: &[u8], from: usize) -> usize {
-    bytes[from..]
-        .iter()
-        .position(|&b| b == b'\n')
-        .map_or(bytes.len(), |p| from + p)
-}
-
-fn blank(out: &mut [u8], from: usize, to: usize) {
-    for b in &mut out[from..to] {
-        if *b != b'\n' {
-            *b = b' ';
-        }
-    }
+    i
 }
 
 fn block_comment_end(bytes: &[u8], from: usize) -> usize {
@@ -226,6 +432,22 @@ fn block_comment_end(bytes: &[u8], from: usize) -> usize {
     bytes.len()
 }
 
+/// End (exclusive) of the string, byte-string, raw-string or char literal
+/// opening at `i` (`"…"`, `b"…"`, `r#"…"#`, `br"…"`, `'x'`, `b'x'`), or
+/// `None` when no literal opens there (a lifetime, an identifier).
+fn literal_end(bytes: &[u8], i: usize) -> Option<usize> {
+    let at = |j: usize| bytes.get(j).copied();
+    match (at(i)?, at(i + 1)) {
+        (b'"', _) => Some(string_end(bytes, i)),
+        (b'\'', _) => char_literal_end(bytes, i),
+        (b'b', Some(b'"')) => Some(string_end(bytes, i + 1)),
+        (b'b', Some(b'\'')) => char_literal_end(bytes, i + 1),
+        (b'b', Some(b'r')) => raw_string_end(bytes, i + 1),
+        (b'r', _) => raw_string_end(bytes, i),
+        _ => None,
+    }
+}
+
 /// End (exclusive) of a `"…"` literal starting at the opening quote.
 fn string_end(bytes: &[u8], open: usize) -> usize {
     let mut i = open + 1;
@@ -239,20 +461,13 @@ fn string_end(bytes: &[u8], open: usize) -> usize {
     bytes.len()
 }
 
-/// If `r"` / `r#"`-style raw string opens at `i`, returns the hash count.
-fn raw_string_start(bytes: &[u8], i: usize) -> Option<usize> {
-    debug_assert_eq!(bytes[i], b'r');
-    let mut hashes = 0;
-    let mut j = i + 1;
-    while bytes.get(j) == Some(&b'#') {
-        hashes += 1;
-        j += 1;
+/// End (exclusive) of the `r"…"` / `r#"…"#` raw string whose `r` sits at
+/// `r_at`, or `None` when the `r` opens no raw string.
+fn raw_string_end(bytes: &[u8], r_at: usize) -> Option<usize> {
+    let hashes = bytes[r_at + 1..].iter().take_while(|&&b| b == b'#').count();
+    if bytes.get(r_at + 1 + hashes) != Some(&b'"') {
+        return None;
     }
-    (bytes.get(j) == Some(&b'"')).then_some(hashes)
-}
-
-fn raw_string_end(bytes: &[u8], r_at: usize) -> usize {
-    let hashes = raw_string_start(bytes, r_at).expect("caller checked");
     let mut i = r_at + 1 + hashes + 1;
     while i < bytes.len() {
         if bytes[i] == b'"'
@@ -263,11 +478,11 @@ fn raw_string_end(bytes: &[u8], r_at: usize) -> usize {
                 .count()
                 == hashes
         {
-            return i + 1 + hashes;
+            return Some(i + 1 + hashes);
         }
         i += 1;
     }
-    bytes.len()
+    Some(bytes.len())
 }
 
 /// Distinguishes `'a'` / `'\n'` char literals from `'a` lifetimes.
@@ -304,230 +519,121 @@ fn char_literal_end(bytes: &[u8], open: usize) -> Option<usize> {
     }
 }
 
-/// Blanks every test-gated `#[cfg(…)] mod … { … }` region in already-masked
-/// bytes (string/comment-free, so brace matching is safe). Library rules
-/// apply to shipping code only; unit tests may use wall clocks or `unwrap`
-/// freely. The attribute is parsed tolerantly: `#[cfg(test)]`,
-/// `#[ cfg ( test ) ]`, and `#[cfg(all(test, feature = "…"))]` all mask,
-/// while `#[cfg(not(test))]` and `#[cfg(any(test, …))]` (both compiled
-/// outside test builds) do not. Returns the blanked byte regions.
-fn mask_test_modules(out: &mut [u8]) -> Vec<(usize, usize)> {
-    let mut regions = Vec::new();
-    let mut from = 0;
-    while let Some(pos) = find_byte(out, b'#', from) {
-        from = pos + 1;
-        let Some(attr_end) = parse_test_cfg_attr(out, pos) else {
-            continue;
-        };
-        // Skip whitespace, further attributes, and an optional `pub(…)`
-        // visibility between the attribute and the `mod` keyword.
-        let mut i = attr_end;
-        loop {
-            while i < out.len() && out[i].is_ascii_whitespace() {
-                i += 1;
-            }
-            if out.get(i) == Some(&b'#') {
-                if let Some(end) = attribute_end(out, i) {
-                    i = end;
-                    continue;
-                }
-            }
-            break;
-        }
-        if out[i..].starts_with(b"pub") {
-            i += 3;
-            while i < out.len() && out[i].is_ascii_whitespace() {
-                i += 1;
-            }
-            if out.get(i) == Some(&b'(') {
-                if let Some(close) = find_byte(out, b')', i) {
-                    i = close + 1;
-                }
-                while i < out.len() && out[i].is_ascii_whitespace() {
-                    i += 1;
-                }
-            }
-        }
-        let is_mod =
-            out[i..].starts_with(b"mod") && out.get(i + 3).is_some_and(|b| b.is_ascii_whitespace());
-        if !is_mod {
-            continue;
-        }
-        let Some(open) = find_byte(out, b'{', i) else {
-            // `#[cfg(test)] mod tests;` — out-of-line module, nothing to
-            // blank here (the file itself is not under a scanned src root).
-            continue;
-        };
-        let mut depth = 0usize;
-        let mut j = open;
-        while j < out.len() {
-            match out[j] {
-                b'{' => depth += 1,
-                b'}' => {
-                    depth -= 1;
-                    if depth == 0 {
-                        break;
-                    }
-                }
-                _ => {}
-            }
-            j += 1;
-        }
-        let end = (j + 1).min(out.len());
-        blank(out, pos, end);
-        regions.push((pos, end));
-        from = end;
-    }
-    regions
+/// True when `toks[at]` is the punctuation `p`.
+pub(crate) fn is_punct(toks: &[Tok], at: usize, p: u8) -> bool {
+    toks.get(at).is_some_and(|t| t.kind == TokKind::Punct(p))
 }
 
-/// If a `#[cfg(PRED)]` attribute whose predicate is test-gated starts at
-/// `pos`, returns the attribute's end offset (past the `]`).
-fn parse_test_cfg_attr(bytes: &[u8], pos: usize) -> Option<usize> {
-    debug_assert_eq!(bytes[pos], b'#');
-    let mut i = pos + 1;
-    while bytes.get(i).is_some_and(u8::is_ascii_whitespace) {
-        i += 1;
-    }
-    if bytes.get(i) != Some(&b'[') {
-        return None;
-    }
-    let end = attribute_end(bytes, pos)?;
-    let inner = &bytes[i + 1..end - 1];
-    let toks: Vec<AttrTok<'_>> = attr_tokens(inner).collect();
-    if toks.first() != Some(&AttrTok::Ident("cfg")) || toks.get(1) != Some(&AttrTok::Open) {
-        return None;
-    }
-    is_test_predicate(&toks[2..]).then_some(end)
-}
-
-/// End offset (past `]`) of the `#[…]` attribute starting at `pos`, if the
-/// brackets balance.
-fn attribute_end(bytes: &[u8], pos: usize) -> Option<usize> {
-    let mut i = pos + 1;
-    while bytes.get(i).is_some_and(u8::is_ascii_whitespace) {
-        i += 1;
-    }
-    if bytes.get(i) != Some(&b'[') {
-        return None;
-    }
+/// Index of the token closing the `open`…`close` group that the token at
+/// `from` opens, if it is closed before the end.
+pub(crate) fn group_end(toks: &[Tok], from: usize, open: u8, close: u8) -> Option<usize> {
     let mut depth = 0usize;
-    while i < bytes.len() {
-        match bytes[i] {
-            b'[' => depth += 1,
-            b']' => {
-                depth -= 1;
-                if depth == 0 {
-                    return Some(i + 1);
-                }
+    for (k, t) in toks.iter().enumerate().skip(from) {
+        if t.kind == TokKind::Punct(open) {
+            depth += 1;
+        } else if t.kind == TokKind::Punct(close) {
+            depth = depth.checked_sub(1)?;
+            if depth == 0 {
+                return Some(k);
             }
-            _ => {}
         }
-        i += 1;
     }
     None
 }
 
-/// Minimal token kinds needed to classify a `cfg` predicate.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum AttrTok<'a> {
-    Ident(&'a str),
-    Open,
-    Close,
-    Other,
-}
-
-fn attr_tokens(bytes: &[u8]) -> impl Iterator<Item = AttrTok<'_>> {
-    let mut i = 0;
-    std::iter::from_fn(move || {
-        while bytes.get(i).is_some_and(u8::is_ascii_whitespace) {
-            i += 1;
-        }
-        let b = *bytes.get(i)?;
-        if b.is_ascii_alphabetic() || b == b'_' {
-            let start = i;
-            while bytes.get(i).is_some_and(|&b| is_ident_byte(b)) {
-                i += 1;
-            }
-            let text = std::str::from_utf8(&bytes[start..i]).ok()?;
-            Some(AttrTok::Ident(text))
-        } else {
-            i += 1;
-            match b {
-                b'(' => Some(AttrTok::Open),
-                b')' => Some(AttrTok::Close),
-                _ => Some(AttrTok::Other),
-            }
-        }
-    })
-}
-
-/// Decides whether a `cfg` predicate (tokens after `cfg(`) is only true in
-/// test builds: a bare `test`, or `all(…)` with a test-gated conjunct
-/// (recursively, so `all(feature = "x", all(test))` masks too).
-/// `not(…)`/`any(…)` predicates can hold outside tests, so they never mask.
-fn is_test_predicate(toks: &[AttrTok<'_>]) -> bool {
-    fn pred_is_test_gated(toks: &[AttrTok<'_>], at: &mut usize) -> bool {
-        let head = toks.get(*at).copied();
-        *at += 1;
-        let Some(AttrTok::Ident(name)) = head else {
-            // A literal or stray punctuation: skip to the conjunct boundary.
-            return false;
+/// Byte regions of every test-gated `#[cfg(…)] mod name { … }` module, found
+/// on the full token stream. Library rules apply to shipping code only;
+/// unit tests may use wall clocks or `unwrap` freely. Further attributes
+/// and a `pub(…)` visibility may sit between the attribute and `mod`; an
+/// out-of-line `mod tests;` has no body here and hides nothing. The
+/// attribute is read at token level, so `#[ cfg ( test ) ]` and
+/// `#[cfg(all(test, feature = "…"))]` both count, while
+/// `#[cfg(not(test))]` and `#[cfg(any(test, …))]` (both compiled outside
+/// test builds) do not.
+fn test_regions(raw: &str, toks: &[Tok]) -> Vec<(usize, usize)> {
+    let is_word = |at: usize, w: &str| {
+        toks.get(at)
+            .is_some_and(|t| t.kind == TokKind::Ident && &raw[t.start..t.end] == w)
+    };
+    let attribute_end = |at: usize| {
+        (is_punct(toks, at, b'#') && is_punct(toks, at + 1, b'['))
+            .then(|| group_end(toks, at + 1, b'[', b']'))
+            .flatten()
+    };
+    let mut regions = Vec::new();
+    let mut k = 0;
+    while k < toks.len() {
+        let gated = attribute_end(k).filter(|&close| {
+            is_word(k + 2, "cfg")
+                && is_punct(toks, k + 3, b'(')
+                && is_test_predicate(raw, &toks[k + 4..close], &mut 0)
+        });
+        let Some(close) = gated else {
+            k += 1;
+            continue;
         };
-        if toks.get(*at) != Some(&AttrTok::Open) {
-            return name == "test";
+        let mut i = close + 1;
+        while let Some(end) = attribute_end(i) {
+            i = end + 1;
         }
-        // `name(…)` — walk the nested list, recursing only under `all`.
-        *at += 1;
-        let mut gated = false;
-        while let Some(t) = toks.get(*at) {
-            match t {
-                AttrTok::Close => {
-                    *at += 1;
-                    break;
-                }
-                AttrTok::Ident(_) => {
-                    if pred_is_test_gated(toks, at) && name == "all" {
-                        gated = true;
-                    }
-                }
-                AttrTok::Open => {
-                    // Unreachable in well-formed cfgs; consume to balance.
-                    *at += 1;
-                    skip_balanced(toks, at);
-                }
-                AttrTok::Other => *at += 1,
+        if is_word(i, "pub") {
+            i += 1;
+            if is_punct(toks, i, b'(') {
+                i = group_end(toks, i, b'(', b')').map_or(toks.len(), |c| c + 1);
             }
         }
-        gated
-    }
-
-    fn skip_balanced(toks: &[AttrTok<'_>], at: &mut usize) {
-        let mut depth = 1usize;
-        while let Some(t) = toks.get(*at) {
-            *at += 1;
-            match t {
-                AttrTok::Open => depth += 1,
-                AttrTok::Close => {
-                    depth -= 1;
-                    if depth == 0 {
-                        return;
-                    }
-                }
-                _ => {}
-            }
+        let body = is_word(i, "mod")
+            && toks.get(i + 1).is_some_and(|t| t.kind == TokKind::Ident)
+            && is_punct(toks, i + 2, b'{');
+        if !body {
+            k += 1;
+            continue;
         }
+        let end = group_end(toks, i + 2, b'{', b'}');
+        regions.push((toks[k].start, end.map_or(raw.len(), |c| toks[c].end)));
+        k = end.map_or(toks.len(), |c| c + 1);
     }
-
-    let mut at = 0;
-    pred_is_test_gated(toks, &mut at)
+    regions
 }
 
-fn find_byte(haystack: &[u8], needle: u8, from: usize) -> Option<usize> {
-    haystack[from..]
-        .iter()
-        .position(|&b| b == needle)
-        .map(|p| from + p)
+/// Decides whether the `cfg` predicate starting at `toks[*at]` (the tokens
+/// after `cfg(`) is only true in test builds: a bare `test`, or `all(…)`
+/// with a test-gated conjunct (recursively, so `all(feature = "x",
+/// all(test))` counts too). `not(…)`/`any(…)` predicates can hold outside
+/// tests, so they never count.
+fn is_test_predicate(raw: &str, toks: &[Tok], at: &mut usize) -> bool {
+    let head = toks.get(*at).copied();
+    *at += 1;
+    let Some(head) = head.filter(|t| t.kind == TokKind::Ident) else {
+        // A literal or stray punctuation: skip to the conjunct boundary.
+        return false;
+    };
+    let name = &raw[head.start..head.end];
+    if !is_punct(toks, *at, b'(') {
+        return name == "test";
+    }
+    // `name(…)` — walk the nested list, recursing only under `all`.
+    *at += 1;
+    let mut gated = false;
+    while let Some(t) = toks.get(*at) {
+        match t.kind {
+            TokKind::Punct(b')') => {
+                *at += 1;
+                break;
+            }
+            TokKind::Ident => {
+                if is_test_predicate(raw, toks, at) && name == "all" {
+                    gated = true;
+                }
+            }
+            // Unreachable in well-formed cfgs; consume to balance.
+            TokKind::Punct(b'(') => {
+                *at = group_end(toks, *at, b'(', b')').map_or(toks.len(), |c| c + 1);
+            }
+            _ => *at += 1,
+        }
+    }
+    gated
 }
 
 /// Parses one line comment into a directive if it carries the marker.
@@ -591,23 +697,37 @@ fn parse_directive(comment: &str, line: usize) -> Option<Directive> {
 mod tests {
     use super::*;
 
+    fn lexed(src: &str) -> SourceFile {
+        SourceFile::new("t.rs", src)
+    }
+
+    /// The code tokens' texts, one space apart.
+    fn code(f: &SourceFile) -> String {
+        let texts: Vec<&str> = f.tokens.iter().map(|t| f.text(t)).collect();
+        texts.join(" ")
+    }
+
     #[test]
     fn masks_comments_and_strings_preserving_lines() {
         let src = "let a = \"HashMap\"; // HashMap here\nlet b = 1;\n";
-        let m = mask(src);
-        assert_eq!(m.masked.len(), src.len());
-        assert!(!m.masked.contains("HashMap"));
-        assert!(m.masked.contains("let b = 1;"));
-        assert_eq!(m.masked.matches('\n').count(), 2);
+        let m = lexed(src);
+        assert!(!code(&m).contains("HashMap"));
+        assert_eq!(code(&m), "let a = ; let b = 1 ;");
+        assert_eq!((m.comments.len(), m.literals.len()), (1, 1));
+        let b = m.tokens.iter().find(|t| m.text(t) == "b").unwrap();
+        assert_eq!(m.line_of(b.start), 2);
     }
 
     #[test]
     fn masks_raw_strings_and_chars_keeps_lifetimes() {
         let src = "fn f<'a>(x: &'a str) { let c = 'x'; let r = r#\"Instant\"#; }";
-        let m = mask(src);
-        assert!(!m.masked.contains("Instant"));
-        assert!(m.masked.contains("fn f<'a>(x: &'a str)"));
-        assert!(!m.masked.contains("'x'"));
+        let m = lexed(src);
+        assert!(!code(&m).contains("Instant"));
+        assert!(code(&m).starts_with("fn f < 'a > ( x : & 'a str )"));
+        assert!(!code(&m).contains("'x'"));
+        assert_eq!(m.literals.len(), 2);
+        let lifetimes = m.tokens.iter().filter(|t| t.kind == TokKind::Lifetime);
+        assert_eq!(lifetimes.count(), 2);
     }
 
     /// Escaped char literals must end exactly at their closing quote.
@@ -617,31 +737,38 @@ mod tests {
     #[test]
     fn escaped_char_literals_do_not_invert_parity() {
         let src = "match b {\n    b'\\\\' => 1,\n    b'\"' => 2,\n    '\\'' => 3,\n    '\\u{7f}' => 4,\n    _ => 5,\n}\nlet s = \"Instant\";\nfn after() {}\n";
-        let m = mask(src);
-        assert!(!m.masked.contains("Instant"), "string must stay masked");
-        assert!(m.masked.contains("fn after()"), "code must stay visible");
-        assert_eq!(m.masked.len(), src.len());
+        let m = lexed(src);
+        assert!(!code(&m).contains("Instant"), "string must stay masked");
+        assert!(code(&m).contains("fn after ( )"), "code must stay visible");
     }
 
     #[test]
     fn masks_nested_block_comments() {
-        let m = mask("/* outer /* SystemTime */ still */ let x = 1;");
-        assert!(!m.masked.contains("SystemTime"));
-        assert!(m.masked.contains("let x = 1;"));
+        let m = lexed("/* outer /* SystemTime */ still */ let x = 1;");
+        assert!(!code(&m).contains("SystemTime"));
+        assert_eq!(code(&m), "let x = 1 ;");
     }
 
     #[test]
     fn masks_cfg_test_modules() {
         let src = "fn lib() {}\n#[cfg(test)]\nmod tests {\n    fn t() { let m = HashMap::new(); }\n}\nfn after() {}\n";
-        let m = mask(src);
-        assert!(!m.masked.contains("HashMap"));
-        assert!(m.masked.contains("fn lib()"));
-        assert!(m.masked.contains("fn after()"));
+        let m = lexed(src);
+        assert!(!code(&m).contains("HashMap"));
+        assert!(code(&m).contains("fn lib ( )"));
+        assert!(code(&m).contains("fn after ( )"));
+    }
+
+    #[test]
+    fn out_of_line_test_module_hides_nothing() {
+        let src = "#[cfg(test)]\nmod tests;\npub fn hot() { let m = HashMap::new(); }\n";
+        let m = lexed(src);
+        assert!(m.test_regions.is_empty(), "{:?}", m.test_regions);
+        assert!(code(&m).contains("HashMap"));
     }
 
     #[test]
     fn parses_well_formed_waiver() {
-        let m = mask("let x = 1; // hcperf-lint: allow(float-eq): exact sentinel\n");
+        let m = lexed("let x = 1; // hcperf-lint: allow(float-eq): exact sentinel\n");
         assert_eq!(
             m.waivers,
             vec![Waiver {
@@ -659,7 +786,7 @@ mod tests {
             "// hcperf-lint: allow(no-such-rule): why\n", // unknown rule
             "// hcperf-lint: disallow(float-eq): why\n",  // wrong verb
         ] {
-            let m = mask(bad);
+            let m = lexed(bad);
             assert_eq!(m.waivers.len(), 1, "{bad:?}");
             assert_eq!(m.waivers[0].rule, None, "{bad:?}");
         }
@@ -667,7 +794,7 @@ mod tests {
 
     #[test]
     fn doc_comments_never_carry_waivers() {
-        let m = mask("/// hcperf-lint: allow(float-eq): prose, not a directive\nfn f() {}\n//! hcperf-lint: allow(entropy)\n");
+        let m = lexed("/// hcperf-lint: allow(float-eq): prose, not a directive\nfn f() {}\n//! hcperf-lint: allow(entropy)\n");
         assert!(m.waivers.is_empty());
     }
 
@@ -684,8 +811,8 @@ mod tests {
             "#[cfg(test)]\npub(crate) mod tests { use std::collections::HashMap; }\n",
         ];
         for src in hits {
-            let m = mask(src);
-            assert!(!m.masked.contains("HashMap"), "should mask: {src}");
+            let m = lexed(src);
+            assert!(!code(&m).contains("HashMap"), "should mask: {src}");
             assert_eq!(m.test_regions.len(), 1, "{src}");
         }
     }
@@ -700,8 +827,8 @@ mod tests {
             "#[cfg(all(not(test), feature = \"x\"))]\nmod shipping { use std::collections::HashMap; }\n",
         ];
         for src in misses {
-            let m = mask(src);
-            assert!(m.masked.contains("HashMap"), "must NOT mask: {src}");
+            let m = lexed(src);
+            assert!(code(&m).contains("HashMap"), "must NOT mask: {src}");
             assert!(m.test_regions.is_empty(), "{src}");
         }
     }
@@ -714,7 +841,7 @@ fn dispatch() {}
 // hcperf-lint: hot-path-root: called once per dispatch
 fn rank() {}
 ";
-        let m = mask(src);
+        let m = lexed(src);
         assert!(m.waivers.is_empty(), "{:?}", m.waivers);
         assert_eq!(m.hot_path_roots, vec![1, 3]);
     }
@@ -727,7 +854,7 @@ fn record() {}
 // hcperf-lint: det-sanitizer(index-tagged-merge): submission-order merge
 fn collect_ordered() {}
 ";
-        let m = mask(src);
+        let m = lexed(src);
         assert!(m.waivers.is_empty(), "{:?}", m.waivers);
         assert_eq!(m.det_sinks, vec![(1, "harness-jsonl".to_owned())]);
         assert_eq!(m.det_sanitizers, vec![(3, "index-tagged-merge".to_owned())]);
@@ -742,7 +869,7 @@ fn collect_ordered() {}
             "// hcperf-lint: det-sinks(name)\nfn f() {}\n", // wrong keyword
             "// hcperf-lint: det-sanitizer\nfn f() {}\n", // no name
         ] {
-            let m = mask(bad);
+            let m = lexed(bad);
             assert_eq!(m.waivers.len(), 1, "{bad:?}");
             assert_eq!(m.waivers[0].rule, None, "{bad:?}");
             assert!(m.det_sinks.is_empty(), "{bad:?}");
@@ -752,7 +879,7 @@ fn collect_ordered() {}
 
     #[test]
     fn misspelled_root_marker_is_malformed() {
-        let m = mask("// hcperf-lint: hot-path-roots\nfn f() {}\n");
+        let m = lexed("// hcperf-lint: hot-path-roots\nfn f() {}\n");
         assert_eq!(m.waivers.len(), 1);
         assert_eq!(m.waivers[0].rule, None);
         assert!(m.hot_path_roots.is_empty());
@@ -761,10 +888,28 @@ fn collect_ordered() {}
     #[test]
     fn comment_spans_cover_doc_and_block_comments() {
         let src = "/// Eq. 6 quadrature.\nfn f() { /* Eq. 9 */ }\n// tail\n";
-        let m = mask(src);
-        assert_eq!(m.comment_spans.len(), 3);
-        let texts: Vec<&str> = m.comment_spans.iter().map(|&(a, b)| &src[a..b]).collect();
+        let m = lexed(src);
+        assert_eq!(m.comments.len(), 3);
+        let texts: Vec<&str> = m.comments.iter().map(|&(a, b)| &src[a..b]).collect();
         assert_eq!(texts[0], "/// Eq. 6 quadrature.");
         assert_eq!(texts[1], "/* Eq. 9 */");
+    }
+
+    #[test]
+    fn numbers_keep_suffixes_exponents_and_range_dots() {
+        let m = lexed("a(1.5e-3f64, 0x1f, 1_000); for i in 0..n {} x.0.1");
+        assert_eq!(
+            code(&m),
+            "a ( 1.5e-3f64 , 0x1f , 1_000 ) ; for i in 0 . . n { } x . 0.1"
+        );
+    }
+
+    #[test]
+    fn patterns_match_token_sequences_only() {
+        let m = lexed("std::thread::sleep(d); recollect(); xs.collect(); a.clone ();");
+        let at = |p: &'static str| m.find(&Pattern::new(p), (0, m.raw.len()));
+        assert_eq!(at("thread::sleep"), vec![5]);
+        assert_eq!(at("collect").len(), 1, "not inside `recollect`");
+        assert_eq!(at(".clone(").len(), 1, "whitespace between tokens is free");
     }
 }

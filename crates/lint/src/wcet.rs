@@ -41,11 +41,11 @@ use std::collections::BTreeMap;
 use std::io;
 
 use crate::callgraph::CallGraph;
-use crate::parse::{LineIndex, LoopClass};
+use crate::parse::LoopClass;
 use crate::ratchet::{Key, Ratchet, WCET};
 use crate::report::{json_escape, render_findings, Artifact, Finding, ModeReport, Rule};
-use crate::source::{waiver_for, word_offsets};
-use crate::workspace::{SourceFile, Workspace};
+use crate::source::{waiver_for, Pattern, SourceFile};
+use crate::workspace::Workspace;
 
 /// Workspace-relative path of the certificate ratchet file.
 pub const CERT_PATH: &str = "crates/lint/wcet_certificates.txt";
@@ -409,9 +409,10 @@ impl Eff {
 /// Core analysis over already-loaded sources and their hot-path graph,
 /// before any certificate comparison (separated from [`run_wcet`] so
 /// tests can drive it with synthetic files).
-pub(crate) fn analyze(sources: &[SourceFile], graph: &CallGraph) -> WcetReport {
+pub(crate) fn analyze(sources: &[&SourceFile], graph: &CallGraph) -> WcetReport {
     let reachable = graph.reachable_from_roots();
-    let by_rel: BTreeMap<&str, &SourceFile> = sources.iter().map(|s| (s.rel.as_str(), s)).collect();
+    let by_rel: BTreeMap<&str, &SourceFile> =
+        sources.iter().map(|s| (s.rel.as_str(), *s)).collect();
 
     let mut findings = Vec::new();
     let mut waived = Vec::new();
@@ -433,20 +434,18 @@ pub(crate) fn analyze(sources: &[SourceFile], graph: &CallGraph) -> WcetReport {
                     stats.input_bounded += 1;
                     Eff::Input
                 }
-                LoopClass::Unknown => {
-                    match waiver_for(&src.masked.waivers, Rule::WcetUnbounded, l.line) {
-                        Some(reason) => {
-                            stats.waived += 1;
-                            waived.push(loop_finding(node, l, src, Some(reason)));
-                            Eff::Input
-                        }
-                        None => {
-                            stats.unbounded += 1;
-                            findings.push(loop_finding(node, l, src, None));
-                            Eff::Unbounded
-                        }
+                LoopClass::Unknown => match waiver_for(&src.waivers, Rule::WcetUnbounded, l.line) {
+                    Some(reason) => {
+                        stats.waived += 1;
+                        waived.push(loop_finding(node, l, src, Some(reason)));
+                        Eff::Input
                     }
-                }
+                    None => {
+                        stats.unbounded += 1;
+                        findings.push(loop_finding(node, l, src, None));
+                        Eff::Unbounded
+                    }
+                },
             };
             classes.push(e);
         }
@@ -536,15 +535,15 @@ pub(crate) fn analyze(sources: &[SourceFile], graph: &CallGraph) -> WcetReport {
     }
 
     // 4. Blocking surface over the reachable set.
+    let blocking = Pattern::all(&BLOCKING_PATTERNS);
     for &i in &reachable {
         let node = &graph.nodes[i];
         let Some(body) = node.body else { continue };
         let src = by_rel[node.path.as_str()];
-        let lines = LineIndex::new(&src.masked.masked);
-        for pat in BLOCKING_PATTERNS {
-            for at in word_offsets(&src.masked.masked, body, pat) {
-                let line = lines.line_of(at);
-                let construct = pat.trim_matches(|c| c == '.' || c == '(');
+        for pat in &blocking {
+            for at in src.find(pat, body) {
+                let line = src.line_of(at);
+                let construct = pat.text.trim_matches(|c| c == '.' || c == '(');
                 let f = src.finding(
                     Rule::HotPathBlocking,
                     line,
@@ -555,7 +554,7 @@ pub(crate) fn analyze(sources: &[SourceFile], graph: &CallGraph) -> WcetReport {
                         node.qualified()
                     ),
                 );
-                match waiver_for(&src.masked.waivers, Rule::HotPathBlocking, line) {
+                match waiver_for(&src.waivers, Rule::HotPathBlocking, line) {
                     Some(reason) => waived.push(Finding {
                         waived: Some(reason),
                         ..f
@@ -648,11 +647,12 @@ fn loop_finding(
 ///
 /// Propagates certificate read and format problems.
 pub fn run_wcet(ws: &Workspace, against_baseline: bool) -> io::Result<WcetReport> {
-    let mut report = analyze(&ws.core, ws.hot_graph());
+    let core = ws.core();
+    let mut report = analyze(&core, ws.hot_graph());
     if against_baseline {
         let cmp = WCET.compare(&report.rows(), &WCET.load(&ws.root)?);
         let by_rel: BTreeMap<&str, &SourceFile> =
-            ws.core.iter().map(|s| (s.rel.as_str(), s)).collect();
+            core.iter().map(|s| (s.rel.as_str(), *s)).collect();
         for g in &cmp.growth {
             let row = (report.certs.iter()).find(|c| g.key == [c.name.as_str(), c.path.as_str()]);
             let (path, line, what) = row.and_then(|c| c.witness.as_ref()).map_or_else(
@@ -685,14 +685,14 @@ pub fn run_wcet(ws: &Workspace, against_baseline: bool) -> io::Result<WcetReport
 mod tests {
     use super::*;
     use crate::ratchet::tests::{key, rejects, round_trip};
-    use crate::workspace::hot_graph;
 
     fn src_file(rel: &str, raw: &str) -> SourceFile {
         SourceFile::new(rel, raw)
     }
 
     fn analyze_files(files: &[SourceFile]) -> WcetReport {
-        analyze(files, &hot_graph(files))
+        let files: Vec<&SourceFile> = files.iter().collect();
+        analyze(&files, &CallGraph::of(&files))
     }
 
     #[test]

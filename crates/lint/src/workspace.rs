@@ -7,10 +7,10 @@ use std::io;
 use std::path::{Path, PathBuf};
 
 use crate::callgraph::CallGraph;
-use crate::parse::parse_file;
 use crate::ratchet::{Key, Ratchet, UNWRAP};
-use crate::report::{exit, findings_json, render_findings, Artifact, Finding, ModeReport, Rule};
+use crate::report::{exit, findings_json, render_findings, Artifact, Finding, ModeReport};
 use crate::rules::{scan, RuleSet};
+use crate::source::SourceFile;
 
 /// Crates whose simulation results must be bit-reproducible: every rule
 /// family applies to their `src/` trees.
@@ -36,133 +36,155 @@ pub const WALL_CLOCK_ONLY_ROOTS: [&str; 3] = ["crates/cli/src", "crates/lint/src
 /// replaying the log would forfeit the crash-safety it exists to give.
 pub const RATCHET_ONLY_ROOTS: [&str; 2] = ["crates/harness/src", "crates/store/src"];
 
+/// Roots `--det-flow` scans *in addition to* [`DETERMINISTIC_CRATES`]: the
+/// sinks live in the harness/store/cli/bench layers. These are optional so
+/// fixture workspaces without every crate still analyze.
+pub const DET_FLOW_ROOTS: [&str; 5] = [
+    "crates/harness/src",
+    "crates/store/src",
+    "crates/cli/src",
+    "crates/bench/src",
+    "src",
+];
+
+/// Per-crate `tests/` trees and the umbrella integration tests, which
+/// `--eq-coverage` scans as test sites alongside `#[cfg(test)]` modules
+/// inside `src/`. Optional, like [`DET_FLOW_ROOTS`].
+pub const TEST_ROOTS: [&str; 7] = [
+    "crates/taskgraph/tests",
+    "crates/rtsim/tests",
+    "crates/control/tests",
+    "crates/vehicle/tests",
+    "crates/scenarios/tests",
+    "crates/core/tests",
+    "tests",
+];
+
 /// Workspace-relative path of the checked-in ratchet baseline.
 pub const BASELINE_PATH: &str = "crates/lint/unwrap_baseline.txt";
 
-/// One loaded source file: raw text plus its masking products.
-#[derive(Debug)]
-pub struct SourceFile {
-    /// Workspace-relative path with `/` separators.
-    pub rel: String,
-    /// Raw file contents.
-    pub raw: String,
-    /// Masked text, waivers, root markers, comment spans, test regions.
-    pub masked: crate::source::MaskedFile,
-}
-
-impl SourceFile {
-    /// Masks `raw` as the file at workspace-relative `rel`.
-    #[must_use]
-    pub fn new(rel: &str, raw: &str) -> Self {
-        SourceFile {
-            rel: rel.to_owned(),
-            raw: raw.to_owned(),
-            masked: crate::source::mask(raw),
-        }
-    }
-
-    /// The trimmed raw text of 1-based `line` (empty past the end).
-    #[must_use]
-    pub fn snippet(&self, line: usize) -> String {
-        self.raw
-            .lines()
-            .nth(line - 1)
-            .map_or("", str::trim)
-            .to_owned()
-    }
-
-    /// An unwaived finding anchored at `line` of this file.
-    #[must_use]
-    pub fn finding(&self, rule: Rule, line: usize, message: String) -> Finding {
-        Finding {
-            rule,
-            path: self.rel.clone(),
-            line,
-            snippet: self.snippet(line),
-            message,
-            waived: None,
-            chain: Vec::new(),
-        }
-    }
-}
-
-/// The workspace as loaded once per invocation: the deterministic crates
-/// every mode reads, and the hot-path call graph `--hot-path` and
-/// `--wcet` share, built on first use.
+/// The workspace as loaded once per invocation. Each source root is read
+/// and lexed at most once, on first request, however many modes and root
+/// sets name it; each file's parse is cached on its [`SourceFile`], and
+/// the hot-path call graph `--hot-path` and `--wcet` share is built on
+/// first use.
 #[derive(Debug)]
 pub struct Workspace {
     /// Workspace root.
     pub root: PathBuf,
-    /// Sources under [`DETERMINISTIC_CRATES`], in load order.
-    pub core: Vec<SourceFile>,
+    /// Per source root: its files in sorted order, `None` when the
+    /// directory does not exist.
+    trees: BTreeMap<&'static str, OnceCell<Option<Vec<SourceFile>>>>,
     hot_graph: OnceCell<CallGraph>,
 }
 
 impl Workspace {
-    /// Loads and masks the deterministic crates under `root`.
+    /// Opens the workspace under `root` and loads the deterministic
+    /// crates, which every mode reads.
     ///
     /// # Errors
     ///
     /// Propagates I/O failures; a missing crate source tree is an error.
     pub fn load(root: &Path) -> io::Result<Self> {
-        Ok(Workspace {
+        let sets = [
+            &DETERMINISTIC_CRATES[..],
+            &WALL_CLOCK_ONLY_ROOTS,
+            &RATCHET_ONLY_ROOTS,
+            &DET_FLOW_ROOTS,
+            &TEST_ROOTS,
+        ];
+        let ws = Workspace {
             root: root.to_path_buf(),
-            core: load_sources(root, &DETERMINISTIC_CRATES, true)?,
+            trees: sets
+                .concat()
+                .into_iter()
+                .map(|r| (r, OnceCell::new()))
+                .collect(),
             hot_graph: OnceCell::new(),
-        })
+        };
+        ws.files(&DETERMINISTIC_CRATES, true)?;
+        Ok(ws)
+    }
+
+    /// Every file under the given roots, root by root, each root's files
+    /// in sorted order. Roots not loaded yet are read and lexed now, in
+    /// one parallel batch. When `required`, every root must exist;
+    /// otherwise absent roots are skipped.
+    ///
+    /// # Errors
+    ///
+    /// Propagates I/O failures; a missing required root is an error.
+    pub fn files(&self, roots: &[&'static str], required: bool) -> io::Result<Vec<&SourceFile>> {
+        let cell = |r: &str| &self.trees[r];
+        let missing: Vec<&str> = (roots.iter().copied())
+            .filter(|r| cell(r).get().is_none())
+            .collect();
+        for (r, tree) in missing.iter().zip(load_sources(&self.root, &missing)?) {
+            let _ = cell(r).set(tree);
+        }
+        let mut out = Vec::new();
+        for r in roots {
+            match cell(r).get().and_then(Option::as_ref) {
+                Some(tree) => out.extend(tree),
+                None if required => {
+                    return Err(io::Error::new(
+                        io::ErrorKind::NotFound,
+                        format!("expected source tree at {}", self.root.join(r).display()),
+                    ));
+                }
+                None => {}
+            }
+        }
+        Ok(out)
+    }
+
+    /// The sources under [`DETERMINISTIC_CRATES`], in load order.
+    #[must_use]
+    pub fn core(&self) -> Vec<&SourceFile> {
+        self.files(&DETERMINISTIC_CRATES, true).unwrap_or_default()
     }
 
     /// The call graph over [`Workspace::core`] with `hot-path-root`
     /// markers attached.
     pub fn hot_graph(&self) -> &CallGraph {
-        self.hot_graph.get_or_init(|| hot_graph(&self.core))
+        self.hot_graph.get_or_init(|| CallGraph::of(&self.core()))
     }
 }
 
-/// Builds the hot-path call graph over `sources`.
-#[must_use]
-pub(crate) fn hot_graph(sources: &[SourceFile]) -> CallGraph {
-    CallGraph::build(&crate::par::map(sources, |s| parse_file(&s.rel, &s.masked)))
-}
-
-/// Loads and masks every `.rs` file under the given workspace-relative
-/// roots, in sorted order per root. When `required`, every root must
-/// exist; otherwise (per-crate `tests/` dirs) absent roots are skipped.
+/// Reads every `.rs` file under each workspace-relative root (`None` for
+/// an absent root) and lexes them all in one parallel batch, each root's
+/// files in sorted order.
 ///
 /// # Errors
 ///
-/// Propagates I/O failures; a missing required root is an error.
-pub fn load_sources(
-    root: &Path,
-    rel_roots: &[&str],
-    required: bool,
-) -> io::Result<Vec<SourceFile>> {
-    let mut out = Vec::new();
+/// Propagates I/O failures.
+fn load_sources(root: &Path, rel_roots: &[&str]) -> io::Result<Vec<Option<Vec<SourceFile>>>> {
+    let mut files = Vec::new();
+    let mut counts = Vec::new();
     for rel_root in rel_roots {
         let dir = root.join(rel_root);
         if !dir.is_dir() {
-            if required {
-                return Err(io::Error::new(
-                    io::ErrorKind::NotFound,
-                    format!("expected source tree at {}", dir.display()),
-                ));
-            }
+            counts.push(None);
             continue;
         }
-        for path in rust_files(&dir)? {
+        let paths = rust_files(&dir)?;
+        counts.push(Some(paths.len()));
+        for path in paths {
             let rel = path
                 .strip_prefix(root)
                 .unwrap_or(&path)
                 .to_string_lossy()
                 .replace('\\', "/");
-            out.push((rel, fs::read_to_string(&path)?));
+            files.push((rel, fs::read_to_string(&path)?));
         }
     }
-    // Masking is the expensive per-file step; fan it out. `par::map`
+    // Lexing is the expensive per-file step; fan it out. `par::map`
     // reassembles by index, so the (sorted) load order is preserved.
-    Ok(crate::par::map(&out, |(rel, raw)| {
-        SourceFile::new(rel, raw)
-    }))
+    let mut lexed = crate::par::map(&files, |(rel, raw)| SourceFile::new(rel, raw)).into_iter();
+    Ok(counts
+        .into_iter()
+        .map(|n| n.map(|n| lexed.by_ref().take(n).collect()))
+        .collect())
 }
 
 /// Recursively collects `.rs` files under `dir`, sorted for reproducible
@@ -274,8 +296,9 @@ impl ModeReport for LintReport {
 ///
 /// Propagates I/O failures and baseline-format problems.
 pub fn run_source_lint(ws: &Workspace, against_baseline: bool) -> io::Result<LintReport> {
-    let wall_clock = load_sources(&ws.root, &WALL_CLOCK_ONLY_ROOTS, true)?;
-    let ratchet_only = load_sources(&ws.root, &RATCHET_ONLY_ROOTS, true)?;
+    let core = ws.core();
+    let wall_clock = ws.files(&WALL_CLOCK_ONLY_ROOTS, true)?;
+    let ratchet_only = ws.files(&RATCHET_ONLY_ROOTS, true)?;
     let mut report = LintReport {
         findings: Vec::new(),
         waived: Vec::new(),
@@ -285,7 +308,7 @@ pub fn run_source_lint(ws: &Workspace, against_baseline: bool) -> io::Result<Lin
     };
     let mut counts = BTreeMap::new();
     for (files, rules) in [
-        (&ws.core, RuleSet::FULL),
+        (&core, RuleSet::FULL),
         (&wall_clock, RuleSet::WALL_CLOCK_ONLY),
         (&ratchet_only, RuleSet::RATCHET_ONLY),
     ] {

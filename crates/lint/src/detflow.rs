@@ -67,7 +67,7 @@ use std::io;
 use crate::callgraph::CallGraph;
 use crate::ratchet::{self, status, Ratchet, DET_FLOW};
 use crate::report::{json_escape, render_findings, Artifact, Finding, Hop, ModeReport, Rule};
-use crate::source::{waiver_for, Pattern, SourceFile};
+use crate::source::{waiver_for, PatternSet, SourceFile};
 use crate::workspace::{Workspace, DET_FLOW_ROOTS};
 
 /// Checked-in per-sink certificate file, ratcheted like the WCET file.
@@ -339,11 +339,11 @@ pub(crate) fn analyze(sources: &[&SourceFile]) -> DetFlowReport {
     let graph = CallGraph::of(sources);
     let by_rel: BTreeMap<&str, &SourceFile> =
         sources.iter().map(|s| (s.rel.as_str(), *s)).collect();
-    let source_pats: Vec<(Pattern, TaintKind)> = SOURCES
-        .iter()
-        .map(|&(p, kind)| (Pattern::new(p), kind))
+    // One table: the sources in `SOURCES` order, then the sanitizers.
+    let texts: Vec<&'static str> = (SOURCES.iter().map(|&(p, _)| p))
+        .chain(SANITIZERS.iter().copied())
         .collect();
-    let sanitizers = Pattern::all(SANITIZERS);
+    let patterns = PatternSet::new(&texts);
 
     let mut findings = Vec::new();
     let mut waived = Vec::new();
@@ -406,32 +406,33 @@ pub(crate) fn analyze(sources: &[&SourceFile]) -> DetFlowReport {
             events.push(evs);
             continue;
         }
-        for (pattern, kind) in &source_pats {
-            let (pat, kind) = (pattern.text, *kind);
+        // One walk over the body's tokens; the hits are then taken
+        // pattern by pattern, offsets ascending, as `SOURCES` and
+        // `SANITIZERS` list them (the order waivers are reported in).
+        let mut hits = src.find_any(&patterns, body);
+        hits.sort_unstable();
+        for (i, at) in hits {
+            let Some(&(pat, kind)) = SOURCES.get(i) else {
+                evs.push((at, Ev::Clean));
+                continue;
+            };
             if source_exempt(&node.path, kind) {
                 continue;
             }
-            for at in src.find(pattern, body) {
-                let line = src.line_of(at);
-                match waiver_for(&src.waivers, Rule::DetFlow, line) {
-                    Some(reason) => waived.push(Finding {
-                        waived: Some(reason),
-                        ..src.finding(
-                            Rule::DetFlow,
-                            line,
-                            format!(
-                                "nondeterminism source `{pat}` ({}) waived at the site",
-                                kind.describe()
-                            ),
-                        )
-                    }),
-                    None => evs.push((at, Ev::Source { line, pat, kind })),
-                }
-            }
-        }
-        for pat in &sanitizers {
-            for at in src.find(pat, body) {
-                evs.push((at, Ev::Clean));
+            let line = src.line_of(at);
+            match waiver_for(&src.waivers, Rule::DetFlow, line) {
+                Some(reason) => waived.push(Finding {
+                    waived: Some(reason),
+                    ..src.finding(
+                        Rule::DetFlow,
+                        line,
+                        format!(
+                            "nondeterminism source `{pat}` ({}) waived at the site",
+                            kind.describe()
+                        ),
+                    )
+                }),
+                None => evs.push((at, Ev::Source { line, pat, kind })),
             }
         }
         for se in &graph.sites[i] {

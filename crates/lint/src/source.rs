@@ -19,9 +19,12 @@
 //!
 //! Rule patterns ([`Pattern`]) are token sequences lexed by the same lexer,
 //! so `collect` cannot match inside `recollect` and `thread::sleep` matches
-//! `std::thread::sleep`. Every offset is a byte offset into the raw text,
-//! on a char boundary.
+//! `std::thread::sleep`. A [`PatternSet`] indexes a rule table by each
+//! pattern's first token, so one walk over a body matches the whole
+//! table. Every offset is a byte offset into the raw text, on a char
+//! boundary.
 
+use std::collections::BTreeMap;
 use std::sync::OnceLock;
 
 use crate::parse::{parse_file, ParsedFile};
@@ -113,6 +116,31 @@ impl Pattern {
     #[must_use]
     pub fn all(texts: &[&'static str]) -> Vec<Pattern> {
         texts.iter().map(|t| Pattern::new(t)).collect()
+    }
+}
+
+/// A rule table indexed by each pattern's first token, so one walk over a
+/// token range matches every pattern ([`SourceFile::find_any`]).
+#[derive(Debug)]
+pub struct PatternSet {
+    /// The patterns, in table order.
+    pats: Vec<Pattern>,
+    /// Indices into `pats` by first token, ascending.
+    by_first: BTreeMap<&'static str, Vec<usize>>,
+}
+
+impl PatternSet {
+    /// Lexes and indexes a rule table.
+    #[must_use]
+    pub fn new(texts: &[&'static str]) -> Self {
+        let pats = Pattern::all(texts);
+        let mut by_first: BTreeMap<&'static str, Vec<usize>> = BTreeMap::new();
+        for (i, pat) in pats.iter().enumerate() {
+            if let Some(&first) = pat.toks.first() {
+                by_first.entry(first).or_default().push(i);
+            }
+        }
+        PatternSet { pats, by_first }
     }
 }
 
@@ -237,15 +265,43 @@ impl SourceFile {
     /// ascending.
     #[must_use]
     pub fn find(&self, pat: &Pattern, within: (usize, usize)) -> Vec<usize> {
-        let range = self.token_range(within);
-        let raw = self.raw.as_bytes();
-        let is =
-            |t: &Tok, p: &str| t.end - t.start == p.len() && raw[t.start..t.end] == *p.as_bytes();
-        self.tokens[range]
+        self.tokens[self.token_range(within)]
             .windows(pat.toks.len())
-            .filter(|w| w.iter().zip(&pat.toks).all(|(t, p)| is(t, p)))
+            .filter(|w| self.spells(w, pat))
             .map(|w| w[0].start)
             .collect()
+    }
+
+    /// Every match of every pattern of `set` inside the byte range
+    /// `within`, as `(pattern index, byte offset)` in offset order: the
+    /// matches [`SourceFile::find`] returns for each pattern, from one
+    /// walk over the tokens.
+    #[must_use]
+    pub fn find_any(&self, set: &PatternSet, within: (usize, usize)) -> Vec<(usize, usize)> {
+        let toks = &self.tokens[self.token_range(within)];
+        let mut hits = Vec::new();
+        for (i, t) in toks.iter().enumerate() {
+            let Some(ids) = set.by_first.get(&self.raw[t.start..t.end]) else {
+                continue;
+            };
+            for &id in ids {
+                let pat = &set.pats[id];
+                if toks
+                    .get(i..i + pat.toks.len())
+                    .is_some_and(|w| self.spells(w, pat))
+                {
+                    hits.push((id, t.start));
+                }
+            }
+        }
+        hits
+    }
+
+    /// Whether the tokens `w`, as many as `pat` has, spell `pat`.
+    fn spells(&self, w: &[Tok], pat: &Pattern) -> bool {
+        w.iter()
+            .zip(&pat.toks)
+            .all(|(t, p)| self.raw.as_bytes()[t.start..t.end] == *p.as_bytes())
     }
 
     /// The file's items, call sites and loops, parsed on first use.
@@ -911,5 +967,35 @@ fn collect_ordered() {}
         assert_eq!(at("thread::sleep"), vec![5]);
         assert_eq!(at("collect").len(), 1, "not inside `recollect`");
         assert_eq!(at(".clone(").len(), 1, "whitespace between tokens is free");
+    }
+
+    #[test]
+    fn pattern_sets_match_what_find_matches() {
+        let texts = [
+            ".recv(",
+            ".try_recv(",
+            "HashMap",
+            ".sort(",
+            "env::var(",
+            "env::vars(",
+        ];
+        let m = lexed(
+            "fn f(){ let h: HashMap<u8,u8>; rx.try_recv(); rx.recv(); v.sort(); \
+             env::var(\"A\"); env::vars(); rx . recv ( ) } // .recv(",
+        );
+        let set = PatternSet::new(&texts);
+        let whole = (0, m.raw.len());
+        let mut expect: Vec<(usize, usize)> = set
+            .pats
+            .iter()
+            .enumerate()
+            .flat_map(|(i, p)| m.find(p, whole).into_iter().map(move |at| (i, at)))
+            .collect();
+        expect.sort_by_key(|&(i, at)| (at, i));
+        assert_eq!(expect.len(), 7);
+        assert_eq!(m.find_any(&set, whole), expect);
+        // A match must fit inside the range: `.recv(` cut before its `(`.
+        let cut = m.raw.find("rx.recv").unwrap() + "rx.recv".len();
+        assert!(m.find_any(&set, (0, cut)).iter().all(|&(i, _)| i != 0));
     }
 }

@@ -32,6 +32,7 @@ pub mod event;
 pub mod fault;
 pub mod gantt;
 pub mod job;
+mod join;
 pub mod scheduler;
 pub mod sim;
 pub mod stats;

@@ -47,9 +47,19 @@
 //! The critical-point sweep visits up to `O(n²)` intervals but probes only
 //! a few of them: between probes it moves the ranking one crossing at a
 //! time in `O(1)` and skips every interval it can prove infeasible (see
-//! [`GammaSearch::CriticalPoints`]). Both strategies run on the same
-//! records; [`DynamicPriorityScheduler::search_counters`] counts probes,
-//! reused verdicts and skips.
+//! [`GammaSearch::CriticalPoints`]).
+//!
+//! When the first probe above γ = 0 fails (the ceiling under bisection,
+//! the top interval under the sweep), one job it finds late proves, in
+//! `O(n log n)`, a bound above which every γ up to the ceiling fails too:
+//! Eq. 11 counted over only the jobs certain to stay ahead of it (see
+//! `GammaScratch::bound`). `γ_max` usually lies far below the ceiling, so
+//! the bisection decides its mids above the bound without ranking, and
+//! the sweep drops the crossings above it unsorted.
+//!
+//! Both strategies run on the same records;
+//! [`DynamicPriorityScheduler::search_counters`] counts probes, reused
+//! verdicts and skips.
 //! The pre-optimization sort-per-probe search is retained in
 //! [`mod@reference`] as the benchmark baseline and as an independent oracle
 //! in tests.
@@ -64,7 +74,9 @@ use hcperf_taskgraph::{SimSpan, SimTime};
 pub enum GammaSearch {
     /// Bisection over `[0, ceiling]` assuming interval-shaped feasibility
     /// (the paper's assumption). Cost: one `O(n log n)` sort at γ = 0, an
-    /// `O(n + span)` priority regroup, then per step an insertion pass,
+    /// `O(n + span)` priority regroup, the ceiling probe and, if that
+    /// fails, an `O(n log n)` infeasibility certificate. A step above the
+    /// certified bound costs `O(1)`; any other step an insertion pass,
     /// `O(n + inversions)` (`O(n²)` at worst), and an `O(n)` Eq. 11 walk
     /// unless the pass moved nothing.
     Bisection {
@@ -83,9 +95,12 @@ pub enum GammaSearch {
     /// infeasible is skipped; every other interval gets the same exact
     /// float probe as [`reference::gamma_max`], so the result is
     /// bit-identical to it. Cost: `O(n²)` to generate the crossings and
-    /// probe the top interval; if that is infeasible, `O(n² log n)` to sort
-    /// them, `O(1)` per crossing passed, and one `rank` plus an `O(n)`
-    /// Eq. 11 walk for each of the few intervals that still need a probe.
+    /// probe the top interval. If that is infeasible, an `O(n log n)`
+    /// infeasibility certificate and an `O(n²)` pass that drops every
+    /// crossing above its bound (their intervals fail in the reference
+    /// too), then `O(m log m)` to sort the `m` crossings left, `O(1)` per
+    /// crossing passed, and one `rank` plus an `O(n)` Eq. 11 walk for each
+    /// of the few intervals that still need a probe.
     CriticalPoints,
 }
 
@@ -169,7 +184,11 @@ pub struct GammaCounters {
     /// the ceiling or top-interval probe, bisection steps and the sweep
     /// intervals not skipped.
     pub probes: u64,
-    /// Sweep intervals proved infeasible without a probe.
+    /// Steps decided infeasible without a ranking: bisection mids above
+    /// the certificate bound, sweep intervals the kinetic state proved
+    /// infeasible, and the sweep intervals above the smallest crossing
+    /// over the certificate bound (one per crossing dropped there, less
+    /// the probed top interval, so crossings that coincide each count).
     pub skipped: u64,
     /// Sweep probes that found the interval infeasible and rebuilt the
     /// kinetic state from it.
@@ -192,6 +211,16 @@ struct Horizon {
 }
 
 impl Horizon {
+    /// The terms at `ctx.now`.
+    fn of(ctx: &SchedContext<'_>) -> Self {
+        let n_p = ctx.processor_count() as f64;
+        Horizon {
+            now: ctx.now.as_secs(),
+            base: ctx.total_remaining().as_secs() / n_p,
+            n_p,
+        }
+    }
+
     /// Finish time of a job with execution time `c` and `work` seconds of
     /// execution ranked ahead of it, rounded as the reference's Eq. 11
     /// check rounds it.
@@ -288,6 +317,9 @@ struct GammaScratch {
     buckets: Vec<usize>,
     /// Copy of `recs` the priority seed scatters from.
     spare: Vec<Rec>,
+    /// The certificate job's crossings with the jobs of smaller `p_i`,
+    /// `(γ*, c_i)`: above `γ*` the job `i` is ranked ahead of it.
+    gains: Vec<(f64, f64)>,
     /// Crossover points of the critical-point sweep, `(γ*, mover, front)`:
     /// as γ falls past `γ*`, the job at queue position `mover` (the larger
     /// `p_i`) passes the one at `front`.
@@ -454,17 +486,119 @@ impl GammaScratch {
         *held = None;
     }
 
+    /// `1024·ε·Σ(|ceiling·p_i| + |d_i|)`: at a γ in `(0, ceiling]` that
+    /// lies more than this from the float crossing of two jobs of distinct
+    /// priority, the float keys rank the pair by which side of the
+    /// crossing γ lies (see [`sweep`](Self::sweep)).
+    fn narrow(&self, ceiling: f64) -> f64 {
+        let scale: f64 = self
+            .recs
+            .iter()
+            .map(|r| (ceiling * r.p).abs() + r.laxity.abs())
+            .sum();
+        NARROW_ULPS * f64::EPSILON * scale
+    }
+
+    /// The margin by which a constraint must be violated for a shortcut
+    /// to count it: 1 ns plus `4(n+3)²·ε·(|now| + |base| + Σ|c_i|)`,
+    /// which bounds the rounding of a prefix sum summed in another order
+    /// (see [`sweep`](Self::sweep)).
+    fn band(&self, h: Horizon) -> f64 {
+        let n = self.recs.len() as f64;
+        let exec: f64 = self.recs.iter().map(|r| r.exec.abs()).sum();
+        let drift = 4.0 * (n + 3.0) * (n + 3.0) * f64::EPSILON;
+        BAND_FLOOR + drift * (h.now.abs() + h.base.abs() + exec)
+    }
+
+    /// The infeasibility certificate of the current ranking, a failed
+    /// probe's: a bound `X` such that the reference's Eq. 11 walk fails at
+    /// every γ in `(X, ceiling]`, or `+∞` when none is proved. `O(n log
+    /// n)`.
+    ///
+    /// The certificate job `j` is the lowest-ranked job the probe finds
+    /// violated. A job `i` is counted ahead of `j` only where the float
+    /// ranking puts it there at every γ in `(X, ceiling]`:
+    ///
+    /// * `p_i < p_j`: `i` passes `j` as γ rises through their crossing
+    ///   `γ*` (the value [`crossings`](Self::crossings) computes), so it is
+    ///   counted once `X ≥ γ* + narrow`;
+    /// * `p_i > p_j`: `i` is ahead below `γ*`, counted when `γ* > ceiling
+    ///   + narrow`;
+    /// * `p_i = p_j`: the keys differ by the laxity gap at every γ, so `i`
+    ///   is counted when its laxity is lower by more than `narrow`, or the
+    ///   laxities are equal (then the keys are too) and its id is lower.
+    ///
+    /// Taking the crossings of the first case in ascending order, `X` is
+    /// the first at which the counted work exceeds the flag limit of
+    /// [`sweep`](Self::sweep) (`narrow` added). Soundness, for γ in `(X,
+    /// ceiling]`:
+    ///
+    /// * Every counted `i` lies more than `narrow` from its crossing with
+    ///   `j` on the side where it is ahead, or has equal priority and a
+    ///   gap over `narrow` (or exactly tied keys and a lower id). The
+    ///   sweep's first argument then ranks `i` ahead of `j` in the float
+    ///   ranking. That argument compares the two keys only, so it needs no
+    ///   other pair to be untied: a near-tie elsewhere leaves at most a job
+    ///   uncounted. (The sweep still passes an infinite `narrow` after one,
+    ///   as it trusts no interval then, which makes `X = +∞`.)
+    /// * So `j`'s prefix work in the reference ranking is at least the
+    ///   exact sum of the counted `c_i`. The float sums differ from it by
+    ///   the rounding of at most `n` additions each, within `band`, so the
+    ///   argument behind the sweep's flag shows the reference's walk
+    ///   misses `j`'s deadline.
+    fn bound(&mut self, ceiling: f64, narrow: f64, band: f64, h: Horizon) -> f64 {
+        let mut higher_work = 0.0;
+        let mut cert = None;
+        for r in &self.recs {
+            if !r.skip && h.finish(higher_work, r.exec) > r.deadline {
+                cert = Some(*r);
+            }
+            higher_work += r.exec;
+        }
+        let (Some(j), true) = (cert, narrow.is_finite()) else {
+            return f64::INFINITY;
+        };
+        // `finish(W, c) > deadline + band`, solved for W.
+        let limit = (j.deadline + band - h.now - h.base - j.exec) * h.n_p;
+        let mut work = 0.0;
+        self.gains.clear();
+        for r in &self.recs {
+            let crossing = (j.laxity - r.laxity) / (r.p - j.p);
+            if r.p < j.p {
+                self.gains.push((crossing, r.exec));
+            } else if r.p > j.p {
+                if crossing > ceiling + narrow {
+                    work += r.exec;
+                }
+            } else if r.laxity < j.laxity - narrow
+                || (r.laxity == j.laxity && (r.key as u64) < (j.key as u64))
+            {
+                work += r.exec;
+            }
+        }
+        self.gains.sort_unstable_by(|a, b| a.0.total_cmp(&b.0));
+        let mut last = f64::NEG_INFINITY;
+        for &(crossing, c) in &self.gains {
+            if work > limit {
+                break;
+            }
+            work += c;
+            last = crossing;
+        }
+        if work > limit {
+            last + narrow
+        } else {
+            f64::INFINITY
+        }
+    }
+
     /// Fills `points`, unsorted, with the crossover points `γ* = (d_b −
     /// d_a)/(p_a − p_b)` in `(0, ceiling)` and returns the half-width an
     /// interval must exceed for the sweep to skip it (see
     /// [`sweep`](Self::sweep)).
     fn crossings(&mut self, ceiling: f64) -> f64 {
+        let narrow = self.narrow(ceiling);
         let GammaScratch { recs, points, .. } = self;
-        let scale: f64 = recs
-            .iter()
-            .map(|r| (ceiling * r.p).abs() + r.laxity.abs())
-            .sum();
-        let narrow = NARROW_ULPS * f64::EPSILON * scale;
         // Branch-free pair walk: every pair is written to the next free
         // slot, and the slot is kept only if the crossing lies in range.
         // Equal priorities divide by zero and fail that test; they never
@@ -508,7 +642,13 @@ impl GammaScratch {
     /// top; each is decided at its midpoint, like [`reference::gamma_max`]
     /// does. The top interval is probed before anything is sorted: its
     /// lower bound is just the largest crossing, and when it is feasible
-    /// the search ends there. Below it the sweep keeps a kinetic state:
+    /// the search ends there. When it is not, its failing ranking yields
+    /// a certificate bound ([`bound`](Self::bound)). Every interval above
+    /// the smallest crossing over the bound (`start`) has its midpoint
+    /// above the bound, so it fails in the reference too: those crossings
+    /// are dropped unsorted, and the interval just below `start` is probed
+    /// next; if it is feasible, `start` is the supremum. Below the last
+    /// probed interval the sweep keeps a kinetic state:
     /// the ranking, each job's prefix work `W_j` and a flag for "Eq. 11
     /// violated by more than `band`", plus a count of flagged jobs.
     /// Passing a crossing moves the larger-`p` job of each pair directly
@@ -516,8 +656,9 @@ impl GammaScratch {
     /// the update is `O(1)`. An interval is skipped, never probed, only
     /// when
     ///
-    /// 1. the state was rebuilt from an exact probe on a wide interval and
-    ///    every swap since was between adjacent jobs (`synced`);
+    /// 1. the state was rebuilt from an exact probe on a wide interval (the
+    ///    top one, the one below `start`, or a later one) and every swap
+    ///    since was between adjacent jobs (`synced`);
     /// 2. the interval itself is wide: its half-width exceeds `narrow`,
     ///    `1024·ε·Σ(|ceiling·p_i| + |d_i|)`; and
     /// 3. some constraint job is flagged.
@@ -566,10 +707,30 @@ impl GammaScratch {
         if self.probe(0.5 * (top + ceiling), h, counters) {
             return ceiling;
         }
-        let n = self.recs.len() as f64;
-        let exec: f64 = self.recs.iter().map(|r| r.exec.abs()).sum();
-        let drift = 4.0 * (n + 3.0) * (n + 3.0) * f64::EPSILON;
-        let band = BAND_FLOOR + drift * (h.now.abs() + h.base.abs() + exec);
+        let band = self.band(h);
+        // The interval the kinetic state starts from: the top one, or the
+        // one just below the smallest crossing above the certificate bound.
+        let (mut lower, mut upper) = (top, ceiling);
+        let bound = self.bound(ceiling, narrow, band, h);
+        let start = self
+            .points
+            .iter()
+            .map(|p| p.0)
+            .filter(|&g| g > bound)
+            .fold(f64::INFINITY, f64::min);
+        if start < top {
+            // Every interval above `start` has its midpoint above the
+            // bound: the reference finds it infeasible. Its crossings are
+            // dropped unsorted; the top interval was probed already.
+            let certified = self.points.len();
+            self.points.retain(|p| p.0 < start);
+            counters.skipped += (certified - self.points.len() - 1) as u64;
+            lower = self.points.iter().fold(0.0, |m: f64, p| m.max(p.0));
+            upper = start;
+            if self.probe(0.5 * (lower + upper), h, counters) {
+                return upper;
+            }
+        }
         self.kin.clear();
         self.kin.resize(
             self.recs.len(),
@@ -588,7 +749,7 @@ impl GammaScratch {
         }
         self.sync(h);
         counters.resyncs += 1;
-        let mut synced = 0.5 * (ceiling - top) > narrow;
+        let mut synced = 0.5 * (upper - lower) > narrow;
         // Every crossing is positive and finite, so its bits order like
         // its value. Within a group of equal crossings any deterministic
         // order does: it only decides whether the swaps stay adjacent.
@@ -799,12 +960,7 @@ impl DynamicPriorityScheduler {
         if ctx.queue.is_empty() {
             return Some(config.gamma_ceiling);
         }
-        let n_p = ctx.processor_count() as f64;
-        let h = Horizon {
-            now: ctx.now.as_secs(),
-            base: ctx.total_remaining().as_secs() / n_p,
-            n_p,
-        };
+        let h = Horizon::of(ctx);
         let s = &mut self.scratch;
         s.load(ctx);
         s.rank(0.0, true);
@@ -821,10 +977,18 @@ impl DynamicPriorityScheduler {
                 if s.probe(config.gamma_ceiling, h, counters) {
                     return Some(config.gamma_ceiling);
                 }
+                let narrow = s.narrow(config.gamma_ceiling);
+                let bound = s.bound(config.gamma_ceiling, narrow, s.band(h), h);
                 let mut lo = 0.0;
                 let mut hi = config.gamma_ceiling;
                 for _ in 0..iterations {
                     let mid = 0.5 * (lo + hi);
+                    if mid > bound {
+                        // Certified infeasible: the reference's probe fails.
+                        counters.skipped += 1;
+                        hi = mid;
+                        continue;
+                    }
                     if s.probe(mid, h, counters) {
                         lo = mid;
                     } else {
@@ -909,7 +1073,7 @@ pub mod reference {
     /// start early enough: `now + ΣT_p/n_p + Σ_{higher priority} c_i/n_p +
     /// c_j ≤ absolute deadline`. `skip` marks jobs excluded from the
     /// constraints.
-    fn feasible(ctx: &SchedContext<'_>, gamma: f64, skip: &[bool]) -> bool {
+    pub(crate) fn feasible(ctx: &SchedContext<'_>, gamma: f64, skip: &[bool]) -> bool {
         let n_p = ctx.processor_count() as f64;
         let base = ctx.total_remaining().as_secs() / n_p;
         let mut order: Vec<(usize, _)> = ctx.queue.iter().enumerate().collect();
@@ -1017,7 +1181,7 @@ pub mod reference {
 
     /// Marks jobs that cannot meet their deadline even under the γ = 0
     /// order.
-    fn doomed_at_zero(ctx: &SchedContext<'_>) -> Vec<bool> {
+    pub(crate) fn doomed_at_zero(ctx: &SchedContext<'_>) -> Vec<bool> {
         let n_p = ctx.processor_count() as f64;
         let base = ctx.total_remaining().as_secs() / n_p;
         let mut order: Vec<(usize, _)> = ctx.queue.iter().enumerate().collect();
@@ -1333,6 +1497,42 @@ mod tests {
         assert!(p_low < p_mid && p_mid < p_high);
     }
 
+    /// The queue and γ ceiling of one draw of the grid generator (see the
+    /// proptests that use it).
+    fn grid_queue(
+        priorities: &[u32],
+        exec_ms: &[u32],
+        jobs: &[(usize, u32, u32)],
+        processors: usize,
+        busy_ms: u32,
+        origin: (usize, usize),
+    ) -> (Fixture, f64) {
+        let now = [0.5, 10.0, 1000.25][origin.0];
+        let gamma_ceiling = [0.2, 0.05, 1.0][origin.1];
+        let exec: Vec<f64> = (0..priorities.len())
+            .map(|t| f64::from(exec_ms[t % exec_ms.len()]) * 1e-3)
+            .collect();
+        let jobs: Vec<(usize, f64, f64)> = jobs
+            .iter()
+            .map(|&(task, released, deadline)| {
+                (
+                    task % priorities.len(),
+                    now - f64::from(released) * 2e-3,
+                    f64::from(deadline) * 5e-3,
+                )
+            })
+            .collect();
+        let fx = Fixture::custom(
+            priorities,
+            &exec,
+            &jobs,
+            processors,
+            f64::from(busy_ms) * 1e-3,
+            now,
+        );
+        (fx, gamma_ceiling)
+    }
+
     proptest::proptest! {
         #![proptest_config(proptest::prelude::ProptestConfig::with_cases(160))]
 
@@ -1350,30 +1550,29 @@ mod tests {
             busy_ms in 0u32..12,
             origin in (0usize..3, 0usize..3),
         ) {
-            let now = [0.5, 10.0, 1000.25][origin.0];
-            let gamma_ceiling = [0.2, 0.05, 1.0][origin.1];
-            let exec: Vec<f64> = (0..priorities.len())
-                .map(|t| f64::from(exec_ms[t % exec_ms.len()]) * 1e-3)
-                .collect();
-            let jobs: Vec<(usize, f64, f64)> = jobs
-                .iter()
-                .map(|&(task, released, deadline)| {
-                    (
-                        task % priorities.len(),
-                        now - f64::from(released) * 2e-3,
-                        f64::from(deadline) * 5e-3,
-                    )
-                })
-                .collect();
-            let fx = Fixture::custom(
-                &priorities,
-                &exec,
-                &jobs,
-                processors,
-                f64::from(busy_ms) * 1e-3,
-                now,
-            );
+            let (fx, gamma_ceiling) =
+                grid_queue(&priorities, &exec_ms, &jobs, processors, busy_ms, origin);
             check_against_reference(&fx, gamma_ceiling);
+        }
+
+        /// The certificate on the grid queues, where about a quarter of
+        /// the draws fail at the ceiling and certify a bound (the flat
+        /// kernel's queues rarely do).
+        #[test]
+        fn certificate_bound_is_infeasible_in_the_reference_on_grid_queues(
+            priorities in proptest::collection::vec(0u32..6, 1..10),
+            exec_ms in proptest::collection::vec(1u32..16, 1..10),
+            jobs in proptest::collection::vec((0usize..16, 0u32..6, 2u32..24), 0..65),
+            processors in 1usize..9,
+            busy_ms in 0u32..12,
+            origin in (0usize..3, 0usize..3),
+            fractions in proptest::collection::vec(0u32..1 << 20, 4..5),
+        ) {
+            let (fx, gamma_ceiling) =
+                grid_queue(&priorities, &exec_ms, &jobs, processors, busy_ms, origin);
+            let fractions: Vec<f64> =
+                fractions.iter().map(|&f| f64::from(f) / f64::from(1u32 << 20)).collect();
+            assert_certificates_sound(&fx, gamma_ceiling, &fractions);
         }
     }
 
@@ -1397,6 +1596,63 @@ mod tests {
             }
         }
         all
+    }
+
+    /// The queue and γ ceiling of one draw of the flat-kernel generator
+    /// (see the proptests that use it).
+    fn flat_kernel_queue(
+        priorities: &[u32],
+        jobs: &[(usize, usize, u32, usize)],
+        processors: usize,
+        shape: (usize, usize, bool, bool),
+    ) -> (Fixture, f64) {
+        let (band, ceiling, zero_origin, idle) = shape;
+        // 0: the raw draw; 1: priorities 0..4; 2: 0 or u32::MAX.
+        let priorities: Vec<u32> = priorities
+            .iter()
+            .map(|&p| match band {
+                0 => p,
+                1 => p % 4,
+                _ => {
+                    if p % 2 == 0 {
+                        0
+                    } else {
+                        u32::MAX
+                    }
+                }
+            })
+            .collect();
+        let gamma_ceiling = [0.2, 0.05, 1.0][ceiling];
+        let now = if zero_origin { 0.0 } else { 10.0 };
+        // Task 0 takes no time, so its jobs' laxity is exactly the
+        // time to their deadline.
+        let exec: Vec<f64> = (0..priorities.len())
+            .map(|t| {
+                if t == 0 {
+                    0.0
+                } else {
+                    (1 + t % 3) as f64 * 4e-3
+                }
+            })
+            .collect();
+        let late = [0.0, 2e-3, 4e-3, 0.5, 3.0, 40.0];
+        let mut queue = Vec::new();
+        for &(task, released, deadline, copies) in jobs {
+            let task = task % priorities.len();
+            let job = if zero_origin && deadline == 0 {
+                // Released and due at −0.0: laxity −0.0 at now = 0.
+                // (Task 1 released now and due 8 ms later has laxity
+                // +0.0, so the two kinds tie at γ = 0.)
+                (0, -0.0, -0.0)
+            } else {
+                (task, now - late[released], f64::from(deadline) * 8e-3)
+            };
+            // Identical copies tie on every key; only the id orders them.
+            queue.extend(std::iter::repeat_n(job, copies));
+        }
+        let busy = if idle { 0.0 } else { 2e-3 };
+        let fx = Fixture::custom(&priorities, &exec, &queue, processors, busy, now);
+        (fx, gamma_ceiling)
     }
 
     proptest::proptest! {
@@ -1423,43 +1679,97 @@ mod tests {
                 proptest::arbitrary::any::<bool>(),
             ),
         ) {
-            let (band, ceiling, zero_origin, idle) = shape;
-            // 0: the raw draw; 1: priorities 0..4; 2: 0 or u32::MAX.
-            let priorities: Vec<u32> = priorities
-                .iter()
-                .map(|&p| match band {
-                    0 => p,
-                    1 => p % 4,
-                    _ => if p % 2 == 0 { 0 } else { u32::MAX },
-                })
-                .collect();
-            let gamma_ceiling = [0.2, 0.05, 1.0][ceiling];
-            let now = if zero_origin { 0.0 } else { 10.0 };
-            // Task 0 takes no time, so its jobs' laxity is exactly the
-            // time to their deadline.
-            let exec: Vec<f64> = (0..priorities.len())
-                .map(|t| if t == 0 { 0.0 } else { (1 + t % 3) as f64 * 4e-3 })
-                .collect();
-            let late = [0.0, 2e-3, 4e-3, 0.5, 3.0, 40.0];
-            let mut queue = Vec::new();
-            for &(task, released, deadline, copies) in &jobs {
-                let task = task % priorities.len();
-                let job = if zero_origin && deadline == 0 {
-                    // Released and due at −0.0: laxity −0.0 at now = 0.
-                    // (Task 1 released now and due 8 ms later has laxity
-                    // +0.0, so the two kinds tie at γ = 0.)
-                    (0, -0.0, -0.0)
-                } else {
-                    (task, now - late[released], f64::from(deadline) * 8e-3)
-                };
-                // Identical copies tie on every key; only the id orders them.
-                queue.extend(std::iter::repeat_n(job, copies));
-            }
-            let busy = if idle { 0.0 } else { 2e-3 };
-            let fx = Fixture::custom(&priorities, &exec, &queue, processors, busy, now);
+            let (fx, gamma_ceiling) = flat_kernel_queue(&priorities, &jobs, processors, shape);
             check_against_reference(&fx, gamma_ceiling);
             proptest::prop_assert_eq!(counters_of(&fx, gamma_ceiling), counters_of(&fx, gamma_ceiling));
         }
+
+        /// The certificate on the same queues: at every γ in `(X,
+        /// ceiling]` the reference's Eq. 11 check must fail, for the
+        /// certificates of both searches' first failing probes, strict
+        /// and relaxed. Each case checks `X`'s next float up, the ceiling
+        /// and four random points between.
+        #[test]
+        fn certificate_bound_is_infeasible_in_the_reference_above_it(
+            priorities in proptest::collection::vec(proptest::arbitrary::any::<u32>(), 1..8),
+            jobs in proptest::collection::vec((0usize..8, 0usize..6, 0u32..12, 1usize..3), 0..48),
+            processors in 1usize..5,
+            shape in (
+                0usize..3,
+                0usize..3,
+                proptest::arbitrary::any::<bool>(),
+                proptest::arbitrary::any::<bool>(),
+            ),
+            fractions in proptest::collection::vec(0u32..1 << 20, 4..5),
+        ) {
+            let (fx, gamma_ceiling) = flat_kernel_queue(&priorities, &jobs, processors, shape);
+            let fractions: Vec<f64> = fractions.iter().map(|&f| f64::from(f) / f64::from(1u32 << 20)).collect();
+            assert_certificates_sound(&fx, gamma_ceiling, &fractions);
+        }
+    }
+
+    /// The certificate bounds of the first failing probe of each search,
+    /// `[bisection, sweep]` (`None` where that probe is feasible or γ = 0
+    /// already fails), computed as the searches compute them.
+    fn certificates(fx: &Fixture, ceiling: f64, strict: bool) -> [Option<f64>; 2] {
+        let ctx = fx.ctx();
+        let h = Horizon::of(&ctx);
+        let mut s = GammaScratch::default();
+        let mut counters = GammaCounters::default();
+        s.load(&ctx);
+        s.rank(0.0, true);
+        if !strict {
+            s.mark_doomed(h);
+        }
+        if !s.feasible(h) {
+            return [None, None];
+        }
+        let narrow = s.narrow(ceiling);
+        let sweep_narrow = s.crossings(ceiling);
+        let top = s.points.iter().fold(0.0, |m: f64, p| m.max(p.0));
+        let mut bound = |gamma: f64, narrow: f64| {
+            s.seed();
+            (!s.probe(gamma, h, &mut counters)).then(|| s.bound(ceiling, narrow, s.band(h), h))
+        };
+        [
+            bound(ceiling, narrow),
+            bound(0.5 * (top + ceiling), sweep_narrow),
+        ]
+    }
+
+    /// Asserts that the reference's Eq. 11 check fails at every γ in
+    /// `(X, ceiling]` it is asked about, for each certificate bound `X` of
+    /// [`certificates`], strict and relaxed: `X`'s next float up, the
+    /// ceiling, and `X + f·(ceiling − X)` for each fraction `f`. Returns
+    /// the bounds, relaxed then strict.
+    fn assert_certificates_sound(
+        fx: &Fixture,
+        ceiling: f64,
+        fractions: &[f64],
+    ) -> [[Option<f64>; 2]; 2] {
+        let ctx = fx.ctx();
+        [false, true].map(|strict| {
+            let skip = if strict {
+                vec![false; ctx.queue.len()]
+            } else {
+                reference::doomed_at_zero(&ctx)
+            };
+            let bounds = certificates(fx, ceiling, strict);
+            for bound in bounds.into_iter().flatten().filter(|&x| x < ceiling) {
+                let from = bound.max(0.0);
+                let inside = fractions.iter().map(|f| from + f * (ceiling - from));
+                for gamma in [from.next_up(), ceiling].into_iter().chain(inside) {
+                    if gamma > bound && gamma > 0.0 && gamma <= ceiling {
+                        assert!(
+                            !reference::feasible(&ctx, gamma, &skip),
+                            "γ = {gamma} above the bound {bound} (strict {strict}) is feasible; queue {:?}",
+                            ctx.queue,
+                        );
+                    }
+                }
+            }
+            bounds
+        })
     }
 
     #[test]
@@ -1508,8 +1818,11 @@ mod tests {
         let got = dps.gamma_max_cached(&fx.ctx());
         assert_eq!(got, reference::gamma_max(&fx.ctx(), &config));
         let counters = dps.search_counters();
-        // γ = 0, the ceiling and 24 mids are ranked; some walks are reused.
-        assert_eq!(counters.probes, 26, "{counters:?}");
+        // γ = 0, the ceiling and 24 mids are decided: the two mids above
+        // the certificate bound γ* + narrow without a ranking, the rest
+        // ranked; some walks are reused.
+        assert_eq!(counters.probes + counters.skipped, 26, "{counters:?}");
+        assert_eq!((counters.probes, counters.skipped), (24, 2), "{counters:?}");
         assert!(counters.reused > 0, "{counters:?}");
         // Equal priorities never reorder: the ceiling probe reuses the
         // γ = 0 walk and the search stops there.
@@ -1653,11 +1966,133 @@ mod tests {
     fn sweep_skips_most_intervals_of_an_overloaded_queue() {
         let fx = overloaded_queue();
         let [relaxed, _] = check_against_reference(&fx, 0.2);
-        assert!(relaxed.skipped > 0, "{relaxed:?}");
-        assert!(
-            relaxed.probes < relaxed.skipped,
-            "the sweep should skip more intervals than it probes: {relaxed:?}"
+        // γ = 0, the top interval, the interval just below the smallest
+        // crossing above the certificate bound, and the feasible one are
+        // probed; every other interval is certified or skipped.
+        assert_eq!(
+            (
+                relaxed.probes,
+                relaxed.skipped,
+                relaxed.resyncs,
+                relaxed.reused
+            ),
+            (4, 579, 1, 0),
+            "{relaxed:?}"
         );
+    }
+
+    /// One processor, c = 1/64: a loose job `k` (p = 0, laxity 0.1), the
+    /// certificate job `j` (p = 1, laxity 1.5c) and an equal-priority job
+    /// `i` whose laxity is `gap` lower, plus `extra` jobs `(task, laxity)`
+    /// that take no time. Above `γ* = 0.1 − 1.5c` the job `k` passes `j`,
+    /// which then finishes at 3c and misses its deadline at 2.5c; that is
+    /// certified only when `i`, counted ahead of `j`, makes up the rest.
+    fn certificate_queue(gap: f64, extra: &[(usize, f64)], ceiling: f64) -> Fixture {
+        let c = 1.0 / 64.0;
+        let mut jobs = vec![
+            (0, 0.0, 0.1 + c),
+            (1, 0.0, 2.5 * c),
+            (1, 0.0, 2.5 * c - gap),
+        ];
+        jobs.extend(extra.iter().map(|&(task, laxity)| (task, 0.0, laxity)));
+        let fx = Fixture::custom(&[0, 1, 6, 2], &[c, c, 0.0, 0.0], &jobs, 1, 0.0, 0.0);
+        check_against_reference(&fx, ceiling);
+        fx
+    }
+
+    /// [`GammaScratch::narrow`] of a fixture's queue.
+    fn narrow_of(fx: &Fixture, ceiling: f64) -> f64 {
+        let mut s = GammaScratch::default();
+        s.load(&fx.ctx());
+        s.narrow(ceiling)
+    }
+
+    #[test]
+    fn certificate_bound_one_ulp_from_a_crossing() {
+        // Two zero-time jobs u (p = 6, laxity 1/8) and w (p = 2) cross at
+        // (d_w − 1/8)/4. Near X ≈ 0.077 both laxities are multiples of
+        // the ulp of 4X and below 1/2, so that crossing is exact and can
+        // be put on any float near the certificate bound X = γ* + narrow.
+        // Setting it moves `narrow` a little, so X is recomputed until it
+        // holds.
+        let ceiling = 0.2;
+        for step in [-1i64, 0, 1] {
+            let mut target = 0.1;
+            let mut bounds = [[None; 2]; 2];
+            for _ in 0..8 {
+                let extra = [(2, 0.125), (3, 0.125 + 4.0 * target)];
+                let fx = certificate_queue(0.01, &extra, ceiling);
+                bounds = assert_certificates_sound(&fx, ceiling, &[0.0, 0.5]);
+                let x = bounds[0][0].expect("the ceiling probe fails");
+                let next = f64::from_bits(x.to_bits().wrapping_add_signed(step));
+                if next == target {
+                    break;
+                }
+                target = next;
+            }
+            // One bound for both searches and both modes, `step` ulps
+            // from the crossing.
+            let x = bounds[0][0].expect("a bound");
+            assert!(x.is_finite() && x < ceiling, "{bounds:?}");
+            assert_eq!(bounds, [[Some(x); 2]; 2]);
+            let crossing = (0.125 + 4.0 * target - 0.125) / 4.0;
+            assert_eq!(crossing.to_bits() as i64 - x.to_bits() as i64, step);
+            // Only a crossing above the bound moves the sweep's start: then
+            // the interval just below that crossing is probed first (the
+            // one above it is certified) and the kinetic state is built
+            // once, from that probe. Otherwise the state is built from the
+            // top interval, skips the interval above the crossing and is
+            // rebuilt below it.
+            let extra = [(2, 0.125), (3, 0.125 + 4.0 * target)];
+            let fx = certificate_queue(0.01, &extra, ceiling);
+            let sweeps = counters_of(&fx, ceiling);
+            for sweep in [sweeps[1], sweeps[3]] {
+                let resyncs = if step == 1 { 1 } else { 2 };
+                assert_eq!(
+                    (sweep.probes, sweep.skipped, sweep.resyncs),
+                    (4, 1, resyncs),
+                    "{sweep:?}"
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn certificate_counts_an_equal_priority_job_only_past_a_near_tie() {
+        // `i` is ranked ahead of `j` at every γ, but is counted only when
+        // their laxity gap exceeds `narrow`. Just above, both searches
+        // certify the same bound; just below, the bisection certifies
+        // nothing, and the sweep, which trusts no interval after a
+        // near-tie, certifies nothing either.
+        let ceiling = 0.2;
+        let narrow = narrow_of(&certificate_queue(0.0, &[], ceiling), ceiling);
+        for (scale, certified) in [(1.001, true), (0.999, false)] {
+            let fx = certificate_queue(scale * narrow, &[], ceiling);
+            let ctx = fx.ctx();
+            let gap = priority_key(&ctx, 1, 0.0) - priority_key(&ctx, 2, 0.0);
+            assert_eq!(gap > narrow_of(&fx, ceiling), certified, "gap {gap}");
+            for [bisection, sweep] in assert_certificates_sound(&fx, ceiling, &[0.25, 0.75]) {
+                assert_eq!(bisection.is_some_and(f64::is_finite), certified);
+                assert_eq!(sweep, bisection);
+            }
+        }
+    }
+
+    #[test]
+    fn certificate_is_infinite_when_the_ceiling_miss_is_below_the_band() {
+        // `j` misses its deadline at the ceiling by 0.5 ns, under the 1 ns
+        // band, so no bound is certified and the bisection ranks every
+        // mid, as it did before certificates.
+        let c = 1.0 / 64.0;
+        let jobs = [(0, 0.0, 0.1 + c), (1, 0.0, 2.0 * c - 5e-10)];
+        let fx = Fixture::custom(&[0, 1], &[c, c], &jobs, 1, 0.0, 0.0);
+        check_against_reference(&fx, 0.2);
+        for bounds in assert_certificates_sound(&fx, 0.2, &[0.5]) {
+            assert_eq!(bounds, [Some(f64::INFINITY); 2]);
+        }
+        for counters in counters_of(&fx, 0.2) {
+            assert_eq!(counters.skipped, 0, "{counters:?}");
+        }
     }
 
     #[test]

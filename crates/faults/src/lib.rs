@@ -429,17 +429,34 @@ impl FaultPlan {
             if !spec.duration.is_finite() {
                 return Err(FaultPlanError::Invalid("duration must be finite"));
             }
+            let finite = match &spec.kind {
+                FaultKind::ExecSpike {
+                    scale, extra_ms, ..
+                } => scale.is_finite() && extra_ms.is_finite(),
+                FaultKind::StuckSlow { scale, .. } => scale.is_finite(),
+                _ => true,
+            };
+            if !finite {
+                return Err(FaultPlanError::Invalid(
+                    "execution scale and extra time must be finite",
+                ));
+            }
             let key = format!("faults/{}/vehicle={vehicle}/event={j}", self.name);
             let mut state = derive_seed(vehicle_seed, &key);
             let occurs = u01(splitmix64(&mut state)) < spec.probability;
             let onset_u = u01(splitmix64(&mut state));
-            if !occurs {
-                continue;
-            }
             let start = lo + onset_u * (hi - lo);
             // `duration <= 0` encodes "until end of run", which the
             // engine reads as `end <= start`.
             let end = start + spec.duration.max(0.0);
+            if !end.is_finite() {
+                return Err(FaultPlanError::Invalid(
+                    "onset window plus duration must be finite",
+                ));
+            }
+            if !occurs {
+                continue;
+            }
             match &spec.kind {
                 FaultKind::ExecSpike {
                     task,

@@ -25,6 +25,7 @@ impl JobId {
 
     /// Returns the raw counter value.
     #[must_use]
+    #[inline]
     pub const fn raw(self) -> u64 {
         self.0
     }
@@ -92,42 +93,49 @@ impl Job {
 
     /// Unique id of this job.
     #[must_use]
+    #[inline]
     pub fn id(self) -> JobId {
         self.id
     }
 
     /// The task this job instantiates.
     #[must_use]
+    #[inline]
     pub fn task(self) -> TaskId {
         self.task
     }
 
     /// The pipeline cycle index this job belongs to.
     #[must_use]
+    #[inline]
     pub fn cycle(self) -> u64 {
         self.cycle
     }
 
     /// Release instant.
     #[must_use]
+    #[inline]
     pub fn release(self) -> SimTime {
         self.release
     }
 
     /// Relative deadline `D_i` at release.
     #[must_use]
+    #[inline]
     pub fn relative_deadline(self) -> SimSpan {
         self.relative_deadline
     }
 
     /// Absolute deadline `release + D_i`.
     #[must_use]
+    #[inline]
     pub fn absolute_deadline(self) -> SimTime {
         self.release + self.relative_deadline
     }
 
     /// Instant of the source release that started this job's chain.
     #[must_use]
+    #[inline]
     pub fn chain_release(self) -> SimTime {
         self.chain_release
     }
@@ -135,6 +143,7 @@ impl Job {
     /// Laxity with respect to an observed execution time: time remaining
     /// until the latest start that still meets the deadline.
     #[must_use]
+    #[inline]
     pub fn laxity(self, now: SimTime, exec_time: SimSpan) -> SimSpan {
         self.absolute_deadline() - now - exec_time
     }

@@ -46,6 +46,7 @@ impl SimTime {
     ///
     /// Panics if `secs` is not finite.
     #[must_use]
+    #[inline]
     pub fn from_secs(secs: f64) -> Self {
         assert!(secs.is_finite(), "SimTime must be finite, got {secs}");
         SimTime(secs)
@@ -63,6 +64,7 @@ impl SimTime {
 
     /// Returns the instant as seconds since the epoch.
     #[must_use]
+    #[inline]
     pub fn as_secs(self) -> f64 {
         self.0
     }
@@ -110,6 +112,7 @@ impl SimSpan {
     ///
     /// Panics if `secs` is not finite.
     #[must_use]
+    #[inline]
     pub fn from_secs(secs: f64) -> Self {
         assert!(secs.is_finite(), "SimSpan must be finite, got {secs}");
         SimSpan(secs)
@@ -149,6 +152,7 @@ impl SimSpan {
 
     /// Returns the span in seconds.
     #[must_use]
+    #[inline]
     pub const fn as_secs(self) -> f64 {
         self.0
     }
@@ -206,22 +210,26 @@ impl SimSpan {
 // fails and a total order is sound.
 impl Eq for SimTime {}
 impl Ord for SimTime {
+    #[inline]
     fn cmp(&self, other: &Self) -> std::cmp::Ordering {
         self.0.total_cmp(&other.0)
     }
 }
 impl PartialOrd for SimTime {
+    #[inline]
     fn partial_cmp(&self, other: &Self) -> Option<std::cmp::Ordering> {
         Some(self.cmp(other))
     }
 }
 impl Eq for SimSpan {}
 impl Ord for SimSpan {
+    #[inline]
     fn cmp(&self, other: &Self) -> std::cmp::Ordering {
         self.0.total_cmp(&other.0)
     }
 }
 impl PartialOrd for SimSpan {
+    #[inline]
     fn partial_cmp(&self, other: &Self) -> Option<std::cmp::Ordering> {
         Some(self.cmp(other))
     }
@@ -240,62 +248,73 @@ impl Default for SimSpan {
 
 impl Add<SimSpan> for SimTime {
     type Output = SimTime;
+    #[inline]
     fn add(self, rhs: SimSpan) -> SimTime {
         SimTime::from_secs(self.0 + rhs.0)
     }
 }
 impl AddAssign<SimSpan> for SimTime {
+    #[inline]
     fn add_assign(&mut self, rhs: SimSpan) {
         *self = *self + rhs;
     }
 }
 impl Sub<SimSpan> for SimTime {
     type Output = SimTime;
+    #[inline]
     fn sub(self, rhs: SimSpan) -> SimTime {
         SimTime::from_secs(self.0 - rhs.0)
     }
 }
 impl SubAssign<SimSpan> for SimTime {
+    #[inline]
     fn sub_assign(&mut self, rhs: SimSpan) {
         *self = *self - rhs;
     }
 }
 impl Sub<SimTime> for SimTime {
     type Output = SimSpan;
+    #[inline]
     fn sub(self, rhs: SimTime) -> SimSpan {
         SimSpan::from_secs(self.0 - rhs.0)
     }
 }
 impl Add for SimSpan {
     type Output = SimSpan;
+    #[inline]
     fn add(self, rhs: SimSpan) -> SimSpan {
         SimSpan::from_secs(self.0 + rhs.0)
     }
 }
 impl AddAssign for SimSpan {
+    #[inline]
     fn add_assign(&mut self, rhs: SimSpan) {
         *self = *self + rhs;
     }
 }
 impl Sub for SimSpan {
     type Output = SimSpan;
+    #[inline]
     fn sub(self, rhs: SimSpan) -> SimSpan {
         SimSpan::from_secs(self.0 - rhs.0)
     }
 }
 impl SubAssign for SimSpan {
+    #[inline]
     fn sub_assign(&mut self, rhs: SimSpan) {
         *self = *self - rhs;
     }
 }
 impl Mul<f64> for SimSpan {
     type Output = SimSpan;
+    #[inline]
     fn mul(self, rhs: f64) -> SimSpan {
         SimSpan::from_secs(self.0 * rhs)
     }
 }
 impl Div<f64> for SimSpan {
     type Output = SimSpan;
+    #[inline]
     fn div(self, rhs: f64) -> SimSpan {
         SimSpan::from_secs(self.0 / rhs)
     }
@@ -303,12 +322,14 @@ impl Div<f64> for SimSpan {
 impl Div for SimSpan {
     /// Ratio of two spans.
     type Output = f64;
+    #[inline]
     fn div(self, rhs: SimSpan) -> f64 {
         self.0 / rhs.0
     }
 }
 impl Neg for SimSpan {
     type Output = SimSpan;
+    #[inline]
     fn neg(self) -> SimSpan {
         SimSpan::from_secs(-self.0)
     }

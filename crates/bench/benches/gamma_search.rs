@@ -8,13 +8,16 @@
 //!   [`hcperf::dps::reference`] search that rebuilds and re-sorts the
 //!   ranking on every feasibility probe.
 //!
-//! Two fixtures. In the `late` one (ids `<search>/<n>`) every job is
+//! Three fixtures. In the `late` one (ids `<search>/<n>`) every job is
 //! already past its deadline, so relaxed Eq. 11 has no constraint left and
 //! both searches stop at their first probe above γ = 0. In the `feasible` one (ids
 //! `<search>_feasible/<n>`) every job meets its deadline in laxity order
 //! but not in static-priority order, so `γ_max` lies strictly inside the
 //! search range: the bisection runs every step and the sweep walks below
-//! its top interval.
+//! its top interval. The `overloaded` one (ids `<search>_overloaded/64`)
+//! is the `dps` unit tests' deep queue: 64 jobs of 19 tasks on 4 busy
+//! processors, with `γ_max` far below the top interval, so the sweep
+//! certifies hundreds of intervals and probes some below its first jump.
 //!
 //! Bisection vs critical-points crossover as the ready queue grows
 //! motivates the bisection default; cached vs sort-per-probe is the hot
@@ -25,8 +28,19 @@ use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use hcperf::dps::{reference, DpsConfig, DynamicPriorityScheduler, GammaSearch};
 use hcperf_rtsim::{Job, JobId, SchedContext};
 use hcperf_taskgraph::graphs::{apollo_graph, GraphOptions};
-use hcperf_taskgraph::{SimSpan, SimTime, TaskGraph, TaskId};
+use hcperf_taskgraph::{Priority, SimSpan, SimTime, TaskGraph, TaskId, TaskSpec};
+use rand::{Rng, SeedableRng};
 use std::hint::black_box;
+
+/// A ready queue over a task graph with observed execution times, every
+/// processor busy for 4 ms, at `now` = 10 s.
+struct Fixture {
+    /// Bench id suffix.
+    label: &'static str,
+    graph: TaskGraph,
+    observed: Vec<SimSpan>,
+    queue: Vec<Job>,
+}
 
 fn bench_search(c: &mut Criterion) {
     let graph = apollo_graph(&GraphOptions::default()).unwrap();
@@ -34,34 +48,41 @@ fn bench_search(c: &mut Criterion) {
         .map(|i| SimSpan::from_millis(2.0 + (i % 9) as f64 * 3.0))
         .collect();
     let remaining = vec![SimSpan::from_millis(4.0); 4];
+    let apollo = |label, queue| Fixture {
+        label,
+        graph: graph.clone(),
+        observed: observed.clone(),
+        queue,
+    };
 
     let mut group = c.benchmark_group("gamma_search");
     let fixtures = [4usize, 16, 64]
-        .map(|n| ("", late_queue(n, graph.len())))
+        .map(|n| apollo("", late_queue(n, graph.len())))
         .into_iter()
-        .chain([16usize, 64].map(|n| ("_feasible", feasible_queue(n, &graph, &observed))));
-    for (fixture, queue) in fixtures {
-        let queue_len = queue.len();
-        let candidates: Vec<usize> = (0..queue.len()).collect();
+        .chain([16usize, 64].map(|n| apollo("_feasible", feasible_queue(n, &graph, &observed))))
+        .chain([overloaded()]);
+    for fixture in fixtures {
+        let queue_len = fixture.queue.len();
+        let candidates: Vec<usize> = (0..queue_len).collect();
         let ctx = || SchedContext {
             now: SimTime::from_secs(10.0),
-            graph: &graph,
-            queue: &queue,
+            graph: &fixture.graph,
+            queue: &fixture.queue,
             candidates: &candidates,
             processor: 0,
-            observed_exec: &observed,
+            observed_exec: &fixture.observed,
             processor_remaining: &remaining,
         };
         for (search_label, search) in [
             ("bisection", GammaSearch::Bisection { iterations: 24 }),
             ("critical_points", GammaSearch::CriticalPoints),
         ] {
-            let label = format!("{search_label}{fixture}");
+            let label = format!("{search_label}{}", fixture.label);
             let config = DpsConfig {
                 search,
                 ..Default::default()
             };
-            if !fixture.is_empty() {
+            if !fixture.label.is_empty() {
                 let gamma_max = reference::gamma_max(&ctx(), &config);
                 assert!(
                     gamma_max.is_some_and(|g| g > 0.0 && g < config.gamma_ceiling),
@@ -132,6 +153,46 @@ fn feasible_queue(n: usize, graph: &TaskGraph, observed: &[SimSpan]) -> Vec<Job>
             )
         })
         .collect()
+}
+
+/// The `dps` unit tests' overloaded queue: 64 jobs over 19 tasks of mixed
+/// priorities, released up to 5 ms before `now` with 35–200 ms deadlines,
+/// and 1–10 ms execution times, all drawn from one seeded RNG.
+fn overloaded() -> Fixture {
+    let mut rng = rand::rngs::StdRng::seed_from_u64(0x5eed);
+    let mut builder = TaskGraph::builder();
+    for t in 0..19u32 {
+        builder.add_task(
+            TaskSpec::builder(format!("t{t}"))
+                .priority(Priority::new(t * 7 % 11))
+                .relative_deadline(SimSpan::from_millis(100.0))
+                .build()
+                .unwrap(),
+        );
+    }
+    let observed = (0..19)
+        .map(|_| SimSpan::from_secs(rng.gen_range(1e-3..10e-3)))
+        .collect();
+    let queue = (0..64u64)
+        .map(|k| {
+            let release = SimTime::from_secs(10.0 - rng.gen_range(0.0..5e-3));
+            let deadline = SimSpan::from_secs(rng.gen_range(35e-3..0.2));
+            Job::new(
+                JobId::new(k),
+                TaskId::new(k as usize % 19),
+                0,
+                release,
+                deadline,
+                release,
+            )
+        })
+        .collect();
+    Fixture {
+        label: "_overloaded",
+        graph: builder.build().unwrap(),
+        observed,
+        queue,
+    }
 }
 
 criterion_group!(benches, bench_search);

@@ -44,18 +44,16 @@
 //! it, so its walk is skipped. And before the first probe high in the γ
 //! range the γ = 0 ranking is regrouped by static priority in one stable
 //! counting pass, which leaves that probe's insertion pass little to move.
-//! The critical-point sweep visits up to `O(n²)` intervals but probes only
-//! a few of them: between probes it moves the ranking one crossing at a
-//! time in `O(1)` and skips every interval it can prove infeasible (see
-//! [`GammaSearch::CriticalPoints`]).
 //!
-//! When the first probe above γ = 0 fails (the ceiling under bisection,
-//! the top interval under the sweep), one job it finds late proves, in
-//! `O(n log n)`, a bound above which every γ up to the ceiling fails too:
-//! Eq. 11 counted over only the jobs certain to stay ahead of it (see
-//! `GammaScratch::bound`). `γ_max` usually lies far below the ceiling, so
-//! the bisection decides its mids above the bound without ranking, and
-//! the sweep drops the crossings above it unsorted.
+//! When a probe above γ = 0 fails, one job it finds late proves, in
+//! `O(n log n)`, a bound above which every γ up to the top of the range
+//! still open fails too: Eq. 11 counted over only the jobs certain to stay
+//! ahead of it (see `GammaScratch::bound`). The bisection takes one bound,
+//! from its ceiling probe, and decides the mids above it without ranking.
+//! The critical-point sweep takes one after every failed probe and jumps
+//! past the intervals it covers, so of its up to `O(n²)` intervals it
+//! probes only a few; the first bound, from the top interval, also drops
+//! the crossings above it unsorted (see [`GammaSearch::CriticalPoints`]).
 //!
 //! Both strategies run on the same records;
 //! [`DynamicPriorityScheduler::search_counters`] counts probes, reused
@@ -88,19 +86,17 @@ pub enum GammaSearch {
     ///
     /// The ranking is constant between consecutive crossings, so the sweep
     /// walks those intervals downward from the ceiling and stops at the
-    /// first feasible one. It is *kinetic*: passing a crossing swaps the
-    /// two jobs that meet there, which changes only their own Eq. 11
-    /// constraints, so a count of violated constraints is kept up to date
-    /// in `O(1)` per crossing. An interval whose count proves it
-    /// infeasible is skipped; every other interval gets the same exact
+    /// first feasible one. Every interval it decides gets the same exact
     /// float probe as [`reference::gamma_max`], so the result is
-    /// bit-identical to it. Cost: `O(n²)` to generate the crossings and
-    /// probe the top interval. If that is infeasible, an `O(n log n)`
-    /// infeasibility certificate and an `O(n²)` pass that drops every
-    /// crossing above its bound (their intervals fail in the reference
-    /// too), then `O(m log m)` to sort the `m` crossings left, `O(1)` per
-    /// crossing passed, and one `rank` plus an `O(n)` Eq. 11 walk for each
-    /// of the few intervals that still need a probe.
+    /// bit-identical to it; after each failed probe an infeasibility
+    /// certificate rules out the intervals below it down to the smallest
+    /// crossing above its bound, and the sweep jumps past them. Cost:
+    /// `O(n²)` to generate the crossings and probe the top interval. If
+    /// that is infeasible, an `O(n²)` pass that drops every crossing above
+    /// the first certificate's bound, `O(m log m)` to sort the `m`
+    /// crossings left, and per interval probed a `rank`, an `O(n)` Eq. 11
+    /// walk and, if it fails, an `O(n log n)` certificate and an
+    /// `O(log m)` jump.
     CriticalPoints,
 }
 
@@ -185,14 +181,12 @@ pub struct GammaCounters {
     /// intervals not skipped.
     pub probes: u64,
     /// Steps decided infeasible without a ranking: bisection mids above
-    /// the certificate bound, sweep intervals the kinetic state proved
-    /// infeasible, and the sweep intervals above the smallest crossing
-    /// over the certificate bound (one per crossing dropped there, less
-    /// the probed top interval, so crossings that coincide each count).
+    /// the certificate bound, and sweep intervals whose midpoints a
+    /// certificate covers: those dropped with the crossings above the top
+    /// interval's bound (one per crossing dropped, less the probed top
+    /// interval, so crossings that coincide each count) and the distinct
+    /// intervals the walk passes after later probes.
     pub skipped: u64,
-    /// Sweep probes that found the interval infeasible and rebuilt the
-    /// kinetic state from it.
-    pub resyncs: u64,
     /// Probes whose ranking was the one the previous walk saw, so the
     /// Eq. 11 walk was skipped and its verdict reused (counted in
     /// `probes` too).
@@ -235,27 +229,13 @@ impl Horizon {
     }
 }
 
-/// Per-job state of the kinetic critical-point sweep.
-#[derive(Debug, Clone, Copy)]
-struct Kinetic {
-    /// Position in the ranking.
-    pos: usize,
-    /// Execution time ranked ahead of the job (`W_j`), in seconds.
-    work: f64,
-    /// `W_j` above which the job's Eq. 11 constraint is violated by more
-    /// than the band (infinite outside the constraint set).
-    limit: f64,
-    /// `work > limit`.
-    violated: bool,
-}
-
-/// A sweep interval must be wider than this many `ε · Σ(|ceiling·p_i| +
-/// |d_i|)` on each side of its midpoint before the sweep trusts the float
-/// ranking there to follow the crossings.
+/// A γ must lie more than this many `ε · Σ(|ceiling·p_i| + |d_i|)` from a
+/// crossing before the certificate trusts the float ranking there to
+/// follow it.
 const NARROW_ULPS: f64 = 1024.0;
 
 /// Fixed part of the margin, in seconds, by which a constraint must be
-/// violated for the sweep to count it (1 ns).
+/// violated for the certificate to count it (1 ns).
 const BAND_FLOOR: f64 = 1e-9;
 
 /// One queued job's Eq. 11 data for a recompute. The records are ranked in
@@ -273,9 +253,6 @@ struct Rec {
     exec: f64,
     /// Absolute deadline, in seconds.
     deadline: f64,
-    /// Position in the ready queue: the label the sweep's crossings and
-    /// kinetic state use.
-    idx: u32,
     /// `p_i` as the graph stores it, for [`GammaScratch::seed`].
     prio: u32,
     /// Excluded from the Eq. 11 constraint set (relaxed mode).
@@ -320,14 +297,8 @@ struct GammaScratch {
     /// The certificate job's crossings with the jobs of smaller `p_i`,
     /// `(γ*, c_i)`: above `γ*` the job `i` is ranked ahead of it.
     gains: Vec<(f64, f64)>,
-    /// Crossover points of the critical-point sweep, `(γ*, mover, front)`:
-    /// as γ falls past `γ*`, the job at queue position `mover` (the larger
-    /// `p_i`) passes the one at `front`.
-    points: Vec<(f64, u32, u32)>,
-    /// Kinetic sweep state per queue position.
-    kin: Vec<Kinetic>,
-    /// Number of `kin` entries flagged `violated`.
-    violations: usize,
+    /// Crossover points `γ*` of the critical-point sweep.
+    points: Vec<f64>,
 }
 
 impl GammaScratch {
@@ -336,7 +307,7 @@ impl GammaScratch {
     fn load(&mut self, ctx: &SchedContext<'_>) {
         self.recs.clear();
         self.held = None;
-        for (idx, job) in (0u32..).zip(ctx.queue) {
+        for job in ctx.queue {
             let c = ctx.exec_of(job);
             let prio = ctx.graph.spec(job.task()).priority().value();
             self.recs.push(Rec {
@@ -345,7 +316,6 @@ impl GammaScratch {
                 laxity: job.laxity(ctx.now, c).as_secs(),
                 exec: c.as_secs(),
                 deadline: job.absolute_deadline().as_secs(),
-                idx,
                 prio,
                 skip: false,
             });
@@ -489,7 +459,7 @@ impl GammaScratch {
     /// `1024·ε·Σ(|ceiling·p_i| + |d_i|)`: at a γ in `(0, ceiling]` that
     /// lies more than this from the float crossing of two jobs of distinct
     /// priority, the float keys rank the pair by which side of the
-    /// crossing γ lies (see [`sweep`](Self::sweep)).
+    /// crossing γ lies (see [`bound`](Self::bound)).
     fn narrow(&self, ceiling: f64) -> f64 {
         let scale: f64 = self
             .recs
@@ -499,10 +469,10 @@ impl GammaScratch {
         NARROW_ULPS * f64::EPSILON * scale
     }
 
-    /// The margin by which a constraint must be violated for a shortcut
-    /// to count it: 1 ns plus `4(n+3)²·ε·(|now| + |base| + Σ|c_i|)`,
-    /// which bounds the rounding of a prefix sum summed in another order
-    /// (see [`sweep`](Self::sweep)).
+    /// The margin by which a constraint must be violated for the
+    /// certificate to count it: 1 ns plus `4(n+3)²·ε·(|now| + |base| +
+    /// Σ|c_i|)`, which bounds the rounding of a prefix sum summed in
+    /// another order (see [`bound`](Self::bound)).
     fn band(&self, h: Horizon) -> f64 {
         let n = self.recs.len() as f64;
         let exec: f64 = self.recs.iter().map(|r| r.exec.abs()).sum();
@@ -512,41 +482,49 @@ impl GammaScratch {
 
     /// The infeasibility certificate of the current ranking, a failed
     /// probe's: a bound `X` such that the reference's Eq. 11 walk fails at
-    /// every γ in `(X, ceiling]`, or `+∞` when none is proved. `O(n log
-    /// n)`.
+    /// every γ > 0 in `(X, upper]`, or `+∞` when none is proved. `upper`
+    /// is the top of the γ range still open, at most the ceiling
+    /// `narrow` was computed for: the ceiling itself, or the upper end of
+    /// the sweep interval just probed. The lower it is, the more jobs
+    /// count and the lower the bound. `O(n log n)`.
     ///
     /// The certificate job `j` is the lowest-ranked job the probe finds
     /// violated. A job `i` is counted ahead of `j` only where the float
-    /// ranking puts it there at every γ in `(X, ceiling]`:
+    /// ranking puts it there at every γ in `(X, upper]`:
     ///
     /// * `p_i < p_j`: `i` passes `j` as γ rises through their crossing
     ///   `γ*` (the value [`crossings`](Self::crossings) computes), so it is
     ///   counted once `X ≥ γ* + narrow`;
-    /// * `p_i > p_j`: `i` is ahead below `γ*`, counted when `γ* > ceiling
-    ///   + narrow`;
+    /// * `p_i > p_j`: `i` is ahead below `γ*`, counted when `γ* > upper +
+    ///   narrow`;
     /// * `p_i = p_j`: the keys differ by the laxity gap at every γ, so `i`
     ///   is counted when its laxity is lower by more than `narrow`, or the
     ///   laxities are equal (then the keys are too) and its id is lower.
     ///
     /// Taking the crossings of the first case in ascending order, `X` is
-    /// the first at which the counted work exceeds the flag limit of
-    /// [`sweep`](Self::sweep) (`narrow` added). Soundness, for γ in `(X,
-    /// ceiling]`:
+    /// the first at which the counted work exceeds `(deadline + band −
+    /// now − base − c_j)·n_p` — Eq. 11 with the band added, solved for the
+    /// work ranked ahead of `j` — with `narrow` added. Soundness, for
+    /// γ > 0 in `(X, upper]`:
     ///
-    /// * Every counted `i` lies more than `narrow` from its crossing with
-    ///   `j` on the side where it is ahead, or has equal priority and a
-    ///   gap over `narrow` (or exactly tied keys and a lower id). The
-    ///   sweep's first argument then ranks `i` ahead of `j` in the float
-    ///   ranking. That argument compares the two keys only, so it needs no
-    ///   other pair to be untied: a near-tie elsewhere leaves at most a job
-    ///   uncounted. (The sweep still passes an infinite `narrow` after one,
-    ///   as it trusts no interval then, which makes `X = +∞`.)
+    /// * For every counted `i`, such a γ lies more than `narrow` from the
+    ///   float crossing of `i` and `j`, on the side where `i` is ahead; or
+    ///   `i` has equal priority and a laxity gap over `narrow` (or exactly
+    ///   tied keys and a lower id). Priorities are integers, so distinct
+    ///   ones differ by at least 1, and the exact key gap of the pair then
+    ///   exceeds the rounding of the float keys and of `γ*` by orders of
+    ///   magnitude: the float ranking puts `i` ahead of `j`. That compares the two
+    ///   keys only, so no other pair needs to be untied; a near-tie
+    ///   elsewhere leaves at most a job uncounted.
     /// * So `j`'s prefix work in the reference ranking is at least the
-    ///   exact sum of the counted `c_i`. The float sums differ from it by
-    ///   the rounding of at most `n` additions each, within `band`, so the
-    ///   argument behind the sweep's flag shows the reference's walk
-    ///   misses `j`'s deadline.
-    fn bound(&mut self, ceiling: f64, narrow: f64, band: f64, h: Horizon) -> f64 {
+    ///   exact sum of the counted `c_i`. The float sums and the limit
+    ///   differ from exact values by the rounding of at most `n + 3`
+    ///   additions each, which `band` bounds together with the rounding
+    ///   of the reference's own comparison, so the reference's walk
+    ///   misses `j`'s deadline. (A deadline far from those terms cannot
+    ///   break this: far above, the limit is never passed; far below,
+    ///   both walks see the miss.)
+    fn bound(&mut self, upper: f64, narrow: f64, band: f64, h: Horizon) -> f64 {
         let mut higher_work = 0.0;
         let mut cert = None;
         for r in &self.recs {
@@ -555,7 +533,7 @@ impl GammaScratch {
             }
             higher_work += r.exec;
         }
-        let (Some(j), true) = (cert, narrow.is_finite()) else {
+        let Some(j) = cert else {
             return f64::INFINITY;
         };
         // `finish(W, c) > deadline + band`, solved for W.
@@ -567,7 +545,7 @@ impl GammaScratch {
             if r.p < j.p {
                 self.gains.push((crossing, r.exec));
             } else if r.p > j.p {
-                if crossing > ceiling + narrow {
+                if crossing > upper + narrow {
                     work += r.exec;
                 }
             } else if r.laxity < j.laxity - narrow
@@ -593,274 +571,108 @@ impl GammaScratch {
     }
 
     /// Fills `points`, unsorted, with the crossover points `γ* = (d_b −
-    /// d_a)/(p_a − p_b)` in `(0, ceiling)` and returns the half-width an
-    /// interval must exceed for the sweep to skip it (see
-    /// [`sweep`](Self::sweep)).
-    fn crossings(&mut self, ceiling: f64) -> f64 {
-        let narrow = self.narrow(ceiling);
+    /// d_a)/(p_a − p_b)` in `(0, ceiling)`.
+    fn crossings(&mut self, ceiling: f64) {
         let GammaScratch { recs, points, .. } = self;
         // Branch-free pair walk: every pair is written to the next free
         // slot, and the slot is kept only if the crossing lies in range.
-        // Equal priorities divide by zero and fail that test; they never
-        // cross, and their float keys keep the laxity order unless the
-        // laxities are close enough for rounding to tie them, in which
-        // case no interval is trusted. (`b − a` is exactly `−(a − b)`, so
-        // the crossing does not depend on which job comes first.)
+        // Equal priorities divide by zero and fail that test: they never
+        // cross. (`b − a` is exactly `−(a − b)`, so the crossing does not
+        // depend on which job comes first.)
         points.clear();
-        points.resize(recs.len() * recs.len().saturating_sub(1) / 2, (0.0, 0, 0));
+        points.resize(recs.len() * recs.len().saturating_sub(1) / 2, 0.0);
         let mut kept = 0;
-        let mut tied = false;
         for (k, a) in recs.iter().enumerate() {
             for b in recs.iter().skip(k + 1) {
-                tied |=
-                    (a.p == b.p) & (a.laxity != b.laxity) & ((a.laxity - b.laxity).abs() <= narrow);
                 let crossing = (b.laxity - a.laxity) / (a.p - b.p);
-                let (mover, front) = if a.p > b.p {
-                    (a.idx, b.idx)
-                } else {
-                    (b.idx, a.idx)
-                };
                 if let Some(slot) = points.get_mut(kept) {
-                    *slot = (crossing, mover, front);
+                    *slot = crossing;
                 }
                 kept += usize::from((crossing > 0.0) & (crossing < ceiling));
             }
         }
         points.truncate(kept);
-        if tied {
-            f64::INFINITY
-        } else {
-            narrow
-        }
     }
 
-    /// The kinetic critical-point sweep. Expects the γ = 0 ranking and
-    /// the constraint set in place; returns the supremum of the feasible
-    /// set.
+    /// The critical-point sweep. Expects the γ = 0 ranking and the
+    /// constraint set in place; returns the supremum of the feasible set.
     ///
     /// The crossings split `[0, ceiling]` into intervals, walked from the
     /// top; each is decided at its midpoint, like [`reference::gamma_max`]
-    /// does. The top interval is probed before anything is sorted: its
-    /// lower bound is just the largest crossing, and when it is feasible
-    /// the search ends there. When it is not, its failing ranking yields
-    /// a certificate bound ([`bound`](Self::bound)). Every interval above
-    /// the smallest crossing over the bound (`start`) has its midpoint
-    /// above the bound, so it fails in the reference too: those crossings
-    /// are dropped unsorted, and the interval just below `start` is probed
-    /// next; if it is feasible, `start` is the supremum. Below the last
-    /// probed interval the sweep keeps a kinetic state:
-    /// the ranking, each job's prefix work `W_j` and a flag for "Eq. 11
-    /// violated by more than `band`", plus a count of flagged jobs.
-    /// Passing a crossing moves the larger-`p` job of each pair directly
-    /// ahead of the other; only those two jobs' `W` and flags change, so
-    /// the update is `O(1)`. An interval is skipped, never probed, only
-    /// when
+    /// does, and the first feasible one's upper end is the supremum. The
+    /// top interval is probed before anything is sorted: its lower end is
+    /// just the largest crossing, and when it is feasible the search ends
+    /// there.
     ///
-    /// 1. the state was rebuilt from an exact probe on a wide interval (the
-    ///    top one, the one below `start`, or a later one) and every swap
-    ///    since was between adjacent jobs (`synced`);
-    /// 2. the interval itself is wide: its half-width exceeds `narrow`,
-    ///    `1024·ε·Σ(|ceiling·p_i| + |d_i|)`; and
-    /// 3. some constraint job is flagged.
-    ///
-    /// Why that reproduces the reference's verdict:
-    ///
-    /// * On a wide interval every float crossing lies at least `narrow`
-    ///   from the midpoint, and (priorities being integers, so distinct
-    ///   ones differ by at least 1) the exact key gap of every pair with
-    ///   distinct priorities exceeds the rounding error of the float keys
-    ///   and of `γ*` by orders of magnitude. The float ranking at the
-    ///   midpoint therefore orders each such pair by which side of its
-    ///   float `γ*` the midpoint lies. Equal-priority pairs keep their
-    ///   laxity (then id) order at every γ, because `crossings` refuses to
-    ///   trust any interval when two of their laxities are within
-    ///   `narrow` of each other.
-    /// * Every float `γ*` of a group is the same value, so between two
-    ///   groups no pair changes side. The swaps of a group flip exactly the
-    ///   pairs in it; when each is adjacent at its turn, the result is the
-    ///   ranking the float keys give on the next wide interval. A pair that
-    ///   is not adjacent (three jobs meeting at one point, or rounding that
-    ///   breaks transitivity) drops the state to unsynced instead.
-    /// * A job is flagged when `W_j` exceeds `(deadline + band − now −
-    ///   base − c_j)·n_p`: Eq. 11 with the band added, solved for `W`. The
-    ///   kinetic `W` differ from the reference's freshly summed prefix
-    ///   work only by the rounding of at most `n + swaps` additions, and
-    ///   `band` is 1 ns plus `4(n+3)²·ε·(|now| + |base| + Σ|c_i|)`, which
-    ///   bounds that drift together with the rounding of the limit and of
-    ///   the reference's own comparison. So a flagged job also misses its
-    ///   deadline in the reference walk. (A deadline far from those terms
-    ///   cannot break this: far above, nothing is flagged; far below,
-    ///   both walks see the miss.)
-    ///
-    /// So a skipped interval is one the reference finds infeasible too.
-    /// Every other interval — no flagged job (a candidate), a narrow one,
-    /// or an unsynced state — runs the exact `rank` + Eq. 11 walk and
-    /// then rebuilds the state from that ranking in `O(n)`; a probe on a
-    /// narrow interval leaves it unsynced.
+    /// After a failed probe of `(lower, upper]`, the certificate
+    /// [`bound`](Self::bound)`(upper)` gives an `X` such that the
+    /// reference fails at every γ in `(X, upper]`. Every interval from
+    /// `lower` down to the smallest crossing above `X` has both ends above
+    /// `X`, so its midpoint lies in `(X, upper]` and it is skipped; the
+    /// walk jumps to the interval just below that crossing (just below
+    /// `lower` if none lies between). If that interval's midpoint lies
+    /// above `X` too, it is skipped as well, and the one below it, whose
+    /// midpoint lies under `X`, is probed. The first jump, from the
+    /// top interval, drops the crossings above it unsorted; the rest are
+    /// sorted and deduplicated, as the reference sorts its own, and each
+    /// later jump is a binary search. Every step moves the walk down at
+    /// least one interval, so it ends within one step per interval.
     fn sweep(&mut self, ceiling: f64, h: Horizon, counters: &mut GammaCounters) -> f64 {
-        let narrow = self.crossings(ceiling);
+        self.crossings(ceiling);
         counters.crossings += self.points.len() as u64;
-        // The top interval needs only the largest crossing; when it is
-        // feasible, nothing is sorted and no kinetic state is built.
-        let top = self.points.iter().fold(0.0, |m: f64, p| m.max(p.0));
+        let top = self.points.iter().fold(0.0, |m: f64, &g| m.max(g));
         self.seed();
         if self.probe(0.5 * (top + ceiling), h, counters) {
             return ceiling;
         }
+        if self.points.is_empty() {
+            return 0.0;
+        }
+        let narrow = self.narrow(ceiling);
         let band = self.band(h);
-        // The interval the kinetic state starts from: the top one, or the
-        // one just below the smallest crossing above the certificate bound.
-        let (mut lower, mut upper) = (top, ceiling);
-        let bound = self.bound(ceiling, narrow, band, h);
-        let start = self
+        let mut bound = self.bound(ceiling, narrow, band, h);
+        let mut upper = self
             .points
             .iter()
-            .map(|p| p.0)
+            .copied()
             .filter(|&g| g > bound)
-            .fold(f64::INFINITY, f64::min);
-        if start < top {
-            // Every interval above `start` has its midpoint above the
-            // bound: the reference finds it infeasible. Its crossings are
-            // dropped unsorted; the top interval was probed already.
-            let certified = self.points.len();
-            self.points.retain(|p| p.0 < start);
-            counters.skipped += (certified - self.points.len() - 1) as u64;
-            lower = self.points.iter().fold(0.0, |m: f64, p| m.max(p.0));
-            upper = start;
-            if self.probe(0.5 * (lower + upper), h, counters) {
-                return upper;
-            }
-        }
-        self.kin.clear();
-        self.kin.resize(
-            self.recs.len(),
-            Kinetic {
-                pos: 0,
-                work: 0.0,
-                limit: f64::INFINITY,
-                violated: false,
-            },
-        );
-        for r in &self.recs {
-            if let (false, Some(kin)) = (r.skip, self.kin.get_mut(r.idx as usize)) {
-                // `finish(W, c) > deadline + band`, solved for W.
-                kin.limit = (r.deadline + band - h.now - h.base - r.exec) * h.n_p;
-            }
-        }
-        self.sync(h);
-        counters.resyncs += 1;
-        let mut synced = 0.5 * (upper - lower) > narrow;
+            .fold(top, f64::min);
+        // The top interval was probed; those between it and `upper` are
+        // certified.
+        let generated = self.points.len();
+        self.points.retain(|&g| g < upper);
+        counters.skipped += (generated - self.points.len() - 1) as u64;
         // Every crossing is positive and finite, so its bits order like
-        // its value. Within a group of equal crossings any deterministic
-        // order does: it only decides whether the swaps stay adjacent.
+        // its value.
         self.points
-            .sort_unstable_by_key(|&(g, _, _)| std::cmp::Reverse(g.to_bits()));
-        // `points` is taken out for the walk (the kinetic updates borrow
-        // the rest of the scratch) and restored after, so its capacity is
-        // reused by the next recompute.
-        let points = std::mem::take(&mut self.points);
-        let same = |x: &(f64, u32, u32), y: &(f64, u32, u32)| x.0 == y.0;
-        let below = points.chunk_by(same).skip(1).map(Some);
-        let mut supremum = 0.0;
-        // Each step passes one group of equal crossings, then decides the
-        // interval below it.
-        for (group, next) in points.chunk_by(same).zip(below.chain([None])) {
-            let Some(&(upper, _, _)) = group.first() else {
-                continue;
-            };
-            let lower = next.and_then(<[_]>::first).map_or(0.0, |p| p.0);
-            if synced {
-                for &(_, mover, front) in group {
-                    if !self.overtake(mover as usize, front as usize) {
-                        synced = false;
-                        break;
-                    }
-                }
-            }
-            let wide = 0.5 * (upper - lower) > narrow;
-            if synced && wide && self.violations > 0 {
+            .sort_unstable_by_key(|&g| std::cmp::Reverse(g.to_bits()));
+        self.points.dedup();
+        // `upper` tops the interval to decide; `points[k]` is its lower end
+        // (0 past the last crossing). A midpoint above the last bound is
+        // certified too.
+        let mut k = 0;
+        for _ in 0..=self.points.len() {
+            let lower = self.points.get(k).copied().unwrap_or(0.0);
+            let mid = 0.5 * (lower + upper);
+            if mid > bound {
                 counters.skipped += 1;
-                continue;
+            } else if self.probe(mid, h, counters) {
+                return upper;
+            } else {
+                bound = self.bound(upper, narrow, band, h);
             }
-            counters.probes += 1;
-            // A ranking the last sync walked (unsynced, nothing passed
-            // since, nothing moved) keeps its verdict and its state.
-            let feasible = match (self.rank(0.5 * (lower + upper), false), self.held) {
-                (false, Some(held)) => {
-                    counters.reused += 1;
-                    held
-                }
-                _ => self.sync(h),
-            };
-            if feasible {
-                supremum = upper;
+            if k == self.points.len() {
                 break;
             }
-            counters.resyncs += 1;
-            synced = wide;
+            let next = self.points.partition_point(|&g| g > bound).max(k + 1);
+            let Some(&below) = self.points.get(next - 1) else {
+                break;
+            };
+            counters.skipped += (next - k - 1) as u64;
+            upper = below;
+            k = next;
         }
-        self.points = points;
-        supremum
-    }
-
-    /// Exact Eq. 11 check of the current ranking — the arithmetic of
-    /// [`feasible`](Self::feasible), without its early exit — that also
-    /// rebuilds the kinetic state from the ranking.
-    fn sync(&mut self, h: Horizon) -> bool {
-        let mut feasible = true;
-        let mut higher_work = 0.0;
-        self.violations = 0;
-        for (pos, r) in self.recs.iter().enumerate() {
-            if !r.skip && h.finish(higher_work, r.exec) > r.deadline {
-                feasible = false;
-            }
-            if let Some(kin) = self.kin.get_mut(r.idx as usize) {
-                kin.pos = pos;
-                kin.work = higher_work;
-                kin.violated = higher_work > kin.limit;
-                self.violations += usize::from(kin.violated);
-            }
-            higher_work += r.exec;
-        }
-        self.held = Some(feasible);
-        feasible
-    }
-
-    /// Kinetic update for one crossing: `mover` passes `front`, the job
-    /// ranked directly ahead of it. Returns `false`, changing nothing,
-    /// when the two are not adjacent in that order.
-    fn overtake(&mut self, mover: usize, front: usize) -> bool {
-        let (Some(&m), Some(&f)) = (self.kin.get(mover), self.kin.get(front)) else {
-            return false;
-        };
-        if m.pos != f.pos + 1 {
-            return false;
-        }
-        let Some([ahead, behind]) = self.recs.get_mut(f.pos..=m.pos) else {
-            return false;
-        };
-        let c = behind.exec;
-        std::mem::swap(ahead, behind);
-        self.held = None;
-        self.place(mover, f.pos, f.work);
-        self.place(front, m.pos, f.work + c);
-        true
-    }
-
-    /// Moves `job` to `pos` with `work` ranked ahead of it and re-flags
-    /// its constraint.
-    fn place(&mut self, job: usize, pos: usize, work: f64) {
-        let Some(kin) = self.kin.get_mut(job) else {
-            return;
-        };
-        let violated = work > kin.limit;
-        self.violations = self.violations + usize::from(violated) - usize::from(kin.violated);
-        *kin = Kinetic {
-            pos,
-            work,
-            violated,
-            ..*kin
-        };
+        0.0
     }
 }
 
@@ -1557,7 +1369,7 @@ mod tests {
 
         /// The certificate on the grid queues, where about a quarter of
         /// the draws fail at the ceiling and certify a bound (the flat
-        /// kernel's queues rarely do).
+        /// kernel's queues rarely do), at the ceiling and below it.
         #[test]
         fn certificate_bound_is_infeasible_in_the_reference_on_grid_queues(
             priorities in proptest::collection::vec(0u32..6, 1..10),
@@ -1685,10 +1497,12 @@ mod tests {
         }
 
         /// The certificate on the same queues: at every γ in `(X,
-        /// ceiling]` the reference's Eq. 11 check must fail, for the
-        /// certificates of both searches' first failing probes, strict
-        /// and relaxed. Each case checks `X`'s next float up, the ceiling
-        /// and four random points between.
+        /// upper]` the reference's Eq. 11 check must fail, strict and
+        /// relaxed, for the certificates of both searches' first failing
+        /// probes (`upper` the ceiling) and for the sweep's certificates
+        /// of four random intervals below it (`upper` the interval's top).
+        /// Each case checks `X`'s next float up, `upper` and four random
+        /// points between.
         #[test]
         fn certificate_bound_is_infeasible_in_the_reference_above_it(
             priorities in proptest::collection::vec(proptest::arbitrary::any::<u32>(), 1..8),
@@ -1708,40 +1522,78 @@ mod tests {
         }
     }
 
-    /// The certificate bounds of the first failing probe of each search,
-    /// `[bisection, sweep]` (`None` where that probe is feasible or γ = 0
-    /// already fails), computed as the searches compute them.
-    fn certificates(fx: &Fixture, ceiling: f64, strict: bool) -> [Option<f64>; 2] {
+    /// A scratch loaded with a fixture's queue, ranked at γ = 0 with its
+    /// constraint set marked, as both searches start; `None` if γ = 0
+    /// already fails.
+    fn started(fx: &Fixture, strict: bool) -> Option<(GammaScratch, Horizon)> {
         let ctx = fx.ctx();
         let h = Horizon::of(&ctx);
         let mut s = GammaScratch::default();
-        let mut counters = GammaCounters::default();
         s.load(&ctx);
         s.rank(0.0, true);
         if !strict {
             s.mark_doomed(h);
         }
-        if !s.feasible(h) {
+        s.feasible(h).then_some((s, h))
+    }
+
+    /// The certificate bounds of the first failing probe of each search,
+    /// `[bisection, sweep]` (`None` where that probe is feasible or γ = 0
+    /// already fails), computed as the searches compute them.
+    fn certificates(fx: &Fixture, ceiling: f64, strict: bool) -> [Option<f64>; 2] {
+        let Some((mut s, h)) = started(fx, strict) else {
             return [None, None];
-        }
+        };
+        let mut counters = GammaCounters::default();
         let narrow = s.narrow(ceiling);
-        let sweep_narrow = s.crossings(ceiling);
-        let top = s.points.iter().fold(0.0, |m: f64, p| m.max(p.0));
-        let mut bound = |gamma: f64, narrow: f64| {
+        s.crossings(ceiling);
+        let top = s.points.iter().fold(0.0, |m: f64, &g| m.max(g));
+        let mut bound = |gamma: f64| {
             s.seed();
             (!s.probe(gamma, h, &mut counters)).then(|| s.bound(ceiling, narrow, s.band(h), h))
         };
-        [
-            bound(ceiling, narrow),
-            bound(0.5 * (top + ceiling), sweep_narrow),
-        ]
+        [bound(ceiling), bound(0.5 * (top + ceiling))]
+    }
+
+    /// The sweep's certificates below the ceiling, `(upper, X)`: for the
+    /// interval `(lower, upper]` just below each crossing that a fraction
+    /// picks from the sorted, deduplicated crossings, the bound
+    /// `bound(upper)` gives where that interval's probe fails.
+    fn interval_certificates(
+        fx: &Fixture,
+        ceiling: f64,
+        strict: bool,
+        fractions: &[f64],
+    ) -> Vec<(f64, f64)> {
+        let Some((mut s, h)) = started(fx, strict) else {
+            return Vec::new();
+        };
+        let mut counters = GammaCounters::default();
+        let (narrow, band) = (s.narrow(ceiling), s.band(h));
+        s.crossings(ceiling);
+        let mut points = s.points.clone();
+        points.sort_by(|a, b| b.total_cmp(a));
+        points.dedup();
+        let mut bounds = Vec::new();
+        for f in fractions {
+            let k = (f * points.len() as f64) as usize;
+            let Some(&upper) = points.get(k) else {
+                continue;
+            };
+            let lower = points.get(k + 1).copied().unwrap_or(0.0);
+            if !s.probe(0.5 * (lower + upper), h, &mut counters) {
+                bounds.push((upper, s.bound(upper, narrow, band, h)));
+            }
+        }
+        bounds
     }
 
     /// Asserts that the reference's Eq. 11 check fails at every γ in
-    /// `(X, ceiling]` it is asked about, for each certificate bound `X` of
-    /// [`certificates`], strict and relaxed: `X`'s next float up, the
-    /// ceiling, and `X + f·(ceiling − X)` for each fraction `f`. Returns
-    /// the bounds, relaxed then strict.
+    /// `(X, upper]` it is asked about, strict and relaxed, for each
+    /// certificate bound `X` of [`certificates`] (`upper` the ceiling)
+    /// and of [`interval_certificates`]: `X`'s next float up, `upper`,
+    /// and `X + f·(upper − X)` for each fraction `f`. Returns the bounds
+    /// of [`certificates`], relaxed then strict.
     fn assert_certificates_sound(
         fx: &Fixture,
         ceiling: f64,
@@ -1755,14 +1607,16 @@ mod tests {
                 reference::doomed_at_zero(&ctx)
             };
             let bounds = certificates(fx, ceiling, strict);
-            for bound in bounds.into_iter().flatten().filter(|&x| x < ceiling) {
+            let at_ceiling = bounds.into_iter().flatten().map(|x| (ceiling, x));
+            let below = interval_certificates(fx, ceiling, strict, fractions);
+            for (upper, bound) in at_ceiling.chain(below).filter(|&(u, x)| x < u) {
                 let from = bound.max(0.0);
-                let inside = fractions.iter().map(|f| from + f * (ceiling - from));
-                for gamma in [from.next_up(), ceiling].into_iter().chain(inside) {
-                    if gamma > bound && gamma > 0.0 && gamma <= ceiling {
+                let inside = fractions.iter().map(|f| from + f * (upper - from));
+                for gamma in [from.next_up(), upper].into_iter().chain(inside) {
+                    if gamma > bound && gamma > 0.0 && gamma <= upper {
                         assert!(
                             !reference::feasible(&ctx, gamma, &skip),
-                            "γ = {gamma} above the bound {bound} (strict {strict}) is feasible; queue {:?}",
+                            "γ = {gamma} in ({bound}, {upper}] (strict {strict}) is feasible; queue {:?}",
                             ctx.queue,
                         );
                     }
@@ -1837,11 +1691,10 @@ mod tests {
     fn sweep_reverses_a_block_of_three_collinear_jobs() {
         // P_i(γ) = γ·p_i + d_i meet in one point for all three jobs:
         // d = 0.25, 0.1875, 0.125 with p = 0, 1, 2 give γ* = 0.0625 for
-        // every pair, so one group of three swaps reverses the block.
-        // Above γ* the loosest job runs first and the tightest misses;
-        // below it the reversed order is feasible. Every queue order is
-        // tried, so the three swaps come in different orders; one that
-        // meets a non-adjacent pair must fall back to a probe.
+        // every pair, so the three crossings coincide (one interval
+        // boundary) and passing it reverses the block. Above γ* the
+        // loosest job runs first and the tightest misses; below it the
+        // reversed order is feasible. Every queue order is tried.
         let c = 0.125;
         let jobs = [
             (0, 0.0, 0.25 + c),
@@ -1930,8 +1783,8 @@ mod tests {
             // γ = 0 check, then the top interval, the sub-band one and
             // the feasible one: nothing is skipped.
             assert_eq!(
-                (sweep.probes, sweep.skipped, sweep.resyncs),
-                (4, 0, 2),
+                (sweep.probes, sweep.skipped, sweep.reused),
+                (4, 0, 0),
                 "{sweep:?}"
             );
         }
@@ -1963,20 +1816,15 @@ mod tests {
     }
 
     #[test]
-    fn sweep_skips_most_intervals_of_an_overloaded_queue() {
+    fn sweep_probes_two_intervals_below_the_top_of_an_overloaded_queue() {
         let fx = overloaded_queue();
         let [relaxed, _] = check_against_reference(&fx, 0.2);
-        // γ = 0, the top interval, the interval just below the smallest
-        // crossing above the certificate bound, and the feasible one are
-        // probed; every other interval is certified or skipped.
+        // γ = 0, the top interval and two intervals the certificates jump
+        // to (the second one feasible) are probed; the other 579 are
+        // certified infeasible.
         assert_eq!(
-            (
-                relaxed.probes,
-                relaxed.skipped,
-                relaxed.resyncs,
-                relaxed.reused
-            ),
-            (4, 579, 1, 0),
+            (relaxed.probes, relaxed.skipped, relaxed.reused),
+            (4, 579, 0),
             "{relaxed:?}"
         );
     }
@@ -2037,20 +1885,17 @@ mod tests {
             assert_eq!(bounds, [[Some(x); 2]; 2]);
             let crossing = (0.125 + 4.0 * target - 0.125) / 4.0;
             assert_eq!(crossing.to_bits() as i64 - x.to_bits() as i64, step);
-            // Only a crossing above the bound moves the sweep's start: then
-            // the interval just below that crossing is probed first (the
-            // one above it is certified) and the kinetic state is built
-            // once, from that probe. Otherwise the state is built from the
-            // top interval, skips the interval above the crossing and is
-            // rebuilt below it.
+            // The interval above the crossing is certified either way: with
+            // the crossing above the bound it is dropped with the crossings
+            // over it, otherwise its midpoint lies above the bound. The
+            // interval below the crossing is probed, then the feasible one.
             let extra = [(2, 0.125), (3, 0.125 + 4.0 * target)];
             let fx = certificate_queue(0.01, &extra, ceiling);
             let sweeps = counters_of(&fx, ceiling);
             for sweep in [sweeps[1], sweeps[3]] {
-                let resyncs = if step == 1 { 1 } else { 2 };
                 assert_eq!(
-                    (sweep.probes, sweep.skipped, sweep.resyncs),
-                    (4, 1, resyncs),
+                    (sweep.probes, sweep.skipped, sweep.reused),
+                    (4, 1, 0),
                     "{sweep:?}"
                 );
             }
@@ -2061,9 +1906,7 @@ mod tests {
     fn certificate_counts_an_equal_priority_job_only_past_a_near_tie() {
         // `i` is ranked ahead of `j` at every γ, but is counted only when
         // their laxity gap exceeds `narrow`. Just above, both searches
-        // certify the same bound; just below, the bisection certifies
-        // nothing, and the sweep, which trusts no interval after a
-        // near-tie, certifies nothing either.
+        // certify the same bound; just below, neither certifies anything.
         let ceiling = 0.2;
         let narrow = narrow_of(&certificate_queue(0.0, &[], ceiling), ceiling);
         for (scale, certified) in [(1.001, true), (0.999, false)] {

@@ -91,10 +91,11 @@ pub struct SimConfig {
     pub trace_capacity: usize,
     /// Rate for sources that declare no allowable range.
     pub default_rate: Rate,
-    /// Freshness bound on *secondary* (non-trigger) predecessor outputs: a
-    /// downstream task releases only if every secondary predecessor
-    /// produced a successful output within this bound. `None` means any
-    /// past output suffices (pure latest-value fusion).
+    /// Freshness bound on *secondary* (non-trigger) predecessor outputs
+    /// under [`JoinPolicy::LatestValue`]: a downstream task releases only
+    /// if every secondary predecessor produced a successful output within
+    /// this bound. `None` means any past output suffices (pure
+    /// latest-value fusion). [`JoinPolicy::SameCycle`] never reads it.
     pub staleness_bound: Option<SimSpan>,
     /// Uniform jitter applied to each source release period as a fraction
     /// of the period (sensors are not metronomes; 0 disables).

@@ -71,7 +71,11 @@ pub struct CarFollowingConfig {
     pub dps: DpsConfig,
     /// Coordinator configuration.
     pub coordinator: CoordinatorConfig,
-    /// Freshness bound (ms) on secondary predecessor outputs in the engine.
+    /// Freshness bound (ms) on secondary predecessor outputs. The closed
+    /// loop does not read it: it runs the engine with
+    /// `JoinPolicy::SameCycle` joins, and only latest-value joins apply a
+    /// staleness bound (`SimConfig::staleness_bound`), so this value
+    /// changes no run.
     pub staleness_ms: f64,
     /// Source release jitter as a fraction of the period.
     pub release_jitter_frac: f64,
@@ -498,7 +502,6 @@ pub(crate) fn drive<'a>(
         processors: config.processors,
         seed: config.seed,
         load: config.load.clone(),
-        staleness_ms: config.staleness_ms,
         release_jitter_frac: config.release_jitter_frac,
         expire_queued_jobs: config.expire_queued_jobs,
         baseline_rate_hz: config.baseline_rate_hz,

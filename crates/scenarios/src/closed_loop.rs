@@ -50,7 +50,6 @@ pub(crate) struct ClosedLoop<'a, P: Plant> {
     pub processors: usize,
     pub seed: u64,
     pub load: LoadProfile,
-    pub staleness_ms: f64,
     pub release_jitter_frac: f64,
     pub expire_queued_jobs: bool,
     /// Every source starts here, or under HCPerf at this fraction of its
@@ -105,7 +104,6 @@ impl<P: Plant> ClosedLoop<'_, P> {
             processors: self.processors,
             seed: self.seed,
             load: self.load,
-            staleness_bound: Some(SimSpan::from_millis(self.staleness_ms)),
             release_jitter_frac: self.release_jitter_frac,
             join_policy: JoinPolicy::SameCycle,
             expire_queued_jobs: self.expire_queued_jobs,

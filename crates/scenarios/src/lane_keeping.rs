@@ -246,7 +246,6 @@ pub fn run_lane_keeping(config: &LaneKeepingConfig) -> Result<LaneKeepingResult,
         processors: config.processors,
         seed: config.seed,
         load: config.load.clone(),
-        staleness_ms: 60.0,
         release_jitter_frac: 0.15,
         expire_queued_jobs: false,
         baseline_rate_hz: config.baseline_rate_hz,

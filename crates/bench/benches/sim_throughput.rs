@@ -5,7 +5,7 @@
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use hcperf::{DpsConfig, Scheme};
-use hcperf_rtsim::{JoinPolicy, Sim, SimConfig};
+use hcperf_rtsim::{Sim, SimConfig};
 use hcperf_taskgraph::graphs::{apollo_graph, GraphOptions};
 use hcperf_taskgraph::{Rate, SimTime};
 use std::hint::black_box;
@@ -26,10 +26,7 @@ fn bench_sim_second(c: &mut Criterion) {
                     .unwrap();
                     let mut sim = Sim::new(
                         graph,
-                        SimConfig {
-                            join_policy: JoinPolicy::SameCycle,
-                            ..Default::default()
-                        },
+                        SimConfig::default(),
                         scheme.build(DpsConfig::default()),
                     )
                     .unwrap();

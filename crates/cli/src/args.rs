@@ -75,13 +75,18 @@ impl Args {
     ///
     /// # Errors
     ///
-    /// Returns [`ParseError`] if the value is present but not a number.
+    /// Returns [`ParseError`] if the value is present but not a number, or
+    /// not finite (`nan`, `inf`, or a literal such as `1e999` that
+    /// overflows): no option means anything at those values, and a
+    /// horizon or rate of them would never finish or would panic.
     pub fn get_f64(&self, key: &str, default: f64) -> Result<f64, ParseError> {
-        match self.get(key) {
+        match self.get(key).map(|v| (v, v.parse::<f64>())) {
             None => Ok(default),
-            Some(v) => v
-                .parse()
-                .map_err(|_| ParseError(format!("--{key} expects a number, got {v:?}"))),
+            Some((_, Ok(x))) if x.is_finite() => Ok(x),
+            Some((v, Ok(_))) => Err(ParseError(format!(
+                "--{key} expects a finite number, got {v:?}"
+            ))),
+            Some((v, Err(_))) => Err(ParseError(format!("--{key} expects a number, got {v:?}"))),
         }
     }
 

@@ -8,7 +8,7 @@ use hcperf::rta::rta_fixed_priority;
 use hcperf::Scheme;
 use hcperf_faults::FaultPlan;
 use hcperf_harness::ResultCache;
-use hcperf_rtsim::{gantt, trace_json, JoinPolicy, Sim, SimConfig};
+use hcperf_rtsim::{gantt, trace_json, Sim, SimConfig};
 use hcperf_scenarios::car_following::{run_car_following, CarFollowingConfig};
 use hcperf_scenarios::fleet::{run_fleet, FleetConfig, FleetPreset};
 use hcperf_scenarios::lane_keeping::{run_lane_keeping, LaneKeepingConfig};
@@ -447,9 +447,18 @@ fn cmd_fleet(args: &Args) -> Result<String, CliError> {
             cache.as_mut().map(|c| c as &mut dyn ResultCache<_>),
         );
         // Flush + fsync on success AND error paths: an interrupted run
-        // must leave its replayable JSONL prefix durably on disk.
+        // must leave its replayable JSONL prefix durably on disk. Only a
+        // regular file is fsynced: a device or pipe (`/dev/null`) has
+        // nothing to make durable and rejects the call with EINVAL.
         use std::io::Write as _;
-        let sync = file.flush().and_then(|()| file.get_ref().sync_all());
+        let sync = file.flush().and_then(|()| {
+            let f = file.get_ref();
+            if f.metadata()?.is_file() {
+                f.sync_all()
+            } else {
+                Ok(())
+            }
+        });
         match (result, sync) {
             (Err(e), _) => Err(e), // the run error is primary
             (Ok(_), Err(e)) => {
@@ -770,7 +779,6 @@ fn cmd_trace(args: &Args) -> Result<String, CliError> {
         SimConfig {
             seed,
             trace_capacity: 1_000_000,
-            join_policy: JoinPolicy::SameCycle,
             ..Default::default()
         },
         scheme.build(hcperf::DpsConfig::default()),
@@ -903,6 +911,75 @@ mod tests {
         assert!(run(&["fleet", "--duration", "0"]).is_err());
         assert!(run(&["fleet", "--preset", "submarine"]).is_err());
         assert!(run(&["fleet", "--timing", "maybe"]).is_err());
+    }
+
+    /// Asserts that `argv` is refused as a non-finite number.
+    fn rejects_non_finite(argv: &[&str]) {
+        match run(argv) {
+            Err(CliError::Args(ParseError(msg))) => {
+                assert!(msg.contains("expects a finite number"), "{argv:?}: {msg}");
+            }
+            other => panic!("{argv:?}: {other:?}"),
+        }
+    }
+
+    #[test]
+    fn analyze_rejects_non_finite_rate() {
+        rejects_non_finite(&["analyze", "--rate", "nan"]);
+        rejects_non_finite(&["analyze", "--rate", "inf"]);
+    }
+
+    #[test]
+    fn trace_rejects_non_finite_rate_and_duration() {
+        rejects_non_finite(&["trace", "--rate", "nan"]);
+        rejects_non_finite(&["trace", "--duration", "inf"]);
+    }
+
+    #[test]
+    fn sweep_rejects_non_finite_bounds_and_duration() {
+        rejects_non_finite(&["sweep", "--duration", "inf", "--jobs", "1"]);
+        rejects_non_finite(&["sweep", "--to", "inf", "--jobs", "1"]);
+    }
+
+    #[test]
+    fn run_rejects_non_finite_duration() {
+        rejects_non_finite(&["run", "--duration", "inf"]);
+        rejects_non_finite(&["run", "--duration", "nan"]);
+        rejects_non_finite(&["run", "--duration", "1e999"]);
+    }
+
+    #[test]
+    fn fleet_rejects_non_finite_duration() {
+        rejects_non_finite(&[
+            "fleet",
+            "--duration",
+            "inf",
+            "--vehicles",
+            "2",
+            "--jobs",
+            "1",
+        ]);
+    }
+
+    /// A character device takes the records but cannot be fsynced; the
+    /// run must still succeed.
+    #[cfg(unix)]
+    #[test]
+    fn fleet_writes_to_a_character_device() {
+        let out = run(&[
+            "fleet",
+            "--vehicles",
+            "2",
+            "--duration",
+            "0.05",
+            "--jobs",
+            "1",
+            "--out",
+            "/dev/null",
+        ])
+        .unwrap();
+        assert!(out.contains("ok / failed / panicked: 2 / 0 / 0"), "{out}");
+        assert!(out.contains("records: /dev/null"), "{out}");
     }
 
     #[test]

@@ -16,7 +16,7 @@
 //!   Eq. 14 sensitivity `g` (∂miss-ratio/∂rate) by simulation, from which
 //!   [`suggested_gain`] derives an initial `K_p`.
 
-use hcperf_rtsim::{JoinPolicy, Sim, SimConfig, SimError};
+use hcperf_rtsim::{Sim, SimConfig, SimError};
 use hcperf_taskgraph::{ExecContext, LoadProfile, Rate, SimTime, TaskGraph};
 
 use crate::dps::DpsConfig;
@@ -164,7 +164,6 @@ pub fn profile_rate_sensitivity(
                 processors,
                 seed,
                 load: load.clone(),
-                join_policy: JoinPolicy::SameCycle,
                 expire_queued_jobs: false,
                 ..Default::default()
             },
@@ -325,15 +324,15 @@ mod tests {
         let budget = hcperf_taskgraph::SimSpan::from_millis(400.0);
         let deadlines = proportional_deadlines(&g, budget, ctx);
         assert_eq!(deadlines.len(), g.len());
-        // Walking the trigger chain from the chassis back to its source,
-        // the per-stage deadlines sum to at most the budget (the chain is
-        // the critical path or shorter).
+        // Walking the first-listed predecessors from the chassis back to a
+        // source, the per-stage deadlines sum to at most the budget (the
+        // chain is the critical path or shorter).
         let mut cur = g.find("chassis_command").unwrap();
         let mut sum = hcperf_taskgraph::SimSpan::ZERO;
         loop {
             sum += deadlines[cur.index()].1;
-            match g.trigger_pred(cur) {
-                Some(p) => cur = p,
+            match g.ipred(cur).first() {
+                Some(&p) => cur = p,
                 None => break,
             }
         }

@@ -11,18 +11,16 @@
 use std::cmp::Ordering;
 use std::collections::BinaryHeap;
 
-use hcperf_taskgraph::{SimTime, TaskId};
+use hcperf_taskgraph::SimTime;
 
 use crate::job::JobId;
 
 /// What happens when an event fires.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum EventKind {
-    /// A source task releases a new job (and re-arms its next release).
-    SourceRelease {
-        /// The source task releasing.
-        task: TaskId,
-    },
+    /// Every source releases its job of the next pipeline cycle (and the
+    /// next cycle release is armed).
+    CycleRelease,
     /// The job running on `processor` finishes.
     JobCompleted {
         /// Processor index that becomes idle.
@@ -84,13 +82,14 @@ impl PartialOrd for Event {
 ///
 /// ```
 /// use hcperf_rtsim::event::{EventKind, EventQueue};
-/// use hcperf_taskgraph::{SimTime, TaskId};
+/// use hcperf_taskgraph::SimTime;
 ///
 /// let mut q = EventQueue::new();
-/// q.push(SimTime::from_secs(2.0), EventKind::SourceRelease { task: TaskId::new(0) });
-/// q.push(SimTime::from_secs(1.0), EventKind::SourceRelease { task: TaskId::new(1) });
+/// q.push(SimTime::from_secs(2.0), EventKind::CycleRelease);
+/// q.push(SimTime::from_secs(1.0), EventKind::JobCompleted { processor: 0 });
 /// let first = q.pop().unwrap();
 /// assert_eq!(first.time, SimTime::from_secs(1.0));
+/// assert_eq!(first.kind, EventKind::JobCompleted { processor: 0 });
 /// ```
 #[derive(Debug, Default)]
 pub struct EventQueue {
@@ -153,18 +152,17 @@ impl EventQueue {
 mod tests {
     use super::*;
 
-    fn release(task: usize) -> EventKind {
-        EventKind::SourceRelease {
-            task: TaskId::new(task),
-        }
+    /// An event tagged with `n`, to tell same-kind events apart.
+    fn tagged(n: u64) -> EventKind {
+        EventKind::ExpiryCheck { job: JobId::new(n) }
     }
 
     #[test]
     fn pops_in_time_order() {
         let mut q = EventQueue::new();
-        q.push(SimTime::from_secs(3.0), release(0));
-        q.push(SimTime::from_secs(1.0), release(1));
-        q.push(SimTime::from_secs(2.0), release(2));
+        q.push(SimTime::from_secs(3.0), tagged(0));
+        q.push(SimTime::from_secs(1.0), tagged(1));
+        q.push(SimTime::from_secs(2.0), tagged(2));
         let times: Vec<f64> = std::iter::from_fn(|| q.pop())
             .map(|e| e.time.as_secs())
             .collect();
@@ -175,23 +173,18 @@ mod tests {
     fn ties_break_by_insertion_order() {
         let mut q = EventQueue::new();
         let t = SimTime::from_secs(1.0);
-        q.push(t, release(10));
-        q.push(t, release(11));
-        q.push(t, release(12));
-        let tasks: Vec<usize> = std::iter::from_fn(|| q.pop())
-            .map(|e| match e.kind {
-                EventKind::SourceRelease { task } => task.index(),
-                _ => unreachable!(),
-            })
-            .collect();
-        assert_eq!(tasks, vec![10, 11, 12]);
+        q.push(t, tagged(10));
+        q.push(t, tagged(11));
+        q.push(t, tagged(12));
+        let kinds: Vec<EventKind> = std::iter::from_fn(|| q.pop()).map(|e| e.kind).collect();
+        assert_eq!(kinds, vec![tagged(10), tagged(11), tagged(12)]);
     }
 
     #[test]
     fn pop_due_respects_the_horizon() {
         let mut q = EventQueue::new();
-        q.push(SimTime::from_secs(1.0), release(0));
-        q.push(SimTime::from_secs(3.0), release(1));
+        q.push(SimTime::from_secs(1.0), tagged(0));
+        q.push(SimTime::from_secs(3.0), tagged(1));
         let horizon = SimTime::from_secs(2.0);
         assert_eq!(
             q.pop_due(horizon).map(|e| e.time),
@@ -200,7 +193,7 @@ mod tests {
         assert_eq!(q.pop_due(horizon), None, "3.0 s event is past the horizon");
         assert_eq!(q.len(), 1, "the late event stays queued");
         // An event exactly at the horizon is due.
-        q.push(horizon, release(2));
+        q.push(horizon, tagged(2));
         assert_eq!(q.pop_due(horizon).map(|e| e.time), Some(horizon));
         assert_eq!(
             q.pop_due(SimTime::from_secs(10.0)).map(|e| e.time),
@@ -212,7 +205,7 @@ mod tests {
     #[test]
     fn peek_does_not_remove() {
         let mut q = EventQueue::new();
-        q.push(SimTime::from_secs(5.0), release(0));
+        q.push(SimTime::from_secs(5.0), tagged(0));
         assert_eq!(q.peek_time(), Some(SimTime::from_secs(5.0)));
         assert_eq!(q.len(), 1);
         assert!(!q.is_empty());
@@ -231,7 +224,7 @@ mod tests {
         let t = SimTime::from_secs(2.0);
         q.push(t, EventKind::ExpiryCheck { job: JobId::new(7) });
         q.push(t, EventKind::JobCompleted { processor: 0 });
-        q.push(t, release(1));
+        q.push(t, EventKind::CycleRelease);
         q.push(t, EventKind::OutputReady { job: JobId::new(8) });
         q.push(t, EventKind::JobCompleted { processor: 1 });
         let kinds: Vec<EventKind> = std::iter::from_fn(|| q.pop()).map(|e| e.kind).collect();
@@ -240,7 +233,7 @@ mod tests {
             vec![
                 EventKind::ExpiryCheck { job: JobId::new(7) },
                 EventKind::JobCompleted { processor: 0 },
-                release(1),
+                EventKind::CycleRelease,
                 EventKind::OutputReady { job: JobId::new(8) },
                 EventKind::JobCompleted { processor: 1 },
             ],
@@ -251,8 +244,8 @@ mod tests {
         let lo = SimTime::from_secs(0.3);
         let hi = SimTime::from_secs(0.1 + 0.2);
         assert_ne!(lo, hi);
-        q.push(hi, release(99));
-        q.push(lo, release(42));
+        q.push(hi, tagged(99));
+        q.push(lo, tagged(42));
         let order: Vec<u64> = std::iter::from_fn(|| q.pop()).map(|e| e.seq).collect();
         assert_eq!(order, vec![6, 5], "0.3 pops before 0.1 + 0.2");
     }
@@ -268,11 +261,8 @@ mod tests {
             SimTime::from_secs(2.0),
             EventKind::ExpiryCheck { job: JobId::new(4) },
         );
-        q.push(SimTime::from_secs(1.5), release(3));
-        assert!(matches!(
-            q.pop().unwrap().kind,
-            EventKind::SourceRelease { .. }
-        ));
+        q.push(SimTime::from_secs(1.5), EventKind::CycleRelease);
+        assert_eq!(q.pop().unwrap().kind, EventKind::CycleRelease);
         assert!(matches!(
             q.pop().unwrap().kind,
             EventKind::JobCompleted { processor: 1 }

@@ -69,7 +69,7 @@ pub struct Job {
 impl Job {
     /// Creates a job.
     ///
-    /// `cycle` is the pipeline cycle index inherited from the triggering
+    /// `cycle` is the pipeline cycle index, inherited from the cycle's
     /// source release; `chain_release` is the instant that source release
     /// occurred (equals `release` for source jobs).
     #[must_use]

@@ -6,8 +6,9 @@
 //! [`TaskGraph`](hcperf_taskgraph::TaskGraph) on `M` identical processors
 //! under a pluggable non-preemptive [`Scheduler`], with:
 //!
-//! * periodic source releases at adjustable rates,
-//! * trigger-predecessor DAG propagation (latest-value fusion),
+//! * per-cycle source releases at adjustable rates (the slowest paces
+//!   the pipeline),
+//! * same-cycle AND-joins of each task's predecessors (§ II),
 //! * per-job deadline accounting with output discard on miss,
 //! * control-command emission at sink completions,
 //! * windowed deadline-miss statistics for the external coordinator, and

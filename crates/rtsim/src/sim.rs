@@ -3,15 +3,17 @@
 //! [`Sim`] executes a [`TaskGraph`] on `M` identical processors under a
 //! pluggable non-preemptive [`Scheduler`]:
 //!
-//! * **Source tasks** release periodically at adjustable rates (the external
-//!   coordinator's knob, Eq. 1c / Eq. 13).
-//! * **Downstream tasks** release when their *trigger predecessor*'s job
-//!   completes within its deadline; secondary predecessors must have
-//!   produced output at least once (latest-value fusion, as in Apollo
-//!   Cyber RT's primary-channel semantics).
+//! * **Source tasks** release together, one job each per *pipeline
+//!   cycle*. The cycle period is that of the slowest source rate, so the
+//!   rates are the external coordinator's knob (Eq. 1c / Eq. 13) and the
+//!   slowest one paces the pipeline.
+//! * **Downstream tasks** release when **every** immediate predecessor's
+//!   job of the same cycle has completed within its deadline: the paper's
+//!   § II same-cycle AND-join.
 //! * A job that completes after its absolute deadline counts as a miss and
-//!   its output is **discarded** — successors are not triggered (§ II: "the
-//!   fusion results of this control cycle are discarded").
+//!   its output is **discarded**: the joins waiting on it never complete,
+//!   so nothing downstream of it runs in that cycle (§ II: "the fusion
+//!   results of this control cycle are discarded").
 //! * Optionally, queued jobs whose deadline passes before they start are
 //!   expired and removed (they could no longer produce valid output), which
 //!   bounds queue growth under overload.
@@ -53,13 +55,13 @@
 //!
 //! # Same-cycle joins
 //!
-//! Under [`JoinPolicy::SameCycle`] a task with several predecessors
-//! counts its predecessors' same-cycle outputs in a per-task list of open
-//! joins, sorted by cycle and searched from the back (arrivals are for
-//! recent cycles). A task with one predecessor releases on every arrival
-//! and never touches the table. Joins of cycles that died stay open until
-//! the prune that runs while the pipeline cycle is a multiple of 256,
-//! which drops every join older than 128 cycles.
+//! A task with several predecessors counts its predecessors' same-cycle
+//! outputs in a per-task list of open joins, sorted by cycle and searched
+//! from the back (arrivals are for recent cycles). A task with one
+//! predecessor releases on every arrival and never touches the table.
+//! Joins of cycles that died stay open until the prune that runs while the
+//! pipeline cycle is a multiple of 256, which drops every join older than
+//! 128 cycles.
 
 use std::collections::BTreeMap;
 use std::fmt;
@@ -91,16 +93,15 @@ pub struct SimConfig {
     pub trace_capacity: usize,
     /// Rate for sources that declare no allowable range.
     pub default_rate: Rate,
-    /// Freshness bound on *secondary* (non-trigger) predecessor outputs
-    /// under [`JoinPolicy::LatestValue`]: a downstream task releases only
-    /// if every secondary predecessor produced a successful output within
-    /// this bound. `None` means any past output suffices (pure
-    /// latest-value fusion). [`JoinPolicy::SameCycle`] never reads it.
+    /// Selects nothing: the engine never reads it. It remains only so that
+    /// existing struct literals keep compiling; the same-cycle join
+    /// discards a late predecessor's output, so no output can go stale.
     pub staleness_bound: Option<SimSpan>,
-    /// Uniform jitter applied to each source release period as a fraction
+    /// Uniform jitter applied to each cycle release period as a fraction
     /// of the period (sensors are not metronomes; 0 disables).
     pub release_jitter_frac: f64,
-    /// How downstream tasks join multiple predecessors.
+    /// Selects nothing: [`JoinPolicy`] has a single variant. It remains
+    /// only so that existing struct literals keep compiling.
     pub join_policy: JoinPolicy,
     /// Obstacle-count profile feeding load-dependent execution times.
     pub load: LoadProfile,
@@ -116,25 +117,22 @@ impl Default for SimConfig {
             default_rate: Rate::from_hz(20.0),
             staleness_bound: None,
             release_jitter_frac: 0.0,
-            join_policy: JoinPolicy::LatestValue,
+            join_policy: JoinPolicy::SameCycle,
             load: LoadProfile::constant(0.0),
         }
     }
 }
 
-/// How a task with multiple predecessors is released.
+/// How a task with multiple predecessors is released. The engine has one
+/// release model (see the module docs), so this selects nothing; it
+/// remains only for the [`SimConfig::join_policy`] field.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum JoinPolicy {
-    /// Apollo Cyber RT-style: the *trigger* (first-listed) predecessor's
-    /// completion releases the task; secondary predecessors only need a
-    /// sufficiently fresh past output ([`SimConfig::staleness_bound`]).
-    /// Sources release independently at their own rates.
-    #[default]
-    LatestValue,
     /// The paper's § II model: all sources of a pipeline cycle release
     /// together (at the minimum source rate), and a downstream task fires
     /// only when **every** predecessor's job of the *same cycle* completed
     /// within its deadline — one late task discards the whole cycle.
+    #[default]
     SameCycle,
 }
 
@@ -237,14 +235,10 @@ pub struct Sim<S> {
     /// Scratch: remaining processing time per processor (`T_p`), likewise
     /// reused; patched in place as jobs are placed within one dispatch pass.
     scratch_remaining: Vec<SimSpan>,
-    /// Next cycle index per task: the number of jobs released so far. The
-    /// invariant holds under both join policies — a just-released job
-    /// carries `cycles[task] - 1`.
-    cycles: Vec<u64>,
-    last_success: Vec<Option<SimTime>>,
-    /// Open SameCycle joins, one cycle-sorted list per successor task.
+    /// Open same-cycle joins, one cycle-sorted list per successor task.
     joins: SameCycleJoins,
     pending_outputs: BTreeMap<JobId, Job>,
+    /// Next pipeline cycle: the number of cycles released so far.
     pipeline_cycle: u64,
     next_job: u64,
     stats: SimStats,
@@ -298,19 +292,7 @@ impl<S: Scheduler> Sim<S> {
             rates[s.index()] = Some(rate);
         }
         let mut events = EventQueue::new();
-        match config.join_policy {
-            JoinPolicy::LatestValue => {
-                for &s in graph.sources() {
-                    events.push(SimTime::ZERO, EventKind::SourceRelease { task: s });
-                }
-            }
-            JoinPolicy::SameCycle => {
-                // One global cycle trigger releases every source together;
-                // reuse the first source's id as the event tag.
-                let first = graph.sources()[0];
-                events.push(SimTime::ZERO, EventKind::SourceRelease { task: first });
-            }
-        }
+        events.push(SimTime::ZERO, EventKind::CycleRelease);
         let stats = SimStats::new(n, config.processors);
         let trace = if config.trace_capacity > 0 {
             Trace::with_capacity(config.trace_capacity)
@@ -325,8 +307,6 @@ impl<S: Scheduler> Sim<S> {
             ready_free: 0,
             scratch_candidates: Vec::new(),
             scratch_remaining: Vec::with_capacity(config.processors),
-            cycles: vec![0; n],
-            last_success: vec![None; n],
             joins: SameCycleJoins::new(n),
             pending_outputs: BTreeMap::new(),
             pipeline_cycle: 0,
@@ -541,7 +521,7 @@ impl<S: Scheduler> Sim<S> {
             debug_assert!(event.time >= self.now, "event time went backwards");
             self.now = event.time;
             match event.kind {
-                EventKind::SourceRelease { task } => self.on_source_release(task),
+                EventKind::CycleRelease => self.on_cycle_release(),
                 EventKind::JobCompleted { processor } => self.on_completion(processor),
                 EventKind::ExpiryCheck { job } => self.on_expiry_check(job),
                 EventKind::OutputReady { job } => self.on_output_ready(job),
@@ -635,46 +615,31 @@ impl<S: Scheduler> Sim<S> {
         }
     }
 
-    fn on_source_release(&mut self, task: TaskId) {
-        match self.config.join_policy {
-            JoinPolicy::LatestValue => {
-                let cycle = self.cycles[task.index()];
-                self.cycles[task.index()] += 1;
-                self.release_job(task, cycle, self.now);
-                if let Some(rate) = self.rates[task.index()] {
-                    self.rearm(task, rate);
-                }
-            }
-            JoinPolicy::SameCycle => {
-                // Release every source of this pipeline cycle together.
-                let cycle = self.pipeline_cycle;
-                self.pipeline_cycle += 1;
-                for k in 0..self.graph.sources().len() {
-                    let s = self.graph.sources()[k];
-                    // `cycles[t]` is the next cycle index (= releases so
-                    // far), derived from the cycle the jobs actually carry
-                    // rather than the already-incremented global counter.
-                    self.cycles[s.index()] = cycle + 1;
-                    self.release_job(s, cycle, self.now);
-                }
-                // The pipeline advances at the *slowest* source rate.
-                let slowest = self
-                    .graph
-                    .sources()
-                    .iter()
-                    .filter_map(|s| self.rates[s.index()])
-                    .min();
-                if let Some(rate) = slowest {
-                    self.rearm(task, rate);
-                }
-            }
+    /// Releases every source of the next pipeline cycle together and
+    /// re-arms the cycle release.
+    fn on_cycle_release(&mut self) {
+        let cycle = self.pipeline_cycle;
+        self.pipeline_cycle += 1;
+        for k in 0..self.graph.sources().len() {
+            let s = self.graph.sources()[k];
+            self.release_job(s, cycle, self.now);
+        }
+        // The pipeline advances at the *slowest* source rate.
+        let slowest = self
+            .graph
+            .sources()
+            .iter()
+            .filter_map(|s| self.rates[s.index()])
+            .min();
+        if let Some(rate) = slowest {
+            self.rearm(rate);
         }
     }
 
-    /// Re-arms the next periodic release at the *current* rate (so rate
+    /// Re-arms the next cycle release at the *current* rate (so rate
     /// changes from the external coordinator take effect at the next period
     /// boundary), with optional release jitter.
-    fn rearm(&mut self, task: TaskId, rate: Rate) {
+    fn rearm(&mut self, rate: Rate) {
         let mut period = rate.period();
         let j = self.config.release_jitter_frac;
         if j > 0.0 {
@@ -682,8 +647,7 @@ impl<S: Scheduler> Sim<S> {
             let factor = 1.0 + self.rng.gen_range(-j..=j);
             period = period * factor.max(0.05);
         }
-        self.events
-            .push(self.now + period, EventKind::SourceRelease { task });
+        self.events.push(self.now + period, EventKind::CycleRelease);
     }
 
     fn on_completion(&mut self, processor: usize) {
@@ -751,11 +715,10 @@ impl<S: Scheduler> Sim<S> {
         self.propagate_output(job);
     }
 
-    /// Makes a successfully produced output visible: records freshness,
-    /// emits the control command for sinks, and triggers/joins successors.
+    /// Makes a successfully produced output visible: emits the control
+    /// command for sinks and joins successors.
     fn propagate_output(&mut self, job: Job) {
         let task = job.task();
-        self.last_success[task.index()] = Some(self.now);
         if self.graph.isucc(task).is_empty() {
             // A sink (control) task: emit the control command.
             let cmd = ControlCommand {
@@ -770,53 +733,21 @@ impl<S: Scheduler> Sim<S> {
             self.commands.push(cmd);
             return;
         }
-        match self.config.join_policy {
-            JoinPolicy::LatestValue => {
-                // Trigger successors whose primary (first-listed)
-                // predecessor is this task, provided every secondary
-                // predecessor has produced a sufficiently fresh successful
-                // output (latest-value fusion with an optional staleness
-                // bound — a cycle whose inputs are stale is discarded).
-                for k in 0..self.graph.isucc(task).len() {
-                    let succ = self.graph.isucc(task)[k];
-                    if self.graph.trigger_pred(succ) != Some(task) {
-                        continue;
-                    }
-                    let all_inputs_fresh = self.graph.ipred(succ).iter().all(|p| {
-                        if *p == task {
-                            return true;
-                        }
-                        match self.last_success[p.index()] {
-                            None => false,
-                            Some(t) => self
-                                .config
-                                .staleness_bound
-                                .is_none_or(|bound| self.now - t <= bound),
-                        }
-                    });
-                    if all_inputs_fresh {
-                        self.release_job(succ, job.cycle(), job.chain_release());
-                    }
-                }
+        // AND-join on the cycle index: the successor releases when the last
+        // of its predecessors' same-cycle jobs completes in time. A missed
+        // predecessor leaves the join incomplete and the cycle dies (§ II:
+        // results are discarded).
+        let cycle = job.cycle();
+        for k in 0..self.graph.isucc(task).len() {
+            let succ = self.graph.isucc(task)[k];
+            let needed = self.graph.ipred(succ).len();
+            if self.joins.arrive(succ.index(), cycle, needed) {
+                self.release_job(succ, cycle, job.chain_release());
             }
-            JoinPolicy::SameCycle => {
-                // AND-join on the cycle index: the successor releases when
-                // the last of its predecessors' same-cycle jobs completes
-                // in time. A missed predecessor leaves the join incomplete
-                // and the cycle dies (§ II: results are discarded).
-                let cycle = job.cycle();
-                for k in 0..self.graph.isucc(task).len() {
-                    let succ = self.graph.isucc(task)[k];
-                    let needed = self.graph.ipred(succ).len();
-                    if self.joins.arrive(succ.index(), cycle, needed) {
-                        self.release_job(succ, cycle, job.chain_release());
-                    }
-                }
-                // Prune joins from long-dead cycles so memory stays bounded.
-                if self.pipeline_cycle.is_multiple_of(256) {
-                    self.joins.prune(self.pipeline_cycle.saturating_sub(128));
-                }
-            }
+        }
+        // Prune joins from long-dead cycles so memory stays bounded.
+        if self.pipeline_cycle.is_multiple_of(256) {
+            self.joins.prune(self.pipeline_cycle.saturating_sub(128));
         }
     }
 
@@ -1478,7 +1409,6 @@ mod tests {
             g,
             SimConfig {
                 processors: 2,
-                join_policy: JoinPolicy::SameCycle,
                 trace_capacity: 10_000,
                 ..Default::default()
             },
@@ -1518,7 +1448,6 @@ mod tests {
             g,
             SimConfig {
                 processors: 2,
-                join_policy: JoinPolicy::SameCycle,
                 ..Default::default()
             },
             FifoScheduler::new(),
@@ -1541,7 +1470,6 @@ mod tests {
             g,
             SimConfig {
                 processors: 2,
-                join_policy: JoinPolicy::SameCycle,
                 ..Default::default()
             },
             FifoScheduler::new(),
@@ -1565,72 +1493,77 @@ mod tests {
     }
 
     #[test]
-    fn latest_value_staleness_bound_blocks_stale_secondary() {
-        // Same failing src_b, but latest-value join: the trigger (src_a)
-        // completes fine; with no staleness bound mid would release using
-        // src_b's ancient output — but src_b NEVER succeeds, so the
-        // "produced at least once" rule blocks mid either way. Give src_b a
-        // single achievable cycle by making only later cycles fail via a
-        // step model instead: simpler — verify the bound blocks after the
-        // last success ages out.
+    fn pipeline_advances_at_the_slowest_source_rate() {
+        // Two sources at 10 Hz and 20 Hz joined by one sink: every cycle
+        // releases each source once, 100 ms apart (the slower period).
         let mut b = TaskGraph::builder();
-        let a = b.add_task(
-            TaskSpec::builder("src_a")
-                .stage(Stage::Sensing)
-                .exec_model(ExecModel::constant(SimSpan::from_millis(2.0)))
-                .relative_deadline(SimSpan::from_millis(50.0))
-                .rate_range(RateRange::from_hz(10.0, 10.0))
-                .build()
-                .unwrap(),
-        );
-        // src_b succeeds until t = 0.3 s, then always misses (exec jumps
-        // above its deadline).
-        let bb = b.add_task(
-            TaskSpec::builder("src_b")
-                .stage(Stage::Sensing)
-                .exec_model(ExecModel::constant(SimSpan::from_millis(2.0)).with_step(
-                    ExecModel::constant(SimSpan::from_millis(60.0)),
-                    SimTime::from_secs(0.3),
-                    SimTime::from_secs(100.0),
-                ))
-                .relative_deadline(SimSpan::from_millis(40.0))
-                .rate_range(RateRange::from_hz(10.0, 10.0))
-                .build()
-                .unwrap(),
-        );
-        let mid = b.add_task(
-            TaskSpec::builder("mid")
-                .exec_model(ExecModel::constant(SimSpan::from_millis(2.0)))
+        let mut source = |name: &str, min_hz: f64| {
+            b.add_task(
+                TaskSpec::builder(name)
+                    .stage(Stage::Sensing)
+                    .exec_model(ExecModel::constant(SimSpan::from_millis(1.0)))
+                    .relative_deadline(SimSpan::from_millis(50.0))
+                    .rate_range(RateRange::from_hz(min_hz, 80.0))
+                    .build()
+                    .unwrap(),
+            )
+        };
+        let slow = source("slow", 10.0);
+        let fast = source("fast", 20.0);
+        let sink = b.add_task(
+            TaskSpec::builder("sink")
+                .stage(Stage::Control)
+                .exec_model(ExecModel::constant(SimSpan::from_millis(1.0)))
                 .relative_deadline(SimSpan::from_millis(50.0))
                 .build()
                 .unwrap(),
         );
-        b.add_edge(a, mid).unwrap();
-        b.add_edge(bb, mid).unwrap();
+        b.add_edge(slow, sink).unwrap();
+        b.add_edge(fast, sink).unwrap();
         let g = b.build().unwrap();
-        let mid_id = g.find("mid").unwrap();
-
-        let run = |staleness: Option<SimSpan>| {
+        let run = |rates: &[(TaskId, f64)]| {
             let mut s = Sim::new(
                 g.clone(),
                 SimConfig {
-                    processors: 2,
-                    staleness_bound: staleness,
+                    trace_capacity: 10_000,
                     ..Default::default()
                 },
                 FifoScheduler::new(),
             )
             .unwrap();
-            s.run_until(SimTime::from_secs(2.0));
-            s.stats().task(mid_id.index()).released
+            for &(task, hz) in rates {
+                s.set_source_rate(task, Rate::from_hz(hz)).unwrap();
+            }
+            s.run_until(SimTime::from_secs(0.95));
+            let mut releases: Vec<(TaskId, u64, f64)> = s
+                .trace()
+                .events()
+                .iter()
+                .filter_map(|e| match e {
+                    TraceEvent::Released {
+                        time, task, cycle, ..
+                    } if *task != sink => Some((*task, *cycle, time.as_secs())),
+                    _ => None,
+                })
+                .collect();
+            releases.sort_by_key(|&(task, cycle, _)| (cycle, task));
+            releases
         };
-        // Unbounded latest-value: mid keeps firing on stale src_b data for
-        // the whole run (~20 releases).
-        let unbounded = run(None);
-        // A 150 ms bound cuts mid off ~150 ms after src_b's last success.
-        let bounded = run(Some(SimSpan::from_millis(150.0)));
-        assert!(unbounded >= 15, "unbounded {unbounded}");
-        assert!(bounded <= 6, "bounded {bounded}");
+        let base = run(&[]);
+        assert_eq!(base.len(), 2 * 10, "{base:?}");
+        for (k, pair) in base.chunks(2).enumerate() {
+            let k = k as u64;
+            assert_eq!(pair[0].0, slow);
+            assert_eq!(pair[1].0, fast);
+            for &(_, cycle, time) in pair {
+                assert_eq!(cycle, k);
+                assert!((time - k as f64 * 0.1).abs() < 1e-9, "cycle {k} at {time}");
+            }
+        }
+        // Raising only the faster source leaves the pipeline at 10 Hz …
+        assert_eq!(run(&[(fast, 40.0)]), base);
+        // … while raising the slower one to 20 Hz doubles the cycles.
+        assert_eq!(run(&[(slow, 20.0)]).len(), 2 * 19);
     }
 
     #[test]
@@ -1859,9 +1792,10 @@ mod tests {
     }
 
     #[test]
-    fn cycle_bookkeeping_matches_released_jobs_under_both_policies() {
-        // Invariant: `cycles[t]` is the number of jobs released for `t`,
-        // i.e. one past the cycle carried by the latest release.
+    fn cycle_bookkeeping_matches_released_jobs() {
+        // One global counter stamps every source identically: each
+        // source's releases carry cycles 0, 1, 2, … and their count is
+        // the pipeline cycle counter.
         let collect = |s: &Sim<FifoScheduler>, task: TaskId| -> Vec<u64> {
             s.trace()
                 .events()
@@ -1872,22 +1806,11 @@ mod tests {
                 })
                 .collect()
         };
-
-        // LatestValue: per-source counters.
-        let mut s = sim(chain_graph(1.0, 1.0, 1.0, 50.0));
-        s.run_until(SimTime::from_secs(0.55));
-        let src = s.graph().find("src").unwrap();
-        let seen = collect(&s, src);
-        assert_eq!(seen, (0..seen.len() as u64).collect::<Vec<_>>());
-        assert_eq!(s.cycles[src.index()], seen.len() as u64);
-
-        // SameCycle: one global counter stamps every source identically.
         let g = join_graph(2.0, 50.0);
         let mut s = Sim::new(
             g,
             SimConfig {
                 processors: 2,
-                join_policy: JoinPolicy::SameCycle,
                 trace_capacity: 10_000,
                 ..Default::default()
             },
@@ -1900,8 +1823,7 @@ mod tests {
             let seen = collect(&s, t);
             assert!(!seen.is_empty());
             assert_eq!(seen, (0..seen.len() as u64).collect::<Vec<_>>());
-            assert_eq!(s.cycles[t.index()], seen.len() as u64, "{name}");
-            assert_eq!(s.cycles[t.index()], s.pipeline_cycle, "{name}");
+            assert_eq!(seen.len() as u64, s.pipeline_cycle, "{name}");
         }
     }
 

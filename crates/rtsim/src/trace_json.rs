@@ -210,7 +210,7 @@ mod tests {
         let json = fifo_trace_json();
         assert_eq!(
             (json.len(), fnv1a(json.as_bytes())),
-            (8633, 0xcbebbedba4a49ee1)
+            (9997, 0x208895e21d0ce623)
         );
     }
 }

@@ -1,6 +1,6 @@
 //! Property-based tests for the real-time simulator engine.
 
-use hcperf_rtsim::{FifoScheduler, JoinPolicy, Sim, SimConfig, TraceEvent};
+use hcperf_rtsim::{FifoScheduler, Sim, SimConfig, TraceEvent};
 use hcperf_taskgraph::{
     ExecModel, Priority, Rate, RateRange, SimSpan, SimTime, Stage, TaskGraph, TaskId, TaskSpec,
 };
@@ -143,20 +143,13 @@ proptest! {
     fn deterministic_under_same_seed(
         mid in 1usize..4,
         seed in any::<u64>(),
-        policy_same_cycle in any::<bool>(),
     ) {
-        let policy = if policy_same_cycle {
-            JoinPolicy::SameCycle
-        } else {
-            JoinPolicy::LatestValue
-        };
         let run = || {
             let g = pipeline(mid, 4.0, 60.0, 20.0);
             let mut sim = Sim::new(
                 g,
                 SimConfig {
                     seed,
-                    join_policy: policy,
                     release_jitter_frac: 0.2,
                     ..Default::default()
                 },
@@ -183,7 +176,6 @@ proptest! {
             g,
             SimConfig {
                 seed,
-                join_policy: JoinPolicy::SameCycle,
                 ..Default::default()
             },
             FifoScheduler::new(),

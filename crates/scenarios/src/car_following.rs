@@ -71,11 +71,10 @@ pub struct CarFollowingConfig {
     pub dps: DpsConfig,
     /// Coordinator configuration.
     pub coordinator: CoordinatorConfig,
-    /// Freshness bound (ms) on secondary predecessor outputs. The closed
-    /// loop does not read it: it runs the engine with
-    /// `JoinPolicy::SameCycle` joins, and only latest-value joins apply a
-    /// staleness bound (`SimConfig::staleness_bound`), so this value
-    /// changes no run.
+    /// Selects nothing: no run reads it. The engine's same-cycle join
+    /// discards a late predecessor's output, so no input can go stale and
+    /// no freshness bound applies. It remains only so that existing struct
+    /// literals keep compiling.
     pub staleness_ms: f64,
     /// Source release jitter as a fraction of the period.
     pub release_jitter_frac: f64,

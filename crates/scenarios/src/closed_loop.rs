@@ -6,7 +6,7 @@
 
 use hcperf::{CoordinatorConfig, DpsConfig, HcPerf, PeriodInput, Scheme};
 use hcperf_faults::VehicleFaults;
-use hcperf_rtsim::{ControlCommand, FaultCounters, JoinPolicy, Sim, SimConfig, WindowStats};
+use hcperf_rtsim::{ControlCommand, FaultCounters, Sim, SimConfig, WindowStats};
 use hcperf_taskgraph::{LoadProfile, Rate, SimSpan, SimTime, TaskGraph};
 
 use crate::car_following::{DegradedTelemetry, ScenarioError};
@@ -105,7 +105,6 @@ impl<P: Plant> ClosedLoop<'_, P> {
             seed: self.seed,
             load: self.load,
             release_jitter_frac: self.release_jitter_frac,
-            join_policy: JoinPolicy::SameCycle,
             expire_queued_jobs: self.expire_queued_jobs,
             ..Default::default()
         };

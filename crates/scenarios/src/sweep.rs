@@ -13,7 +13,7 @@
 
 use hcperf::{DpsConfig, Scheme};
 use hcperf_harness::{Job, ResultCache};
-use hcperf_rtsim::{JoinPolicy, Sim, SimConfig};
+use hcperf_rtsim::{Sim, SimConfig};
 use hcperf_taskgraph::graphs::{apollo_graph, GraphOptions};
 use hcperf_taskgraph::{LoadProfile, Rate, SimTime, TaskGraph};
 
@@ -81,7 +81,6 @@ fn sweep_point(
             processors: config.processors,
             seed: config.seed,
             load: config.load.clone(),
-            join_policy: JoinPolicy::SameCycle,
             expire_queued_jobs: false,
             ..Default::default()
         },

@@ -1,10 +1,12 @@
 //! Validated task DAGs.
 //!
 //! A [`TaskGraph`] is an immutable directed acyclic graph of [`TaskSpec`]
-//! nodes. Edges encode precedence constraints: task `τ_j` may release only
-//! after its *trigger predecessor* completes and all other immediate
-//! predecessors have produced output (§ III-A of the paper; the trigger
-//! semantics mirror Apollo Cyber RT's primary-channel fusion).
+//! nodes. Edges encode precedence constraints: a job of task `τ_j` may
+//! release only after every immediate predecessor's job of the same
+//! pipeline cycle completed in time (§ II and § III-A of the paper). Edge
+//! order carries no semantics beyond iteration order: it fixes the order
+//! of [`TaskGraph::ipred`] and [`TaskGraph::isucc`], and through that the
+//! order in which a simulator numbers the jobs of one cycle.
 //!
 //! Graphs are built with [`TaskGraphBuilder`], which rejects cycles,
 //! duplicate edges, dangling endpoints and duplicate task names.
@@ -145,24 +147,16 @@ impl TaskGraph {
     }
 
     /// Immediate predecessors of `id` (the paper's `ipred(τ_i)`), in the
-    /// order their edges were added. The first entry is the *trigger*
-    /// predecessor.
+    /// order their edges were added.
     #[must_use]
     pub fn ipred(&self, id: TaskId) -> &[TaskId] {
         &self.ipred[id.index()]
     }
 
-    /// Immediate successors of `id`.
+    /// Immediate successors of `id`, in the order their edges were added.
     #[must_use]
     pub fn isucc(&self, id: TaskId) -> &[TaskId] {
         &self.isucc[id.index()]
-    }
-
-    /// The trigger predecessor of `id`: the completion that releases a new
-    /// job of `id`. `None` for source tasks.
-    #[must_use]
-    pub fn trigger_pred(&self, id: TaskId) -> Option<TaskId> {
-        self.ipred[id.index()].first().copied()
     }
 
     /// Source tasks (no incoming edges) — the sensing tasks whose rates the
@@ -349,7 +343,8 @@ impl TaskGraphBuilder {
 
     /// Adds a precedence edge `from → to`.
     ///
-    /// The first edge into a task designates its trigger predecessor.
+    /// Edges are kept in insertion order, which is the iteration order of
+    /// [`TaskGraph::ipred`] and [`TaskGraph::isucc`].
     ///
     /// # Errors
     ///
@@ -492,8 +487,6 @@ mod tests {
         assert_eq!(g.sinks(), &[e]);
         assert_eq!(g.ipred(e), &[c, d]);
         assert_eq!(g.isucc(a), &[c, d]);
-        assert_eq!(g.trigger_pred(e), Some(c));
-        assert_eq!(g.trigger_pred(a), None);
     }
 
     #[test]

@@ -162,7 +162,7 @@ pub fn motivation_graph(opts: &GraphOptions) -> Result<TaskGraph, GraphError> {
             .expect("static spec"),
     );
 
-    // Fusion is triggered by lidar (first edge), consumes camera too.
+    // Fusion joins lidar and camera.
     b.add_edge(lidar, fusion)?;
     b.add_edge(image, fusion)?;
     b.add_edge(image, tl_detect)?;
@@ -211,8 +211,9 @@ const APOLLO_ROWS: [Row; 23] = [
     ("chassis_command", Stage::Control, 0, 2.0, 25.0),
 ];
 
-/// Edges of the Fig. 11 graph as `(from, to)` task names. The first inbound
-/// edge of each task is its trigger predecessor.
+/// Edges of the Fig. 11 graph as `(from, to)` task names. A task joins all
+/// of its inbound edges; their order only fixes the iteration order of
+/// `ipred`/`isucc`.
 const APOLLO_EDGES: [(&str, &str); 26] = [
     ("camera_front_preproc", "lane_detection"),
     ("camera_front_preproc", "object_detection_2d"),
@@ -222,8 +223,8 @@ const APOLLO_EDGES: [(&str, &str); 26] = [
     ("lidar_preproc", "pose_fusion"),
     ("radar_preproc", "radar_tracking"),
     ("gps_imu", "pose_fusion"),
-    // Fusion is triggered by the 3D detector (lidar channel), consumes the
-    // 2D detector and radar tracker as secondary inputs.
+    // Fusion joins the 3D detector (lidar channel), the 2D detector, the
+    // radar tracker and the ultrasonic channel.
     ("object_detection_3d", "sensor_fusion"),
     ("object_detection_2d", "sensor_fusion"),
     ("radar_tracking", "sensor_fusion"),
@@ -496,13 +497,14 @@ mod tests {
     #[test]
     fn apollo_trigger_chain_reaches_chassis() {
         let g = apollo_graph(&GraphOptions::default()).unwrap();
-        // Walk the trigger chain back from the chassis command to a source.
+        // Walk the first-listed predecessors back from the chassis command
+        // to a source.
         let mut cur = g.find("chassis_command").unwrap();
         let mut hops = 0;
-        while let Some(prev) = g.trigger_pred(cur) {
+        while let Some(&prev) = g.ipred(cur).first() {
             cur = prev;
             hops += 1;
-            assert!(hops < 30, "trigger chain must terminate");
+            assert!(hops < 30, "predecessor chain must terminate");
         }
         assert_eq!(g.spec(cur).name(), "lidar_preproc");
         assert!(hops >= 6, "chain spans the pipeline, got {hops} hops");

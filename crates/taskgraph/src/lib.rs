@@ -10,8 +10,8 @@
 //! * [`TaskSpec`] / [`TaskId`] — one node of the pipeline with its static
 //!   priority `p_i`, relative deadline `D_i`, execution-time model and,
 //!   for source tasks, an allowable release-rate range (Eq. 1c).
-//! * [`TaskGraph`] — a validated DAG with topological order, source/sink
-//!   discovery and trigger-predecessor semantics.
+//! * [`TaskGraph`] — a validated DAG with topological order and
+//!   source/sink discovery; a task joins all of its predecessors.
 //! * [`ExecModel`] — execution-time families including the Hungarian
 //!   `O(n³)` obstacle-dependent model of configurable sensor fusion and the
 //!   evaluation's step regime change.

@@ -8,7 +8,7 @@
 //! ```
 
 use hcperf::{DpsConfig, Scheme};
-use hcperf_rtsim::{JoinPolicy, Sim, SimConfig};
+use hcperf_rtsim::{Sim, SimConfig};
 use hcperf_taskgraph::graphs::{apollo_graph, with_gpu_offload, GraphOptions};
 use hcperf_taskgraph::{Rate, SimTime};
 
@@ -25,10 +25,7 @@ fn run(gpu: bool, rate_hz: f64) -> Result<(u64, f64, f64), Box<dyn std::error::E
     }
     let mut sim = Sim::new(
         graph,
-        SimConfig {
-            join_policy: JoinPolicy::SameCycle,
-            ..Default::default()
-        },
+        SimConfig::default(),
         Scheme::HcPerf.build(DpsConfig::default()),
     )?;
     let sources: Vec<_> = sim.source_rates().iter().map(|&(t, _)| t).collect();

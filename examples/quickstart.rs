@@ -6,7 +6,7 @@
 //! ```
 
 use hcperf::{CoordinatorConfig, DpsConfig, HcPerf, PeriodInput, Scheme};
-use hcperf_rtsim::{JoinPolicy, Sim, SimConfig};
+use hcperf_rtsim::{Sim, SimConfig};
 use hcperf_taskgraph::graphs::{apollo_graph, GraphOptions};
 use hcperf_taskgraph::{Rate, SimTime};
 
@@ -26,10 +26,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
             .transpose()?;
         let mut sim = Sim::new(
             graph,
-            SimConfig {
-                join_policy: JoinPolicy::SameCycle,
-                ..Default::default()
-            },
+            SimConfig::default(),
             scheme.build(DpsConfig::default()),
         )?;
         let sources: Vec<_> = sim.source_rates().iter().map(|&(t, _)| t).collect();

@@ -171,11 +171,11 @@ fn random_graph(rng: &mut StdRng, case: Case) -> TaskGraph {
         }
         let id = b.add_task(spec.build().unwrap());
         if k >= sources {
-            // The first edge names the trigger predecessor.
-            let trigger = ids[rng.gen_range(0..ids.len())];
-            b.add_edge(trigger, id).unwrap();
+            // One predecessor, and sometimes a second to join.
+            let first = ids[rng.gen_range(0..ids.len())];
+            b.add_edge(first, id).unwrap();
             let other = ids[rng.gen_range(0..ids.len())];
-            if other != trigger && rng.gen_bool(0.3) {
+            if other != first && rng.gen_bool(0.3) {
                 b.add_edge(other, id).unwrap();
             }
         }

@@ -74,7 +74,7 @@ fn bench_search(c: &mut Criterion) {
             processor_remaining: &remaining,
         };
         for (search_label, search) in [
-            ("bisection", GammaSearch::Bisection { iterations: 24 }),
+            ("bisection", GammaSearch::Bisection),
             ("critical_points", GammaSearch::CriticalPoints),
         ] {
             let label = format!("{search_label}{}", fixture.label);

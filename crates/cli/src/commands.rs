@@ -191,6 +191,11 @@ pub fn dispatch(args: &Args) -> Result<String, CliError> {
 fn cmd_run(args: &Args) -> Result<String, CliError> {
     let scheme = args.get_scheme("scheme", Scheme::HcPerf)?;
     let duration = args.get_f64("duration", 30.0)?;
+    if duration <= 0.0 {
+        return Err(CliError::Args(ParseError(
+            "--duration must be positive".into(),
+        )));
+    }
     let seed = args.get_u64("seed", 42)?;
     let scenario = args.get("scenario").unwrap_or("car-following");
     let mut out = String::new();
@@ -248,9 +253,9 @@ fn cmd_sweep(args: &Args) -> Result<String, CliError> {
     let seed = args.get_u64("seed", 42)?;
     // 0 = the host's available parallelism (the harness default).
     let jobs = args.get_usize("jobs", 0)?;
-    if !(from > 0.0 && to >= from && step > 0.0) {
+    if !(from > 0.0 && to >= from && step > 0.0 && duration > 0.0) {
         return Err(CliError::Args(ParseError(
-            "sweep needs 0 < --from <= --to and --step > 0".into(),
+            "sweep needs 0 < --from <= --to, --step > 0 and --duration > 0".into(),
         )));
     }
     let mut rates = Vec::new();
@@ -633,14 +638,17 @@ fn cmd_faults(args: &Args) -> Result<String, CliError> {
     Ok(out)
 }
 
-/// `hcperf store --path P [--status true] [--bottlenecks N]`: inspect a
-/// cell store without touching it.
+/// `hcperf store --path P [--status true] [--bottlenecks N]`: inspect an
+/// existing cell store. A missing `P` is an error, not a new empty store.
+/// As on every open, a torn tail is moved to `P.quarantine` and the log is
+/// truncated to its last complete record.
 fn cmd_store(args: &Args) -> Result<String, CliError> {
     let path = args
         .get("path")
         .ok_or_else(|| CliError::Args(ParseError("store needs --path <store file>".into())))?;
     let show_status = args.get_bool("status", true)?;
     let top = args.get_usize("bottlenecks", 0)?;
+    std::fs::metadata(path).map_err(|e| CliError::Io(format!("store {path}: {e}")))?;
     let store = open_store(path)?;
     let mut out = String::new();
     if show_status {
@@ -906,6 +914,22 @@ mod tests {
     }
 
     #[test]
+    fn run_and_sweep_reject_a_non_positive_duration() {
+        for argv in [
+            &["run", "--duration", "0"][..],
+            &["run", "--duration", "-1"],
+            &["sweep", "--duration", "-1", "--jobs", "1"],
+        ] {
+            match run(argv) {
+                Err(CliError::Args(ParseError(msg))) => {
+                    assert!(msg.contains("--duration"), "{argv:?}: {msg}");
+                }
+                other => panic!("{argv:?}: {other:?}"),
+            }
+        }
+    }
+
+    #[test]
     fn fleet_validates_arguments() {
         assert!(run(&["fleet", "--vehicles", "0"]).is_err());
         assert!(run(&["fleet", "--duration", "0"]).is_err());
@@ -1118,6 +1142,16 @@ mod tests {
     #[test]
     fn store_command_validates_arguments() {
         assert!(run(&["store"]).is_err(), "--path is required");
+    }
+
+    #[test]
+    fn store_refuses_a_missing_path_and_creates_nothing() {
+        let path = temp_path("store_absent");
+        match run(&["store", "--path", &path]) {
+            Err(CliError::Io(msg)) => assert!(msg.contains(&path), "{msg}"),
+            other => panic!("{other:?}"),
+        }
+        assert!(!std::path::Path::new(&path).exists(), "{path} was created");
     }
 
     #[test]

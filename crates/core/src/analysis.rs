@@ -1,4 +1,4 @@
-//! Offline schedulability analysis and profiling.
+//! Offline schedulability analysis.
 //!
 //! The external coordinator is initialized from *offline profiled data*
 //! (§ VI step 2) and "helps to guarantee the schedulability of the system
@@ -11,16 +11,11 @@
 //! * [`liu_layland_bound`] — the classic fixed-priority utilization bound;
 //! * [`max_rate_within_bound`] — the highest pipeline rate whose utilization
 //!   stays below a bound (a principled initial rate for the adapter);
-//! * [`analyze`] — a one-call schedulability report;
-//! * [`profile_rate_sensitivity`] — empirical estimation of the paper's
-//!   Eq. 14 sensitivity `g` (∂miss-ratio/∂rate) by simulation, from which
-//!   [`suggested_gain`] derives an initial `K_p`.
+//! * [`analyze`] — a one-call schedulability report.
+//!
+//! The response-time analysis itself is in [`crate::rta`].
 
-use hcperf_rtsim::{Sim, SimConfig, SimError};
-use hcperf_taskgraph::{ExecContext, LoadProfile, Rate, SimTime, TaskGraph};
-
-use crate::dps::DpsConfig;
-use crate::scheme::Scheme;
+use hcperf_taskgraph::{ExecContext, Rate, TaskGraph};
 
 /// Utilization of one pipeline cycle: total nominal work per second divided
 /// by processing capacity.
@@ -136,114 +131,6 @@ pub fn analyze(
     }
 }
 
-/// Empirically estimates the Eq. 14 sensitivity `g = Δm/Δr` (change of
-/// deadline-miss ratio per Hz of pipeline rate) by running two short
-/// simulations under `scheme` at `low` and `high` rates.
-///
-/// This is the "offline profiled data" the Task Rate Adapter's initial
-/// `K_p` comes from: a plant with high sensitivity needs a gentler gain.
-///
-/// # Errors
-///
-/// Propagates [`SimError`] from simulator construction.
-#[allow(clippy::too_many_arguments)] // a profiling entry point: every knob is load-bearing
-pub fn profile_rate_sensitivity(
-    graph: &TaskGraph,
-    scheme: Scheme,
-    processors: usize,
-    load: LoadProfile,
-    low: Rate,
-    high: Rate,
-    duration_secs: f64,
-    seed: u64,
-) -> Result<f64, SimError> {
-    let run = |rate: Rate| -> Result<f64, SimError> {
-        let mut sim = Sim::new(
-            graph.clone(),
-            SimConfig {
-                processors,
-                seed,
-                load: load.clone(),
-                expire_queued_jobs: false,
-                ..Default::default()
-            },
-            scheme.build(DpsConfig::default()),
-        )?;
-        let sources: Vec<_> = sim.source_rates().iter().map(|&(t, _)| t).collect();
-        for s in sources {
-            sim.set_source_rate(s, rate)?;
-        }
-        sim.run_until(SimTime::from_secs(duration_secs));
-        Ok(sim.stats().totals().miss_ratio())
-    };
-    let m_low = run(low)?;
-    let m_high = run(high)?;
-    let dr = high.as_hz() - low.as_hz();
-    if dr.abs() < 1e-12 {
-        return Ok(0.0);
-    }
-    Ok((m_high - m_low) / dr)
-}
-
-/// Distributes an end-to-end latency budget across the tasks of a graph as
-/// per-task relative deadlines, proportionally to each task's share of the
-/// worst-case work along its *deepest* path (the classic proportional
-/// deadline-assignment heuristic for end-to-end real-time pipelines).
-///
-/// Every task gets `D_i = budget · C_i · depth_path / cp` scaled so the
-/// deepest chain's deadlines sum to exactly `budget`; a floor of
-/// `2 × C_i` keeps every deadline individually meetable with slack.
-/// Returns `(TaskId, suggested deadline)` pairs in id order.
-///
-/// # Panics
-///
-/// Panics if `budget` is not strictly positive.
-///
-/// # Examples
-///
-/// ```
-/// use hcperf::analysis::proportional_deadlines;
-/// use hcperf_taskgraph::graphs::{apollo_graph, GraphOptions};
-/// use hcperf_taskgraph::{ExecContext, SimSpan};
-///
-/// let graph = apollo_graph(&GraphOptions::default())?;
-/// let deadlines = proportional_deadlines(&graph, SimSpan::from_millis(400.0), ExecContext::idle());
-/// assert_eq!(deadlines.len(), graph.len());
-/// # Ok::<(), hcperf_taskgraph::GraphError>(())
-/// ```
-#[must_use]
-pub fn proportional_deadlines(
-    graph: &TaskGraph,
-    budget: hcperf_taskgraph::SimSpan,
-    ctx: ExecContext,
-) -> Vec<(hcperf_taskgraph::TaskId, hcperf_taskgraph::SimSpan)> {
-    assert!(
-        budget > hcperf_taskgraph::SimSpan::ZERO,
-        "budget must be strictly positive"
-    );
-    let cp = graph.critical_path(ctx).as_secs().max(1e-9);
-    let scale = budget.as_secs() / cp;
-    graph
-        .task_ids()
-        .map(|id| {
-            let c = graph.spec(id).exec_model().worst_case(ctx).as_secs();
-            let d = (c * scale).max(2.0 * c);
-            (id, hcperf_taskgraph::SimSpan::from_secs(d))
-        })
-        .collect()
-}
-
-/// Derives an initial proportional gain from a measured rate sensitivity:
-/// roughly the inverse sensitivity, clamped to a sane band, so one period's
-/// correction cancels one period's observed error.
-#[must_use]
-pub fn suggested_gain(sensitivity: f64) -> f64 {
-    if sensitivity.abs() < 1e-9 {
-        return 1.0;
-    }
-    (1.0 / (sensitivity.abs() * 100.0)).clamp(0.05, 5.0)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -298,68 +185,5 @@ mod tests {
         let over = analyze(&g, Rate::from_hz(100.0), ctx, 4);
         assert!(!over.feasible);
         assert!(!over.within_bound);
-    }
-
-    #[test]
-    fn sensitivity_is_positive_across_the_knee() {
-        let g = graph();
-        let sens = profile_rate_sensitivity(
-            &g,
-            Scheme::Edf,
-            4,
-            LoadProfile::constant(0.0),
-            Rate::from_hz(15.0),
-            Rate::from_hz(40.0),
-            5.0,
-            42,
-        )
-        .unwrap();
-        assert!(sens > 0.0, "miss ratio must grow with rate, got {sens}");
-    }
-
-    #[test]
-    fn proportional_deadlines_cover_the_critical_path() {
-        let g = graph();
-        let ctx = ExecContext::idle();
-        let budget = hcperf_taskgraph::SimSpan::from_millis(400.0);
-        let deadlines = proportional_deadlines(&g, budget, ctx);
-        assert_eq!(deadlines.len(), g.len());
-        // Walking the first-listed predecessors from the chassis back to a
-        // source, the per-stage deadlines sum to at most the budget (the
-        // chain is the critical path or shorter).
-        let mut cur = g.find("chassis_command").unwrap();
-        let mut sum = hcperf_taskgraph::SimSpan::ZERO;
-        loop {
-            sum += deadlines[cur.index()].1;
-            match g.ipred(cur).first() {
-                Some(&p) => cur = p,
-                None => break,
-            }
-        }
-        assert!(
-            sum <= budget + hcperf_taskgraph::SimSpan::from_millis(1.0),
-            "{sum}"
-        );
-        // Every deadline leaves at least 2x execution slack.
-        for (id, d) in &deadlines {
-            let c = g.spec(*id).exec_model().worst_case(ctx);
-            assert!(*d >= c * 2.0 - hcperf_taskgraph::SimSpan::from_millis(1e-9));
-        }
-    }
-
-    #[test]
-    #[should_panic(expected = "budget must be strictly positive")]
-    fn proportional_deadlines_reject_zero_budget() {
-        let g = graph();
-        let _ = proportional_deadlines(&g, hcperf_taskgraph::SimSpan::ZERO, ExecContext::idle());
-    }
-
-    #[test]
-    fn suggested_gain_is_bounded() {
-        assert_eq!(suggested_gain(0.0), 1.0);
-        assert!((0.05..=5.0).contains(&suggested_gain(0.001)));
-        assert!((0.05..=5.0).contains(&suggested_gain(10.0)));
-        // Higher sensitivity → gentler gain.
-        assert!(suggested_gain(0.1) < suggested_gain(0.001));
     }
 }

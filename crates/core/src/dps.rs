@@ -31,11 +31,12 @@
 //! the ablation benchmark compares them.
 //!
 //! **Probe cost.** An exact probe ranks the queue at one γ and walks
-//! Eq. 11 over that ranking. A bisection recompute makes up to
-//! `2 + iterations` of them against one queue snapshot. Each recompute
-//! loads every queued job once into a contiguous record (packed sort key,
-//! `p_i`, laxity at `now`, observed `c_i`, absolute deadline, skip flag)
-//! in scratch owned by the scheduler, and ranks the records in place: one
+//! Eq. 11 over that ranking. A bisection recompute makes up to 26 of
+//! them (γ = 0, the ceiling and 24 steps) against one queue snapshot. Each
+//! recompute loads every queued job once into a contiguous record (packed
+//! sort key, `p_i`, laxity at `now`, observed `c_i`, absolute deadline,
+//! skip flag) in scratch owned by the scheduler, and ranks the records in
+//! place: one
 //! full sort at γ = 0, then per probe a re-key and a single insertion pass
 //! that compares one integer per step (adjacent probes reorder few jobs,
 //! so the pass is `O(n + inversions)` rather than a fresh `O(n log n)`
@@ -67,8 +68,15 @@ use std::cmp::Ordering;
 use hcperf_rtsim::{order_image, Job, JobId, SchedContext, Scheduler};
 use hcperf_taskgraph::{SimSpan, SimTime};
 
+/// Bisection steps per recompute (each halves the bracket).
+const BISECTION_STEPS: u32 = 24;
+
+/// Minimum simulated time between γ recomputations (γ is also recomputed
+/// whenever a new nominal `u` arrives).
+const RECOMPUTE_INTERVAL: SimSpan = SimSpan::from_secs_const(0.005);
+
 /// How the scheduler searches for `γ_max`.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum GammaSearch {
     /// Bisection over `[0, ceiling]` assuming interval-shaped feasibility
     /// (the paper's assumption). Cost: one `O(n log n)` sort at γ = 0, an
@@ -76,11 +84,9 @@ pub enum GammaSearch {
     /// fails, an `O(n log n)` infeasibility certificate. A step above the
     /// certified bound costs `O(1)`; any other step an insertion pass,
     /// `O(n + inversions)` (`O(n²)` at worst), and an `O(n)` Eq. 11 walk
-    /// unless the pass moved nothing.
-    Bisection {
-        /// Number of bisection iterations (each halves the bracket).
-        iterations: u32,
-    },
+    /// unless the pass moved nothing. Runs 24 steps.
+    #[default]
+    Bisection,
     /// Exact sweep over the `O(n²)` pairwise crossover points of
     /// `P_i(γ) = P_j(γ)`; finds the true supremum of the feasible set.
     ///
@@ -100,12 +106,6 @@ pub enum GammaSearch {
     CriticalPoints,
 }
 
-impl Default for GammaSearch {
-    fn default() -> Self {
-        GammaSearch::Bisection { iterations: 24 }
-    }
-}
-
 /// Configuration of the Dynamic Priority Scheduler.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct DpsConfig {
@@ -114,9 +114,6 @@ pub struct DpsConfig {
     pub gamma_ceiling: f64,
     /// Search strategy for `γ_max`.
     pub search: GammaSearch,
-    /// Minimum simulated time between γ recomputations (γ is also
-    /// recomputed whenever a new nominal `u` arrives).
-    pub recompute_interval: SimSpan,
     /// Paper-literal Eq. 11: if **any** ready job cannot meet its deadline
     /// under any order, treat the system as overloaded and force `γ = 0`.
     /// When `false` (default), jobs that are already doomed at `γ = 0` are
@@ -130,7 +127,6 @@ impl Default for DpsConfig {
         DpsConfig {
             gamma_ceiling: 0.2,
             search: GammaSearch::default(),
-            recompute_interval: SimSpan::from_millis(5.0),
             strict_eq11: false,
         }
     }
@@ -755,7 +751,7 @@ impl DynamicPriorityScheduler {
     fn maybe_recompute(&mut self, ctx: &SchedContext<'_>) {
         let stale = match self.last_compute {
             None => true,
-            Some(t) => ctx.now - t >= self.config.recompute_interval,
+            Some(t) => ctx.now - t >= RECOMPUTE_INTERVAL,
         };
         if self.dirty || stale {
             self.recompute_gamma(ctx);
@@ -784,7 +780,7 @@ impl DynamicPriorityScheduler {
             return None;
         }
         match config.search {
-            GammaSearch::Bisection { iterations } => {
+            GammaSearch::Bisection => {
                 s.seed();
                 if s.probe(config.gamma_ceiling, h, counters) {
                     return Some(config.gamma_ceiling);
@@ -793,7 +789,7 @@ impl DynamicPriorityScheduler {
                 let bound = s.bound(config.gamma_ceiling, narrow, s.band(h), h);
                 let mut lo = 0.0;
                 let mut hi = config.gamma_ceiling;
-                for _ in 0..iterations {
+                for _ in 0..BISECTION_STEPS {
                     let mid = 0.5 * (lo + hi);
                     if mid > bound {
                         // Certified infeasible: the reference's probe fails.
@@ -876,7 +872,7 @@ fn priority_key_job(ctx: &SchedContext<'_>, job: &Job, gamma: f64) -> f64 {
 /// only edits since; `incremental_search_matches_sort_per_probe_reference`
 /// pins the bit-equality they must preserve.
 pub mod reference {
-    use super::{priority_key, DpsConfig, GammaSearch};
+    use super::{priority_key, DpsConfig, GammaSearch, BISECTION_STEPS};
     use hcperf_rtsim::SchedContext;
 
     /// Checks the Eq. 11 constraint system at a fixed γ.
@@ -930,13 +926,13 @@ pub mod reference {
             return None;
         }
         match config.search {
-            GammaSearch::Bisection { iterations } => {
+            GammaSearch::Bisection => {
                 if feasible(ctx, config.gamma_ceiling, &skip) {
                     return Some(config.gamma_ceiling);
                 }
                 let mut lo = 0.0;
                 let mut hi = config.gamma_ceiling;
-                for _ in 0..iterations {
+                for _ in 0..BISECTION_STEPS {
                     let mid = 0.5 * (lo + hi);
                     if feasible(ctx, mid, &skip) {
                         lo = mid;
@@ -1130,15 +1126,11 @@ mod tests {
     fn check_against_reference(fx: &Fixture, gamma_ceiling: f64) -> [GammaCounters; 2] {
         let mut sweeps = [GammaCounters::default(); 2];
         for (strict_eq11, sweep) in [false, true].into_iter().zip(&mut sweeps) {
-            for search in [
-                GammaSearch::Bisection { iterations: 24 },
-                GammaSearch::CriticalPoints,
-            ] {
+            for search in [GammaSearch::Bisection, GammaSearch::CriticalPoints] {
                 let config = DpsConfig {
                     gamma_ceiling,
                     search,
                     strict_eq11,
-                    ..Default::default()
                 };
                 let mut dps = DynamicPriorityScheduler::new(config);
                 let expected = reference::gamma_max(&fx.ctx(), &config);
@@ -1251,7 +1243,7 @@ mod tests {
         ];
         let fx = Fixture::new(queue, 8.0, 2);
         let mut bis = DynamicPriorityScheduler::new(DpsConfig {
-            search: GammaSearch::Bisection { iterations: 40 },
+            search: GammaSearch::Bisection,
             ..Default::default()
         });
         let mut crit = DynamicPriorityScheduler::new(DpsConfig {
@@ -1393,15 +1385,11 @@ mod tests {
     fn counters_of(fx: &Fixture, gamma_ceiling: f64) -> Vec<GammaCounters> {
         let mut all = Vec::new();
         for strict_eq11 in [false, true] {
-            for search in [
-                GammaSearch::Bisection { iterations: 24 },
-                GammaSearch::CriticalPoints,
-            ] {
+            for search in [GammaSearch::Bisection, GammaSearch::CriticalPoints] {
                 let mut dps = DynamicPriorityScheduler::new(DpsConfig {
                     gamma_ceiling,
                     search,
                     strict_eq11,
-                    ..Default::default()
                 });
                 dps.recompute_gamma(&fx.ctx());
                 all.push(dps.search_counters());
@@ -1665,7 +1653,7 @@ mod tests {
         let fx = Fixture::custom(&[0, 1], &[c, c], &jobs, 1, 0.0, 0.0);
         check_against_reference(&fx, 0.2);
         let config = DpsConfig {
-            search: GammaSearch::Bisection { iterations: 24 },
+            search: GammaSearch::Bisection,
             ..Default::default()
         };
         let mut dps = DynamicPriorityScheduler::new(config);

@@ -70,5 +70,5 @@ pub use coordinator::{CoordinatorConfig, HcPerf, PeriodDecision, PeriodInput};
 pub use dps::{DpsConfig, DynamicPriorityScheduler, GammaCounters, GammaSearch};
 pub use pdc::{PdcConfig, PerformanceDirectedController};
 pub use rate_adapter::{RateAdapterConfig, SourceSlot, TaskRateAdapter};
-pub use rta::{all_schedulable, rta_fixed_priority, RtaResult};
+pub use rta::{rta_fixed_priority, RtaResult};
 pub use scheme::{SchedulerKind, Scheme};

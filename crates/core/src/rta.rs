@@ -136,42 +136,6 @@ pub fn rta_fixed_priority(
         .collect()
 }
 
-/// `true` if every task passes the analysis at the given rate.
-#[must_use]
-pub fn all_schedulable(graph: &TaskGraph, rate: Rate, ctx: ExecContext, m: usize) -> bool {
-    rta_fixed_priority(graph, rate, ctx, m)
-        .iter()
-        .all(|r| r.schedulable)
-}
-
-/// The highest rate (to `resolution_hz` precision) at which every task
-/// passes the analysis — a *guaranteed-safe* pipeline rate, typically well
-/// below the empirical knee because the analysis is conservative.
-///
-/// # Panics
-///
-/// Panics if `resolution_hz` is not strictly positive.
-#[must_use]
-pub fn max_guaranteed_rate(
-    graph: &TaskGraph,
-    ctx: ExecContext,
-    m: usize,
-    resolution_hz: f64,
-) -> Option<Rate> {
-    assert!(resolution_hz > 0.0, "resolution must be positive");
-    let mut best = None;
-    let mut hz = resolution_hz;
-    while hz < 1000.0 {
-        if all_schedulable(graph, Rate::from_hz(hz), ctx, m) {
-            best = Some(Rate::from_hz(hz));
-            hz += resolution_hz;
-        } else {
-            break;
-        }
-    }
-    best
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -206,12 +170,17 @@ mod tests {
         b.build().unwrap()
     }
 
+    fn all_schedulable(g: &TaskGraph, rate: Rate, m: usize) -> bool {
+        rta_fixed_priority(g, rate, ExecContext::idle(), m)
+            .iter()
+            .all(|r| r.schedulable)
+    }
+
     #[test]
     fn low_rate_is_schedulable_high_rate_is_not() {
         let g = loose_graph();
-        let ctx = ExecContext::idle();
-        assert!(all_schedulable(&g, Rate::from_hz(10.0), ctx, 2));
-        assert!(!all_schedulable(&g, Rate::from_hz(150.0), ctx, 2));
+        assert!(all_schedulable(&g, Rate::from_hz(10.0), 2));
+        assert!(!all_schedulable(&g, Rate::from_hz(150.0), 2));
     }
 
     #[test]
@@ -289,19 +258,11 @@ mod tests {
     #[test]
     fn guaranteed_rate_is_below_the_utilization_knee() {
         let g = loose_graph();
-        let ctx = ExecContext::idle();
-        let safe = max_guaranteed_rate(&g, ctx, 2, 1.0).expect("some rate is safe");
-        // The analysis is conservative: the guaranteed rate is positive but
-        // below the unity-utilization rate of this graph.
-        let unity = crate::analysis::max_rate_within_bound(&g, ctx, 2, 1.0);
-        assert!(safe.as_hz() >= 10.0, "safe {safe}");
-        assert!(safe < unity, "safe {safe} vs unity {unity}");
-    }
-
-    #[test]
-    #[should_panic(expected = "resolution must be positive")]
-    fn guaranteed_rate_rejects_zero_resolution() {
-        let g = loose_graph();
-        let _ = max_guaranteed_rate(&g, ExecContext::idle(), 2, 0.0);
+        // The analysis is conservative: it vouches for every task at 10 Hz
+        // but not at the unity-utilization rate of this graph.
+        let unity = crate::analysis::max_rate_within_bound(&g, ExecContext::idle(), 2, 1.0);
+        assert!(unity.as_hz() > 10.0, "unity {unity}");
+        assert!(all_schedulable(&g, Rate::from_hz(10.0), 2));
+        assert!(!all_schedulable(&g, unity, 2));
     }
 }

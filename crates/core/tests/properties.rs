@@ -165,7 +165,7 @@ proptest! {
         // the critical-point sweep (up to numeric tolerance).
         let fx = Fixture::random(5, &jobs, &exec, 2);
         let mut bis = DynamicPriorityScheduler::new(DpsConfig {
-            search: GammaSearch::Bisection { iterations: 30 },
+            search: GammaSearch::Bisection,
             ..Default::default()
         });
         let mut crit = DynamicPriorityScheduler::new(DpsConfig {

@@ -13,6 +13,7 @@ use hcperf_harness::{
     json_escape, run_batch_streaming, BatchOptions, HarnessError, Job, JobResult, JobStatus,
     RecordSink,
 };
+use proptest::prelude::*;
 
 /// A deterministic, seed-driven stand-in for a simulation: a short
 /// SplitMix64 walk whose length comes from the input.
@@ -565,4 +566,95 @@ fn abort_with_full_bounded_queue_does_not_deadlock() {
     };
     assert_eq!(total, 200);
     assert_eq!(delivered, 4, "the sink stopped after its fourth record");
+}
+
+/// Whether a run with `seed` panics: a pure function of the seed, so a
+/// job's fate under a given pattern is the same on every worker. `odds`
+/// is the share of seeds that panic, in quarters.
+fn panics_under(salt: u64, odds: u64, seed: u64) -> bool {
+    let mut state = seed ^ salt;
+    splitmix64(&mut state) % 4 < odds
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(64))]
+
+    /// Supervision under random panic patterns and retry budgets: results
+    /// arrive in submission order; each comes from the first attempt whose
+    /// seed succeeds (attempt 0 runs the job's own seed, attempt k > 0 the
+    /// seed derived from `"<key>#attempt=<k>"`) and reports that seed and
+    /// `k + 1` attempts; a job no attempt saves is one failure record after
+    /// `max_retries + 1` attempts; and the bytes match at 1 and 2 workers.
+    #[test]
+    fn random_panic_patterns_keep_order_and_the_attempt_seed_contract(
+        pins in proptest::collection::vec((any::<bool>(), any::<u64>()), 0..13),
+        root in any::<u64>(),
+        salt in any::<u64>(),
+        odds in 0u64..5,
+        max_retries in 0u32..4,
+    ) {
+        let jobs: Vec<Job<u64>> = pins
+            .iter()
+            .enumerate()
+            .map(|(i, &(pinned, pin))| {
+                let key = format!("cell/{i}");
+                if pinned {
+                    Job::with_seed(key, i as u64, pin)
+                } else {
+                    Job::new(key, i as u64)
+                }
+            })
+            .collect();
+        let run = |input: &u64, seed: u64| {
+            assert!(!panics_under(salt, odds, seed), "seed {seed} panics");
+            fake_sim(input, seed)
+        };
+        let prev = std::panic::take_hook();
+        std::panic::set_hook(Box::new(|_| {}));
+        let runs: Vec<Vec<JobResult<u64>>> = [1, 2]
+            .into_iter()
+            .map(|workers| {
+                let mut results = Vec::new();
+                let mut sink = |r| results.push(r);
+                let opts = BatchOptions::with_workers(workers)
+                    .root_seed(root)
+                    .max_retries(max_retries)
+                    .stream_to(&mut sink);
+                run_batch_streaming(&jobs, opts, run).unwrap();
+                results
+            })
+            .collect();
+        std::panic::set_hook(prev);
+
+        let mut bytes = Vec::new();
+        for results in runs {
+            prop_assert_eq!(results.len(), jobs.len());
+            for (i, (r, job)) in results.iter().zip(&jobs).enumerate() {
+                prop_assert_eq!(r.index, i);
+                prop_assert_eq!(&r.key, &job.key);
+                let seed_of = |k: u32| {
+                    if k == 0 {
+                        job.seed.unwrap_or_else(|| derive_seed(root, &job.key))
+                    } else {
+                        derive_seed(root, &format!("{}#attempt={k}", job.key))
+                    }
+                };
+                match (0..=max_retries).find(|&k| !panics_under(salt, odds, seed_of(k))) {
+                    Some(k) => {
+                        prop_assert_eq!((r.attempts, r.seed), (k + 1, seed_of(k)), "{}", job.key);
+                        prop_assert_eq!(&r.status, &JobStatus::Ok(fake_sim(&job.input, seed_of(k))));
+                    }
+                    None => {
+                        let last = seed_of(max_retries);
+                        prop_assert_eq!((r.attempts, r.seed), (max_retries + 1, last), "{}", job.key);
+                        prop_assert_eq!(&r.status, &JobStatus::Panicked(format!("seed {last} panics")));
+                    }
+                }
+            }
+            let mut out = String::new();
+            results.into_iter().for_each(jsonl(&mut out));
+            bytes.push(out);
+        }
+        prop_assert_eq!(&bytes[0], &bytes[1], "1 vs 2 workers");
+    }
 }

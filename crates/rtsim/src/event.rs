@@ -129,12 +129,6 @@ impl EventQueue {
         }
     }
 
-    /// Returns the earliest event time without removing it.
-    #[must_use]
-    pub fn peek_time(&self) -> Option<SimTime> {
-        self.heap.peek().map(|e| e.time)
-    }
-
     /// Number of pending events.
     #[must_use]
     pub fn len(&self) -> usize {
@@ -203,15 +197,14 @@ mod tests {
     }
 
     #[test]
-    fn peek_does_not_remove() {
+    fn len_tracks_push_and_pop() {
         let mut q = EventQueue::new();
         q.push(SimTime::from_secs(5.0), tagged(0));
-        assert_eq!(q.peek_time(), Some(SimTime::from_secs(5.0)));
         assert_eq!(q.len(), 1);
         assert!(!q.is_empty());
-        q.pop();
+        assert_eq!(q.pop().map(|e| e.time), Some(SimTime::from_secs(5.0)));
         assert!(q.is_empty());
-        assert_eq!(q.peek_time(), None);
+        assert_eq!(q.pop(), None);
     }
 
     /// Pins the queue's tie-break contract: same-time events of *different*

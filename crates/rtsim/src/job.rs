@@ -174,14 +174,6 @@ pub enum JobOutcome {
     Expired,
 }
 
-impl JobOutcome {
-    /// Returns `true` if the job met its deadline.
-    #[must_use]
-    pub fn is_met(self) -> bool {
-        matches!(self, JobOutcome::Met)
-    }
-}
-
 /// A control command produced by a sink (control) task completing in time.
 ///
 /// The scenario harness drains these from the simulator and applies them to
@@ -241,13 +233,6 @@ mod tests {
         assert!((lax.as_millis() - 70.0).abs() < 1e-9);
         let late = j.laxity(SimTime::from_secs(2.09), SimSpan::from_millis(30.0));
         assert!(late.is_negative());
-    }
-
-    #[test]
-    fn outcome_classification() {
-        assert!(JobOutcome::Met.is_met());
-        assert!(!JobOutcome::MissedLate.is_met());
-        assert!(!JobOutcome::Expired.is_met());
     }
 
     #[test]

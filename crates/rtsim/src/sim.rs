@@ -78,6 +78,9 @@ use crate::scheduler::{SchedContext, Scheduler};
 use crate::stats::SimStats;
 use crate::trace::{Trace, TraceEvent};
 
+/// Release rate of a source that declares no allowable range.
+const DEFAULT_SOURCE_HZ: f64 = 20.0;
+
 /// Engine configuration.
 #[derive(Debug, Clone)]
 pub struct SimConfig {
@@ -91,8 +94,6 @@ pub struct SimConfig {
     pub expire_queued_jobs: bool,
     /// Trace capacity in events (0 disables tracing).
     pub trace_capacity: usize,
-    /// Rate for sources that declare no allowable range.
-    pub default_rate: Rate,
     /// Selects nothing: the engine never reads it. It remains only so that
     /// existing struct literals keep compiling; the same-cycle join
     /// discards a late predecessor's output, so no output can go stale.
@@ -114,7 +115,6 @@ impl Default for SimConfig {
             seed: 0,
             expire_queued_jobs: true,
             trace_capacity: 0,
-            default_rate: Rate::from_hz(20.0),
             staleness_bound: None,
             release_jitter_frac: 0.0,
             join_policy: JoinPolicy::SameCycle,
@@ -263,9 +263,9 @@ impl<S: Scheduler> Sim<S> {
     /// Creates a simulator over `graph` with the given `scheduler`.
     ///
     /// Source rates start at the **minimum** of each source's allowable
-    /// range (or [`SimConfig::default_rate`] if none), matching the paper's
-    /// behaviour of the Task Rate Adapter ramping rates up from a safe
-    /// starting load. First releases are scheduled at `t = 0`.
+    /// range (or 20 Hz if none), matching the paper's behaviour of the
+    /// Task Rate Adapter ramping rates up from a safe starting load. First
+    /// releases are scheduled at `t = 0`.
     ///
     /// # Errors
     ///
@@ -288,12 +288,12 @@ impl<S: Scheduler> Sim<S> {
             let rate = graph
                 .spec(s)
                 .rate_range()
-                .map_or(config.default_rate, |r| r.min());
+                .map_or(Rate::from_hz(DEFAULT_SOURCE_HZ), |r| r.min());
             rates[s.index()] = Some(rate);
         }
         let mut events = EventQueue::new();
         events.push(SimTime::ZERO, EventKind::CycleRelease);
-        let stats = SimStats::new(n, config.processors);
+        let stats = SimStats::new(n);
         let trace = if config.trace_capacity > 0 {
             Trace::with_capacity(config.trace_capacity)
         } else {
@@ -682,8 +682,6 @@ impl<S: Scheduler> Sim<S> {
             None => SimSpan::ZERO,
         };
         let output_at = self.now + gpu_delay;
-        self.stats
-            .on_response(task.index(), output_at - job.release());
         let met = output_at <= job.absolute_deadline();
         self.trace.record(TraceEvent::Completed {
             time: self.now,
@@ -805,7 +803,7 @@ impl<S: Scheduler> Sim<S> {
                 let job = self.dequeue(chosen);
                 let exec = self.sample_exec(job.task());
                 let finish = self.now + exec;
-                self.stats.on_dispatch(job.task().index(), processor, exec);
+                self.stats.on_dispatch(job.task().index());
                 self.trace.record(TraceEvent::Dispatched {
                     time: self.now,
                     job: job.id(),
@@ -1947,7 +1945,19 @@ mod tests {
         let g = chain_graph(30.0, 30.0, 30.0, 200.0);
         let mut s = sim(g);
         s.run_until(SimTime::from_secs(2.0));
-        let util = s.stats().mean_utilization(s.now());
+        // Busy time from the trace: each job's dispatch to its completion.
+        let mut started = BTreeMap::new();
+        let mut busy = SimSpan::ZERO;
+        for event in s.trace().events() {
+            match *event {
+                TraceEvent::Dispatched { time, job, .. } => {
+                    started.insert(job, time);
+                }
+                TraceEvent::Completed { time, job, .. } => busy += time - started[&job],
+                _ => {}
+            }
+        }
+        let util = busy.as_secs() / (2.0 * s.now().as_secs());
         // 3 × 30 ms per 100 ms cycle on 2 processors ≈ 45 % mean utilization.
         assert!((0.3..0.6).contains(&util), "utilization {util}");
     }

@@ -1,11 +1,12 @@
-//! Simulation statistics: deadline accounting, response times, utilization.
+//! Simulation statistics: deadline accounting and command latencies.
 //!
 //! The engine updates [`SimStats`] as jobs are released, dispatched and
-//! completed. The external coordinator samples *windowed* deadline-miss
-//! ratios `m(k)` via [`SimStats::take_window`], which drains the counters
-//! accumulated since the previous call — one call per control period.
+//! resolved, and as sink tasks emit commands. The external coordinator
+//! samples *windowed* deadline-miss ratios `m(k)` via
+//! [`SimStats::take_window`], which drains the counters accumulated since
+//! the previous call — one call per control period.
 
-use hcperf_taskgraph::{SimSpan, SimTime};
+use hcperf_taskgraph::SimSpan;
 use serde::{Deserialize, Serialize};
 
 use crate::job::JobOutcome;
@@ -69,47 +70,35 @@ impl TaskStats {
 }
 
 /// Whole-run statistics.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct SimStats {
     per_task: Vec<TaskStats>,
     window: WindowStats,
     total: WindowStats,
     released: u64,
     dispatched: u64,
-    busy: Vec<SimSpan>,
     commands_emitted: u64,
     response_time_sum: f64,
-    response_time_count: u64,
     e2e_sum: f64,
-    e2e_count: u64,
     response_samples: Vec<f64>,
     e2e_samples: Vec<f64>,
-    task_response_worst: Vec<f64>,
-    task_response_sum: Vec<f64>,
-    task_response_count: Vec<u64>,
 }
 
 impl SimStats {
-    /// Creates statistics for `tasks` tasks on `processors` processors.
+    /// Creates statistics for `tasks` tasks.
     #[must_use]
-    pub fn new(tasks: usize, processors: usize) -> Self {
+    pub fn new(tasks: usize) -> Self {
         SimStats {
             per_task: vec![TaskStats::default(); tasks],
             window: WindowStats::default(),
             total: WindowStats::default(),
             released: 0,
             dispatched: 0,
-            busy: vec![SimSpan::ZERO; processors],
             commands_emitted: 0,
             response_time_sum: 0.0,
-            response_time_count: 0,
             e2e_sum: 0.0,
-            e2e_count: 0,
             response_samples: Vec::new(),
             e2e_samples: Vec::new(),
-            task_response_worst: vec![0.0; tasks],
-            task_response_sum: vec![0.0; tasks],
-            task_response_count: vec![0; tasks],
         }
     }
 
@@ -119,11 +108,10 @@ impl SimStats {
         self.per_task[task].released += 1;
     }
 
-    /// Records a dispatch that will keep a processor busy for `exec`.
-    pub fn on_dispatch(&mut self, task: usize, processor: usize, exec: SimSpan) {
+    /// Records a dispatch.
+    pub fn on_dispatch(&mut self, task: usize) {
         self.dispatched += 1;
         self.per_task[task].dispatched += 1;
-        self.busy[processor] += exec;
     }
 
     /// Records a job resolution (completion or expiry).
@@ -156,50 +144,17 @@ impl SimStats {
     pub fn on_command(&mut self, response: SimSpan, end_to_end: SimSpan) {
         self.commands_emitted += 1;
         self.response_time_sum += response.as_secs();
-        self.response_time_count += 1;
         self.e2e_sum += end_to_end.as_secs();
-        self.e2e_count += 1;
         if self.response_samples.len() < Self::MAX_SAMPLES {
             self.response_samples.push(response.as_secs());
             self.e2e_samples.push(end_to_end.as_secs());
         }
     }
 
-    /// Records one job's response time (release → output availability) for
-    /// its task.
-    pub fn on_response(&mut self, task: usize, response: SimSpan) {
-        let r = response.as_secs();
-        if r > self.task_response_worst[task] {
-            self.task_response_worst[task] = r;
-        }
-        self.task_response_sum[task] += r;
-        self.task_response_count[task] += 1;
-    }
-
-    /// Worst observed response time of `task`, if it ever completed.
-    #[must_use]
-    pub fn task_worst_response(&self, task: usize) -> Option<SimSpan> {
-        (self.task_response_count[task] > 0)
-            .then(|| SimSpan::from_secs(self.task_response_worst[task]))
-    }
-
-    /// Mean observed response time of `task`, if it ever completed.
-    #[must_use]
-    pub fn task_mean_response(&self, task: usize) -> Option<SimSpan> {
-        let n = self.task_response_count[task];
-        (n > 0).then(|| SimSpan::from_secs(self.task_response_sum[task] / n as f64))
-    }
-
     /// Drains and returns the counters accumulated since the last call —
     /// the external coordinator's `m(k)` sample.
     pub fn take_window(&mut self) -> WindowStats {
         std::mem::take(&mut self.window)
-    }
-
-    /// Peeks at the current window without draining.
-    #[must_use]
-    pub fn window(&self) -> WindowStats {
-        self.window
     }
 
     /// Cumulative counters over the whole run.
@@ -242,23 +197,15 @@ impl SimStats {
     /// emitted.
     #[must_use]
     pub fn mean_response_time(&self) -> Option<SimSpan> {
-        if self.response_time_count == 0 {
-            None
-        } else {
-            Some(SimSpan::from_secs(
-                self.response_time_sum / self.response_time_count as f64,
-            ))
-        }
+        (self.commands_emitted > 0)
+            .then(|| SimSpan::from_secs(self.response_time_sum / self.commands_emitted as f64))
     }
 
     /// Mean end-to-end (source→command) latency, if any.
     #[must_use]
     pub fn mean_end_to_end(&self) -> Option<SimSpan> {
-        if self.e2e_count == 0 {
-            None
-        } else {
-            Some(SimSpan::from_secs(self.e2e_sum / self.e2e_count as f64))
-        }
+        (self.commands_emitted > 0)
+            .then(|| SimSpan::from_secs(self.e2e_sum / self.commands_emitted as f64))
     }
 
     /// Percentile of the control-task response times (nearest-rank), e.g.
@@ -275,31 +222,6 @@ impl SimStats {
     #[must_use]
     pub fn end_to_end_percentile(&self, p: f64) -> Option<SimSpan> {
         percentile(&self.e2e_samples, p).map(SimSpan::from_secs)
-    }
-
-    /// Utilization of `processor` over `[0, now]`.
-    #[must_use]
-    pub fn utilization(&self, processor: usize, now: SimTime) -> f64 {
-        let elapsed = now.as_secs();
-        if elapsed <= 0.0 {
-            0.0
-        } else {
-            (self.busy[processor].as_secs() / elapsed).min(1.0)
-        }
-    }
-
-    /// Mean utilization over all processors.
-    #[must_use]
-    pub fn mean_utilization(&self, now: SimTime) -> f64 {
-        if self.busy.is_empty() {
-            return 0.0;
-        }
-        self.busy
-            .iter()
-            .enumerate()
-            .map(|(p, _)| self.utilization(p, now))
-            .sum::<f64>()
-            / self.busy.len() as f64
     }
 }
 
@@ -342,24 +264,25 @@ mod tests {
 
     #[test]
     fn take_window_drains_but_keeps_totals() {
-        let mut s = SimStats::new(2, 1);
+        let mut s = SimStats::new(2);
         s.on_outcome(0, JobOutcome::Met);
         s.on_outcome(1, JobOutcome::MissedLate);
         let w = s.take_window();
         assert_eq!(w.met, 1);
         assert_eq!(w.missed_late, 1);
-        assert_eq!(s.window().total(), 0);
         assert_eq!(s.totals().total(), 2);
         s.on_outcome(0, JobOutcome::Expired);
-        assert_eq!(s.window().expired, 1);
+        // The earlier take drained the window: only the new outcome is in it.
+        let w = s.take_window();
+        assert_eq!((w.total(), w.expired), (1, 1));
         assert_eq!(s.totals().expired, 1);
     }
 
     #[test]
     fn per_task_counters_track_outcomes() {
-        let mut s = SimStats::new(3, 2);
+        let mut s = SimStats::new(3);
         s.on_release(1);
-        s.on_dispatch(1, 0, SimSpan::from_millis(10.0));
+        s.on_dispatch(1);
         s.on_outcome(1, JobOutcome::Met);
         s.on_release(1);
         s.on_outcome(1, JobOutcome::Expired);
@@ -374,7 +297,7 @@ mod tests {
 
     #[test]
     fn command_means() {
-        let mut s = SimStats::new(1, 1);
+        let mut s = SimStats::new(1);
         assert!(s.mean_response_time().is_none());
         s.on_command(SimSpan::from_millis(10.0), SimSpan::from_millis(100.0));
         s.on_command(SimSpan::from_millis(30.0), SimSpan::from_millis(200.0));
@@ -384,23 +307,8 @@ mod tests {
     }
 
     #[test]
-    fn per_task_response_times_track_worst_and_mean() {
-        let mut s = SimStats::new(2, 1);
-        assert!(s.task_worst_response(0).is_none());
-        s.on_response(0, SimSpan::from_millis(10.0));
-        s.on_response(0, SimSpan::from_millis(30.0));
-        s.on_response(0, SimSpan::from_millis(20.0));
-        assert_eq!(
-            s.task_worst_response(0).unwrap(),
-            SimSpan::from_millis(30.0)
-        );
-        assert_eq!(s.task_mean_response(0).unwrap(), SimSpan::from_millis(20.0));
-        assert!(s.task_worst_response(1).is_none());
-    }
-
-    #[test]
     fn percentiles_follow_nearest_rank() {
-        let mut s = SimStats::new(1, 1);
+        let mut s = SimStats::new(1);
         assert!(s.response_time_percentile(0.5).is_none());
         for ms in [10.0, 20.0, 30.0, 40.0] {
             s.on_command(SimSpan::from_millis(ms), SimSpan::from_millis(ms * 10.0));
@@ -423,7 +331,7 @@ mod tests {
     fn percentile_is_none_for_invalid_p() {
         // Regression: these used to assert/panic, which is fatal for a
         // long-running fleet service fed degenerate per-vehicle results.
-        let mut s = SimStats::new(1, 1);
+        let mut s = SimStats::new(1);
         s.on_command(SimSpan::from_millis(10.0), SimSpan::from_millis(100.0));
         assert!(s.response_time_percentile(0.0).is_none());
         assert!(s.response_time_percentile(-0.5).is_none());
@@ -438,7 +346,7 @@ mod tests {
         // empty sample set; it must report "no data" instead.
         assert_eq!(percentile(&[], 0.99), None);
         assert_eq!(percentile(&[], 1.0), None);
-        let s = SimStats::new(1, 1);
+        let s = SimStats::new(1);
         assert!(s.response_time_percentile(0.99).is_none());
         assert!(s.end_to_end_percentile(0.5).is_none());
     }
@@ -448,17 +356,5 @@ mod tests {
         assert_eq!(percentile(&[7.0], 0.01), Some(7.0));
         assert_eq!(percentile(&[7.0], 1.0), Some(7.0));
         assert_eq!(percentile(&[3.0, 1.0, 2.0], 0.5), Some(2.0));
-    }
-
-    #[test]
-    fn utilization_accumulates_busy_time() {
-        let mut s = SimStats::new(1, 2);
-        s.on_dispatch(0, 0, SimSpan::from_secs(2.0));
-        s.on_dispatch(0, 1, SimSpan::from_secs(1.0));
-        let now = SimTime::from_secs(4.0);
-        assert!((s.utilization(0, now) - 0.5).abs() < 1e-12);
-        assert!((s.utilization(1, now) - 0.25).abs() < 1e-12);
-        assert!((s.mean_utilization(now) - 0.375).abs() < 1e-12);
-        assert_eq!(s.utilization(0, SimTime::ZERO), 0.0);
     }
 }

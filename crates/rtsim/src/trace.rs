@@ -106,12 +106,6 @@ impl Trace {
         }
     }
 
-    /// Returns `true` if the trace records events.
-    #[must_use]
-    pub fn is_enabled(&self) -> bool {
-        self.capacity > 0
-    }
-
     /// Records an event (no-op when disabled; counts drops when full).
     pub fn record(&mut self, event: TraceEvent) {
         if self.capacity == 0 {
@@ -135,11 +129,6 @@ impl Trace {
     pub fn dropped(&self) -> u64 {
         self.dropped
     }
-
-    /// Events concerning one task, in order.
-    pub fn for_task(&self, task: TaskId) -> impl Iterator<Item = &TraceEvent> {
-        self.events.iter().filter(move |e| e.task() == task)
-    }
 }
 
 #[cfg(test)]
@@ -158,7 +147,6 @@ mod tests {
     #[test]
     fn disabled_trace_records_nothing() {
         let mut tr = Trace::disabled();
-        assert!(!tr.is_enabled());
         tr.record(released(1.0, 0, 0));
         assert!(tr.events().is_empty());
         assert_eq!(tr.dropped(), 0);
@@ -167,7 +155,6 @@ mod tests {
     #[test]
     fn bounded_trace_counts_drops() {
         let mut tr = Trace::with_capacity(2);
-        assert!(tr.is_enabled());
         for i in 0..5 {
             tr.record(released(i as f64, i, 0));
         }
@@ -181,8 +168,9 @@ mod tests {
         tr.record(released(1.0, 0, 0));
         tr.record(released(2.0, 1, 1));
         tr.record(released(3.0, 2, 0));
-        assert_eq!(tr.for_task(TaskId::new(0)).count(), 2);
-        assert_eq!(tr.for_task(TaskId::new(1)).count(), 1);
+        let count = |task| tr.events().iter().filter(|e| e.task() == task).count();
+        assert_eq!(count(TaskId::new(0)), 2);
+        assert_eq!(count(TaskId::new(1)), 1);
     }
 
     #[test]

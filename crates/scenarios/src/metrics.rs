@@ -92,17 +92,6 @@ impl TimeSeries {
         rms(&self.values)
     }
 
-    /// RMS restricted to samples with `t >= from`.
-    #[must_use]
-    pub fn rms_from(&self, from: f64) -> f64 {
-        let vals: Vec<f64> = self
-            .iter()
-            .filter(|(t, _)| *t >= from)
-            .map(|(_, v)| v)
-            .collect();
-        rms(&vals)
-    }
-
     /// RMS restricted to samples with `from <= t < until`.
     #[must_use]
     pub fn rms_between(&self, from: f64, until: f64) -> f64 {
@@ -254,7 +243,7 @@ mod tests {
         ts.push(0.0, 100.0);
         ts.push(10.0, 1.0);
         ts.push(11.0, -1.0);
-        assert_eq!(ts.rms_from(10.0), 1.0);
+        assert_eq!(ts.rms_between(10.0, f64::INFINITY), 1.0);
         assert_eq!(ts.rms_between(10.0, 10.5), 1.0);
     }
 

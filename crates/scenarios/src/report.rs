@@ -1,8 +1,6 @@
 //! Result formatting: paper-style tables and CSV time-series dumps.
 
 use std::fmt::Write as _;
-use std::io;
-use std::path::Path;
 
 use crate::metrics::TimeSeries;
 
@@ -73,15 +71,6 @@ pub fn series_to_csv(series: &[&TimeSeries]) -> String {
         }
     }
     out
-}
-
-/// Writes time series as long-format CSV to `path`.
-///
-/// # Errors
-///
-/// Propagates I/O errors from the filesystem.
-pub fn write_csv(path: &Path, series: &[&TimeSeries]) -> io::Result<()> {
-    std::fs::write(path, series_to_csv(series))
 }
 
 /// Serializes any scenario result to pretty JSON for machine consumption.
@@ -184,18 +173,5 @@ mod tests {
         assert!(v["rms_speed_error"].as_f64().unwrap().is_finite());
         assert_eq!(v["scheme"], "Edf");
         assert!(v["commands"].as_u64().unwrap() > 0);
-    }
-
-    #[test]
-    fn write_csv_creates_file() {
-        let mut s = TimeSeries::new("x");
-        s.push(0.0, 1.0);
-        let dir = std::env::temp_dir().join("hcperf_report_test");
-        std::fs::create_dir_all(&dir).unwrap();
-        let path = dir.join("out.csv");
-        write_csv(&path, &[&s]).unwrap();
-        let content = std::fs::read_to_string(&path).unwrap();
-        assert!(content.contains("x,0.000000,1.000000000"));
-        let _ = std::fs::remove_file(path);
     }
 }

@@ -369,18 +369,6 @@ impl TaskGraphBuilder {
         Ok(())
     }
 
-    /// Adds a chain of edges `a → b → c → …`.
-    ///
-    /// # Errors
-    ///
-    /// Propagates the first [`GraphError`] from any edge insertion.
-    pub fn add_chain(&mut self, tasks: &[TaskId]) -> Result<(), GraphError> {
-        for pair in tasks.windows(2) {
-            self.add_edge(pair[0], pair[1])?;
-        }
-        Ok(())
-    }
-
     /// Validates and freezes the graph.
     ///
     /// # Errors
@@ -574,19 +562,6 @@ mod tests {
         assert_eq!(depth[c.index()], 1);
         assert_eq!(depth[d.index()], 1);
         assert_eq!(depth[e.index()], 2);
-    }
-
-    #[test]
-    fn add_chain_builds_linear_graph() {
-        let mut b = TaskGraph::builder();
-        let ids: Vec<TaskId> = (0..5)
-            .map(|i| b.add_task(spec(&format!("t{i}"), 1.0)))
-            .collect();
-        b.add_chain(&ids).unwrap();
-        let g = b.build().unwrap();
-        assert_eq!(g.sources(), &[ids[0]]);
-        assert_eq!(g.sinks(), &[ids[4]]);
-        assert_eq!(g.edges().len(), 4);
     }
 
     #[test]

@@ -38,20 +38,6 @@ impl Rate {
         Rate(hz)
     }
 
-    /// Creates a rate from a period.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the period is not strictly positive.
-    #[must_use]
-    pub fn from_period(period: SimSpan) -> Self {
-        assert!(
-            period > SimSpan::ZERO,
-            "period must be strictly positive, got {period}"
-        );
-        Rate(1.0 / period.as_secs())
-    }
-
     /// Returns the rate in Hertz.
     #[must_use]
     pub fn as_hz(self) -> f64 {
@@ -204,7 +190,7 @@ mod tests {
     #[test]
     fn rate_period_round_trip() {
         let r = Rate::from_hz(50.0);
-        assert_eq!(Rate::from_period(r.period()), r);
+        assert_eq!(Rate::from_hz(1.0 / r.period().as_secs()), r);
     }
 
     #[test]

@@ -77,13 +77,6 @@ impl OvalTrack {
     pub fn turn_length(&self) -> f64 {
         std::f64::consts::PI * self.radius
     }
-
-    /// Returns `true` if arc position `s` lies inside a turn.
-    #[must_use]
-    pub fn in_turn(&self, s: f64) -> bool {
-        // hcperf-lint: allow(float-eq): curvature is exactly 0.0 on straights by construction of the oval
-        self.curvature(s) != 0.0
-    }
 }
 
 impl Track for OvalTrack {
@@ -135,9 +128,10 @@ mod tests {
 
     #[test]
     fn in_turn_detection() {
+        // Curvature is exactly zero on the straights and non-zero in turns.
         let t = OvalTrack::paper_loop();
-        assert!(!t.in_turn(50.0));
-        assert!(t.in_turn(t.straight_length() + 1.0));
+        assert_eq!(t.curvature(50.0), 0.0);
+        assert_ne!(t.curvature(t.straight_length() + 1.0), 0.0);
     }
 
     #[test]

@@ -12,7 +12,7 @@
 
 use hcperf::Scheme;
 use hcperf_rtsim::{
-    ControlCommand, FaultCounters, Job, JobId, JobOutcome, KillPolicy, SimStats, TaskStats, Trace,
+    ControlCommand, FaultCounters, Job, JobId, JobOutcome, KillPolicy, TaskStats, Trace,
     TraceEvent, WindowStats,
 };
 use hcperf_scenarios::car_following::DegradedTelemetry;
@@ -108,12 +108,6 @@ fn cases() -> Vec<Rendered> {
         "fault":{{"dropped_jobs":1,"killed_jobs":2,"requeued_jobs":3,"fault_misses":4}},
         "mode":{SERIES}}}"#
     );
-    let stats = r#"{"per_task":[{"released":3,"dispatched":3,"met":2,"missed_late":1,"expired":0}],
-        "window":{"met":1,"missed_late":0,"expired":0},"total":{"met":2,"missed_late":1,"expired":0},
-        "released":3,"dispatched":3,"busy":[0.01,-0],"commands_emitted":1,
-        "response_time_sum":0.30000000000000004,"response_time_count":3,"e2e_sum":null,
-        "e2e_count":0,"response_samples":[],"e2e_samples":[1e999],
-        "task_response_worst":[0.1],"task_response_sum":[0.3],"task_response_count":[3]}"#;
     let events = r#"[
         {"Released":{"time":0,"job":1,"task":0,"cycle":0}},
         {"Dispatched":{"time":0.001,"job":1,"task":0,"processor":2}},
@@ -188,7 +182,6 @@ fn cases() -> Vec<Rendered> {
             "TaskStats",
             r#"{"released":0,"dispatched":0,"met":0,"missed_late":0,"expired":0}"#,
         ),
-        case::<SimStats>("SimStats", stats),
         case::<Vec<TraceEvent>>("TraceEvent", events),
         case::<Trace>("Trace", &trace),
         case::<Trace>("Trace/empty", r#"{"capacity":0,"events":[],"dropped":0}"#),
@@ -581,55 +574,6 @@ const GOLDEN: &[(&str, &str, &str)] = &[
   "met": 0,
   "missed_late": 0,
   "expired": 0
-}"#,
-    ),
-    (
-        "SimStats",
-        r#"{"per_task":[{"released":3,"dispatched":3,"met":2,"missed_late":1,"expired":0}],"window":{"met":1,"missed_late":0,"expired":0},"total":{"met":2,"missed_late":1,"expired":0},"released":3,"dispatched":3,"busy":[0.01,0],"commands_emitted":1,"response_time_sum":0.30000000000000004,"response_time_count":3,"e2e_sum":null,"e2e_count":0,"response_samples":[],"e2e_samples":[null],"task_response_worst":[0.1],"task_response_sum":[0.3],"task_response_count":[3]}"#,
-        r#"{
-  "per_task": [
-    {
-      "released": 3,
-      "dispatched": 3,
-      "met": 2,
-      "missed_late": 1,
-      "expired": 0
-    }
-  ],
-  "window": {
-    "met": 1,
-    "missed_late": 0,
-    "expired": 0
-  },
-  "total": {
-    "met": 2,
-    "missed_late": 1,
-    "expired": 0
-  },
-  "released": 3,
-  "dispatched": 3,
-  "busy": [
-    0.01,
-    0
-  ],
-  "commands_emitted": 1,
-  "response_time_sum": 0.30000000000000004,
-  "response_time_count": 3,
-  "e2e_sum": null,
-  "e2e_count": 0,
-  "response_samples": [],
-  "e2e_samples": [
-    null
-  ],
-  "task_response_worst": [
-    0.1
-  ],
-  "task_response_sum": [
-    0.3
-  ],
-  "task_response_count": [
-    3
-  ]
 }"#,
     ),
     (

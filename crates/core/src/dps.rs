@@ -30,10 +30,17 @@
 //! exact sweep over the *critical γ values* where the queue order changes —
 //! the ablation benchmark compares them.
 //!
-//! **Probe cost.** An exact probe ranks the queue at one γ and walks
-//! Eq. 11 over that ranking. A bisection recompute makes up to 26 of
-//! them (γ = 0, the ceiling and 24 steps) against one queue snapshot. Each
-//! recompute loads every queued job once into a contiguous record (packed
+//! **Probe cost.** Each recompute first checks, in one `O(n)` pass over the
+//! queue and before anything is loaded or ranked, whether every job
+//! would meet Eq. 11 even with all the rest of the queue ahead of it.
+//! Then `γ_max` is the ceiling under every ranking, and the recompute
+//! ends there (the *feasibility certificate*, see `Horizon::certifies`;
+//! on the paper configuration it settles about three in four non-empty
+//! recomputes). Otherwise the search probes. An exact probe ranks the
+//! queue at one γ and walks Eq. 11 over that ranking. A bisection
+//! recompute makes up to 26 of them (γ = 0, the ceiling and 24 steps)
+//! against one queue snapshot. Each recompute that probes loads every
+//! queued job once into a contiguous record (packed
 //! sort key, `p_i`, laxity at `now`, observed `c_i`, absolute deadline,
 //! skip flag) in scratch owned by the scheduler, and ranks the records in
 //! place: one
@@ -57,15 +64,17 @@
 //! the crossings above it unsorted (see [`GammaSearch::CriticalPoints`]).
 //!
 //! Both strategies run on the same records;
-//! [`DynamicPriorityScheduler::search_counters`] counts probes, reused
-//! verdicts and skips.
+//! [`DynamicPriorityScheduler::search_counters`] counts certified
+//! recomputes, probes, reused verdicts and skips.
+//!
+//! `select` keys each candidate with the same packed integer as the
+//! ranking, `P_i` above the job id, and keeps the least: one integer
+//! compare per candidate.
 //! The pre-optimization sort-per-probe search is retained in
 //! [`mod@reference`] as the benchmark baseline and as an independent oracle
 //! in tests.
 
-use std::cmp::Ordering;
-
-use hcperf_rtsim::{order_image, Job, JobId, SchedContext, Scheduler};
+use hcperf_rtsim::{order_image, SchedContext, Scheduler};
 use hcperf_taskgraph::{SimSpan, SimTime};
 
 /// Bisection steps per recompute (each halves the bracket).
@@ -79,7 +88,9 @@ const RECOMPUTE_INTERVAL: SimSpan = SimSpan::from_secs_const(0.005);
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum GammaSearch {
     /// Bisection over `[0, ceiling]` assuming interval-shaped feasibility
-    /// (the paper's assumption). Cost: one `O(n log n)` sort at γ = 0, an
+    /// (the paper's assumption). Cost: the `O(n)` feasibility certificate,
+    /// which ends the search at the ceiling when it holds; otherwise one
+    /// `O(n log n)` sort at γ = 0, an
     /// `O(n + span)` priority regroup, the ceiling probe and, if that
     /// fails, an `O(n log n)` infeasibility certificate. A step above the
     /// certified bound costs `O(1)`; any other step an insertion pass,
@@ -96,7 +107,9 @@ pub enum GammaSearch {
     /// float probe as [`reference::gamma_max`], so the result is
     /// bit-identical to it; after each failed probe an infeasibility
     /// certificate rules out the intervals below it down to the smallest
-    /// crossing above its bound, and the sweep jumps past them. Cost:
+    /// crossing above its bound, and the sweep jumps past them. Cost: the
+    /// `O(n)` feasibility certificate, which ends the search at the
+    /// ceiling when it holds; otherwise one `O(n log n)` sort at γ = 0,
     /// `O(n²)` to generate the crossings and probe the top interval. If
     /// that is infeasible, an `O(n²)` pass that drops every crossing above
     /// the first certificate's bound, `O(m log m)` to sort the `m`
@@ -164,7 +177,9 @@ pub struct DynamicPriorityScheduler {
 /// Deterministic work counts of the γ search, summed over a scheduler's
 /// lifetime (see [`DynamicPriorityScheduler::search_counters`]). They are
 /// integers and feed no output, so reading them never changes a run.
-/// `probes` counts rankings; `probes − reused` of them walked Eq. 11.
+/// `probes` counts rankings; `probes − reused` of them walked Eq. 11. A
+/// recompute the feasibility certificate settles counts in `recomputes`
+/// and `certified` only.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct GammaCounters {
     /// `γ_max` recomputations.
@@ -187,6 +202,10 @@ pub struct GammaCounters {
     /// Eq. 11 walk was skipped and its verdict reused (counted in
     /// `probes` too).
     pub reused: u64,
+    /// Non-empty recomputes the feasibility certificate settled at the
+    /// ceiling: every job meets Eq. 11 with the rest of the queue ahead
+    /// of it, so nothing was ranked and none of the other counts moved.
+    pub certified: u64,
 }
 
 /// The γ-independent terms of Eq. 11 for one recompute.
@@ -222,6 +241,58 @@ impl Horizon {
     /// check rounds it: left to right.
     fn finish_doomed(self, work: f64, c: f64) -> f64 {
         self.now + self.base + work / self.n_p + c
+    }
+
+    /// The certificates' margin for `n` jobs whose `|c_i|` sum to `exec`
+    /// (see [`GammaScratch::band`]).
+    fn band(self, n: usize, exec: f64) -> f64 {
+        let n = n as f64;
+        let drift = 4.0 * (n + 3.0) * (n + 3.0) * f64::EPSILON;
+        BAND_FLOOR + drift * (self.now.abs() + self.base.abs() + exec)
+    }
+
+    /// The feasibility certificate: whether every job of `ctx.queue`
+    /// meets Eq. 11, by more than the band, with all the rest of the
+    /// queue ranked ahead of it. Then the reference's walk passes under
+    /// every ranking, so it returns the ceiling whatever the search and
+    /// Eq. 11 mode. `O(n)`.
+    ///
+    /// Let `W = Σ c_i`, summed in queue order. The certificate holds when
+    /// every `c_j` is finite and `≥ 0` and `finish(W − c_j, c_j) + band ≤
+    /// deadline_j` for every `j`, with [`band`](GammaScratch::band) the
+    /// margin of the queue's records (every `c_i ≥ 0`, so `W` is their
+    /// `Σ|c_i|` to the bit). Soundness:
+    ///
+    /// * Every `c_i ≥ 0`, so the work ranked ahead of `j` in any ranking,
+    ///   summed exactly, is at most the exact `W − c_j`.
+    /// * The reference sums that prefix in ranking order, and this check
+    ///   sums `W` in queue order and subtracts `c_j`; each differs from
+    ///   the exact value by the rounding of at most `n + 1` additions.
+    ///   Both finish times round four more operations, and the doomed-job
+    ///   check ([`finish_doomed`](Self::finish_doomed)) rounds them left to
+    ///   right. `band` bounds all of that together, as it does for
+    ///   [`GammaScratch::bound`], so the reference's finish time of `j`,
+    ///   under either rounding, is at most `deadline_j`.
+    /// * So no job is doomed at γ = 0, the γ = 0 walk passes, and so does
+    ///   the ceiling probe (the bisection) or the top-interval probe (the
+    ///   sweep, whose top interval ends at the ceiling): the reference
+    ///   returns `gamma_ceiling` under both searches, strict or relaxed.
+    ///
+    /// A NaN or infinite sum fails the comparison and certifies nothing.
+    fn certifies(self, ctx: &SchedContext<'_>) -> bool {
+        let mut total = 0.0;
+        for job in ctx.queue {
+            let c = ctx.exec_of(job).as_secs();
+            if !(0.0..f64::INFINITY).contains(&c) {
+                return false;
+            }
+            total += c;
+        }
+        let band = self.band(ctx.queue.len(), total);
+        ctx.queue.iter().all(|job| {
+            let c = ctx.exec_of(job).as_secs();
+            self.finish(total - c, c) + band <= job.absolute_deadline().as_secs()
+        })
     }
 }
 
@@ -470,10 +541,8 @@ impl GammaScratch {
     /// Σ|c_i|)`, which bounds the rounding of a prefix sum summed in
     /// another order (see [`bound`](Self::bound)).
     fn band(&self, h: Horizon) -> f64 {
-        let n = self.recs.len() as f64;
         let exec: f64 = self.recs.iter().map(|r| r.exec.abs()).sum();
-        let drift = 4.0 * (n + 3.0) * (n + 3.0) * f64::EPSILON;
-        BAND_FLOOR + drift * (h.now.abs() + h.base.abs() + exec)
+        h.band(self.recs.len(), exec)
     }
 
     /// The infeasibility certificate of the current ranking, a failed
@@ -627,17 +696,29 @@ impl GammaScratch {
         let narrow = self.narrow(ceiling);
         let band = self.band(h);
         let mut bound = self.bound(ceiling, narrow, band, h);
-        let mut upper = self
-            .points
-            .iter()
-            .copied()
-            .filter(|&g| g > bound)
-            .fold(top, f64::min);
+        // The least crossing above the bound (`top` if none), and the
+        // crossings below it kept in place, both without a branch per
+        // crossing: over ~100 crossings a taken-or-not branch mispredicts
+        // often.
+        let mut upper = top;
+        for &g in &self.points {
+            upper = upper.min(if g > bound { g } else { f64::INFINITY });
+        }
         // The top interval was probed; those between it and `upper` are
         // certified.
         let generated = self.points.len();
-        self.points.retain(|&g| g < upper);
-        counters.skipped += (generated - self.points.len() - 1) as u64;
+        let mut kept = 0;
+        for k in 0..generated {
+            let Some(&g) = self.points.get(k) else {
+                break;
+            };
+            if let Some(slot) = self.points.get_mut(kept) {
+                *slot = g;
+            }
+            kept += usize::from(g < upper);
+        }
+        self.points.truncate(kept);
+        counters.skipped += (generated - kept - 1) as u64;
         // Every crossing is positive and finite, so its bits order like
         // its value.
         self.points
@@ -769,6 +850,10 @@ impl DynamicPriorityScheduler {
             return Some(config.gamma_ceiling);
         }
         let h = Horizon::of(ctx);
+        if h.certifies(ctx) {
+            counters.certified += 1;
+            return Some(config.gamma_ceiling);
+        }
         let s = &mut self.scratch;
         s.load(ctx);
         s.rank(0.0, true);
@@ -814,29 +899,24 @@ impl Scheduler for DynamicPriorityScheduler {
     fn select(&mut self, ctx: &SchedContext<'_>) -> Option<usize> {
         self.maybe_recompute(ctx);
         let gamma = self.gamma;
-        // Single pass evaluating each candidate's key exactly once; ties
-        // break on (release, id), as in HPF's key. The winner's tie
-        // token rides along in `best` so no candidate is re-indexed.
-        let mut best: Option<(f64, (SimTime, JobId), usize)> = None;
+        // One integer per candidate, the γ search's ranking key: P_i in
+        // `total_cmp` order, ties to the lower job id. `Sim` issues ids in
+        // release order (each stamped with the non-decreasing `now`, and
+        // a requeued job keeps its id and release), so this is also the
+        // (P_i, release, id) order.
+        let mut best: Option<(u128, usize)> = None;
         for &i in ctx.candidates {
             let Some(job) = ctx.queue.get(i) else {
                 continue;
             };
-            let key = priority_key_job(ctx, job, gamma);
-            let tie = (job.release(), job.id());
-            let better = match &best {
-                None => true,
-                Some((best_key, best_tie, _)) => match key.total_cmp(best_key) {
-                    Ordering::Less => true,
-                    Ordering::Greater => false,
-                    Ordering::Equal => tie < *best_tie,
-                },
-            };
-            if better {
-                best = Some((key, tie, i));
+            let p = f64::from(ctx.graph.spec(job.task()).priority().value());
+            let laxity = job.laxity(ctx.now, ctx.exec_of(job)).as_secs();
+            let key = packed_key(gamma * p + laxity, job.id().raw());
+            if best.is_none_or(|(least, _)| key < least) {
+                best = Some((key, i));
             }
         }
-        best.map(|(_, _, i)| i)
+        best.map(|(_, i)| i)
     }
 
     fn name(&self) -> &str {
@@ -848,16 +928,11 @@ impl Scheduler for DynamicPriorityScheduler {
 /// absolute laxity in seconds. An out-of-range index (never produced by
 /// the schedulers) compares worst rather than panicking.
 fn priority_key(ctx: &SchedContext<'_>, index: usize, gamma: f64) -> f64 {
-    ctx.queue
-        .get(index)
-        .map_or(f64::INFINITY, |job| priority_key_job(ctx, job, gamma))
-}
-
-/// [`priority_key`] for an already-resolved job.
-fn priority_key_job(ctx: &SchedContext<'_>, job: &Job, gamma: f64) -> f64 {
-    let p = ctx.graph.spec(job.task()).priority().value() as f64;
-    let laxity = job.laxity(ctx.now, ctx.exec_of(job)).as_secs();
-    gamma * p + laxity
+    ctx.queue.get(index).map_or(f64::INFINITY, |job| {
+        let p = ctx.graph.spec(job.task()).priority().value() as f64;
+        let laxity = job.laxity(ctx.now, ctx.exec_of(job)).as_secs();
+        gamma * p + laxity
+    })
 }
 
 /// The pre-optimization `γ_max` search, retained as the baseline.
@@ -1142,6 +1217,16 @@ mod tests {
                     fx.remaining.len(),
                     fx.queue,
                 );
+                // A certified recompute claims the reference's answer is
+                // the ceiling, whatever the search and mode.
+                if dps.search_counters().certified > 0 {
+                    assert_eq!(
+                        expected.map(f64::to_bits),
+                        Some(gamma_ceiling.to_bits()),
+                        "{config:?}: certified, but the reference returns {expected:?}; queue {:?}",
+                        fx.queue,
+                    );
+                }
                 if search == GammaSearch::CriticalPoints {
                     *sweep = dps.search_counters();
                 }
@@ -1507,6 +1592,122 @@ mod tests {
             let (fx, gamma_ceiling) = flat_kernel_queue(&priorities, &jobs, processors, shape);
             let fractions: Vec<f64> = fractions.iter().map(|&f| f64::from(f) / f64::from(1u32 << 20)).collect();
             assert_certificates_sound(&fx, gamma_ceiling, &fractions);
+        }
+    }
+
+    /// Slacks of the binding job of a loose queue past its all-ahead
+    /// finish time: a few ms either side, and around the feasibility
+    /// certificate's band (1 ns plus rounding).
+    const TIGHT_SLACK: [f64; 10] = [
+        -1e-3, -2e-9, -5e-10, 0.0, 5e-10, 1.5e-9, 3e-9, 1e-6, 1e-3, 0.5,
+    ];
+
+    /// The queue and γ ceiling of one draw of the loose-deadline generator:
+    /// each job is due at its all-ahead finish time `now + base + (W −
+    /// c_j)/n_p + c_j`, with `W` the queue's total work, plus a slack: the
+    /// drawn whole ms for most jobs, and a [`TIGHT_SLACK`] for the job
+    /// `tight.0` picks. So about half the draws lie just inside the
+    /// feasibility certificate's boundary and half just outside it.
+    fn loose_queue(
+        priorities: &[u32],
+        exec_ms: &[u32],
+        jobs: &[(usize, u32, u32)],
+        tight: (usize, usize),
+        processors: usize,
+        busy_ms: u32,
+        origin: (usize, usize),
+    ) -> (Fixture, f64) {
+        let now = [0.5, 10.0, 1000.25][origin.0];
+        let gamma_ceiling = [0.2, 0.05, 1.0][origin.1];
+        let busy = f64::from(busy_ms) * 1e-3;
+        let exec: Vec<f64> = (0..priorities.len())
+            .map(|t| f64::from(exec_ms[t % exec_ms.len()]) * 1e-3)
+            .collect();
+        let task = |t: usize| t % priorities.len();
+        let work: f64 = jobs.iter().map(|&(t, _, _)| exec[task(t)]).sum();
+        let n_p = processors as f64;
+        let jobs: Vec<(usize, f64, f64)> = jobs
+            .iter()
+            .enumerate()
+            .map(|(k, &(t, released, slack_ms))| {
+                let c = exec[task(t)];
+                let slack = if k == tight.0 % jobs.len() {
+                    TIGHT_SLACK[tight.1]
+                } else {
+                    f64::from(slack_ms) * 1e-3
+                };
+                let release = now - f64::from(released) * 2e-3;
+                let due = now + busy + (work - c) / n_p + c + slack;
+                (task(t), release, due - release)
+            })
+            .collect();
+        let fx = Fixture::custom(priorities, &exec, &jobs, processors, busy, now);
+        (fx, gamma_ceiling)
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::prelude::ProptestConfig::with_cases(160))]
+
+        /// Queues at the feasibility certificate's boundary, with zero
+        /// execution times among the draws: both strategies, strict and
+        /// relaxed, must be bit-equal to the reference, and a certified
+        /// recompute must be one the reference answers with the ceiling.
+        #[test]
+        fn feasibility_certificate_matches_reference_on_loose_queues(
+            priorities in proptest::collection::vec(0u32..6, 1..10),
+            exec_ms in proptest::collection::vec(0u32..16, 1..10),
+            jobs in proptest::collection::vec((0usize..16, 0u32..6, 1u32..50), 1..33),
+            tight in (0usize..32, 0usize..10),
+            processors in 1usize..9,
+            busy_ms in 0u32..12,
+            origin in (0usize..3, 0usize..3),
+        ) {
+            let (fx, gamma_ceiling) =
+                loose_queue(&priorities, &exec_ms, &jobs, tight, processors, busy_ms, origin);
+            check_against_reference(&fx, gamma_ceiling);
+        }
+    }
+
+    #[test]
+    fn feasibility_certificate_needs_the_band_below_the_deadline() {
+        // One processor, nothing running, c = 1/64. The binding job's
+        // all-ahead finish time is 2c: behind the other job (task 1 of
+        // `[c, c]`), or behind both others (task 2 of `[c, c, 0]`, which
+        // takes no time). Due exactly then or 0.5 ns later, inside the
+        // 1 ns band floor, the certificate declines and both searches
+        // run; due the band plus 2 ns later, it settles the recompute.
+        // The reference returns the ceiling in every case.
+        let c = 1.0 / 64.0;
+        for exec in [&[c, c][..], &[c, c, 0.0]] {
+            let binding = exec.len() - 1;
+            let jobs = |due: f64| {
+                let mut jobs: Vec<_> = (0..binding).map(|t| (t, 0.0, 1.0)).collect();
+                jobs.push((binding, 0.0, due));
+                Fixture::custom(&[0, 1, 2][..exec.len()], exec, &jobs, 1, 0.0, 0.0)
+            };
+            let fx = jobs(1.0);
+            let h = Horizon::of(&fx.ctx());
+            let finish = h.finish(2.0 * c - exec[binding], exec[binding]);
+            assert_eq!(finish, 2.0 * c);
+            let band = h.band(exec.len(), 2.0 * c);
+            for (slack, certified) in [(0.0, false), (5e-10, false), (band + 2e-9, true)] {
+                let fx = jobs(finish + slack);
+                check_against_reference(&fx, 0.2);
+                for counters in counters_of(&fx, 0.2) {
+                    assert_eq!(counters.recomputes, 1);
+                    if certified {
+                        let settled = GammaCounters {
+                            recomputes: 1,
+                            certified: 1,
+                            ..Default::default()
+                        };
+                        assert_eq!(counters, settled, "slack {slack}");
+                    } else {
+                        assert_eq!(counters.certified, 0, "slack {slack}");
+                        assert!(counters.probes >= 2, "{counters:?}");
+                    }
+                }
+            }
         }
     }
 

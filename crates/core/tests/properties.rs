@@ -8,12 +8,13 @@ use hcperf_rtsim::{Job, JobId, SchedContext, Scheduler};
 use hcperf_taskgraph::{Priority, Rate, RateRange, SimSpan, SimTime, TaskGraph, TaskId, TaskSpec};
 use proptest::prelude::*;
 
-fn graph(n: usize) -> TaskGraph {
+/// `n` independent tasks over `levels` static priorities.
+fn graph(n: usize, levels: usize) -> TaskGraph {
     let mut b = TaskGraph::builder();
     for i in 0..n {
         b.add_task(
             TaskSpec::builder(format!("t{i}"))
-                .priority(Priority::new((i % 8) as u32))
+                .priority(Priority::new((i % levels) as u32))
                 .relative_deadline(SimSpan::from_millis(100.0))
                 .build()
                 .unwrap(),
@@ -38,7 +39,7 @@ impl Fixture {
         exec_ms: &[f64],
         processors: usize,
     ) -> Fixture {
-        let graph = graph(n_tasks);
+        let graph = graph(n_tasks, 8);
         let queue: Vec<Job> = jobs
             .iter()
             .enumerate()
@@ -79,8 +80,127 @@ impl Fixture {
     }
 }
 
+/// A queue on coarse binary grids, so float sums are exact and `P_i`
+/// ties are common, also between jobs released at different times: six
+/// tasks over three priority levels, releases up to 5/256 s before `now`
+/// and relative deadlines on a 1/256 s grid, execution times on a 1/512 s
+/// grid. Job `k` gets id `ids[k]`; `candidates` keeps the jobs whose
+/// `mask` bit is set (the last job if none is).
+fn grid_fixture(
+    jobs: &[(usize, u32, u32)],
+    exec: &[u32],
+    ids: &[u64],
+    processors: usize,
+    mask: u64,
+) -> Fixture {
+    let n_tasks = 6;
+    let now = 10.0;
+    let queue: Vec<Job> = jobs
+        .iter()
+        .zip(ids)
+        .map(|(&(task, released, deadline), &id)| {
+            let release = SimTime::from_secs(now - f64::from(released) / 256.0);
+            Job::new(
+                JobId::new(id),
+                TaskId::new(task % n_tasks),
+                0,
+                release,
+                SimSpan::from_secs(f64::from(deadline) / 256.0),
+                release,
+            )
+        })
+        .collect();
+    let mut candidates: Vec<usize> = (0..queue.len())
+        .filter(|&i| mask & (1 << (i % 64)) != 0)
+        .collect();
+    if candidates.is_empty() {
+        candidates.push(queue.len() - 1);
+    }
+    Fixture {
+        graph: graph(n_tasks, 3),
+        observed: (0..n_tasks)
+            .map(|t| SimSpan::from_secs(f64::from(exec[t % exec.len()]) / 512.0))
+            .collect(),
+        remaining: vec![SimSpan::ZERO; processors],
+        candidates,
+        queue,
+    }
+}
+
+/// `P_i = γ·p_i + d_i` of queue entry `i` (Eq. 10), as a brute-force
+/// check computes it.
+fn dynamic_priority(ctx: &SchedContext<'_>, i: usize, gamma: f64) -> f64 {
+    let job = &ctx.queue[i];
+    let p = f64::from(ctx.graph.spec(job.task()).priority().value());
+    gamma * p + job.laxity(ctx.now, ctx.exec_of(job)).as_secs()
+}
+
+/// A DPS scheduler's pick on `fx` at nominal `u`, and the γ it used.
+fn dps_pick(fx: &Fixture, u: f64) -> (Option<usize>, f64) {
+    let mut dps = DynamicPriorityScheduler::new(DpsConfig::default());
+    dps.set_nominal_u(u);
+    let pick = dps.select(&fx.ctx());
+    (pick, dps.gamma())
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
+
+    /// Eq. 10: `select` returns the candidate of least `P_i`, exact ties
+    /// to the lower job id, whatever order the queue holds the ids in.
+    #[test]
+    fn select_is_the_eq10_argmin_with_ties_to_the_lower_id(
+        jobs in proptest::collection::vec((0usize..6, 0u32..6, 2u32..12), 1..24),
+        exec in proptest::collection::vec(1u32..6, 1..6),
+        ids in proptest::collection::vec(0u64..1000, 24..25),
+        processors in 1usize..5,
+        u in 0u32..5,
+        mask in any::<u64>(),
+    ) {
+        // Distinct ids in an arbitrary order.
+        let ids: Vec<u64> = ids.iter().enumerate().map(|(k, &id)| id * 64 + k as u64).collect();
+        let fx = grid_fixture(&jobs, &exec, &ids, processors, mask);
+        let (pick, gamma) = dps_pick(&fx, f64::from(u) * 0.05);
+        let ctx = fx.ctx();
+        let argmin = fx.candidates.iter().copied().min_by(|&a, &b| {
+            dynamic_priority(&ctx, a, gamma)
+                .total_cmp(&dynamic_priority(&ctx, b, gamma))
+                .then_with(|| fx.queue[a].id().cmp(&fx.queue[b].id()))
+        });
+        prop_assert_eq!(pick, argmin);
+    }
+
+    /// When ids follow release order, as `Sim` issues them, the lower-id
+    /// tie-break is the (release, id) one: `select` is also the argmin of
+    /// `(P_i, release, id)`.
+    #[test]
+    fn select_ties_follow_release_order_when_ids_do(
+        jobs in proptest::collection::vec((0usize..6, 0u32..6, 2u32..12), 1..24),
+        exec in proptest::collection::vec(1u32..6, 1..6),
+        order in proptest::collection::vec(0u64..4, 24..25),
+        processors in 1usize..5,
+        u in 0u32..5,
+        mask in any::<u64>(),
+    ) {
+        // Ids rise with release time (earlier `released` counts are later
+        // releases); `order` breaks ties between equal releases.
+        let mut by_release: Vec<usize> = (0..jobs.len()).collect();
+        by_release.sort_by_key(|&k| (std::cmp::Reverse(jobs[k].1), order[k], k));
+        let mut ids = vec![0; jobs.len()];
+        for (id, &k) in by_release.iter().enumerate() {
+            ids[k] = id as u64;
+        }
+        let fx = grid_fixture(&jobs, &exec, &ids, processors, mask);
+        let (pick, gamma) = dps_pick(&fx, f64::from(u) * 0.05);
+        let ctx = fx.ctx();
+        let argmin = fx.candidates.iter().copied().min_by(|&a, &b| {
+            let (ja, jb) = (&fx.queue[a], &fx.queue[b]);
+            dynamic_priority(&ctx, a, gamma)
+                .total_cmp(&dynamic_priority(&ctx, b, gamma))
+                .then_with(|| (ja.release(), ja.id()).cmp(&(jb.release(), jb.id())))
+        });
+        prop_assert_eq!(pick, argmin);
+    }
 
     #[test]
     fn gamma_always_within_bounds(

@@ -1,6 +1,8 @@
 //! Property-based tests for the real-time simulator engine.
 
-use hcperf_rtsim::{FifoScheduler, Sim, SimConfig, TraceEvent};
+use hcperf_rtsim::{
+    FaultEffect, FaultWindow, FifoScheduler, KillPolicy, Sim, SimConfig, TraceEvent,
+};
 use hcperf_taskgraph::{
     ExecModel, Priority, Rate, RateRange, SimSpan, SimTime, Stage, TaskGraph, TaskId, TaskSpec,
 };
@@ -86,6 +88,60 @@ proptest! {
                 }
                 _ => {}
             }
+        }
+    }
+
+    /// Job ids follow release order: `Released` events carry strictly
+    /// increasing ids at non-decreasing times, also across a processor
+    /// failure whose killed job goes back to the ready queue (it keeps its
+    /// id and release, and is not released again). Schedulers that break
+    /// ties on the lower id rely on this.
+    #[test]
+    fn released_job_ids_rise_with_release_time(
+        mid in 1usize..5,
+        exec_ms in 1.0f64..10.0,
+        rate_hz in 5.0f64..40.0,
+        seed in any::<u64>(),
+        processors in 1usize..4,
+        fail_at_ms in 0.0f64..1500.0,
+        fail_for_ms in 1.0f64..300.0,
+    ) {
+        let g = pipeline(mid, exec_ms, 200.0, rate_hz);
+        let mut sim = Sim::new(
+            g,
+            SimConfig {
+                processors,
+                seed,
+                release_jitter_frac: 0.2,
+                trace_capacity: 100_000,
+                ..Default::default()
+            },
+            FifoScheduler::new(),
+        )
+        .unwrap();
+        sim.inject_fault(FaultWindow {
+            start: SimTime::from_millis(fail_at_ms),
+            end: SimTime::from_millis(fail_at_ms + fail_for_ms),
+            effect: FaultEffect::ProcessorFail {
+                processor: 0,
+                policy: KillPolicy::Requeue,
+            },
+        })
+        .unwrap();
+        sim.run_until(SimTime::from_secs(2.0));
+        let released: Vec<_> = sim
+            .trace()
+            .events()
+            .iter()
+            .filter_map(|e| match *e {
+                TraceEvent::Released { time, job, .. } => Some((time, job)),
+                _ => None,
+            })
+            .collect();
+        prop_assert!(!released.is_empty());
+        for w in released.windows(2) {
+            prop_assert!(w[0].0 <= w[1].0, "release times {:?}", w);
+            prop_assert!(w[0].1 < w[1].1, "job ids {:?}", w);
         }
     }
 

@@ -52,10 +52,6 @@ pub const TABLE_VI_DISTANCE_RMS: [Row; 5] = [
 /// § II motivation: the paper observes the collision at `t ≈ 23.4 s`.
 pub const MOTIVATION_COLLISION_TIME_S: f64 = 23.4;
 
-/// § VII-E: measured HCPerf coordination overhead is "less than 5 ms per
-/// period of 1 s".
-pub const OVERHEAD_BUDGET_MS_PER_SECOND: f64 = 5.0;
-
 /// Formats a comparison block: paper-reported vs measured values plus the
 /// ratio of each scheme to the winner.
 #[must_use]

@@ -244,6 +244,11 @@ fn cmd_run(args: &Args) -> Result<String, CliError> {
     Ok(out)
 }
 
+/// Most rate points one `hcperf sweep` simulates. The cap also ends a grid
+/// whose `--step` is below the float spacing at `--from`, where adding the
+/// step leaves the rate unchanged.
+const MAX_SWEEP_POINTS: usize = 10_000;
+
 fn cmd_sweep(args: &Args) -> Result<String, CliError> {
     let scheme = args.get_scheme("scheme", Scheme::Edf)?;
     let from = args.get_f64("from", 10.0)?;
@@ -261,6 +266,11 @@ fn cmd_sweep(args: &Args) -> Result<String, CliError> {
     let mut rates = Vec::new();
     let mut hz = from;
     while hz <= to + 1e-9 {
+        if rates.len() == MAX_SWEEP_POINTS {
+            return Err(CliError::Args(ParseError(format!(
+                "sweep grid has more than {MAX_SWEEP_POINTS} points; raise --step or narrow --from..--to"
+            ))));
+        }
         rates.push(hz);
         hz += step;
     }
@@ -1024,6 +1034,32 @@ mod tests {
         assert!(out.contains("rate sweep"));
         assert!(out.contains("10Hz"));
         assert!(out.contains("20Hz"));
+
+        // The grid is capped at MAX_SWEEP_POINTS before anything runs:
+        // 10,001 points are refused and 10,000 still run. A step below the
+        // float spacing at --from (1e17 + 1 == 1e17) ends at the cap
+        // instead of looping forever, and so does a 10⁹-point grid.
+        let sweep = |from: &str, to: &str| {
+            run(&[
+                "sweep",
+                "--from",
+                from,
+                "--to",
+                to,
+                "--step",
+                "1",
+                "--duration",
+                "0.001",
+                "--jobs",
+                "1",
+            ])
+        };
+        for (from, to) in [("1", "10001"), ("1", "1e9"), ("1e17", "1e18")] {
+            let err = sweep(from, to).unwrap_err();
+            assert!(matches!(err, CliError::Args(_)), "{from}..{to}: {err}");
+            assert!(err.to_string().contains("more than 10000 points"), "{err}");
+        }
+        assert!(sweep("1", "10000").unwrap().contains("10000Hz"));
     }
 
     fn temp_path(name: &str) -> String {

@@ -18,7 +18,13 @@
 //! ```
 //! use hcperf_control::{MfcConfig, ModelFreeControl};
 //!
-//! let mut mfc = ModelFreeControl::new(MfcConfig::default())?;
+//! let config = MfcConfig {
+//!     alpha: -1.0,
+//!     feedback_gain: -1.0,
+//!     sample_period: 0.1,
+//!     ade_window: 5,
+//! };
+//! let mut mfc = ModelFreeControl::new(config)?;
 //! let u = mfc.step(1.2); // measured tracking error -> nominal command
 //! assert!(u.is_finite());
 //! # Ok::<(), hcperf_control::MfcConfigError>(())

@@ -37,17 +37,6 @@ pub struct MfcConfig {
     pub ade_window: usize,
 }
 
-impl Default for MfcConfig {
-    fn default() -> Self {
-        MfcConfig {
-            alpha: -1.0,
-            feedback_gain: -1.0,
-            sample_period: 0.05,
-            ade_window: 10,
-        }
-    }
-}
-
 /// Error returned by [`ModelFreeControl::new`] for invalid configuration.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum MfcConfigError {
@@ -94,7 +83,13 @@ impl From<AdeConfigError> for MfcConfigError {
 /// ```
 /// use hcperf_control::{MfcConfig, ModelFreeControl};
 ///
-/// let mut mfc = ModelFreeControl::new(MfcConfig::default())?;
+/// let config = MfcConfig {
+///     alpha: -1.0,
+///     feedback_gain: -1.0,
+///     sample_period: 0.1,
+///     ade_window: 5,
+/// };
+/// let mut mfc = ModelFreeControl::new(config)?;
 /// // A persistent positive tracking error drives u upward (α < 0).
 /// let mut u = 0.0;
 /// for _ in 0..50 {
@@ -188,15 +183,22 @@ impl ModelFreeControl {
 mod tests {
     use super::*;
 
+    const CONFIG: MfcConfig = MfcConfig {
+        alpha: -1.0,
+        feedback_gain: -1.0,
+        sample_period: 0.05,
+        ade_window: 10,
+    };
+
     fn mfc() -> ModelFreeControl {
-        ModelFreeControl::new(MfcConfig::default()).unwrap()
+        ModelFreeControl::new(CONFIG).unwrap()
     }
 
     #[test]
     fn validates_gains() {
         let bad_alpha = MfcConfig {
             alpha: 1.0,
-            ..Default::default()
+            ..CONFIG
         };
         assert_eq!(
             ModelFreeControl::new(bad_alpha).unwrap_err(),
@@ -204,7 +206,7 @@ mod tests {
         );
         let bad_k = MfcConfig {
             feedback_gain: 0.0,
-            ..Default::default()
+            ..CONFIG
         };
         assert_eq!(
             ModelFreeControl::new(bad_k).unwrap_err(),
@@ -212,7 +214,7 @@ mod tests {
         );
         let bad_ade = MfcConfig {
             ade_window: 0,
-            ..Default::default()
+            ..CONFIG
         };
         assert!(matches!(
             ModelFreeControl::new(bad_ade).unwrap_err(),

@@ -18,7 +18,12 @@
 
 use hcperf_control::{MfcConfig, MfcConfigError, ModelFreeControl};
 
+/// Multiplicative decay of `u` per period inside the deadband.
+const DEADBAND_DECAY: f64 = 0.8;
+
 /// Configuration of the Performance Directed Controller.
+///
+/// Inside the deadband `u` decays by a fixed factor of 0.8 per period.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct PdcConfig {
     /// Model-free control parameters (`α`, `K`, sampling period `Tₛ`, ADE
@@ -30,8 +35,6 @@ pub struct PdcConfig {
     /// Tracking error magnitude below which the PDC treats the vehicle as
     /// on-target and decays `u` toward zero (throughput mode).
     pub deadband: f64,
-    /// Multiplicative decay of `u` per period inside the deadband.
-    pub deadband_decay: f64,
 }
 
 impl PdcConfig {
@@ -45,7 +48,6 @@ impl PdcConfig {
         },
         error_scale: 0.02,
         deadband: 0.05,
-        deadband_decay: 0.8,
     };
 }
 
@@ -120,7 +122,7 @@ impl PerformanceDirectedController {
                 self.mfc.reset();
                 self.in_deadband = true;
             }
-            self.u *= self.config.deadband_decay;
+            self.u *= DEADBAND_DECAY;
             if self.u.abs() < 1e-6 {
                 self.u = 0.0;
             }
@@ -288,7 +290,7 @@ mod tests {
         let bad = PdcConfig {
             mfc: MfcConfig {
                 alpha: 1.0,
-                ..Default::default()
+                ..PdcConfig::DEFAULT.mfc
             },
             ..Default::default()
         };

@@ -13,9 +13,11 @@
 //! * `e(k) < 0` → overloaded → reduce rates;
 //! * `e(k) > 0` → headroom → raise rates to improve command throughput.
 //!
-//! `K_p` decays geometrically as the system stabilizes so the rates settle;
-//! it resets to the profiled value when the adapter observes an unusual
-//! change in task processing times (the paper's regime-change watchdog).
+//! `K_p` starts at its offline-profiled value (1.0) and decays
+//! geometrically as the system stabilizes, down to a floor of 10⁻³, so the
+//! rates settle; it resets to the profiled value when an execution-time
+//! signal departs from the mean of the last 10 by more than the reset
+//! threshold (the paper's regime-change watchdog).
 //! Each source's rate stays inside its allowable range (Eq. 1c). The gain
 //! is normalized per-source by the width of its range so sources with wide
 //! and narrow ranges move proportionally.
@@ -23,7 +25,20 @@
 use hcperf_control::SlidingWindow;
 use hcperf_taskgraph::{Rate, RateRange, TaskId};
 
+/// Offline-profiled `K_p`: its value at start-up and after every reset.
+const INITIAL_GAIN: f64 = 1.0;
+
+/// Floor of `K_p`'s decay; the gain counts as settled there.
+const MIN_GAIN: f64 = 1e-3;
+
+/// Periods in the execution-time watchdog's window.
+const WATCHDOG_WINDOW: usize = 10;
+
 /// Configuration of the Task Rate Adapter.
+///
+/// The rest of the Eq. 13 gain schedule is fixed: `K_p` is 1.0 at start-up
+/// and after every reset, its decay stops at 10⁻³, and the watchdog window
+/// is 10 periods.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct RateAdapterConfig {
     /// Target deadline-miss ratio `m_t`.
@@ -32,17 +47,11 @@ pub struct RateAdapterConfig {
     /// (the paper's "pre-defined small positive value") — this is what keeps
     /// rates climbing while the system has headroom.
     pub zero_miss_bonus: f64,
-    /// Initial (offline-profiled) proportional gain `K_p`.
-    pub initial_gain: f64,
     /// Multiplicative decay of `K_p` per period while the system is stable.
     pub gain_decay: f64,
-    /// Floor below which `K_p` counts as settled.
-    pub min_gain: f64,
     /// Relative change in the execution-time signal that triggers a `K_p`
     /// reset (regime-change watchdog).
     pub reset_threshold: f64,
-    /// Window length (periods) of the execution-time watchdog.
-    pub watchdog_window: usize,
     /// Miss ratio at or above which the adapter enters degraded mode
     /// for the period. The default (`f64::INFINITY`) never degrades, so
     /// existing configurations behave exactly as before.
@@ -59,11 +68,8 @@ impl RateAdapterConfig {
     pub const DEFAULT: RateAdapterConfig = RateAdapterConfig {
         target_miss_ratio: 0.005,
         zero_miss_bonus: 0.02,
-        initial_gain: 1.0,
         gain_decay: 0.97,
-        min_gain: 1e-3,
         reset_threshold: 0.25,
-        watchdog_window: 10,
         degraded_miss_threshold: f64::INFINITY,
         rate_floor_frac: 0.0,
     };
@@ -116,8 +122,8 @@ impl TaskRateAdapter {
     #[must_use]
     pub fn new(config: RateAdapterConfig, sources: Vec<SourceSlot>) -> Self {
         TaskRateAdapter {
-            gain: config.initial_gain,
-            exec_watchdog: SlidingWindow::new(config.watchdog_window.max(2)),
+            gain: INITIAL_GAIN,
+            exec_watchdog: SlidingWindow::new(WATCHDOG_WINDOW),
             resets: 0,
             degraded: false,
             config,
@@ -214,14 +220,14 @@ impl TaskRateAdapter {
             })
             .collect();
         // K_p decays while stable so the rates settle (paper § VI step 2).
-        self.gain = (self.gain * self.config.gain_decay).max(self.config.min_gain);
+        self.gain = (self.gain * self.config.gain_decay).max(MIN_GAIN);
         out
     }
 
     /// Resets `K_p` to its offline-profiled value (also invoked internally
     /// by the watchdog).
     pub fn reset_gain(&mut self) {
-        self.gain = self.config.initial_gain;
+        self.gain = INITIAL_GAIN;
         self.resets += 1;
     }
 
@@ -311,6 +317,8 @@ mod tests {
             let _ = tra.step(0.0, 1.0, &rates(50.0, 30.0));
         }
         assert!(tra.gain() < g0 * 0.01, "gain should decay, {}", tra.gain());
+        // 0.97^300 ≈ 1e-4: the decay has reached the floor.
+        assert_eq!(tra.gain(), MIN_GAIN);
         // With tiny gain the step barely moves the rates.
         let out = tra.step(0.0, 1.0, &rates(50.0, 30.0));
         assert!((out[0].1.as_hz() - 50.0).abs() < 0.01);
@@ -329,10 +337,19 @@ mod tests {
         // Execution time doubles (the paper's 20 ms → 40 ms step): reset.
         let _ = tra.step(0.0, 0.040, &rates(50.0, 30.0));
         assert_eq!(tra.resets(), 1);
-        assert_eq!(
-            tra.gain(),
-            tra.config().initial_gain * tra.config().gain_decay
-        );
+        assert_eq!(tra.gain(), INITIAL_GAIN * tra.config().gain_decay);
+
+        // The watchdog judges a sample only against a full window of
+        // WATCHDOG_WINDOW earlier samples: a doubled signal as the 10th
+        // sample is not checked, the same signal as the 11th resets K_p.
+        for (steady, resets) in [(WATCHDOG_WINDOW - 1, 0), (WATCHDOG_WINDOW, 1)] {
+            let mut tra = adapter();
+            for _ in 0..steady {
+                let _ = tra.step(0.0, 0.020, &rates(50.0, 30.0));
+            }
+            let _ = tra.step(0.0, 0.040, &rates(50.0, 30.0));
+            assert_eq!(tra.resets(), resets, "doubled sample #{}", steady + 1);
+        }
     }
 
     #[test]

@@ -115,18 +115,6 @@ impl SchedulerKind {
             _ => None,
         }
     }
-
-    /// Returns the scheme this scheduler implements.
-    #[must_use]
-    pub fn scheme(&self) -> Scheme {
-        match self {
-            SchedulerKind::Hpf(_) => Scheme::Hpf,
-            SchedulerKind::Edf(_) => Scheme::Edf,
-            SchedulerKind::EdfVd(_) => Scheme::EdfVd,
-            SchedulerKind::Apollo(_) => Scheme::Apollo,
-            SchedulerKind::HcPerf(_) => Scheme::HcPerf,
-        }
-    }
 }
 
 impl Scheduler for SchedulerKind {
@@ -183,7 +171,6 @@ mod tests {
     fn build_produces_matching_kind() {
         for scheme in Scheme::all() {
             let kind = scheme.build(DpsConfig::default());
-            assert_eq!(kind.scheme(), scheme);
             assert_eq!(kind.name(), scheme.to_string());
         }
     }

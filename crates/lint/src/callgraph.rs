@@ -14,7 +14,7 @@
 
 use std::collections::BTreeMap;
 
-use crate::parse::{CallSite, LoopSite, ParsedFile, Receiver};
+use crate::parse::{CallSite, LoopSite, Receiver};
 use crate::source::SourceFile;
 
 /// One function node in the workspace graph.
@@ -79,15 +79,14 @@ pub struct CallGraph {
 }
 
 impl CallGraph {
-    /// Builds the graph over `sources`, parsing each (in parallel) unless
-    /// an earlier graph already did.
+    /// Builds the graph over `sources`, parsing each unless an earlier
+    /// graph already did.
     #[must_use]
     pub fn of(sources: &[&SourceFile]) -> CallGraph {
-        let files: Vec<&ParsedFile> = crate::par::map(sources, |s| s.parsed());
         let mut nodes = Vec::new();
         let mut site_lists = Vec::new();
         let mut loops = Vec::new();
-        for file in files {
+        for file in sources.iter().map(|s| s.parsed()) {
             for ((item, sites), fn_loops) in file.fns.iter().zip(&file.calls).zip(&file.loops) {
                 nodes.push(FnNode {
                     path: file.path.clone(),

@@ -74,9 +74,6 @@
 //! `--hot-path` and `--wcet` share one call graph.
 //!
 //! Exit codes are distinct per failure class — see [`report::exit`].
-//! The file lex and parse fan out over a std-only scoped-thread pool
-//! ([`par`]) with index-ordered reassembly, so all output stays
-//! byte-deterministic.
 //!
 //! # Examples
 //!
@@ -91,7 +88,6 @@ pub mod callgraph;
 pub mod detflow;
 pub mod eqcov;
 pub mod hotpath;
-pub mod par;
 pub mod parse;
 pub mod ratchet;
 pub mod report;

@@ -24,8 +24,8 @@
 //! table. Every offset is a byte offset into the raw text, on a char
 //! boundary.
 
+use std::cell::OnceCell;
 use std::collections::BTreeMap;
-use std::sync::OnceLock;
 
 use crate::parse::{parse_file, ParsedFile};
 use crate::report::{Finding, Rule};
@@ -173,7 +173,7 @@ pub struct SourceFile {
     /// markers; each declares the next `fn` item a trusted taint sanitizer.
     pub det_sanitizers: Vec<(usize, String)>,
     lines: LineIndex,
-    parsed: OnceLock<ParsedFile>,
+    parsed: OnceCell<ParsedFile>,
 }
 
 impl SourceFile {
@@ -206,7 +206,7 @@ impl SourceFile {
             det_sinks: Vec::new(),
             det_sanitizers: Vec::new(),
             lines,
-            parsed: OnceLock::new(),
+            parsed: OnceCell::new(),
         };
         for &(start, end) in &file.comments {
             // Doc comments (`///`, `//!`) are prose, not directives: they

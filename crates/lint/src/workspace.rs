@@ -151,40 +151,32 @@ impl Workspace {
     }
 }
 
-/// Reads every `.rs` file under each workspace-relative root (`None` for
-/// an absent root) and lexes them all in one parallel batch, each root's
-/// files in sorted order.
+/// Reads and lexes every `.rs` file under each workspace-relative root
+/// (`None` for an absent root), each root's files in sorted order.
 ///
 /// # Errors
 ///
 /// Propagates I/O failures.
 fn load_sources(root: &Path, rel_roots: &[&str]) -> io::Result<Vec<Option<Vec<SourceFile>>>> {
-    let mut files = Vec::new();
-    let mut counts = Vec::new();
+    let mut trees = Vec::new();
     for rel_root in rel_roots {
         let dir = root.join(rel_root);
         if !dir.is_dir() {
-            counts.push(None);
+            trees.push(None);
             continue;
         }
-        let paths = rust_files(&dir)?;
-        counts.push(Some(paths.len()));
-        for path in paths {
+        let mut files = Vec::new();
+        for path in rust_files(&dir)? {
             let rel = path
                 .strip_prefix(root)
                 .unwrap_or(&path)
                 .to_string_lossy()
                 .replace('\\', "/");
-            files.push((rel, fs::read_to_string(&path)?));
+            files.push(SourceFile::new(&rel, &fs::read_to_string(&path)?));
         }
+        trees.push(Some(files));
     }
-    // Lexing is the expensive per-file step; fan it out. `par::map`
-    // reassembles by index, so the (sorted) load order is preserved.
-    let mut lexed = crate::par::map(&files, |(rel, raw)| SourceFile::new(rel, raw)).into_iter();
-    Ok(counts
-        .into_iter()
-        .map(|n| n.map(|n| lexed.by_ref().take(n).collect()))
-        .collect())
+    Ok(trees)
 }
 
 /// Recursively collects `.rs` files under `dir`, sorted for reproducible

@@ -44,6 +44,6 @@ pub use fault::{FaultCounters, FaultEffect, FaultWindow, KillPolicy};
 pub use gantt::RenderError;
 pub use job::{ControlCommand, Job, JobId, JobOutcome};
 pub use scheduler::{order_image, FifoScheduler, SchedContext, Scheduler};
-pub use sim::{JoinPolicy, Sim, SimConfig, SimError, SimSnapshot};
+pub use sim::{JoinPolicy, Sim, SimConfig, SimError};
 pub use stats::{percentile, SimStats, TaskStats, WindowStats};
 pub use trace::{Trace, TraceEvent};

@@ -169,23 +169,6 @@ struct Running {
     exec: SimSpan,
 }
 
-/// A point-in-time view of the engine (see [`Sim::snapshot`]).
-#[derive(Debug, Clone, PartialEq)]
-pub struct SimSnapshot {
-    /// Current simulation clock.
-    pub now: SimTime,
-    /// Jobs waiting in the ready queue.
-    pub ready_jobs: usize,
-    /// Jobs currently executing.
-    pub running_jobs: usize,
-    /// Jobs whose GPU phase is still in flight.
-    pub pending_gpu_outputs: usize,
-    /// Events scheduled but not yet delivered.
-    pub pending_events: usize,
-    /// Current rate of each source task, in graph-source order (Hz).
-    pub source_rates_hz: Vec<f64>,
-}
-
 /// The discrete-event real-time simulator.
 ///
 /// # Examples
@@ -492,26 +475,6 @@ impl<S: Scheduler> Sim<S> {
     #[must_use]
     pub fn fault_counters(&self) -> FaultCounters {
         self.fault_counters
-    }
-
-    /// A point-in-time view of the engine for observability dashboards and
-    /// debugging: clock, queue depth, per-processor occupancy and the
-    /// current source rates.
-    #[must_use]
-    pub fn snapshot(&self) -> SimSnapshot {
-        SimSnapshot {
-            now: self.now,
-            ready_jobs: self.ready.len(),
-            running_jobs: self.running.iter().flatten().count(),
-            pending_gpu_outputs: self.pending_outputs.len(),
-            pending_events: self.events.len(),
-            source_rates_hz: self
-                .graph
-                .sources()
-                .iter()
-                .filter_map(|&s| self.rates[s.index()].map(Rate::as_hz))
-                .collect(),
-        }
     }
 
     /// Advances the simulation, processing every event up to and including
@@ -918,75 +881,44 @@ impl<S: Scheduler> Sim<S> {
         if let Some(flag) = self.fault_active.get_mut(fault) {
             *flag = active;
         }
-        match window.effect {
-            FaultEffect::ExecSpike { task, .. } => self.recompute_spike(task),
-            FaultEffect::JobDrop { task } => self.recompute_drop(task),
-            FaultEffect::ProcessorStall { processor } => self.recompute_availability(processor),
-            FaultEffect::ProcessorFail { processor, policy } => {
-                if active {
-                    self.kill_running(processor, policy);
-                }
-                self.recompute_availability(processor);
-            }
+        if let (true, FaultEffect::ProcessorFail { processor, policy }) = (active, window.effect) {
+            self.kill_running(processor, policy);
         }
+        self.recompute_faults();
     }
 
-    /// Folds every active spike window on `task` into one `(scale, extra)`
-    /// pair read by [`Sim::sample_exec`] — scales multiply, extras add.
-    fn recompute_spike(&mut self, task: TaskId) {
-        let mut scale = 1.0;
-        let mut extra = SimSpan::ZERO;
-        let mut any = false;
-        for (window, active) in self.faults.iter().zip(self.fault_active.iter()) {
+    /// Folds every active window, in injection order, into the per-task
+    /// spike and drop state and the per-processor availability: spike
+    /// scales multiply from 1.0 and extras add from zero (the pair read
+    /// by [`Sim::sample_exec`]); a drop window drops its task's releases;
+    /// a stall or failure takes its processor out of dispatch.
+    fn recompute_faults(&mut self) {
+        self.fault_spike.fill(None);
+        self.fault_drop.fill(false);
+        self.fault_available.fill(true);
+        for (window, &active) in self.faults.iter().zip(&self.fault_active) {
             if !active {
                 continue;
             }
-            if let FaultEffect::ExecSpike {
-                task: t,
-                scale: s,
-                extra: e,
-            } = window.effect
-            {
-                if t == task {
-                    any = true;
-                    scale *= s;
-                    extra += e;
+            match window.effect {
+                FaultEffect::ExecSpike { task, scale, extra } => {
+                    if let Some(slot) = self.fault_spike.get_mut(task.index()) {
+                        let (s, e) = slot.unwrap_or((1.0, SimSpan::ZERO));
+                        *slot = Some((s * scale, e + extra));
+                    }
+                }
+                FaultEffect::JobDrop { task } => {
+                    if let Some(slot) = self.fault_drop.get_mut(task.index()) {
+                        *slot = true;
+                    }
+                }
+                FaultEffect::ProcessorStall { processor }
+                | FaultEffect::ProcessorFail { processor, .. } => {
+                    if let Some(slot) = self.fault_available.get_mut(processor) {
+                        *slot = false;
+                    }
                 }
             }
-        }
-        if let Some(slot) = self.fault_spike.get_mut(task.index()) {
-            *slot = any.then_some((scale, extra));
-        }
-    }
-
-    fn recompute_drop(&mut self, task: TaskId) {
-        let dropping = self
-            .faults
-            .iter()
-            .zip(self.fault_active.iter())
-            .any(|(w, &active)| {
-                active && matches!(w.effect, FaultEffect::JobDrop { task: t } if t == task)
-            });
-        if let Some(slot) = self.fault_drop.get_mut(task.index()) {
-            *slot = dropping;
-        }
-    }
-
-    fn recompute_availability(&mut self, processor: usize) {
-        let unavailable = self
-            .faults
-            .iter()
-            .zip(self.fault_active.iter())
-            .any(|(w, &active)| {
-                active
-                    && matches!(
-                        w.effect,
-                        FaultEffect::ProcessorStall { processor: p }
-                        | FaultEffect::ProcessorFail { processor: p, .. } if p == processor
-                    )
-            });
-        if let Some(slot) = self.fault_available.get_mut(processor) {
-            *slot = !unavailable;
         }
     }
 
@@ -1325,22 +1257,6 @@ mod tests {
         assert!(kinds.contains(&"rel"));
         assert!(kinds.contains(&"disp"));
         assert!(kinds.contains(&"done"));
-    }
-
-    #[test]
-    fn snapshot_reflects_engine_state() {
-        let mut s = sim(chain_graph(5.0, 5.0, 5.0, 50.0));
-        let before = s.snapshot();
-        assert_eq!(before.now, SimTime::ZERO);
-        assert_eq!(before.running_jobs, 0);
-        assert_eq!(before.source_rates_hz, vec![10.0]);
-        s.run_until(SimTime::from_millis(2.0));
-        let during = s.snapshot();
-        assert_eq!(during.now, SimTime::from_millis(2.0));
-        // The first source job (5 ms) is still running.
-        assert_eq!(during.running_jobs, 1);
-        assert!(during.pending_events > 0);
-        assert_eq!(during.pending_gpu_outputs, 0);
     }
 
     #[test]
@@ -1761,7 +1677,7 @@ mod tests {
         // t = 5 ms: the first job (exec ≥ 10 ms) was dispatched at t = 0 and
         // is still running; the observation must still be the nominal.
         s.run_until(SimTime::from_millis(5.0));
-        assert_eq!(s.snapshot().running_jobs, 1);
+        assert_eq!(s.running.iter().flatten().count(), 1);
         assert!((s.observed_exec(src).as_millis() - nominal_ms).abs() < 1e-9);
         // t = 30 ms: the job completed; the observation now equals the
         // measured duration dispatch → completion from the trace.
@@ -1938,6 +1854,125 @@ mod tests {
         assert_eq!(faults.fault_misses, 1);
         assert_eq!(s.stats().totals().expired, 1);
         assert_eq!(s.stats().commands_emitted(), 1);
+    }
+
+    /// Runs the 10 Hz chain (src 5 ms, mid and sink 1 ms, deadline
+    /// `deadline_ms`) on `processors` cores to 480 ms with `windows`
+    /// injected in order, and returns the engine with the trace times of
+    /// every `src` release (ms) and every `src` run (start ms, duration).
+    #[allow(clippy::type_complexity)]
+    fn faulted_chain(
+        processors: usize,
+        deadline_ms: f64,
+        windows: &[(f64, f64, FaultEffect)],
+    ) -> (Sim<FifoScheduler>, Vec<f64>, Vec<(f64, SimSpan)>) {
+        let mut s = Sim::new(
+            chain_graph(5.0, 1.0, 1.0, deadline_ms),
+            SimConfig {
+                processors,
+                trace_capacity: 10_000,
+                ..Default::default()
+            },
+            FifoScheduler::new(),
+        )
+        .unwrap();
+        for &(start, end, effect) in windows {
+            s.inject_fault(FaultWindow {
+                start: SimTime::from_millis(start),
+                end: SimTime::from_millis(end),
+                effect,
+            })
+            .unwrap();
+        }
+        s.run_until(SimTime::from_millis(480.0));
+        let src = s.graph().find("src").unwrap();
+        let mut released = Vec::new();
+        let mut started = BTreeMap::new();
+        let mut runs = Vec::new();
+        for event in s.trace().events() {
+            match *event {
+                TraceEvent::Released { time, task, .. } if task == src => {
+                    released.push(ms(time));
+                }
+                TraceEvent::Dispatched {
+                    time, job, task, ..
+                } if task == src => {
+                    started.insert(job, time);
+                }
+                TraceEvent::Completed { time, job, .. } => {
+                    if let Some(at) = started.remove(&job) {
+                        runs.push((ms(at), time - at));
+                    }
+                }
+                _ => {}
+            }
+        }
+        (s, released, runs)
+    }
+
+    /// `time` in whole milliseconds, rounded.
+    fn ms(time: SimTime) -> f64 {
+        time.as_millis().round()
+    }
+
+    /// Overlapping windows on one task or processor compose: effects are
+    /// folded over every active window, not toggled per window.
+    #[test]
+    fn overlapping_fault_windows_compose() {
+        let src = TaskId::new(0);
+        let spike = |scale: f64, extra_ms: f64| FaultEffect::ExecSpike {
+            task: src,
+            scale,
+            extra: SimSpan::from_millis(extra_ms),
+        };
+
+        // Spikes ×2 + 1 ms on [50, 250) and ×3 + 2 ms on [150, 350): the
+        // 5 ms source runs 5·2 + 1, then 5·6 + 3 while both are open, then
+        // 5·3 + 2 once the first closes, then 5 again.
+        let (_, _, runs) = faulted_chain(
+            2,
+            90.0,
+            &[
+                (50.0, 250.0, spike(2.0, 1.0)),
+                (150.0, 350.0, spike(3.0, 2.0)),
+            ],
+        );
+        let starts: Vec<f64> = runs.iter().map(|r| r.0).collect();
+        assert_eq!(starts, vec![0.0, 100.0, 200.0, 300.0, 400.0]);
+        let durations: Vec<f64> = runs.iter().map(|r| r.1.as_millis()).collect();
+        for (got, want) in durations.iter().zip([5.0, 11.0, 33.0, 17.0, 5.0]) {
+            assert!((got - want).abs() < 1e-9, "durations {durations:?}");
+        }
+
+        // A failure and a stall on the one processor, in either order:
+        // nothing dispatches from the first opening (50 ms) until the
+        // later closing (350 ms).
+        let fail = FaultEffect::ProcessorFail {
+            processor: 0,
+            policy: KillPolicy::Requeue,
+        };
+        let stall = FaultEffect::ProcessorStall { processor: 0 };
+        for (first, second) in [(fail, stall), (stall, fail)] {
+            let (s, released, runs) =
+                faulted_chain(1, 1000.0, &[(50.0, 250.0, first), (150.0, 350.0, second)]);
+            assert_eq!(released, vec![0.0, 100.0, 200.0, 300.0, 400.0]);
+            let starts: Vec<f64> = runs.iter().map(|r| r.0).collect();
+            assert_eq!(starts.first(), Some(&0.0));
+            assert_eq!(starts.get(1), Some(&350.0), "src starts {starts:?}");
+            let idle = s.trace().events().iter().all(|e| match e {
+                TraceEvent::Dispatched { time, .. } => !(50.0..350.0).contains(&ms(*time)),
+                _ => true,
+            });
+            assert!(idle, "a job dispatched while a window held the processor");
+            assert_eq!(s.fault_counters().killed_jobs, 0);
+        }
+
+        // Drops on [50, 250) and [150, 350): the releases at 100, 200 and
+        // 300 ms are dropped, and 400 ms releases again.
+        let drop = FaultEffect::JobDrop { task: src };
+        let (s, released, _) = faulted_chain(2, 90.0, &[(50.0, 250.0, drop), (150.0, 350.0, drop)]);
+        assert_eq!(released, vec![0.0, 400.0]);
+        assert_eq!(s.fault_counters().dropped_jobs, 3);
     }
 
     #[test]

@@ -66,17 +66,6 @@ impl TraceEvent {
             | TraceEvent::Expired { time, .. } => *time,
         }
     }
-
-    /// The task the event concerns.
-    #[must_use]
-    pub fn task(&self) -> TaskId {
-        match self {
-            TraceEvent::Released { task, .. }
-            | TraceEvent::Dispatched { task, .. }
-            | TraceEvent::Completed { task, .. }
-            | TraceEvent::Expired { task, .. } => *task,
-        }
-    }
 }
 
 /// A bounded in-memory trace. Disabled (capacity 0) by default; enabling it
@@ -168,7 +157,12 @@ mod tests {
         tr.record(released(1.0, 0, 0));
         tr.record(released(2.0, 1, 1));
         tr.record(released(3.0, 2, 0));
-        let count = |task| tr.events().iter().filter(|e| e.task() == task).count();
+        let count = |task| {
+            tr.events()
+                .iter()
+                .filter(|e| matches!(e, TraceEvent::Released { task: t, .. } if *t == task))
+                .count()
+        };
         assert_eq!(count(TaskId::new(0)), 2);
         assert_eq!(count(TaskId::new(1)), 1);
     }
@@ -182,6 +176,5 @@ mod tests {
             met_deadline: true,
         };
         assert_eq!(e.time(), SimTime::from_secs(2.0));
-        assert_eq!(e.task(), TaskId::new(3));
     }
 }

@@ -4,44 +4,6 @@ use std::fmt::Write as _;
 
 use crate::metrics::TimeSeries;
 
-/// Formats a paper-style one-row RMS table, e.g.
-///
-/// ```text
-/// | Table II: RMS speed tracking error | HPF | EDF | ... |
-/// | RMS (m/s) | 1.02 | 0.99 | ... |
-/// ```
-///
-/// # Examples
-///
-/// ```
-/// use hcperf_scenarios::report::rms_table;
-///
-/// let table = rms_table(
-///     "Table II: speed tracking error",
-///     "RMS (m/s)",
-///     &[("HPF".into(), 1.02), ("HCPerf".into(), 0.55)],
-/// );
-/// assert!(table.contains("HCPerf"));
-/// assert!(table.contains("0.550"));
-/// ```
-#[must_use]
-pub fn rms_table(title: &str, unit: &str, rows: &[(String, f64)]) -> String {
-    let mut out = String::new();
-    let _ = writeln!(out, "### {title}");
-    let mut header = String::from("|  |");
-    let mut sep = String::from("|---|");
-    let mut values = format!("| {unit} |");
-    for (name, value) in rows {
-        let _ = write!(header, " {name} |");
-        sep.push_str("---|");
-        let _ = write!(values, " {value:.3} |");
-    }
-    let _ = writeln!(out, "{header}");
-    let _ = writeln!(out, "{sep}");
-    let _ = writeln!(out, "{values}");
-    out
-}
-
 /// Relative improvement of the last row (conventionally HCPerf) over the
 /// best baseline, in percent. Returns `None` for fewer than two rows or a
 /// zero denominator.
@@ -109,22 +71,6 @@ pub fn pairs_to_csv(name: &str, pairs: &[(f64, f64)]) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn table_contains_all_schemes_and_values() {
-        let rows = vec![
-            ("HPF".to_string(), 1.02),
-            ("EDF".to_string(), 0.99),
-            ("HCPerf".to_string(), 0.55),
-        ];
-        let t = rms_table("Table II", "RMS (m/s)", &rows);
-        for (name, _) in &rows {
-            assert!(t.contains(name));
-        }
-        assert!(t.contains("1.020"));
-        assert!(t.contains("0.550"));
-        assert!(t.lines().count() >= 4);
-    }
 
     #[test]
     fn improvement_math() {

@@ -1,9 +1,7 @@
 //! Property-based tests for the scenario metrics and report formatting.
 
 use hcperf_scenarios::metrics::{discomfort_index, rms, TimeSeries};
-use hcperf_scenarios::report::{
-    improvement_over_best_baseline, pairs_to_csv, rms_table, series_to_csv,
-};
+use hcperf_scenarios::report::{improvement_over_best_baseline, pairs_to_csv, series_to_csv};
 use proptest::prelude::*;
 
 fn series(values: &[f64], dt: f64) -> TimeSeries {
@@ -84,26 +82,6 @@ proptest! {
         let ts = series(&values, 0.1);
         for (_, d) in discomfort_index(&ts, 1.0) {
             prop_assert!((d - slope.abs()).abs() < 1e-6 * (1.0 + slope.abs()));
-        }
-    }
-
-    #[test]
-    fn rms_table_contains_all_rows(
-        names in proptest::collection::vec("[A-Za-z]{1,8}", 1..6),
-        values in proptest::collection::vec(0.0f64..100.0, 1..6),
-    ) {
-        let rows: Vec<(String, f64)> = names
-            .iter()
-            .cloned()
-            .zip(values.iter().cloned())
-            .collect();
-        prop_assume!(!rows.is_empty());
-        let table = rms_table("T", "u", &rows);
-        for (name, value) in &rows {
-            let formatted = format!("{value:.3}");
-            let has_name = table.contains(name.as_str());
-            let has_value = table.contains(&formatted);
-            prop_assert!(has_name && has_value);
         }
     }
 

@@ -3,10 +3,11 @@
 //! The central premise of the paper is that autonomous-driving task execution
 //! times vary heavily with the runtime input — most notably *configurable
 //! sensor fusion*, whose Hungarian-algorithm matching is `O(n³)` in the number
-//! of detected obstacles. [`ExecModel`] captures the model families used in
-//! the evaluation:
+//! of detected obstacles. [`ExecModel`] has the four model families of the
+//! evaluation, plus a sum that adds a jitter term to a base:
 //!
-//! * constants and bounded jitter around a nominal value (Fig. 12),
+//! * constant execution times,
+//! * uniform jitter between two bounds (Fig. 12),
 //! * load-dependent cubic growth in obstacle count (§ II),
 //! * time-based step profiles (20 ms → 40 ms at `t = 10 s`, § VII-B1).
 
@@ -80,14 +81,6 @@ pub enum ExecModel {
         /// Upper bound (inclusive).
         max: SimSpan,
     },
-    /// Gaussian around `mean` with standard deviation `std`, clamped to
-    /// `[mean - 3·std, mean + 3·std]` and to the positive minimum.
-    Normal {
-        /// Mean execution time.
-        mean: SimSpan,
-        /// Standard deviation.
-        std: SimSpan,
-    },
     /// Hungarian-style load dependence: `base + coeff · load^exponent`.
     ///
     /// With `exponent = 3` this reproduces the paper's `O(n³)` configurable
@@ -149,12 +142,6 @@ impl ExecModel {
         ExecModel::Uniform { min, max }
     }
 
-    /// A clamped Gaussian execution time.
-    #[must_use]
-    pub fn normal(mean: SimSpan, std: SimSpan) -> Self {
-        ExecModel::Normal { mean, std }
-    }
-
     /// A Hungarian-style cubic load-dependent execution time.
     #[must_use]
     pub fn hungarian(base: SimSpan, coeff: SimSpan) -> Self {
@@ -214,15 +201,6 @@ impl ExecModel {
                     rng.gen_range(a..=b)
                 }
             }
-            ExecModel::Normal { mean, std } => {
-                let m = mean.as_secs();
-                let s = std.as_secs();
-                if s <= 0.0 {
-                    return m;
-                }
-                let z = sample_standard_normal(rng);
-                (m + z * s).clamp(m - 3.0 * s, m + 3.0 * s)
-            }
             ExecModel::LoadDependent {
                 base,
                 coeff,
@@ -257,7 +235,6 @@ impl ExecModel {
         match self {
             ExecModel::Constant { value } => value.as_secs(),
             ExecModel::Uniform { min, max } => 0.5 * (min.as_secs() + max.as_secs()),
-            ExecModel::Normal { mean, .. } => mean.as_secs(),
             ExecModel::LoadDependent {
                 base,
                 coeff,
@@ -291,7 +268,6 @@ impl ExecModel {
         match self {
             ExecModel::Constant { value } => value.as_secs(),
             ExecModel::Uniform { max, .. } => max.as_secs(),
-            ExecModel::Normal { mean, std } => mean.as_secs() + 3.0 * std.as_secs(),
             ExecModel::LoadDependent { .. } => self.nominal_raw(ctx),
             ExecModel::Step { base, elevated, .. } => {
                 base.worst_case_raw(ctx).max(elevated.worst_case_raw(ctx))
@@ -299,17 +275,6 @@ impl ExecModel {
             ExecModel::Sum { a, b } => a.worst_case_raw(ctx) + b.worst_case_raw(ctx),
         }
     }
-}
-
-/// Samples a standard normal variate via the Box–Muller transform.
-///
-/// `rand` (without `rand_distr`) only gives uniform variates; this keeps the
-/// dependency list to the approved set.
-pub fn sample_standard_normal<R: Rng + ?Sized>(rng: &mut R) -> f64 {
-    // Avoid u1 == 0 which would send ln(u1) to -inf.
-    let u1: f64 = rng.gen_range(f64::MIN_POSITIVE..1.0);
-    let u2: f64 = rng.gen_range(0.0..1.0);
-    (-2.0 * u1.ln()).sqrt() * (std::f64::consts::TAU * u2).cos()
 }
 
 #[cfg(test)]
@@ -331,8 +296,6 @@ mod tests {
             ExecModel::constant(ms(-5.0)),
             ExecModel::constant(SimSpan::from_secs(1e-9)),
             ExecModel::uniform(ms(-2.0), ms(0.0005)),
-            ExecModel::normal(SimSpan::ZERO, ms(3.0)),
-            ExecModel::normal(ms(-1.0), SimSpan::ZERO),
             ExecModel::load_dependent(ms(-10.0), ms(1.0), 2.0),
             ExecModel::constant(ms(-1.0)).with_step(
                 ExecModel::constant(ms(-2.0)),
@@ -395,16 +358,6 @@ mod tests {
     }
 
     #[test]
-    fn normal_is_clamped_to_three_sigma() {
-        let m = ExecModel::normal(SimSpan::from_millis(10.0), SimSpan::from_millis(1.0));
-        let mut r = rng();
-        for _ in 0..2000 {
-            let c = m.sample(ExecContext::idle(), &mut r).as_millis();
-            assert!((7.0..=13.0).contains(&c), "{c} outside 3 sigma");
-        }
-    }
-
-    #[test]
     fn hungarian_grows_cubically() {
         let m = ExecModel::hungarian(SimSpan::from_millis(5.0), SimSpan::from_millis(0.01));
         let mut r = rng();
@@ -459,17 +412,6 @@ mod tests {
         let m = ExecModel::constant(SimSpan::ZERO);
         let mut r = rng();
         assert!(m.sample(ExecContext::idle(), &mut r) > SimSpan::ZERO);
-    }
-
-    #[test]
-    fn standard_normal_is_roughly_standard() {
-        let mut r = rng();
-        let n = 20_000;
-        let samples: Vec<f64> = (0..n).map(|_| sample_standard_normal(&mut r)).collect();
-        let mean = samples.iter().sum::<f64>() / n as f64;
-        let var = samples.iter().map(|x| (x - mean).powi(2)).sum::<f64>() / n as f64;
-        assert!(mean.abs() < 0.05, "mean {mean}");
-        assert!((var - 1.0).abs() < 0.05, "var {var}");
     }
 
     #[test]

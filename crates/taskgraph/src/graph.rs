@@ -285,23 +285,6 @@ impl TaskGraph {
         out.push_str("}\n");
         out
     }
-
-    /// Depth (longest hop count from any source) of each task; sources have
-    /// depth 0. Useful for priority assignment heuristics and reporting.
-    #[must_use]
-    pub fn depths(&self) -> Vec<usize> {
-        let mut depth = vec![0usize; self.tasks.len()];
-        for &id in &self.topo {
-            let d = self
-                .ipred(id)
-                .iter()
-                .map(|p| depth[p.index()] + 1)
-                .max()
-                .unwrap_or(0);
-            depth[id.index()] = d;
-        }
-        depth
-    }
 }
 
 impl fmt::Display for TaskGraph {
@@ -552,16 +535,6 @@ mod tests {
         assert!((cp.as_millis() - 45.0).abs() < 1e-9);
         let total = g.total_work(ExecContext::idle());
         assert!((total.as_millis() - 65.0).abs() < 1e-9);
-    }
-
-    #[test]
-    fn depths_of_diamond() {
-        let (g, [a, c, d, e]) = diamond();
-        let depth = g.depths();
-        assert_eq!(depth[a.index()], 0);
-        assert_eq!(depth[c.index()], 1);
-        assert_eq!(depth[d.index()], 1);
-        assert_eq!(depth[e.index()], 2);
     }
 
     #[test]

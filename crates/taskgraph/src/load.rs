@@ -4,7 +4,9 @@
 //! load-dependent execution times (§ II: vehicles and pedestrians waiting at
 //! a red light; § VII-C: a traffic jam). A [`LoadProfile`] maps simulation
 //! time to an obstacle count the scenario feeds into
-//! [`ExecContext::load`](crate::exec::ExecContext).
+//! [`ExecContext::load`](crate::exec::ExecContext): a constant, a linear
+//! ramp, or piecewise-constant segments (a pulse is three segments, and
+//! [`LoadProfile::bursts`] builds periodic ones).
 
 use serde::{Deserialize, Serialize};
 
@@ -18,9 +20,15 @@ use crate::time::SimTime;
 /// use hcperf_taskgraph::LoadProfile;
 /// use hcperf_taskgraph::time::SimTime;
 ///
-/// let profile = LoadProfile::pulse(2.0, 12.0, SimTime::from_secs(10.0), SimTime::from_secs(20.0));
+/// // 12 obstacles during [10 s, 20 s), 2 before and after.
+/// let profile = LoadProfile::piecewise(vec![
+///     (SimTime::ZERO, 2.0),
+///     (SimTime::from_secs(10.0), 12.0),
+///     (SimTime::from_secs(20.0), 2.0),
+/// ]);
 /// assert_eq!(profile.at(SimTime::from_secs(5.0)), 2.0);
 /// assert_eq!(profile.at(SimTime::from_secs(15.0)), 12.0);
+/// assert_eq!(profile.at(SimTime::from_secs(25.0)), 2.0);
 /// ```
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub enum LoadProfile {
@@ -40,17 +48,6 @@ pub enum LoadProfile {
         /// Value at and after `t1`.
         v1: f64,
     },
-    /// `elevated` inside `[from, until)`, `base` elsewhere.
-    Pulse {
-        /// Value outside the window.
-        base: f64,
-        /// Value inside the window.
-        elevated: f64,
-        /// Window start (inclusive).
-        from: SimTime,
-        /// Window end (exclusive).
-        until: SimTime,
-    },
     /// Piecewise-constant segments `(start, value)` sorted by start time.
     /// Before the first start the first value applies.
     Piecewise {
@@ -64,17 +61,6 @@ impl LoadProfile {
     #[must_use]
     pub fn constant(value: f64) -> Self {
         LoadProfile::Constant { value }
-    }
-
-    /// A pulse: `elevated` during `[from, until)`, `base` elsewhere.
-    #[must_use]
-    pub fn pulse(base: f64, elevated: f64, from: SimTime, until: SimTime) -> Self {
-        LoadProfile::Pulse {
-            base,
-            elevated,
-            from,
-            until,
-        }
     }
 
     /// A linear ramp between two time/value points.
@@ -149,18 +135,6 @@ impl LoadProfile {
                     v0 + frac * (v1 - v0)
                 }
             }
-            LoadProfile::Pulse {
-                base,
-                elevated,
-                from,
-                until,
-            } => {
-                if t >= *from && t < *until {
-                    *elevated
-                } else {
-                    *base
-                }
-            }
             LoadProfile::Piecewise { segments } => {
                 let mut current = segments[0].1;
                 for (start, value) in segments {
@@ -204,7 +178,13 @@ mod tests {
 
     #[test]
     fn pulse_window_boundaries() {
-        let p = LoadProfile::pulse(1.0, 9.0, SimTime::from_secs(10.0), SimTime::from_secs(20.0));
+        // A pulse: 9 during [10 s, 20 s), 1 before and after.
+        let p = LoadProfile::piecewise(vec![
+            (SimTime::ZERO, 1.0),
+            (SimTime::from_secs(10.0), 9.0),
+            (SimTime::from_secs(20.0), 1.0),
+        ]);
+        assert_eq!(p.at(SimTime::from_secs(-1.0)), 1.0);
         assert_eq!(p.at(SimTime::from_secs(9.999)), 1.0);
         assert_eq!(p.at(SimTime::from_secs(10.0)), 9.0);
         assert_eq!(p.at(SimTime::from_secs(19.999)), 9.0);

@@ -49,12 +49,6 @@ impl Rate {
     pub fn period(self) -> SimSpan {
         SimSpan::from_hz(self.0)
     }
-
-    /// Returns this rate scaled by `factor`, which must yield a positive rate.
-    #[must_use]
-    pub fn scaled(self, factor: f64) -> Rate {
-        Rate::from_hz(self.0 * factor)
-    }
 }
 
 impl Eq for Rate {}
@@ -162,12 +156,6 @@ impl RateRange {
         rate >= self.min && rate <= self.max
     }
 
-    /// Returns the midpoint of the range.
-    #[must_use]
-    pub fn midpoint(self) -> Rate {
-        Rate::from_hz(0.5 * (self.min.as_hz() + self.max.as_hz()))
-    }
-
     /// Linearly interpolates inside the range; `t = 0` gives `min`,
     /// `t = 1` gives `max`. `t` is clamped to `[0, 1]`.
     #[must_use]
@@ -223,12 +211,6 @@ mod tests {
         assert_eq!(range.lerp(1.0), Rate::from_hz(100.0));
         assert_eq!(range.lerp(-3.0), Rate::from_hz(10.0));
         assert_eq!(range.lerp(9.0), Rate::from_hz(100.0));
-        assert_eq!(range.midpoint(), Rate::from_hz(55.0));
-    }
-
-    #[test]
-    fn scaled_rate() {
-        assert_eq!(Rate::from_hz(20.0).scaled(2.0), Rate::from_hz(40.0));
     }
 
     #[test]

@@ -75,12 +75,6 @@ impl SimTime {
         self.0 * 1e3
     }
 
-    /// Returns the span from `earlier` to `self` (may be negative).
-    #[must_use]
-    pub fn since(self, earlier: SimTime) -> SimSpan {
-        SimSpan(self.0 - earlier.0)
-    }
-
     /// Returns the later of two instants.
     #[must_use]
     pub fn max(self, other: SimTime) -> SimTime {

@@ -144,9 +144,9 @@ proptest! {
             SimSpan::from_millis(0.01),
             3.0,
         )
-        .plus(ExecModel::normal(
-            SimSpan::from_millis(0.0),
-            SimSpan::from_millis(2.0),
+        .plus(ExecModel::uniform(
+            SimSpan::from_millis(-6.0),
+            SimSpan::from_millis(6.0),
         ));
         let mut rng = StdRng::seed_from_u64(seed);
         let ctx = ExecContext::new(SimTime::ZERO, load);
@@ -189,12 +189,11 @@ proptest! {
         elevated in -5.0f64..25.0,
         t in -10.0f64..120.0,
     ) {
-        let pulse = LoadProfile::pulse(
-            base,
-            elevated,
-            SimTime::from_secs(10.0),
-            SimTime::from_secs(20.0),
-        );
+        let pulse = LoadProfile::piecewise(vec![
+            (SimTime::ZERO, base),
+            (SimTime::from_secs(10.0), elevated),
+            (SimTime::from_secs(20.0), base),
+        ]);
         prop_assert!(pulse.at(SimTime::from_secs(t)) >= 0.0);
     }
 

@@ -56,12 +56,11 @@ fn exec_models_round_trip() {
 fn load_profiles_round_trip() {
     let profiles = vec![
         LoadProfile::constant(3.0),
-        LoadProfile::pulse(
-            2.0,
-            11.0,
-            SimTime::from_secs(10.0),
-            SimTime::from_secs(20.0),
-        ),
+        LoadProfile::piecewise(vec![
+            (SimTime::ZERO, 2.0),
+            (SimTime::from_secs(10.0), 11.0),
+            (SimTime::from_secs(20.0), 2.0),
+        ]),
         LoadProfile::ramp(SimTime::from_secs(5.0), 2.0, SimTime::from_secs(12.0), 16.0),
         LoadProfile::bursts(
             2.0,

@@ -12,8 +12,7 @@
 //! * [`CarFollowController`] / [`LaneKeepController`] — the control laws
 //!   the *control task* computes; the scheduler decides when their output
 //!   reaches the vehicle.
-//! * [`NoisySensor`] / [`Quantizer`] — measurement imperfections of the
-//!   hardware testbed.
+//! * [`NoisySensor`] — the measurement noise of the hardware testbed.
 //!
 //! # Examples
 //!
@@ -39,5 +38,5 @@ pub use follow::{CarFollowController, FollowConfig};
 pub use lateral::{BicycleCar, BicycleConfig, LaneKeepController};
 pub use lead::LeadProfile;
 pub use longitudinal::{LongitudinalCar, LongitudinalConfig};
-pub use sensor::{NoisySensor, Quantizer};
+pub use sensor::NoisySensor;
 pub use track::{OvalTrack, Track};

@@ -3,7 +3,8 @@
 //! The hardware testbed differs from simulation chiefly in measurement
 //! noise ("the speed record of the lead car is affected by the presence of
 //! noise", § VII-B3). [`NoisySensor`] adds seeded Gaussian noise to a true
-//! value; [`Quantizer`] models coarse encoder resolution.
+//! value; a standard deviation of zero is the noise-free simulation
+//! testbed.
 
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -44,12 +45,6 @@ impl NoisySensor {
         }
     }
 
-    /// A perfect sensor (zero noise) — the simulation-testbed setting.
-    #[must_use]
-    pub fn noiseless() -> Self {
-        NoisySensor::new(0.0, 0)
-    }
-
     /// Returns the noise standard deviation.
     #[must_use]
     pub fn std_dev(&self) -> f64 {
@@ -66,34 +61,6 @@ impl NoisySensor {
     }
 }
 
-/// Quantizes readings to a fixed resolution (wheel-encoder style).
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct Quantizer {
-    resolution: f64,
-}
-
-impl Quantizer {
-    /// Creates a quantizer with the given resolution.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the resolution is not strictly positive and finite.
-    #[must_use]
-    pub fn new(resolution: f64) -> Self {
-        assert!(
-            resolution.is_finite() && resolution > 0.0,
-            "resolution must be positive"
-        );
-        Quantizer { resolution }
-    }
-
-    /// Rounds a value to the nearest resolution step.
-    #[must_use]
-    pub fn quantize(&self, value: f64) -> f64 {
-        (value / self.resolution).round() * self.resolution
-    }
-}
-
 fn standard_normal<R: Rng + ?Sized>(rng: &mut R) -> f64 {
     let u1: f64 = rng.gen_range(f64::MIN_POSITIVE..1.0);
     let u2: f64 = rng.gen_range(0.0..1.0);
@@ -106,7 +73,7 @@ mod tests {
 
     #[test]
     fn noiseless_is_exact() {
-        let mut s = NoisySensor::noiseless();
+        let mut s = NoisySensor::new(0.0, 0);
         assert_eq!(s.measure(3.25), 3.25);
         assert_eq!(s.std_dev(), 0.0);
     }
@@ -129,14 +96,6 @@ mod tests {
         for _ in 0..10 {
             assert_eq!(a.measure(1.0), b.measure(1.0));
         }
-    }
-
-    #[test]
-    fn quantizer_rounds_to_steps() {
-        let q = Quantizer::new(0.25);
-        assert_eq!(q.quantize(1.1), 1.0);
-        assert_eq!(q.quantize(1.13), 1.25);
-        assert_eq!(q.quantize(-0.4), -0.5);
     }
 
     #[test]

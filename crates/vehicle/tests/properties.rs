@@ -2,7 +2,7 @@
 
 use hcperf_vehicle::{
     BicycleCar, BicycleConfig, CarFollowController, FollowConfig, LeadProfile, LongitudinalCar,
-    LongitudinalConfig, NoisySensor, OvalTrack, Quantizer, Track,
+    LongitudinalConfig, NoisySensor, OvalTrack, Track,
 };
 use proptest::prelude::*;
 
@@ -109,15 +109,5 @@ proptest! {
     ) {
         let mut s = NoisySensor::new(0.0, seed);
         prop_assert_eq!(s.measure(truth), truth);
-    }
-
-    #[test]
-    fn quantizer_error_bounded_by_half_step(
-        value in -1e3f64..1e3,
-        resolution in 0.001f64..10.0,
-    ) {
-        let q = Quantizer::new(resolution);
-        let out = q.quantize(value);
-        prop_assert!((out - value).abs() <= resolution / 2.0 + 1e-9);
     }
 }

@@ -52,7 +52,7 @@ fn cases() -> Vec<Rendered> {
     let exec_models = r#"[
         {"Constant":{"value":0.001}},
         {"Uniform":{"min":-0,"max":9e15}},
-        {"Normal":{"mean":1e21,"std":null}},
+        {"Uniform":{"min":1e21,"max":null}},
         {"LoadDependent":{"base":0.002,"coeff":1e-7,"exponent":1e999}},
         {"Step":{"base":{"Constant":{"value":1}},"elevated":{"Sum":{"a":{"Constant":{"value":2}},"b":{"Constant":{"value":-1e999}}}},"from":10,"until":20.5}}
     ]"#;
@@ -124,7 +124,6 @@ fn cases() -> Vec<Rendered> {
     let load_profiles = r#"[
         {"Constant":{"value":4}},
         {"Ramp":{"t0":0,"v0":1,"t1":10,"v1":12}},
-        {"Pulse":{"base":2,"elevated":12,"from":10,"until":20}},
         {"Piecewise":{"segments":[[0,1.5],[2.5,-0]]}},
         {"Piecewise":{"segments":[]}}
     ]"#;
@@ -311,7 +310,7 @@ const GOLDEN: &[(&str, &str, &str)] = &[
     ),
     (
         "ExecModel",
-        r#"[{"Constant":{"value":0.001}},{"Uniform":{"min":0,"max":9000000000000000}},{"Normal":{"mean":1000000000000000000000,"std":null}},{"LoadDependent":{"base":0.002,"coeff":0.0000001,"exponent":null}},{"Step":{"base":{"Constant":{"value":1}},"elevated":{"Sum":{"a":{"Constant":{"value":2}},"b":{"Constant":{"value":null}}}},"from":10,"until":20.5}}]"#,
+        r#"[{"Constant":{"value":0.001}},{"Uniform":{"min":0,"max":9000000000000000}},{"Uniform":{"min":1000000000000000000000,"max":null}},{"LoadDependent":{"base":0.002,"coeff":0.0000001,"exponent":null}},{"Step":{"base":{"Constant":{"value":1}},"elevated":{"Sum":{"a":{"Constant":{"value":2}},"b":{"Constant":{"value":null}}}},"from":10,"until":20.5}}]"#,
         r#"[
   {
     "Constant": {
@@ -325,9 +324,9 @@ const GOLDEN: &[(&str, &str, &str)] = &[
     }
   },
   {
-    "Normal": {
-      "mean": 1000000000000000000000,
-      "std": null
+    "Uniform": {
+      "min": 1000000000000000000000,
+      "max": null
     }
   },
   {
@@ -475,7 +474,7 @@ const GOLDEN: &[(&str, &str, &str)] = &[
     ),
     (
         "LoadProfile",
-        r#"[{"Constant":{"value":4}},{"Ramp":{"t0":0,"v0":1,"t1":10,"v1":12}},{"Pulse":{"base":2,"elevated":12,"from":10,"until":20}},{"Piecewise":{"segments":[[0,1.5],[2.5,0]]}},{"Piecewise":{"segments":[]}}]"#,
+        r#"[{"Constant":{"value":4}},{"Ramp":{"t0":0,"v0":1,"t1":10,"v1":12}},{"Piecewise":{"segments":[[0,1.5],[2.5,0]]}},{"Piecewise":{"segments":[]}}]"#,
         r#"[
   {
     "Constant": {
@@ -488,14 +487,6 @@ const GOLDEN: &[(&str, &str, &str)] = &[
       "v0": 1,
       "t1": 10,
       "v1": 12
-    }
-  },
-  {
-    "Pulse": {
-      "base": 2,
-      "elevated": 12,
-      "from": 10,
-      "until": 20
     }
   },
   {
